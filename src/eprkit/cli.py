@@ -23,7 +23,7 @@ from .errors import (
     ScenarioFormatError,
     ScenarioInvariantError,
 )
-from .lab import Scenario, build_pauli_scenario, compare_empirical, run_epr_analysis, sample_chain
+from .lab import MAX_SEED, Scenario, build_pauli_scenario, compare_empirical, run_epr_analysis, sample_chain
 from .linalg import extract_c
 from .states import verify_theorem1
 
@@ -32,8 +32,6 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_IMPOSSIBLE = 4
-
-MAX_SEED = 2**64 - 1
 
 
 class _UsageError(Exception):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ImpossibleOutcomeError
+from .errors import DimensionMismatchError, ImpossibleOutcomeError, SpectrumCoverageError
 from .linalg import (
     Observable,
     SpectralDecomposition,
@@ -93,7 +93,7 @@ class AntiDiagonalIndex:
         try:
             n = match_value(self.factor_eigenvalues, a_value, self.match_tol)
             k = self.sum_index(s_value)
-        except Exception:
+        except SpectrumCoverageError:
             return False
         return any(pair[0] == n for pair in self.sets[k])
 
@@ -145,17 +145,23 @@ def anti_diagonals(spectrum, grouping_tol: float | None = None) -> AntiDiagonalI
 
 
 def lift(obs: Observable, slot: int, space: CompositeSpace | None = None) -> Observable:
-    """Embed a factor observable into the composite space: A x I or I x A."""
+    """Embed a factor observable into the composite space: A x I or I x A.
+
+    Built once per (observable, slot) and kept on ``obs``, so every caller
+    shares one lifted observable and its spectral decomposition.
+    """
     if slot not in (1, 2):
         raise ValueError(f"slot must be 1 or 2, got {slot!r}")
     if space is not None and space.factor_dim != obs.dim:
         raise DimensionMismatchError(
             f"observable dim {obs.dim} does not match factor dim {space.factor_dim}"
         )
-    eye = np.eye(obs.dim)
-    if slot == 1:
-        return Observable(tensor_product(obs.matrix, eye))
-    return Observable(tensor_product(eye, obs.matrix))
+    lifted = obs._lifts.get(slot)
+    if lifted is None:
+        eye = np.eye(obs.dim)
+        matrix = tensor_product(obs.matrix, eye) if slot == 1 else tensor_product(eye, obs.matrix)
+        lifted = obs._lifts[slot] = Observable(matrix)
+    return lifted
 
 
 class SumObservable(Observable):
@@ -170,7 +176,8 @@ class SumObservable(Observable):
         eye = np.eye(factor.dim)
         matrix = tensor_product(factor.matrix, eye) + tensor_product(eye, factor.matrix)
         super().__init__(matrix, grouping_tol=index.match_tol)
-        self.factor = factor
+        # no reference back to ``factor``: it holds this observable in its
+        # cache, and a cycle would outlive the scenario until a GC pass
         self.space = space
         self.index = index
 
@@ -197,7 +204,11 @@ def sum_observable(
     a2: Observable | None = None,
     space: CompositeSpace | None = None,
 ) -> SumObservable:
-    """Build the conserved sum S = A(1) + A(2) for two identical factors."""
+    """Build the conserved sum S = A(1) + A(2) for two identical factors.
+
+    The result is kept on ``a1`` and reused while the composite space stays
+    the same, so its projectors are assembled once per factor observable.
+    """
     if a2 is not None:
         if a2.dim != a1.dim or float(np.abs(a2.matrix - a1.matrix).max()) > hermiticity_tolerance(a1.matrix):
             raise DimensionMismatchError("only two identical factors are supported")
@@ -207,8 +218,9 @@ def sum_observable(
         raise DimensionMismatchError(
             f"space factor dim {space.factor_dim} does not match observable dim {a1.dim}"
         )
-    index = anti_diagonals(a1.eigenvalues)
-    return SumObservable(factor=a1, space=space, index=index)
+    if a1._sum is None or a1._sum.space != space:
+        a1._sum = SumObservable(factor=a1, space=space, index=anti_diagonals(a1.eigenvalues))
+    return a1._sum
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ check the other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,37 +152,49 @@ def conditional_distribution(state: PureState, a: Observable, s_value: float) ->
     first-factor eigenvalues compatible with the observed sum.
     """
     collapsed, _, s_matched, s_obs = _collapse_on_sum(state, a, s_value)
-    dist = outcome_probabilities(collapsed, lift(a, 1, s_obs.space))
-    support_idx = sorted(set(s_obs.index.support(s_matched)))
+    a1_dist = outcome_probabilities(collapsed, lift(a, 1, s_obs.space))
+    return conditional_distribution_from(a1_dist, a, s_obs.index, s_matched)
+
+
+def conditional_distribution_from(
+    a1_dist: OutcomeDistribution, a: Observable, index: AntiDiagonalIndex, s_value: float
+) -> ConditionalDistribution:
+    """``conditional_distribution`` from the A(1) distribution in the state collapsed on sum s_value."""
+    support_idx = sorted(set(index.support(s_value)))
     values = a.eigenvalues
-    support = tuple((float(values[n]), dist.probability_of(values[n], tol=a.grouping_tol)) for n in support_idx)
-    return ConditionalDistribution(given_sum=s_matched, support=support)
-
-
-def _summary(state: PureState, obs: Observable, f: SpectrumFunction) -> PredictionSummary:
-    dist = outcome_probabilities(state, obs)
-    fvals = np.array([f(v) for v in dist.values])
-    mean = float(np.dot(fvals, dist.probabilities))
-    var = float(np.dot((fvals - mean) ** 2, dist.probabilities))
-    return PredictionSummary(mean=mean, stdev=math.sqrt(max(var, 0.0)))
+    support = tuple((float(values[n]), a1_dist.probability_of(values[n], tol=a.grouping_tol)) for n in support_idx)
+    return ConditionalDistribution(given_sum=s_value, support=support)
 
 
 def conditional_prediction(state: PureState, a: Observable, f: SpectrumFunction, s_value: float) -> PredictionSummary:
     """Mean and error of f(A(1)) predicted after the sum was observed as s_value."""
     f.require_covers(a.eigenvalues)
     collapsed, _, _, s_obs = _collapse_on_sum(state, a, s_value)
-    return _summary(collapsed, lift(a, 1, s_obs.space), f)
+    mean, stdev = outcome_probabilities(collapsed, lift(a, 1, s_obs.space)).moments(f)
+    return PredictionSummary(mean=mean, stdev=stdev)
 
 
 def verify_theorem2(state: PureState, a: Observable, s_value: float) -> SumConstraintReport:
     """Residuals of the post-measurement identities m(A2) = s - m(A1), D(A1) = D(A2)."""
     collapsed, _, s_matched, s_obs = _collapse_on_sum(state, a, s_value)
+    return verify_theorem2_from(
+        outcome_probabilities(collapsed, lift(a, 1, s_obs.space)),
+        outcome_probabilities(collapsed, lift(a, 2, s_obs.space)),
+        a,
+        s_matched,
+    )
+
+
+def verify_theorem2_from(
+    a1_dist: OutcomeDistribution, a2_dist: OutcomeDistribution, a: Observable, s_value: float
+) -> SumConstraintReport:
+    """``verify_theorem2`` from the A(1) and A(2) distributions in the state collapsed on sum s_value."""
     identity = SpectrumFunction.identity(a.eigenvalues)
-    one = _summary(collapsed, lift(a, 1, s_obs.space), identity)
-    two = _summary(collapsed, lift(a, 2, s_obs.space), identity)
+    mean1, stdev1 = a1_dist.moments(identity)
+    mean2, stdev2 = a2_dist.moments(identity)
     return SumConstraintReport(
-        mean_identity_residual=abs(two.mean - (s_matched - one.mean)),
-        stdev_gap=abs(one.stdev - two.stdev),
+        mean_identity_residual=abs(mean2 - (s_value - mean1)),
+        stdev_gap=abs(stdev1 - stdev2),
     )
 
 
@@ -194,7 +205,12 @@ def sequential_measure(state: PureState, a: Observable, s_value: float, a1_value
     Either stage raises ImpossibleOutcomeError when its outcome has
     (numerically) zero probability in the current state.
     """
-    collapsed, _, _, s_obs = _collapse_on_sum(state, a, s_value)
+    collapsed, _, _, _ = _collapse_on_sum(state, a, s_value)
+    return sequential_measure_from(collapsed, a, a1_value)
+
+
+def sequential_measure_from(collapsed: PureState, a: Observable, a1_value: float) -> PureState:
+    """The second stage of ``sequential_measure``: collapse on A(1) = a1_value."""
     n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
     projector = tensor_product(a.projectors[n], np.eye(a.dim))
     final, _ = post_measurement_state(collapsed, projector)
@@ -216,14 +232,22 @@ def certain_prediction(
     chain values only identify which point mass to expect.
     """
     g.require_covers(a.eigenvalues)
-    dist = outcome_probabilities(phi, lift(a, 2))
+    return certain_prediction_from(outcome_probabilities(phi, lift(a, 2)), a, g, s_value, a1_value)
+
+
+def certain_prediction_from(
+    a2_dist: OutcomeDistribution,
+    a: Observable,
+    g: SpectrumFunction,
+    s_value: float,
+    a1_value: float,
+) -> CertainPrediction:
+    """``certain_prediction`` from the A(2) distribution in the post-chain state; g must cover A."""
     target = match_value(a.eigenvalues, s_value - a1_value, a.grouping_tol)
-    if dist.probabilities[target] < 1.0 - 1e-10:
+    if a2_dist.probabilities[target] < 1.0 - 1e-10:
         raise ValueError("state was not produced by the measurement chain for (s_value, a1_value)")
-    gvals = np.array([g(v) for v in dist.values])
-    mean = float(np.dot(gvals, dist.probabilities))
-    var = float(np.dot((gvals - mean) ** 2, dist.probabilities))
-    return CertainPrediction(value=mean, stdev=math.sqrt(max(var, 0.0)), delta_check=dist)
+    mean, stdev = a2_dist.moments(g)
+    return CertainPrediction(value=mean, stdev=stdev, delta_check=a2_dist)
 
 
 def epr_resolution_check(phi: PureState, a: Observable, b: Observable, c: Observable) -> UncertaintyReport:

@@ -10,6 +10,8 @@ being silently ignored.
 from __future__ import annotations
 
 import json
+import math
+import sys
 
 import numpy as np
 
@@ -62,6 +64,34 @@ def _matrix_payload(m: np.ndarray) -> list:
 
 def _vector_payload(v: np.ndarray) -> list:
     return [_complex_pair(z) for z in v]
+
+
+def _reject_constant(name: str):
+    raise ScenarioFormatError(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ScenarioFormatError(f"number {text} is beyond the float range")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ScenarioFormatError(f"integer of {len(text)} digits is beyond the float range")
+    return value
+
+
+def _load_json(text: str):
+    """Parse JSON whose every number is a finite float; NaN and Infinity are rejected."""
+    try:
+        return json.loads(
+            text, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_finite_int
+        )
+    except ValueError as exc:  # JSONDecodeError, the hooks' errors, int() beyond its digit limit
+        raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
 
 
 def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
@@ -123,10 +153,7 @@ def scenario_from_json(text: str) -> Scenario:
     physical invariant (hermiticity, state norm, commutation consistency)
     raise ScenarioInvariantError naming the offending field.
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
+    payload = _load_json(text)
     _check_keys(payload, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, "scenario")
     if payload["schema_version"] != SCHEMA_VERSION:
         raise ScenarioFormatError(f"unsupported schema_version {payload['schema_version']!r}")
@@ -255,10 +282,7 @@ def run_report_payload(sc: Scenario, analysis: dict, sampling: dict | None, vers
 
 def run_report_from_json(text: str) -> dict:
     """Strictly parse a run report back into its payload dictionary."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
+    payload = _load_json(text)
     _check_keys(payload, _REPORT_REQUIRED, _REPORT_OPTIONAL, "report")
     if payload["schema_version"] != SCHEMA_VERSION:
         raise ScenarioFormatError(f"unsupported schema_version {payload['schema_version']!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,11 +28,11 @@ from .composite import (
 from .conditional import (
     PredictionSummary,
     SumConstraintReport,
-    certain_prediction,
+    certain_prediction_from,
     conditional_distribution,
-    epr_resolution_check,
-    sequential_measure,
-    verify_theorem2,
+    conditional_distribution_from,
+    sequential_measure_from,
+    verify_theorem2_from,
 )
 from .errors import DimensionMismatchError
 from .linalg import MAX_DIM, Observable, extract_c
@@ -40,8 +41,7 @@ from .states import (
     PureState,
     SpectrumFunction,
     UncertaintyReport,
-    audit_uncertainty,
-    best_predictor,
+    audit_uncertainty_from,
     outcome_probabilities,
     prediction_error,
 )
@@ -89,6 +89,11 @@ class Scenario:
     def commutation_residual(self) -> float:
         derived = extract_c(self.obs_a.matrix, self.obs_b.matrix, self.alpha)
         return float(np.abs(derived - self.obs_c.matrix).max())
+
+    @cached_property
+    def chain_tables(self):
+        """``_chain_distributions`` of this scenario, computed once for sampling and comparison."""
+        return _chain_distributions(self)
 
 
 def build_scenario(label, matrix_a, matrix_b, state, alpha: float = 1.0, matrix_c=None) -> Scenario:
@@ -204,13 +209,22 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     """Condition on every reachable sum outcome and run every reachable chain.
 
     Outcomes of (numerically) zero probability are omitted rather than
-    reported as errors; every retained branch carries its own audits.
+    reported as errors; every retained branch carries its own audits. Each
+    branch is collapsed once, and each outcome distribution in a collapsed
+    state is computed once and shared by the summaries, audits and chains.
     """
     a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
+    a.require_nondegenerate()
     state = sc.initial_state
     s_obs = sum_observable(a)
     spectrum = outcome_probabilities(state, s_obs)
     identity = SpectrumFunction.identity(a.eigenvalues)
+    lifted = {
+        (name, slot): lift(obs, slot, s_obs.space)
+        for name, obs in (("a", a), ("b", b), ("c", c))
+        for slot in (1, 2)
+    }
+    lifted_identity = {key: SpectrumFunction.identity(obs.eigenvalues) for key, obs in lifted.items()}
 
     branches = []
     chains = []
@@ -218,17 +232,16 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
         if prob < ZERO_PROB_THRESHOLD:
             continue
         psi_s, _ = post_measurement_state(state, eigenspace_projector(s_obs, k))
-        lifted = {
-            (name, slot): lift(obs, slot, s_obs.space)
-            for name, obs in (("a", a), ("b", b), ("c", c))
-            for slot in (1, 2)
-        }
+        dists = {key: outcome_probabilities(psi_s, obs) for key, obs in lifted.items()}
         summaries = {
-            key: PredictionSummary(
-                mean=best_predictor(psi_s, obs, SpectrumFunction.identity(obs.eigenvalues)),
-                stdev=prediction_error(psi_s, obs),
+            key: PredictionSummary(mean=dist.mean_of(lifted_identity[key]), stdev=dist.moments()[1])
+            for key, dist in dists.items()
+        }
+        audits = {
+            slot: audit_uncertainty_from(
+                psi_s, summaries[("a", slot)].stdev, summaries[("b", slot)].stdev, lifted[("c", slot)]
             )
-            for key, obs in lifted.items()
+            for slot in (1, 2)
         }
         branches.append(
             SumBranchReport(
@@ -241,18 +254,19 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
                 b2=summaries[("b", 2)],
                 c1=summaries[("c", 1)],
                 c2=summaries[("c", 2)],
-                sum_constraint=verify_theorem2(state, a, s_value),
-                audit_slot1=audit_uncertainty(psi_s, lifted[("a", 1)], lifted[("b", 1)], lifted[("c", 1)]),
-                audit_slot2=audit_uncertainty(psi_s, lifted[("a", 2)], lifted[("b", 2)], lifted[("c", 2)]),
+                sum_constraint=verify_theorem2_from(dists[("a", 1)], dists[("a", 2)], a, s_value),
+                audit_slot1=audits[1],
+                audit_slot2=audits[2],
             )
         )
 
-        cond = conditional_distribution(state, a, s_value)
+        cond = conditional_distribution_from(dists[("a", 1)], a, s_obs.index, s_value)
         for a1_value, cond_prob in cond.support:
             if cond_prob < ZERO_PROB_THRESHOLD:
                 continue
-            phi = sequential_measure(state, a, s_value, a1_value)
-            prediction = certain_prediction(phi, a, identity, s_value, a1_value)
+            phi = sequential_measure_from(psi_s, a, a1_value)
+            a2_dist = outcome_probabilities(phi, lifted[("a", 2)])
+            prediction = certain_prediction_from(a2_dist, a, identity, s_value, a1_value)
             m = s_obs.index.partner_index(s_value, int(np.argmin(np.abs(a.eigenvalues - a1_value))))
             a2_value = float(a.eigenvalues[m])
             chains.append(
@@ -264,7 +278,9 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
                     a2_predicted=prediction.value,
                     a2_stdev=prediction.stdev,
                     point_mass_residual=abs(1.0 - prediction.delta_check.probability_of(a2_value)),
-                    resolution=epr_resolution_check(phi, a, b, c),
+                    resolution=audit_uncertainty_from(
+                        phi, a2_dist.moments()[1], prediction_error(phi, lifted[("b", 2)]), lifted[("c", 2)]
+                    ),
                 )
             )
 
@@ -338,7 +354,7 @@ def sample_chain(sc: Scenario, shots: int, seed: int = 0) -> ShotRecord:
     if not 0 <= int(seed) <= MAX_SEED:
         raise ValueError("seed must fit in 64 bits")
 
-    s_obs, spectrum, cond_probs, populated = _chain_distributions(sc)
+    s_obs, spectrum, cond_probs, populated = sc.chain_tables
     d = len(spectrum.outcomes)
     n = sc.obs_a.dim
 
@@ -390,7 +406,7 @@ def compare_empirical(record: ShotRecord, sc: Scenario) -> EmpiricalComparison:
             f"record was sampled from {record.scenario_label!r}, not {sc.label!r}"
         )
     a = sc.obs_a
-    s_obs, spectrum, cond_probs, populated = _chain_distributions(sc)
+    s_obs, spectrum, cond_probs, populated = sc.chain_tables
     analytic: dict[str, tuple[tuple[float, float, float], float]] = {}
     for k in populated:
         s_value, prob = spectrum.outcomes[k]

@@ -190,6 +190,11 @@ def spectral_decompose(h, grouping_tol: float | None = None) -> SpectralDecompos
     if h.shape[0] > MAX_DIM:
         raise DimensionMismatchError(f"dimension {h.shape[0]} exceeds the supported envelope of {MAX_DIM}")
     w, v, groups = _grouped_eigh(h, grouping_tol)
+    return _decomposition(w, v, groups)
+
+
+def _decomposition(w: np.ndarray, v: np.ndarray, groups: list[list[int]]) -> SpectralDecomposition:
+    """One line per group: the mean eigenvalue and the projector onto the group's eigenvectors."""
     lines = []
     for group in groups:
         block = v[:, group]
@@ -202,14 +207,16 @@ def spectral_decompose(h, grouping_tol: float | None = None) -> SpectralDecompos
                 projector=projector,
             )
         )
-    return SpectralDecomposition(lines=tuple(lines), source_dim=h.shape[0])
+    return SpectralDecomposition(lines=tuple(lines), source_dim=v.shape[0])
 
 
 class Observable:
     """A Hermitian matrix together with its cached spectral decomposition.
 
     The decomposition (and the phase-fixed eigenvector matrix) is computed
-    lazily on first access and then shared; instances are immutable.
+    lazily on first access and then shared; instances are immutable. The
+    same holds for the lifted and sum observables built from a factor
+    observable in ``eprkit.composite``.
     """
 
     def __init__(self, matrix, grouping_tol: float | None = None):
@@ -221,6 +228,11 @@ class Observable:
         self._grouping_tol = grouping_tol
         self._decomposition: SpectralDecomposition | None = None
         self._eigenvectors: np.ndarray | None = None
+        # Composite-space observables derived from this one, built on first
+        # use by ``eprkit.composite.lift`` (keyed by slot) and
+        # ``eprkit.composite.sum_observable``, and freed with this instance.
+        self._lifts: dict[int, Observable] = {}
+        self._sum: Observable | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -242,19 +254,7 @@ class Observable:
         w, v, groups = _grouped_eigh(self._matrix, self._grouping_tol)
         v = phase_fix(v)
         if self._decomposition is None:
-            lines = []
-            for group in groups:
-                block = v[:, group]
-                projector = block @ block.conj().T
-                projector.setflags(write=False)
-                lines.append(
-                    SpectralLine(
-                        eigenvalue=float(np.mean(w[group])),
-                        multiplicity=len(group),
-                        projector=projector,
-                    )
-                )
-            self._decomposition = SpectralDecomposition(lines=tuple(lines), source_dim=self.dim)
+            self._decomposition = _decomposition(w, v, groups)
         if self._eigenvectors is None:
             v.setflags(write=False)
             self._eigenvectors = v

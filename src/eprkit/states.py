@@ -117,6 +117,23 @@ class OutcomeDistribution:
         idx = match_value(self.values, value, tol)
         return self.outcomes[idx][1]
 
+    def mean_of(self, f: SpectrumFunction) -> float:
+        """``sum_k f(v_k) p_k``, accumulated in outcome order."""
+        f.require_covers(self.values)
+        return float(sum(f(v) * p for v, p in self.outcomes))
+
+    def moments(self, f: SpectrumFunction | None = None) -> tuple[float, float]:
+        """Mean and standard deviation of f(value), f defaulting to the value itself.
+
+        The mean is a dot product, so it can differ from ``mean_of`` in the
+        last bit; the variance is taken about that mean, never as
+        ``E[f^2] - E[f]^2``, which loses all precision near zero.
+        """
+        fvals = self.values if f is None else np.array([f(v) for v in self.values])
+        mean = float(np.dot(fvals, self.probabilities))
+        var = float(np.dot((fvals - mean) ** 2, self.probabilities))
+        return mean, math.sqrt(max(var, 0.0))
+
 
 class SpectrumFunction:
     """A real function given as a table over an observable's eigenvalues.
@@ -232,9 +249,7 @@ def best_predictor(state: PureState, obs: Observable, f: SpectrumFunction) -> fl
     Evaluated as the spectral sum ``sum_k f(a_k) p(a_k)``, which equals the
     quadratic form ``<psi|f(A)|psi>``.
     """
-    dist = outcome_probabilities(state, obs)
-    f.require_covers(dist.values)
-    return float(sum(f(v) * p for v, p in dist.outcomes))
+    return outcome_probabilities(state, obs).mean_of(f)
 
 
 def prediction_error(state: PureState, obs: Observable) -> float:
@@ -242,18 +257,18 @@ def prediction_error(state: PureState, obs: Observable) -> float:
 
     Zero exactly when the state is (numerically) an eigenstate.
     """
-    dist = outcome_probabilities(state, obs)
-    mean = float(np.dot(dist.values, dist.probabilities))
-    var = float(np.dot((dist.values - mean) ** 2, dist.probabilities))
-    return math.sqrt(max(var, 0.0))
+    return outcome_probabilities(state, obs).moments()[1]
 
 
 def audit_uncertainty(state: PureState, a: Observable, b: Observable, c: Observable) -> UncertaintyReport:
     """Check ``Delta(A) * Delta(B) >= |<C>| / 2`` in the given state."""
     if not (a.dim == b.dim == c.dim == state.dim):
         raise DimensionMismatchError("audit requires all operands on one space")
-    delta_a = prediction_error(state, a)
-    delta_b = prediction_error(state, b)
+    return audit_uncertainty_from(state, prediction_error(state, a), prediction_error(state, b), c)
+
+
+def audit_uncertainty_from(state: PureState, delta_a: float, delta_b: float, c: Observable) -> UncertaintyReport:
+    """``audit_uncertainty`` for prediction errors of A and B already computed in the state."""
     rhs = 0.5 * abs(state.expectation(c.matrix))
     return UncertaintyReport(
         delta_a=delta_a,

@@ -81,6 +81,25 @@ class TestVerify:
         bad.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["verify", str(bad)]) == EXIT_INVARIANT
 
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    @pytest.mark.parametrize("field", ["matrix_b", "state", "alpha"])
+    def test_non_finite_number_is_parse_error(self, command, literal, field, tmp_path, capsys):
+        payload = json.loads(scenario_text("pauli_epr.json"))
+        marker = 12345.5
+        if field == "matrix_b":
+            payload["matrix_b"][0][0] = [marker, 0.0]
+        elif field == "state":
+            payload["state"][0] = [marker, 0.0]
+        else:
+            payload["alpha"] = marker
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(json.dumps(payload).replace(str(marker), literal), encoding="utf-8")
+        assert main([command, str(bad)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "parse error" in err
+        assert "Traceback" not in err
+
 
 class TestAnalyze:
     @pytest.mark.parametrize("name", BUNDLED)
@@ -216,6 +235,17 @@ def test_report_parser_rejects_unknown_sections(tmp_path):
     payload["debug"] = {}
     with pytest.raises(ScenarioFormatError):
         eprio.run_report_from_json(json.dumps(payload))
+
+
+def test_report_parser_rejects_non_finite_numbers(tmp_path):
+    from eprkit.errors import ScenarioFormatError
+
+    out = tmp_path / "report.json"
+    main(["analyze", scenario_path("pauli_epr.json"), "--out", str(out)])
+    text = out.read_text(encoding="utf-8")
+    assert '"probability": 1.0' in text
+    with pytest.raises(ScenarioFormatError):
+        eprio.run_report_from_json(text.replace('"probability": 1.0', '"probability": NaN', 1))
 
 
 def test_scenario_json_round_trip():

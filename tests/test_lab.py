@@ -1,8 +1,14 @@
+import gc
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from eprkit import lab
+from eprkit.composite import SumObservable, lift, sum_observable
+from eprkit.conditional import oracle_conditional
 from eprkit.errors import DimensionMismatchError
 from eprkit.lab import (
     build_pauli_scenario,
@@ -14,8 +20,15 @@ from eprkit.lab import (
 )
 from eprkit.lab import ShotRecord
 from eprkit.linalg import Observable, extract_c
-from eprkit.states import PureState
-from helpers import PAULI_X, PAULI_Y, PAULI_Z, random_hermitian, random_state_vector
+from eprkit.states import PureState, SpectrumFunction
+from helpers import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    brute_sum_distribution,
+    random_hermitian,
+    random_state_vector,
+)
 
 EPR_AMPLITUDES = [0.0, math.sqrt(0.8), math.sqrt(0.2), 0.0]
 
@@ -96,19 +109,31 @@ class TestRunEprAnalysis:
         assert chain.a2_predicted == pytest.approx(1.0, abs=1e-12)
 
     def test_random_scenarios_hold_all_invariants(self):
+        # N = 2..8 reaches the composite-dimension envelope of 64
         rng = np.random.default_rng(80)
         for trial in range(25):
-            n = int(rng.integers(2, 5))
+            n = int(rng.integers(2, 9))
             a = random_hermitian(rng, n)
             b = random_hermitian(rng, n)
-            sc = build_scenario(
-                f"random-{trial}",
-                a,
-                b,
-                random_state_vector(rng, n * n),
-            )
+            psi = random_state_vector(rng, n * n)
+            sc = build_scenario(f"random-{trial}", a, b, psi)
             report = run_epr_analysis(sc)
+
+            # the oracle gets its own Observable, so it shares no cached spectral data with the analysis
+            fresh_a = Observable(a)
+            oracle = oracle_conditional(
+                PureState(psi, factor_dims=(n, n)), fresh_a, SpectrumFunction.identity(fresh_a.eigenvalues)
+            )
+            brute = brute_sum_distribution(psi, a)
+            scale = max(1.0, float(np.abs(fresh_a.eigenvalues).max()))
+            assert [branch.s_value for branch in report.per_sum] == pytest.approx(list(oracle.sums), abs=1e-9 * scale)
+            for value, prob in report.sum_spectrum.outcomes:
+                key = min(brute, key=lambda s: abs(s - value))
+                assert abs(key - value) <= 1e-8 * scale
+                assert prob == pytest.approx(brute[key], abs=1e-10)
             for branch in report.per_sum:
+                assert branch.probability == report.sum_spectrum.probability_of(branch.s_value)
+                assert branch.a1.mean == pytest.approx(oracle.value_at(branch.s_value), abs=1e-9 * scale)
                 assert branch.audit_slot1.satisfied
                 assert branch.audit_slot2.satisfied
                 assert branch.sum_constraint.mean_identity_residual <= 1e-10
@@ -117,6 +142,62 @@ class TestRunEprAnalysis:
                 assert chain.a2_stdev <= 1e-10
                 assert chain.resolution.rhs <= 1e-10
                 assert chain.resolution.satisfied
+
+    def test_spectral_data_is_built_once_per_scenario(self, monkeypatch):
+        n = 8
+        rng = np.random.default_rng(8)
+        matrices = {"a": random_hermitian(rng, n), "b": random_hermitian(rng, n)}
+        sc = build_scenario("guard", matrices["a"], matrices["b"], random_state_vector(rng, n * n))
+        matrices["c"] = sc.obs_c.matrix
+
+        built = []
+        original_init = Observable.__init__
+
+        def counting_init(self, matrix, grouping_tol=None):
+            original_init(self, matrix, grouping_tol)
+            if self.dim == n * n:
+                built.append(self)
+
+        eigh_dims = Counter()
+        original_eigh = np.linalg.eigh
+
+        def counting_eigh(h):
+            eigh_dims[np.shape(h)[0]] += 1
+            return original_eigh(h)
+
+        monkeypatch.setattr(Observable, "__init__", counting_init)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        report = run_epr_analysis(sc)
+        assert len(report.per_sum) > 1 and len(report.chains) > 1
+
+        assert sum(type(obs) is SumObservable for obs in built) == 1
+        lifted = [obs for obs in built if type(obs) is Observable]
+        eye = np.eye(n)
+        for name, m in matrices.items():
+            for slot, kron in ((1, np.kron(m, eye)), (2, np.kron(eye, m))):
+                copies = sum(np.array_equal(obs.matrix, kron) for obs in lifted)
+                assert copies <= 1, f"{name} lifted to slot {slot} {copies} times"
+        assert len(lifted) <= 6
+        assert eigh_dims[n * n] <= 6
+
+        # a second analysis of the same scenario reuses everything
+        counts = (len(built), sum(eigh_dims.values()))
+        run_epr_analysis(sc)
+        assert (len(built), sum(eigh_dims.values())) == counts
+
+    def test_cached_spectral_data_is_freed_with_the_scenario(self):
+        sc = build_pauli_scenario([0.5, 0.5, 0.5, 0.5])
+        run_epr_analysis(sc)
+        compare_empirical(sample_chain(sc, 100, seed=1), sc)
+        refs = [weakref.ref(sc), weakref.ref(sum_observable(sc.obs_a))]
+        refs += [weakref.ref(lift(obs, slot)) for obs in (sc.obs_a, sc.obs_b, sc.obs_c) for slot in (1, 2)]
+        # with the cycle collector off, only reference counting can free them
+        gc.disable()
+        try:
+            del sc
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestSampleChain:
@@ -172,6 +253,21 @@ class TestCompareEmpirical:
         comparison = compare_empirical(record, sc)
         assert comparison.within_3sigma
         assert comparison.max_abs_deviation < 0.01
+
+    def test_chain_tables_are_built_once_for_sampling_and_comparison(self, monkeypatch):
+        calls = []
+        original = lab._chain_distributions
+
+        def counting(sc):
+            calls.append(sc)
+            return original(sc)
+
+        monkeypatch.setattr(lab, "_chain_distributions", counting)
+        sc = build_pauli_scenario([0.5, 0.5, 0.5, 0.5])
+        record = sample_chain(sc, 1000, seed=3)
+        compare_empirical(record, sc)
+        sample_chain(sc, 1000, seed=4)
+        assert calls == [sc]
 
     def test_label_mismatch_rejected(self):
         sc = build_pauli_scenario(EPR_AMPLITUDES, label="one")
