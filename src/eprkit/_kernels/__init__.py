@@ -1,28 +1,16 @@
-"""Measurement-chain sampling kernels.
+"""Measurement-chain sampling kernel.
 
-Two implementations of the same counter-based algorithm: a compiled Cython
-extension and a vectorized numpy fallback. Both consume identical CDF tables
-and produce bit-identical counts, so the extension is purely a speedup; it is
-selected automatically at import when present.
+One implementation, the vectorized numpy sampler in ``sampling_py``, of the
+counter-based algorithm: seeded counts are reproducible and independent of
+batch size. ``ACTIVE_BACKEND`` and ``backends()`` name it for benchmark and
+trace output.
 """
 
-from . import sampling_py
+from .sampling_py import sample_counts
 
-try:
-    from . import _sample as _compiled
-except ImportError:  # extension not built; fall back to numpy
-    _compiled = None
-
-HAVE_COMPILED = _compiled is not None
-
-sample_counts = _compiled.sample_counts if HAVE_COMPILED else sampling_py.sample_counts
-
-ACTIVE_BACKEND = "compiled" if HAVE_COMPILED else "python"
+ACTIVE_BACKEND = "python"
 
 
 def backends():
-    """Name -> kernel mapping for every backend importable in this environment."""
-    table = {"python": sampling_py.sample_counts}
-    if HAVE_COMPILED:
-        table["compiled"] = _compiled.sample_counts
-    return table
+    """Name -> kernel mapping; the numpy kernel is the only one."""
+    return {ACTIVE_BACKEND: sample_counts}

@@ -4,8 +4,7 @@ The random stream is counter-based (splitmix64): draw number n under seed g
 is ``mix64(g + n * PHI)`` with all arithmetic mod 2^64, so any draw can be
 produced independently of the others. Shot i consumes draws 2i+1 and 2i+2,
 one for the sum outcome and one for the conditional first-factor outcome,
-which makes results independent of evaluation order and identical between
-this backend and the compiled one.
+which makes results independent of evaluation order.
 
 Outcome selection is inverse-CDF with strict comparison: the chosen index is
 the first k with u < cdf[k]. Callers must pass cdf arrays whose final entry

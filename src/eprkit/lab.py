@@ -53,6 +53,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # Tolerance for the declared C matching [A, B] / (i*alpha).
 COMMUTATION_TOL = 1e-8
 
+# Largest supported |entry| of A, B and C. Squares and products of entries
+# (commutators, variances) then stay far inside the float range.
+MAX_ENTRY_MAGNITUDE = 1e150
+
 MAX_SEED = 2**64 - 1
 
 
@@ -78,9 +82,15 @@ class Scenario:
             )
         if self.initial_state.dim != n * n:
             raise DimensionMismatchError("initial state must live on the composite space")
-        derived = extract_c(self.obs_a.matrix, self.obs_b.matrix, self.alpha)
-        residual = float(np.abs(derived - self.obs_c.matrix).max())
-        if residual > COMMUTATION_TOL:
+        for name, obs in (("matrix_a", self.obs_a), ("matrix_b", self.obs_b), ("matrix_c", self.obs_c)):
+            largest = float(np.abs(obs.matrix).max())
+            if not (largest <= MAX_ENTRY_MAGNITUDE):
+                raise ValueError(
+                    f"{name} has an entry of magnitude {largest:.3e}, beyond the envelope of "
+                    f"{MAX_ENTRY_MAGNITUDE:.0e}"
+                )
+        residual = self.commutation_residual
+        if not (residual <= COMMUTATION_TOL):
             raise ValueError(
                 f"matrix_c is inconsistent with [A, B]/(i*alpha): residual {residual:.3e}"
             )

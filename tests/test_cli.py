@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+import eprkit
 from eprkit import io as eprio
 from eprkit.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from eprkit.lab import MAX_ENTRY_MAGNITUDE
 
 BUNDLED = ["pauli_epr.json", "pauli_uniform.json", "spin_one.json"]
 
@@ -99,6 +103,36 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "parse error" in err
         assert "Traceback" not in err
+
+    @staticmethod
+    def _scaled_pauli(tmp_path, xa: float, xb: float, keep_c: bool) -> str:
+        # A = diag(xa, -xa), B = xb * Pauli X; the derived C is xa * xb * Pauli Y
+        payload = json.loads(scenario_text("pauli_epr.json"))
+        payload["matrix_a"] = [[[xa, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-xa, 0.0]]]
+        payload["matrix_b"] = [[[0.0, 0.0], [xb, 0.0]], [[xb, 0.0], [0.0, 0.0]]]
+        if not keep_c:
+            del payload["matrix_c"]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["verify", "analyze", "sample"])
+    @pytest.mark.parametrize("x, keep_c", [(1e160, True), (1e308, True), (1e100, False)])
+    def test_overflowing_magnitude_is_invariant_error(self, command, x, keep_c, tmp_path, capsys):
+        path = self._scaled_pauli(tmp_path, x, x, keep_c)
+        extra = ["--shots", "100"] if command == "sample" else []
+        assert main([command, path, *extra]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "envelope" in err
+        assert "Traceback" not in err
+
+    def test_entries_at_the_magnitude_envelope_analyze(self, tmp_path):
+        x = MAX_ENTRY_MAGNITUDE
+        path = self._scaled_pauli(tmp_path, x, 1.0, keep_c=False)  # A and C reach the bound
+        out = tmp_path / "report.json"
+        assert main(["analyze", path, "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["analysis"]["per_sum"]["0"]["a1"]["mean"] == pytest.approx(0.6 * x)
 
 
 class TestAnalyze:
@@ -281,10 +315,14 @@ def test_degenerate_factor_scenario_verifies_but_cannot_analyze(tmp_path, capsys
 
 
 def test_console_script_entry_point():
+    # the child imports the same eprkit as this process, installed or not
+    src = str(Path(eprkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "eprkit.cli", "verify", scenario_path("pauli_epr.json")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "all invariants satisfied" in result.stdout
