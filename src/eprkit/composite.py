@@ -97,21 +97,6 @@ class AntiDiagonalIndex:
             return False
         return any(pair[0] == n for pair in self.sets[k])
 
-    def support(self, s_value: float) -> tuple[int, ...]:
-        """First-factor indices n appearing in the anti-diagonal of s_value."""
-        k = self.sum_index(s_value)
-        return tuple(pair[0] for pair in self.sets[k])
-
-    def partner_index(self, s_value: float, a_index: int) -> int:
-        """The m with (a_index, m) on the anti-diagonal of s_value."""
-        k = self.sum_index(s_value)
-        for n, m in self.sets[k]:
-            if n == a_index:
-                return m
-        raise ImpossibleOutcomeError(
-            f"first-factor outcome index {a_index} is incompatible with sum {s_value!r}"
-        )
-
 
 def anti_diagonals(spectrum, grouping_tol: float | None = None) -> AntiDiagonalIndex:
     """Group the N^2 pairwise sums of a strictly increasing spectrum.

@@ -24,7 +24,7 @@ from .composite import (
     post_measurement_state,
     sum_observable,
 )
-from .errors import DimensionMismatchError, SpectrumCoverageError
+from .errors import DegenerateSpectrumError, DimensionMismatchError, SpectrumCoverageError
 from .linalg import Observable, group_close_values, match_value, tensor_product
 from .states import (
     OutcomeDistribution,
@@ -133,15 +133,27 @@ class PairSpectrumFunction:
         raise SpectrumCoverageError(f"pair ({a_value!r}, {s_value!r}) not in the function table")
 
 
-def _collapse_on_sum(state: PureState, a: Observable, s_value: float) -> tuple[PureState, float, float, SumObservable]:
-    """Collapse onto the eigenspace of S matching s_value; returns the matched eigenvalue too."""
+def _collapse_on_sum(state: PureState, a: Observable, s_value: float) -> tuple[PureState, float, int, SumObservable]:
+    """Collapse onto the eigenspace of S matching s_value; returns the matched line's index too."""
     a.require_nondegenerate()
     s_obs = sum_observable(a)
     if state.dim != s_obs.dim:
         raise DimensionMismatchError(f"state dim {state.dim} does not match composite dim {s_obs.dim}")
     k = s_obs.index.sum_index(s_value)
     collapsed, prob = post_measurement_state(state, eigenspace_projector(s_obs, k))
-    return collapsed, prob, s_obs.index.sums[k], s_obs
+    return collapsed, prob, k, s_obs
+
+
+def aligned_lift(a: Observable, slot: int) -> Observable:
+    """``lift(a, slot)``, checked to have one spectral line per eigenvalue of A, in A's order.
+
+    Distributions of the lifted A are then read by A's eigenvalue index.
+    """
+    lifted = lift(a, slot)
+    values = lifted.eigenvalues
+    if values.size != a.dim or not np.all(np.abs(values - a.eigenvalues) <= a.grouping_tol):
+        raise DegenerateSpectrumError(f"A({slot}) does not resolve into one line per eigenvalue of A")
+    return lifted
 
 
 def conditional_distribution(state: PureState, a: Observable, s_value: float) -> ConditionalDistribution:
@@ -151,47 +163,46 @@ def conditional_distribution(state: PureState, a: Observable, s_value: float) ->
     measure A(1) in the collapsed state. The support is exactly the set of
     first-factor eigenvalues compatible with the observed sum.
     """
-    collapsed, _, s_matched, s_obs = _collapse_on_sum(state, a, s_value)
-    a1_dist = outcome_probabilities(collapsed, lift(a, 1, s_obs.space))
-    return conditional_distribution_from(a1_dist, a, s_obs.index, s_matched)
+    collapsed, _, k, s_obs = _collapse_on_sum(state, a, s_value)
+    return conditional_distribution_from(outcome_probabilities(collapsed, aligned_lift(a, 1)), s_obs.index, k)
 
 
 def conditional_distribution_from(
-    a1_dist: OutcomeDistribution, a: Observable, index: AntiDiagonalIndex, s_value: float
+    a1_dist: OutcomeDistribution, index: AntiDiagonalIndex, k: int
 ) -> ConditionalDistribution:
-    """``conditional_distribution`` from the A(1) distribution in the state collapsed on sum s_value."""
-    support_idx = sorted(set(index.support(s_value)))
-    values = a.eigenvalues
-    support = tuple((float(values[n]), a1_dist.probability_of(values[n], tol=a.grouping_tol)) for n in support_idx)
-    return ConditionalDistribution(given_sum=s_value, support=support)
+    """``conditional_distribution`` from the A(1) distribution, by A's index, in the state collapsed on sum line k."""
+    pairs = index.sets[k]
+    if len({n for n, _ in pairs}) < len(pairs):
+        raise DegenerateSpectrumError(f"A is too close to degenerate: sum {index.sums[k]!r} pins no A(2) outcome")
+    support = tuple((index.factor_eigenvalues[n], a1_dist.outcomes[n][1]) for n, _ in pairs)
+    return ConditionalDistribution(given_sum=index.sums[k], support=support)
 
 
 def conditional_prediction(state: PureState, a: Observable, f: SpectrumFunction, s_value: float) -> PredictionSummary:
     """Mean and error of f(A(1)) predicted after the sum was observed as s_value."""
     f.require_covers(a.eigenvalues)
-    collapsed, _, _, s_obs = _collapse_on_sum(state, a, s_value)
-    mean, stdev = outcome_probabilities(collapsed, lift(a, 1, s_obs.space)).moments(f)
+    collapsed, _, _, _ = _collapse_on_sum(state, a, s_value)
+    mean, stdev = outcome_probabilities(collapsed, aligned_lift(a, 1)).moments([f(v) for v in a.eigenvalues])
     return PredictionSummary(mean=mean, stdev=stdev)
 
 
 def verify_theorem2(state: PureState, a: Observable, s_value: float) -> SumConstraintReport:
     """Residuals of the post-measurement identities m(A2) = s - m(A1), D(A1) = D(A2)."""
-    collapsed, _, s_matched, s_obs = _collapse_on_sum(state, a, s_value)
+    collapsed, _, k, s_obs = _collapse_on_sum(state, a, s_value)
     return verify_theorem2_from(
-        outcome_probabilities(collapsed, lift(a, 1, s_obs.space)),
-        outcome_probabilities(collapsed, lift(a, 2, s_obs.space)),
+        outcome_probabilities(collapsed, aligned_lift(a, 1)),
+        outcome_probabilities(collapsed, aligned_lift(a, 2)),
         a,
-        s_matched,
+        s_obs.index.sums[k],
     )
 
 
 def verify_theorem2_from(
     a1_dist: OutcomeDistribution, a2_dist: OutcomeDistribution, a: Observable, s_value: float
 ) -> SumConstraintReport:
-    """``verify_theorem2`` from the A(1) and A(2) distributions in the state collapsed on sum s_value."""
-    identity = SpectrumFunction.identity(a.eigenvalues)
-    mean1, stdev1 = a1_dist.moments(identity)
-    mean2, stdev2 = a2_dist.moments(identity)
+    """``verify_theorem2`` from the A(1) and A(2) distributions, by A's index, in the state collapsed on sum s_value."""
+    mean1, stdev1 = a1_dist.moments(a.eigenvalues)
+    mean2, stdev2 = a2_dist.moments(a.eigenvalues)
     return SumConstraintReport(
         mean_identity_residual=abs(mean2 - (s_value - mean1)),
         stdev_gap=abs(stdev1 - stdev2),
@@ -206,14 +217,8 @@ def sequential_measure(state: PureState, a: Observable, s_value: float, a1_value
     (numerically) zero probability in the current state.
     """
     collapsed, _, _, _ = _collapse_on_sum(state, a, s_value)
-    return sequential_measure_from(collapsed, a, a1_value)
-
-
-def sequential_measure_from(collapsed: PureState, a: Observable, a1_value: float) -> PureState:
-    """The second stage of ``sequential_measure``: collapse on A(1) = a1_value."""
     n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
-    projector = tensor_product(a.projectors[n], np.eye(a.dim))
-    final, _ = post_measurement_state(collapsed, projector)
+    final, _ = post_measurement_state(collapsed, tensor_product(a.projectors[n], np.eye(a.dim)))
     return final
 
 
@@ -232,21 +237,19 @@ def certain_prediction(
     chain values only identify which point mass to expect.
     """
     g.require_covers(a.eigenvalues)
-    return certain_prediction_from(outcome_probabilities(phi, lift(a, 2)), a, g, s_value, a1_value)
-
-
-def certain_prediction_from(
-    a2_dist: OutcomeDistribution,
-    a: Observable,
-    g: SpectrumFunction,
-    s_value: float,
-    a1_value: float,
-) -> CertainPrediction:
-    """``certain_prediction`` from the A(2) distribution in the post-chain state; g must cover A."""
     target = match_value(a.eigenvalues, s_value - a1_value, a.grouping_tol)
+    a2_dist = outcome_probabilities(phi, aligned_lift(a, 2))
+    return certain_prediction_from(a2_dist, target, [g(v) for v in a.eigenvalues])
+
+
+def certain_prediction_from(a2_dist: OutcomeDistribution, target: int, gvals) -> CertainPrediction:
+    """``certain_prediction`` from the A(2) distribution, by A's index, in the post-chain state.
+
+    ``target`` is the index of the eigenvalue s - a1 of A, and ``gvals`` holds g on A's eigenvalues.
+    """
     if a2_dist.probabilities[target] < 1.0 - 1e-10:
         raise ValueError("state was not produced by the measurement chain for (s_value, a1_value)")
-    mean, stdev = a2_dist.moments(g)
+    mean, stdev = a2_dist.moments(gvals)
     return CertainPrediction(value=mean, stdev=stdev, delta_check=a2_dist)
 
 

@@ -25,7 +25,6 @@ from .lab import (
     path_key,
 )
 from .linalg import is_hermitian
-from .states import MIN_STATE_NORM
 
 SCHEMA_VERSION = 1
 
@@ -179,8 +178,6 @@ def scenario_from_json(text: str) -> Scenario:
     for name, matrix in (("matrix_a", matrix_a), ("matrix_b", matrix_b), ("matrix_c", matrix_c)):
         if matrix is not None and not is_hermitian(matrix):
             raise ScenarioInvariantError(f"{name} is not Hermitian within tolerance")
-    if float(np.linalg.norm(state)) < MIN_STATE_NORM:
-        raise ScenarioInvariantError("state vector norm is below the minimum of 1e-8")
 
     try:
         return build_scenario(

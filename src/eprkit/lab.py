@@ -26,20 +26,19 @@ from .composite import (
     sum_observable,
 )
 from .conditional import (
+    ConditionalDistribution,
     PredictionSummary,
     SumConstraintReport,
+    aligned_lift,
     certain_prediction_from,
-    conditional_distribution,
     conditional_distribution_from,
-    sequential_measure_from,
     verify_theorem2_from,
 )
-from .errors import DimensionMismatchError
-from .linalg import MAX_DIM, Observable, extract_c
+from .errors import DimensionMismatchError, ImpossibleOutcomeError
+from .linalg import MAX_DIM, Observable, extract_c, tensor_product
 from .states import (
     OutcomeDistribution,
     PureState,
-    SpectrumFunction,
     UncertaintyReport,
     audit_uncertainty_from,
     outcome_probabilities,
@@ -50,7 +49,7 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# Tolerance for the declared C matching [A, B] / (i*alpha).
+# Tolerance for the declared C matching [A, B] / (i*alpha), relative to max(1, max |C|).
 COMMUTATION_TOL = 1e-8
 
 # Largest supported |entry| of A, B and C. Squares and products of entries
@@ -90,15 +89,20 @@ class Scenario:
                     f"{MAX_ENTRY_MAGNITUDE:.0e}"
                 )
         residual = self.commutation_residual
-        if not (residual <= COMMUTATION_TOL):
+        if not (residual <= COMMUTATION_TOL * max(1.0, float(np.abs(self.obs_c.matrix).max()))):
             raise ValueError(
                 f"matrix_c is inconsistent with [A, B]/(i*alpha): residual {residual:.3e}"
             )
 
-    @property
+    @cached_property
     def commutation_residual(self) -> float:
         derived = extract_c(self.obs_a.matrix, self.obs_b.matrix, self.alpha)
         return float(np.abs(derived - self.obs_c.matrix).max())
+
+    @cached_property
+    def analysis(self) -> "EprReport":
+        """``run_epr_analysis`` of this scenario, computed once for the report, sampling and comparison."""
+        return run_epr_analysis(self)
 
     @cached_property
     def chain_tables(self):
@@ -166,6 +170,10 @@ class SumBranchReport:
     sum_constraint: SumConstraintReport
     audit_slot1: UncertaintyReport
     audit_slot2: UncertaintyReport
+    # Not serialized: the sum line's index and its full A(1) distribution,
+    # below-threshold entries included, for the sampling tables.
+    sum_index: int = field(repr=False)
+    conditional: ConditionalDistribution = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -219,22 +227,27 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     """Condition on every reachable sum outcome and run every reachable chain.
 
     Outcomes of (numerically) zero probability are omitted rather than
-    reported as errors; every retained branch carries its own audits. Each
-    branch is collapsed once, and each outcome distribution in a collapsed
-    state is computed once and shared by the summaries, audits and chains.
+    reported as errors; every retained branch carries its own audits. This is
+    the one walk over the paths (s_k, a_n, a_m): each branch is collapsed once
+    and its pairs (n, m) are read off the sum index, so A(1) and A(2)
+    distributions are indexed by A's eigenvalue position, never matched by
+    value. Each outcome distribution in a collapsed state is computed once and
+    shared by the summaries, audits and chains.
     """
     a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
     a.require_nondegenerate()
     state = sc.initial_state
     s_obs = sum_observable(a)
+    index = s_obs.index
     spectrum = outcome_probabilities(state, s_obs)
-    identity = SpectrumFunction.identity(a.eigenvalues)
     lifted = {
-        (name, slot): lift(obs, slot, s_obs.space)
+        (name, slot): (aligned_lift if name == "a" else lift)(obs, slot)
         for name, obs in (("a", a), ("b", b), ("c", c))
         for slot in (1, 2)
     }
-    lifted_identity = {key: SpectrumFunction.identity(obs.eigenvalues) for key, obs in lifted.items()}
+    a_values = a.eigenvalues
+    eye = np.eye(a.dim)
+    a1_projectors = [tensor_product(projector, eye) for projector in a.projectors]
 
     branches = []
     chains = []
@@ -244,7 +257,7 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
         psi_s, _ = post_measurement_state(state, eigenspace_projector(s_obs, k))
         dists = {key: outcome_probabilities(psi_s, obs) for key, obs in lifted.items()}
         summaries = {
-            key: PredictionSummary(mean=dist.mean_of(lifted_identity[key]), stdev=dist.moments()[1])
+            key: PredictionSummary(mean=dist.mean_of(dist.values), stdev=dist.moments()[1])
             for key, dist in dists.items()
         }
         audits = {
@@ -253,6 +266,7 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
             )
             for slot in (1, 2)
         }
+        cond = conditional_distribution_from(dists[("a", 1)], index, k)
         branches.append(
             SumBranchReport(
                 s_value=s_value,
@@ -267,18 +281,18 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
                 sum_constraint=verify_theorem2_from(dists[("a", 1)], dists[("a", 2)], a, s_value),
                 audit_slot1=audits[1],
                 audit_slot2=audits[2],
+                sum_index=k,
+                conditional=cond,
             )
         )
 
-        cond = conditional_distribution_from(dists[("a", 1)], a, s_obs.index, s_value)
-        for a1_value, cond_prob in cond.support:
+        for (n, m), (a1_value, cond_prob) in zip(index.sets[k], cond.support):
             if cond_prob < ZERO_PROB_THRESHOLD:
                 continue
-            phi = sequential_measure_from(psi_s, a, a1_value)
+            phi, _ = post_measurement_state(psi_s, a1_projectors[n])
             a2_dist = outcome_probabilities(phi, lifted[("a", 2)])
-            prediction = certain_prediction_from(a2_dist, a, identity, s_value, a1_value)
-            m = s_obs.index.partner_index(s_value, int(np.argmin(np.abs(a.eigenvalues - a1_value))))
-            a2_value = float(a.eigenvalues[m])
+            prediction = certain_prediction_from(a2_dist, m, a_values)
+            a2_value = float(a_values[m])
             chains.append(
                 ChainReport(
                     s_value=s_value,
@@ -287,7 +301,7 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
                     conditional_probability=cond_prob,
                     a2_predicted=prediction.value,
                     a2_stdev=prediction.stdev,
-                    point_mass_residual=abs(1.0 - prediction.delta_check.probability_of(a2_value)),
+                    point_mass_residual=abs(1.0 - a2_dist.outcomes[m][1]),
                     resolution=audit_uncertainty_from(
                         phi, a2_dist.moments()[1], prediction_error(phi, lifted[("b", 2)]), lifted[("c", 2)]
                     ),
@@ -331,23 +345,23 @@ class ShotRecord:
 
 
 def _chain_distributions(sc: Scenario):
-    """Analytic sum distribution and per-sum conditional tables for sampling."""
-    a = sc.obs_a
-    s_obs = sum_observable(a)
-    spectrum = outcome_probabilities(sc.initial_state, s_obs)
-    d = len(spectrum.outcomes)
-    n = a.dim
-    cond_probs = np.zeros((d, n))
-    populated = []
-    for k, (s_value, prob) in enumerate(spectrum.outcomes):
-        if prob < ZERO_PROB_THRESHOLD:
-            continue
-        populated.append(k)
-        cond = conditional_distribution(sc.initial_state, a, s_value)
-        for a1_value, p in cond.support:
-            idx = int(np.argmin(np.abs(a.eigenvalues - a1_value)))
-            cond_probs[k, idx] = p
-    return s_obs, spectrum, cond_probs, populated
+    """Sum distribution, conditional table and outcome paths for sampling, read off the analysis.
+
+    ``cond_probs[k, n]`` is p(a_n | s_k), and ``paths[k, n]`` is the path
+    (s_k, a_n, a_m) of the pair (n, m) on sum line k, for every support entry
+    of every populated line.
+    """
+    report = sc.analysis
+    index = sum_observable(sc.obs_a).index
+    a_values = sc.obs_a.eigenvalues
+    cond_probs = np.zeros((len(report.sum_spectrum.outcomes), sc.factor_dim))
+    paths = {}
+    for branch in report.per_sum:
+        k = branch.sum_index
+        for (n, m), (a1_value, p) in zip(index.sets[k], branch.conditional.support):
+            cond_probs[k, n] = p
+            paths[k, n] = (branch.s_value, a1_value, float(a_values[m]))
+    return report.sum_spectrum, cond_probs, paths
 
 
 def sample_chain(sc: Scenario, shots: int, seed: int = 0) -> ShotRecord:
@@ -364,29 +378,23 @@ def sample_chain(sc: Scenario, shots: int, seed: int = 0) -> ShotRecord:
     if not 0 <= int(seed) <= MAX_SEED:
         raise ValueError("seed must fit in 64 bits")
 
-    s_obs, spectrum, cond_probs, populated = sc.chain_tables
-    d = len(spectrum.outcomes)
-    n = sc.obs_a.dim
+    spectrum, cond_probs, paths = sc.chain_tables
 
     sum_cdf = np.cumsum(np.clip(spectrum.probabilities, 0.0, 1.0))
     sum_cdf[-1] = 1.0
-    cond_cdf = np.ones((d, n))
-    for k in populated:
+    cond_cdf = np.ones(cond_probs.shape)
+    for k in {k for k, _ in paths}:
         cond_cdf[k] = np.cumsum(np.clip(cond_probs[k], 0.0, 1.0))
         cond_cdf[k, -1] = 1.0
 
     counts_matrix = _kernels.sample_counts(int(seed), int(shots), sum_cdf, cond_cdf)
 
-    a_values = sc.obs_a.eigenvalues
     counts = []
-    for k in range(d):
-        for idx in range(n):
-            count = int(counts_matrix[k, idx])
-            if count:
-                s_value = spectrum.outcomes[k][0]
-                a1_value = float(a_values[idx])
-                m = s_obs.index.partner_index(s_value, idx)
-                counts.append(((s_value, a1_value, float(a_values[m])), count))
+    for k, n in zip(*np.nonzero(counts_matrix)):
+        path = paths.get((int(k), int(n)))
+        if path is None:
+            raise ImpossibleOutcomeError(f"sampled first-factor outcome {n} lies on no populated sum line {k}")
+        counts.append((path, int(counts_matrix[k, n])))
     counts.sort(key=lambda item: item[0])
     return ShotRecord(scenario_label=sc.label, seed=int(seed), shots=int(shots), counts=tuple(counts))
 
@@ -415,18 +423,11 @@ def compare_empirical(record: ShotRecord, sc: Scenario) -> EmpiricalComparison:
         raise ValueError(
             f"record was sampled from {record.scenario_label!r}, not {sc.label!r}"
         )
-    a = sc.obs_a
-    s_obs, spectrum, cond_probs, populated = sc.chain_tables
+    spectrum, cond_probs, paths = sc.chain_tables
     analytic: dict[str, tuple[tuple[float, float, float], float]] = {}
-    for k in populated:
-        s_value, prob = spectrum.outcomes[k]
-        for idx in range(a.dim):
-            if cond_probs[k, idx] <= 0.0:
-                continue
-            a1_value = float(a.eigenvalues[idx])
-            m = s_obs.index.partner_index(s_value, idx)
-            path = (s_value, a1_value, float(a.eigenvalues[m]))
-            analytic[path_key(*path)] = (path, prob * cond_probs[k, idx])
+    for (k, n), path in paths.items():
+        if cond_probs[k, n] > 0.0:
+            analytic[path_key(*path)] = (path, spectrum.outcomes[k][1] * cond_probs[k, n])
 
     empirical = {path_key(*path): freq for path, freq in record.empirical.items()}
     unknown = set(empirical) - set(analytic)

@@ -129,9 +129,9 @@ class SpectralDecomposition:
 
 
 def default_grouping_tol(eigenvalues: np.ndarray) -> float:
-    """Gap threshold under which raw eigenvalues are merged into one line."""
+    """Gap threshold under which raw eigenvalues are merged into one line; scales with the spectrum."""
     radius = float(np.abs(eigenvalues).max()) if eigenvalues.size else 0.0
-    return 1e-9 * max(1.0, radius)
+    return 1e-9 * radius
 
 
 def group_close_values(sorted_values: np.ndarray, tol: float) -> list[list[int]]:
@@ -183,7 +183,7 @@ def spectral_decompose(h, grouping_tol: float | None = None) -> SpectralDecompos
 
     Floating-point eigensolvers split exact degeneracies by a few ulps; raw
     eigenvalues whose pairwise gaps stay below ``grouping_tol`` (default
-    ``1e-9 * max(1, spectral radius)``) are clustered into one line whose
+    ``1e-9 * spectral radius``) are clustered into one line whose
     projector is the sum of outer products of the group's eigenvectors.
     """
     h = require_hermitian(h, name="input")

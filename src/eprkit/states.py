@@ -38,9 +38,12 @@ class PureState:
         vec = np.ascontiguousarray(amplitudes, dtype=np.complex128).reshape(-1)
         if not np.isfinite(vec).all():
             raise ValueError("state amplitudes must be finite")
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
         if norm < MIN_STATE_NORM:
             raise ValueError(f"state vector norm {norm:.3e} is below {MIN_STATE_NORM}")
+        if not math.isfinite(norm):
+            raise ValueError("state vector norm overflows the float range")
         if factor_dims is None:
             factor_dims = (vec.size,)
         factor_dims = tuple(int(d) for d in factor_dims)
@@ -117,19 +120,18 @@ class OutcomeDistribution:
         idx = match_value(self.values, value, tol)
         return self.outcomes[idx][1]
 
-    def mean_of(self, f: SpectrumFunction) -> float:
-        """``sum_k f(v_k) p_k``, accumulated in outcome order."""
-        f.require_covers(self.values)
-        return float(sum(f(v) * p for v, p in self.outcomes))
+    def mean_of(self, fvals) -> float:
+        """``sum_k f(v_k) p_k`` for f's values ``fvals`` on the outcomes, accumulated in outcome order."""
+        return float(sum(fv * p for fv, (_, p) in zip(fvals, self.outcomes, strict=True)))
 
-    def moments(self, f: SpectrumFunction | None = None) -> tuple[float, float]:
-        """Mean and standard deviation of f(value), f defaulting to the value itself.
+    def moments(self, fvals=None) -> tuple[float, float]:
+        """Mean and standard deviation of f(value), given f's values on the outcomes (default: the values).
 
         The mean is a dot product, so it can differ from ``mean_of`` in the
         last bit; the variance is taken about that mean, never as
         ``E[f^2] - E[f]^2``, which loses all precision near zero.
         """
-        fvals = self.values if f is None else np.array([f(v) for v in self.values])
+        fvals = self.values if fvals is None else np.asarray(fvals, dtype=float)
         mean = float(np.dot(fvals, self.probabilities))
         var = float(np.dot((fvals - mean) ** 2, self.probabilities))
         return mean, math.sqrt(max(var, 0.0))
@@ -249,7 +251,8 @@ def best_predictor(state: PureState, obs: Observable, f: SpectrumFunction) -> fl
     Evaluated as the spectral sum ``sum_k f(a_k) p(a_k)``, which equals the
     quadratic form ``<psi|f(A)|psi>``.
     """
-    return outcome_probabilities(state, obs).mean_of(f)
+    dist = outcome_probabilities(state, obs)
+    return dist.mean_of([f(v) for v in dist.values])
 
 
 def prediction_error(state: PureState, obs: Observable) -> float:

@@ -1,16 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eprkit
 from eprkit import io as eprio
 from eprkit.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
-from eprkit.lab import MAX_ENTRY_MAGNITUDE
+from eprkit.lab import MAX_ENTRY_MAGNITUDE, build_scenario
+from helpers import random_hermitian, random_state_vector
 
 BUNDLED = ["pauli_epr.json", "pauli_uniform.json", "spin_one.json"]
 
@@ -125,6 +132,28 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "envelope" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "analyze", "sample"])
+    @pytest.mark.parametrize("factor", [1e155, 1e200])
+    def test_overflowing_state_norm_is_invariant_error(self, command, factor, tmp_path, capsys):
+        payload = json.loads(scenario_text("spin_one.json"))
+        payload["state"] = [[re * factor, im * factor] for re, im in payload["state"]]
+        path = tmp_path / "huge_state.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        extra = ["--shots", "100"] if command == "sample" else []
+        assert main([command, str(path), *extra]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "norm" in err
+        assert "Traceback" not in err
+
+    def test_inconsistent_matrix_c_at_large_scale_is_invariant_error(self, tmp_path, capsys):
+        # the commutation tolerance is relative to |C|, so a 1e-6 relative error stays visible at |C| ~ 1e7
+        payload = json.loads(eprio.scenario_to_json(_scaled_scenario(3, 1e7)))
+        payload["matrix_c"] = [[[re * (1 + 1e-6), im * (1 + 1e-6)] for re, im in row] for row in payload["matrix_c"]]
+        path = tmp_path / "badc.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify", str(path)]) == EXIT_INVARIANT
+        assert "matrix_c" in capsys.readouterr().err
 
     def test_entries_at_the_magnitude_envelope_analyze(self, tmp_path):
         x = MAX_ENTRY_MAGNITUDE
@@ -282,29 +311,35 @@ def test_report_parser_rejects_non_finite_numbers(tmp_path):
         eprio.run_report_from_json(text.replace('"probability": 1.0', '"probability": NaN', 1))
 
 
-def test_scenario_json_round_trip():
-    import numpy as np
+def _scaled_scenario(seed: int, scale: float):
+    """A = diag(-1, 0, 1) * scale with a random Hermitian B, so the derived C grows with scale."""
+    rng = np.random.default_rng(seed)
+    b = random_hermitian(rng, 3)
+    return build_scenario(f"scaled-{scale:g}", np.diag([-1.0, 0.0, 1.0]) * scale, b, random_state_vector(rng, 9))
 
+
+def test_scenario_json_round_trip():
     from eprkit.lab import build_pauli_scenario
 
-    sc = build_pauli_scenario([0.1 + 0.2j, 0.3, -0.4j, 0.5], label="round-trip")
-    text = eprio.scenario_to_json(sc)
-    back = eprio.scenario_from_json(text)
-    assert back.label == sc.label
-    assert back.alpha == sc.alpha
-    assert np.allclose(back.obs_a.matrix, sc.obs_a.matrix)
-    assert np.allclose(back.obs_c.matrix, sc.obs_c.matrix)
-    assert back.initial_state.equals_up_to_phase(sc.initial_state, tol=1e-12)
-    assert eprio.scenario_to_json(back) == text
+    # the large scales write C rounded to 15 digits with |C| ~ 1e7 and 1e8; reading it back must not fail
+    for sc in (
+        build_pauli_scenario([0.1 + 0.2j, 0.3, -0.4j, 0.5], label="round-trip"),
+        _scaled_scenario(3, 1e7),
+        _scaled_scenario(3, 1e8),
+    ):
+        text = eprio.scenario_to_json(sc)
+        back = eprio.scenario_from_json(text)
+        assert back.label == sc.label
+        assert back.alpha == sc.alpha
+        assert np.allclose(back.obs_a.matrix, sc.obs_a.matrix)
+        assert np.allclose(back.obs_c.matrix, sc.obs_c.matrix)
+        assert back.initial_state.equals_up_to_phase(sc.initial_state, tol=1e-12)
+        assert eprio.scenario_to_json(back) == text
 
 
 def test_degenerate_factor_scenario_verifies_but_cannot_analyze(tmp_path, capsys):
     # file invariants hold (A = I is Hermitian, C = 0 is consistent), so verify
     # passes; conditioning needs distinct factor outcomes, so analyze refuses
-    import numpy as np
-
-    from eprkit.lab import build_scenario
-
     sc = build_scenario("degenerate", np.eye(2), np.diag([1.0, 2.0]), [0.5, 0.5, 0.5, 0.5])
     path = tmp_path / "degenerate.json"
     path.write_text(eprio.scenario_to_json(sc), encoding="utf-8")
@@ -326,3 +361,82 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert "all invariants satisfied" in result.stdout
+
+
+_FIELDS = ["schema_version", "label", "factor_dim", "matrix_a", "matrix_b", "matrix_c", "alpha", "state"]
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.sampled_from([[], {}, [[0, 0]], [[[0, 0]]]]),
+)
+_MARKER = 12345.5
+
+
+@st.composite
+def _mutated_scenario(draw) -> str:
+    """A bundled scenario file with one mutation: type, shape, non-finite, magnitude, degeneracy or fields."""
+    payload = json.loads(scenario_text(draw(st.sampled_from(BUNDLED))))
+    n = payload["factor_dim"]
+    kinds = ["type", "shape", "nonfinite", "state magnitude", "matrix magnitude", "degenerate", "missing", "extra"]
+    kind = draw(st.sampled_from(kinds))
+    literal = None
+    if kind == "type":
+        payload[draw(st.sampled_from(_FIELDS))] = draw(_JUNK)
+    elif kind == "shape":
+        entries = payload[draw(st.sampled_from(["matrix_a", "matrix_b", "matrix_c", "state"]))]
+        op = draw(st.sampled_from(["drop", "repeat", "widen"]))
+        if op == "drop":
+            entries.pop()
+        elif op == "repeat":
+            entries.append(entries[0])
+        else:
+            cell = entries[0] if len(entries[0]) == 2 and not isinstance(entries[0][0], list) else entries[0][0]
+            cell.append(0.0)
+    elif kind == "nonfinite":
+        literal = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400"]))
+        field = draw(st.sampled_from(["matrix_a", "matrix_b", "matrix_c", "state", "alpha"]))
+        i, j, part = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, 1))
+        if field == "alpha":
+            payload["alpha"] = _MARKER
+        elif field == "state":
+            payload["state"][i * n + j][part] = _MARKER
+        else:
+            payload[field][i][j][part] = _MARKER
+    elif kind.endswith("magnitude"):
+        factor = 10.0 ** draw(st.integers(-300, 308))
+        fields = ["state"]
+        if kind == "matrix magnitude":
+            fields = draw(st.sampled_from([["matrix_a"], ["matrix_b"], ["matrix_a", "matrix_b"]]))
+            if draw(st.booleans()):
+                del payload["matrix_c"]  # derive C from the scaled matrices
+        for field in fields:
+            payload[field] = json.loads(json.dumps(payload[field]), parse_float=lambda x: float(x) * factor)
+    elif kind == "degenerate":
+        value = draw(st.sampled_from([0.0, 1.0, -2.5]))
+        diagonal = [value, value] + [value + k for k in range(1, n - 1)]
+        payload["matrix_a"] = [[[diagonal[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+        if draw(st.booleans()):
+            del payload["matrix_c"]
+    elif kind == "missing":
+        del payload[draw(st.sampled_from(_FIELDS))]
+    else:
+        payload[draw(st.text(min_size=1, max_size=5))] = draw(_JUNK)
+    text = json.dumps(payload)
+    return text if literal is None else text.replace(str(_MARKER), literal)
+
+
+@given(text=_mutated_scenario())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_exit_code_contract_under_fuzzed_scenarios(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.json"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["verify", str(path)], ["analyze", str(path)], ["sample", str(path), "--shots", "50"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3, 4), (argv[0], code, err.getvalue())
+            assert "Traceback" not in err.getvalue()

@@ -2,14 +2,16 @@ import gc
 import math
 import weakref
 from collections import Counter
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from eprkit import lab
+from eprkit import cli, composite, conditional, lab, linalg, states
+from eprkit import io as eprio
 from eprkit.composite import SumObservable, lift, sum_observable
-from eprkit.conditional import oracle_conditional
-from eprkit.errors import DimensionMismatchError
+from eprkit.conditional import conditional_distribution, oracle_conditional
+from eprkit.errors import DegenerateSpectrumError, DimensionMismatchError
 from eprkit.lab import (
     build_pauli_scenario,
     build_scenario,
@@ -20,7 +22,7 @@ from eprkit.lab import (
 )
 from eprkit.lab import ShotRecord
 from eprkit.linalg import Observable, extract_c
-from eprkit.states import PureState, SpectrumFunction
+from eprkit.states import PureState, SpectrumFunction, outcome_probabilities
 from helpers import (
     PAULI_X,
     PAULI_Y,
@@ -31,6 +33,17 @@ from helpers import (
 )
 
 EPR_AMPLITUDES = [0.0, math.sqrt(0.8), math.sqrt(0.2), 0.0]
+BUNDLED = ["pauli_epr.json", "pauli_uniform.json", "spin_one.json"]
+
+
+def bundled_and_random_scenarios():
+    """The bundled scenario files, then one random scenario for each N = 2..5."""
+    scenarios = [eprio.scenario_from_json((files("eprkit.scenarios") / name).read_text()) for name in BUNDLED]
+    rng = np.random.default_rng(25)
+    for n in range(2, 6):
+        psi = random_state_vector(rng, n * n)
+        scenarios.append(build_scenario(f"random-{n}", random_hermitian(rng, n), random_hermitian(rng, n), psi))
+    return scenarios
 
 
 class TestScenarioConstruction:
@@ -149,6 +162,26 @@ class TestRunEprAnalysis:
         matrices = {"a": random_hermitian(rng, n), "b": random_hermitian(rng, n)}
         sc = build_scenario("guard", matrices["a"], matrices["b"], random_state_vector(rng, n * n))
         matrices["c"] = sc.obs_c.matrix
+        eye = np.eye(n)
+
+        # the walk takes every eigenvalue by position, so no module may match one by value
+        def no_match(*args):
+            raise AssertionError("match_value called during the analysis")
+
+        for module in (linalg, composite, conditional, states):
+            monkeypatch.setattr(module, "match_value", no_match)
+
+        # the N projectors of the A(1) outcomes, P_n x I, are each built once per analysis
+        a1_projectors = []
+        original_tensor_product = linalg.tensor_product
+
+        def counting_tensor_product(a, b):
+            if np.array_equal(b, eye) and any(np.array_equal(a, p) for p in sc.obs_a.projectors):
+                a1_projectors.append(a)
+            return original_tensor_product(a, b)
+
+        for module in (linalg, composite, conditional, lab):
+            monkeypatch.setattr(module, "tensor_product", counting_tensor_product)
 
         built = []
         original_init = Observable.__init__
@@ -168,11 +201,11 @@ class TestRunEprAnalysis:
         monkeypatch.setattr(Observable, "__init__", counting_init)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         report = run_epr_analysis(sc)
-        assert len(report.per_sum) > 1 and len(report.chains) > 1
+        assert len(report.per_sum) > 1 and len(report.chains) > n
+        assert len(a1_projectors) <= n
 
         assert sum(type(obs) is SumObservable for obs in built) == 1
         lifted = [obs for obs in built if type(obs) is Observable]
-        eye = np.eye(n)
         for name, m in matrices.items():
             for slot, kron in ((1, np.kron(m, eye)), (2, np.kron(eye, m))):
                 copies = sum(np.array_equal(obs.matrix, kron) for obs in lifted)
@@ -184,6 +217,34 @@ class TestRunEprAnalysis:
         counts = (len(built), sum(eigh_dims.values()))
         run_epr_analysis(sc)
         assert (len(built), sum(eigh_dims.values())) == counts
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_analysis_is_invariant_under_scaling_a(self, n):
+        # grouping tolerances scale with the spectrum: A*s has the branches and chains of A
+        rng = np.random.default_rng(100 + n)
+        a, b, psi = random_hermitian(rng, n), random_hermitian(rng, n), random_state_vector(rng, n * n)
+        base = run_epr_analysis(build_scenario("base", a, b, psi))
+        radius = float(np.abs(np.linalg.eigvalsh(a)).max())
+        for s in (1e-12, 1e-9, 1e3):
+            scaled = run_epr_analysis(build_scenario("scaled", a * s, b, psi))
+            assert len(scaled.per_sum) == len(base.per_sum)
+            assert len(scaled.chains) == len(base.chains)
+            scaled_value = lambda x: pytest.approx(s * x, rel=1e-9, abs=1e-9 * s * radius)  # noqa: E731
+            for got, want in zip(scaled.per_sum, base.per_sum):
+                assert got.s_value == scaled_value(want.s_value)
+                assert got.a1.mean == scaled_value(want.a1.mean)
+                assert got.probability == pytest.approx(want.probability, rel=1e-9, abs=1e-12)
+            for got, want in zip(scaled.chains, base.chains):
+                assert got.a1_value == scaled_value(want.a1_value)
+                assert got.conditional_probability == pytest.approx(want.conditional_probability, rel=1e-9, abs=1e-12)
+
+    def test_rejects_a_whose_merged_sums_leave_a2_unpinned(self):
+        # the gap 1.5e-9 resolves A, but within the pair sums' tolerance of 2e-9
+        # (0, 1) and (0, 2) land on one sum line, so observing a_0 there pins no a_m
+        rng = np.random.default_rng(1)
+        sc = build_scenario("near", np.diag([-1.0, 0.0, 1.5e-9]), random_hermitian(rng, 3), random_state_vector(rng, 9))
+        with pytest.raises(DegenerateSpectrumError, match="pins no A"):
+            run_epr_analysis(sc)
 
     def test_cached_spectral_data_is_freed_with_the_scenario(self):
         sc = build_pauli_scenario([0.5, 0.5, 0.5, 0.5])
@@ -223,6 +284,22 @@ class TestSampleChain:
         freq = record.empirical[(0.0, 1.0, -1.0)]
         assert abs(freq - 0.8) < 0.02
 
+    def test_chain_tables_equal_the_projector_route_bit_for_bit(self):
+        for sc in bundled_and_random_scenarios():
+            spectrum, cond_probs, paths = sc.chain_tables
+            assert spectrum == outcome_probabilities(sc.initial_state, sum_observable(sc.obs_a))
+            populated = {k for k, _ in paths}
+            assert populated == {k for k, (_, p) in enumerate(spectrum.outcomes) if p >= lab.ZERO_PROB_THRESHOLD}
+            for k, (s_value, _) in enumerate(spectrum.outcomes):
+                if k not in populated:
+                    assert not cond_probs[k].any()
+                    continue
+                dist = conditional_distribution(sc.initial_state, sc.obs_a, s_value)
+                support = sorted(n for kk, n in paths if kk == k)
+                assert [paths[k, n][1] for n in support] == dist.values.tolist()
+                assert cond_probs[k, support].tolist() == dist.probabilities.tolist()
+                assert not np.delete(cond_probs[k], support).any()
+
     def test_rejects_bad_shots(self):
         sc = build_pauli_scenario(EPR_AMPLITUDES)
         for bad in (0, -5, 2.5):
@@ -254,7 +331,7 @@ class TestCompareEmpirical:
         assert comparison.within_3sigma
         assert comparison.max_abs_deviation < 0.01
 
-    def test_chain_tables_are_built_once_for_sampling_and_comparison(self, monkeypatch):
+    def test_chain_tables_are_built_once_for_sampling_and_comparison(self, monkeypatch, tmp_path, capsys):
         calls = []
         original = lab._chain_distributions
 
@@ -262,12 +339,33 @@ class TestCompareEmpirical:
             calls.append(sc)
             return original(sc)
 
+        analyses = []
+        original_analysis = lab.run_epr_analysis
+
+        def counting_analysis(sc):
+            analyses.append(sc)
+            return original_analysis(sc)
+
+        def no_conditional_distribution(*args):
+            raise AssertionError("sampling tables must be read off the analysis")
+
         monkeypatch.setattr(lab, "_chain_distributions", counting)
+        monkeypatch.setattr(lab, "run_epr_analysis", counting_analysis)
+        for module in (lab, conditional):
+            monkeypatch.setattr(module, "conditional_distribution", no_conditional_distribution, raising=False)
         sc = build_pauli_scenario([0.5, 0.5, 0.5, 0.5])
         record = sample_chain(sc, 1000, seed=3)
         compare_empirical(record, sc)
         sample_chain(sc, 1000, seed=4)
         assert calls == [sc]
+        assert analyses == [sc]
+
+        # `epr sample` analyzes its scenario once for the report, the tables and the comparison
+        path = tmp_path / "uniform.json"
+        path.write_text(eprio.scenario_to_json(sc), encoding="utf-8")
+        assert cli.main(["sample", str(path), "--shots", "1000"]) == 0
+        capsys.readouterr()
+        assert len(analyses) == 2 and len(calls) == 2
 
     def test_label_mismatch_rejected(self):
         sc = build_pauli_scenario(EPR_AMPLITUDES, label="one")
