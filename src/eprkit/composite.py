@@ -35,39 +35,6 @@ PROJECTOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class CompositeSpace:
-    """Two identical factors of dimension N, basis ordered first-factor-slow."""
-
-    factor_dim: int
-    factor_eigenvalues: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.factor_eigenvalues) != self.factor_dim:
-            raise DimensionMismatchError("need one eigenvalue per factor basis vector")
-        if any(b <= a for a, b in zip(self.factor_eigenvalues, self.factor_eigenvalues[1:])):
-            raise ValueError("factor eigenvalues must be strictly increasing")
-
-    @classmethod
-    def for_observable(cls, a: Observable) -> "CompositeSpace":
-        a.require_nondegenerate()
-        return cls(factor_dim=a.dim, factor_eigenvalues=tuple(float(v) for v in a.eigenvalues))
-
-    @property
-    def factor_dims(self) -> tuple[int, int]:
-        return (self.factor_dim, self.factor_dim)
-
-    @property
-    def dim(self) -> int:
-        return self.factor_dim * self.factor_dim
-
-    @property
-    def basis_labels(self) -> tuple[tuple[float, float], ...]:
-        """Eigenvalue pairs (a_n, a_m) in lexicographic order, first factor slow."""
-        ev = self.factor_eigenvalues
-        return tuple((an, am) for an in ev for am in ev)
-
-
-@dataclass(frozen=True)
 class AntiDiagonalIndex:
     """Anti-diagonal structure of the pairwise sums of a factor spectrum.
 
@@ -98,7 +65,7 @@ class AntiDiagonalIndex:
         return any(pair[0] == n for pair in self.sets[k])
 
 
-def anti_diagonals(spectrum, grouping_tol: float | None = None) -> AntiDiagonalIndex:
+def anti_diagonals(spectrum) -> AntiDiagonalIndex:
     """Group the N^2 pairwise sums of a strictly increasing spectrum.
 
     Sums whose gaps stay below the grouping tolerance are merged, mirroring
@@ -112,7 +79,7 @@ def anti_diagonals(spectrum, grouping_tol: float | None = None) -> AntiDiagonalI
     n = ev.size
     pair_sums = np.array([ev[i] + ev[j] for i in range(n) for j in range(n)])
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    tol = default_grouping_tol(pair_sums) if grouping_tol is None else grouping_tol
+    tol = default_grouping_tol(pair_sums)
     order = np.argsort(pair_sums, kind="stable")
     groups = group_close_values(pair_sums[order], tol)
     sums = []
@@ -129,23 +96,47 @@ def anti_diagonals(spectrum, grouping_tol: float | None = None) -> AntiDiagonalI
     )
 
 
-def lift(obs: Observable, slot: int, space: CompositeSpace | None = None) -> Observable:
+def _assemble_lines(obs: Observable, lines) -> None:
+    """Give a composite observable its spectral lines from factor lines, so reading them runs no eigensolver.
+
+    Each entry of ``lines`` is (eigenvalue, pairs of factor lines (L, R)); the
+    line's projector is the sum of ``P_L x P_R`` over its pairs, and its
+    multiplicity the sum of the products of their multiplicities.
+    """
+    assembled = []
+    for eigenvalue, pairs in lines:
+        projector = np.zeros((obs.dim, obs.dim), dtype=np.complex128)
+        multiplicity = 0
+        for left, right in pairs:
+            projector += tensor_product(left.projector, right.projector)
+            multiplicity += left.multiplicity * right.multiplicity
+        projector.setflags(write=False)
+        assembled.append(SpectralLine(eigenvalue=eigenvalue, multiplicity=multiplicity, projector=projector))
+    obs._decomposition = SpectralDecomposition(lines=tuple(assembled), source_dim=obs.dim)
+
+
+def lift(obs: Observable, slot: int) -> Observable:
     """Embed a factor observable into the composite space: A x I or I x A.
 
-    Built once per (observable, slot) and kept on ``obs``, so every caller
-    shares one lifted observable and its spectral decomposition.
+    The k-th line of the lift is the k-th line of ``obs``, with projector
+    ``P_k x I`` (or ``I x P_k``) and N times its multiplicity. Built once per
+    (observable, slot) and kept on ``obs``, so every caller shares one lifted
+    observable and its spectral decomposition.
     """
     if slot not in (1, 2):
         raise ValueError(f"slot must be 1 or 2, got {slot!r}")
-    if space is not None and space.factor_dim != obs.dim:
-        raise DimensionMismatchError(
-            f"observable dim {obs.dim} does not match factor dim {space.factor_dim}"
-        )
     lifted = obs._lifts.get(slot)
     if lifted is None:
-        eye = np.eye(obs.dim)
-        matrix = tensor_product(obs.matrix, eye) if slot == 1 else tensor_product(eye, obs.matrix)
-        lifted = obs._lifts[slot] = Observable(matrix)
+        # the identity's one line: eigenvalue 1 on the whole factor
+        eye = SpectralLine(eigenvalue=1.0, multiplicity=obs.dim, projector=np.eye(obs.dim))
+        lines = obs.decomposition.lines
+        if slot == 1:
+            lifted = Observable(tensor_product(obs.matrix, eye.projector))
+            _assemble_lines(lifted, [(line.eigenvalue, [(line, eye)]) for line in lines])
+        else:
+            lifted = Observable(tensor_product(eye.projector, obs.matrix))
+            _assemble_lines(lifted, [(line.eigenvalue, [(eye, line)]) for line in lines])
+        obs._lifts[slot] = lifted
     return lifted
 
 
@@ -157,54 +148,26 @@ class SumObservable(Observable):
     construction rather than by re-grouping eigensolver output.
     """
 
-    def __init__(self, factor: Observable, space: CompositeSpace | None, index: AntiDiagonalIndex):
+    def __init__(self, factor: Observable, index: AntiDiagonalIndex):
         eye = np.eye(factor.dim)
-        matrix = tensor_product(factor.matrix, eye) + tensor_product(eye, factor.matrix)
-        super().__init__(matrix, grouping_tol=index.match_tol)
+        super().__init__(tensor_product(factor.matrix, eye) + tensor_product(eye, factor.matrix))
         # no reference back to ``factor``: it holds this observable in its
         # cache, and a cycle would outlive the scenario until a GC pass
-        self.space = space
         self.index = index
-
-        factor_lines = factor.decomposition.lines
-        lines = []
-        for s, members in zip(index.sums, index.sets):
-            projector = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            multiplicity = 0
-            for n, m in members:
-                projector += tensor_product(factor_lines[n].projector, factor_lines[m].projector)
-                multiplicity += factor_lines[n].multiplicity * factor_lines[m].multiplicity
-            projector.setflags(write=False)
-            lines.append(SpectralLine(eigenvalue=s, multiplicity=multiplicity, projector=projector))
-        self._decomposition = SpectralDecomposition(lines=tuple(lines), source_dim=self.dim)
-        if factor.is_nondegenerate:
-            v = factor.eigenvectors
-            self._eigenvectors = np.column_stack(
-                [np.kron(v[:, n], v[:, m]) for members in index.sets for n, m in members]
-            )
+        lines = factor.decomposition.lines
+        _assemble_lines(
+            self, [(s, [(lines[n], lines[m]) for n, m in members]) for s, members in zip(index.sums, index.sets)]
+        )
 
 
-def sum_observable(
-    a1: Observable,
-    a2: Observable | None = None,
-    space: CompositeSpace | None = None,
-) -> SumObservable:
+def sum_observable(a1: Observable) -> SumObservable:
     """Build the conserved sum S = A(1) + A(2) for two identical factors.
 
-    The result is kept on ``a1`` and reused while the composite space stays
-    the same, so its projectors are assembled once per factor observable.
+    The result is kept on ``a1``, so its projectors are assembled once per
+    factor observable.
     """
-    if a2 is not None:
-        if a2.dim != a1.dim or float(np.abs(a2.matrix - a1.matrix).max()) > hermiticity_tolerance(a1.matrix):
-            raise DimensionMismatchError("only two identical factors are supported")
-    if space is None and a1.is_nondegenerate:
-        space = CompositeSpace.for_observable(a1)
-    if space is not None and space.factor_dim != a1.dim:
-        raise DimensionMismatchError(
-            f"space factor dim {space.factor_dim} does not match observable dim {a1.dim}"
-        )
-    if a1._sum is None or a1._sum.space != space:
-        a1._sum = SumObservable(factor=a1, space=space, index=anti_diagonals(a1.eigenvalues))
+    if a1._sum is None:
+        a1._sum = SumObservable(factor=a1, index=anti_diagonals(a1.eigenvalues))
     return a1._sum
 
 
@@ -222,7 +185,7 @@ class JointDistribution:
         if self.q.min() < -1e-12 or self.q.max() > 1.0 + 1e-12:
             raise ValueError("joint probabilities must lie in [0, 1]")
         total = float(self.q.sum())
-        if abs(total - 1.0) > 1e-10:
+        if not (abs(total - 1.0) <= 1e-10):
             raise ValueError(f"joint probabilities sum to {total!r}, not 1")
 
 
@@ -233,12 +196,10 @@ def _composite_factor_dim(state: PureState, n: int) -> None:
         raise DimensionMismatchError(f"state factors {state.factor_dims} are not ({n}, {n})")
 
 
-def joint_distribution(state: PureState, a: Observable, space: CompositeSpace | None = None) -> JointDistribution:
+def joint_distribution(state: PureState, a: Observable) -> JointDistribution:
     """Coefficients of the state on the product eigenbasis, squared."""
     a.require_nondegenerate()
     _composite_factor_dim(state, a.dim)
-    if space is not None and space.factor_dim != a.dim:
-        raise DimensionMismatchError("space does not match the factor observable")
     v = a.eigenvectors
     psi = state.amplitudes.reshape(a.dim, a.dim)
     coeff = v.conj().T @ psi @ v.conj()
@@ -276,7 +237,7 @@ def post_measurement_state(state: PureState, projector) -> tuple[PureState, floa
     if p_mat.shape != (state.dim, state.dim):
         raise DimensionMismatchError("projector does not act on the state's space")
     tol = max(PROJECTOR_TOL, hermiticity_tolerance(p_mat))
-    if float(np.abs(p_mat - p_mat.conj().T).max()) > tol or float(np.abs(p_mat @ p_mat - p_mat).max()) > tol:
+    if not (float(np.abs(p_mat - p_mat.conj().T).max()) <= tol and float(np.abs(p_mat @ p_mat - p_mat).max()) <= tol):
         raise ValueError("projector must be Hermitian and idempotent")
     projected = p_mat @ state.amplitudes
     prob = float(np.real(np.vdot(projected, projected)))
@@ -305,14 +266,12 @@ def decompose_by_sum(state: PureState, s: Observable) -> list[tuple[float, PureS
     return branches
 
 
-def schmidt_rank(state: PureState, space: CompositeSpace | None = None, tol: float = 1e-10) -> int:
+def schmidt_rank(state: PureState, tol: float = 1e-10) -> int:
     """Number of singular values of the coefficient matrix above tol.
 
     Rank 1 means a product state; rank >= 2 means entanglement.
     """
-    if space is not None:
-        n = space.factor_dim
-    elif len(state.factor_dims) == 2:
+    if len(state.factor_dims) == 2:
         n = state.factor_dims[0]
     else:
         n = int(round(np.sqrt(state.dim)))

@@ -46,7 +46,7 @@ class ConditionalDistribution:
 
     def __post_init__(self):
         total = sum(p for _, p in self.support)
-        if abs(total - 1.0) > 1e-10:
+        if not (abs(total - 1.0) <= 1e-10):
             raise ValueError(f"conditional probabilities sum to {total!r}, not 1")
 
     @property
@@ -144,18 +144,6 @@ def _collapse_on_sum(state: PureState, a: Observable, s_value: float) -> tuple[P
     return collapsed, prob, k, s_obs
 
 
-def aligned_lift(a: Observable, slot: int) -> Observable:
-    """``lift(a, slot)``, checked to have one spectral line per eigenvalue of A, in A's order.
-
-    Distributions of the lifted A are then read by A's eigenvalue index.
-    """
-    lifted = lift(a, slot)
-    values = lifted.eigenvalues
-    if values.size != a.dim or not np.all(np.abs(values - a.eigenvalues) <= a.grouping_tol):
-        raise DegenerateSpectrumError(f"A({slot}) does not resolve into one line per eigenvalue of A")
-    return lifted
-
-
 def conditional_distribution(state: PureState, a: Observable, s_value: float) -> ConditionalDistribution:
     """First-factor outcome probabilities given that the sum was observed as s_value.
 
@@ -164,7 +152,7 @@ def conditional_distribution(state: PureState, a: Observable, s_value: float) ->
     first-factor eigenvalues compatible with the observed sum.
     """
     collapsed, _, k, s_obs = _collapse_on_sum(state, a, s_value)
-    return conditional_distribution_from(outcome_probabilities(collapsed, aligned_lift(a, 1)), s_obs.index, k)
+    return conditional_distribution_from(outcome_probabilities(collapsed, lift(a, 1)), s_obs.index, k)
 
 
 def conditional_distribution_from(
@@ -182,7 +170,7 @@ def conditional_prediction(state: PureState, a: Observable, f: SpectrumFunction,
     """Mean and error of f(A(1)) predicted after the sum was observed as s_value."""
     f.require_covers(a.eigenvalues)
     collapsed, _, _, _ = _collapse_on_sum(state, a, s_value)
-    mean, stdev = outcome_probabilities(collapsed, aligned_lift(a, 1)).moments([f(v) for v in a.eigenvalues])
+    mean, stdev = outcome_probabilities(collapsed, lift(a, 1)).moments([f(v) for v in a.eigenvalues])
     return PredictionSummary(mean=mean, stdev=stdev)
 
 
@@ -190,8 +178,8 @@ def verify_theorem2(state: PureState, a: Observable, s_value: float) -> SumConst
     """Residuals of the post-measurement identities m(A2) = s - m(A1), D(A1) = D(A2)."""
     collapsed, _, k, s_obs = _collapse_on_sum(state, a, s_value)
     return verify_theorem2_from(
-        outcome_probabilities(collapsed, aligned_lift(a, 1)),
-        outcome_probabilities(collapsed, aligned_lift(a, 2)),
+        outcome_probabilities(collapsed, lift(a, 1)),
+        outcome_probabilities(collapsed, lift(a, 2)),
         a,
         s_obs.index.sums[k],
     )
@@ -218,7 +206,7 @@ def sequential_measure(state: PureState, a: Observable, s_value: float, a1_value
     """
     collapsed, _, _, _ = _collapse_on_sum(state, a, s_value)
     n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
-    final, _ = post_measurement_state(collapsed, tensor_product(a.projectors[n], np.eye(a.dim)))
+    final, _ = post_measurement_state(collapsed, lift(a, 1).projectors[n])
     return final
 
 
@@ -238,7 +226,7 @@ def certain_prediction(
     """
     g.require_covers(a.eigenvalues)
     target = match_value(a.eigenvalues, s_value - a1_value, a.grouping_tol)
-    a2_dist = outcome_probabilities(phi, aligned_lift(a, 2))
+    a2_dist = outcome_probabilities(phi, lift(a, 2))
     return certain_prediction_from(a2_dist, target, [g(v) for v in a.eigenvalues])
 
 
@@ -247,7 +235,7 @@ def certain_prediction_from(a2_dist: OutcomeDistribution, target: int, gvals) ->
 
     ``target`` is the index of the eigenvalue s - a1 of A, and ``gvals`` holds g on A's eigenvalues.
     """
-    if a2_dist.probabilities[target] < 1.0 - 1e-10:
+    if not (a2_dist.probabilities[target] >= 1.0 - 1e-10):
         raise ValueError("state was not produced by the measurement chain for (s_value, a1_value)")
     mean, stdev = a2_dist.moments(gvals)
     return CertainPrediction(value=mean, stdev=stdev, delta_check=a2_dist)
@@ -304,7 +292,7 @@ def oracle_conditional(state: PureState, a: Observable, f: SpectrumFunction) -> 
     pair_sums = np.array([values[i] + values[j] for i in range(n_dim) for j in range(n_dim)])
     pair_index = [(i, j) for i in range(n_dim) for j in range(n_dim)]
     order = np.argsort(pair_sums, kind="stable")
-    tol = 1e-9 * max(1.0, float(np.abs(pair_sums).max()))
+    tol = 1e-9 * float(np.abs(pair_sums).max())
     entries = []
     for group in group_close_values(pair_sums[order], tol):
         members = [pair_index[order[g]] for g in group]

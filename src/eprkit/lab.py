@@ -29,13 +29,12 @@ from .conditional import (
     ConditionalDistribution,
     PredictionSummary,
     SumConstraintReport,
-    aligned_lift,
     certain_prediction_from,
     conditional_distribution_from,
     verify_theorem2_from,
 )
 from .errors import DimensionMismatchError, ImpossibleOutcomeError
-from .linalg import MAX_DIM, Observable, extract_c, tensor_product
+from .linalg import MAX_DIM, Observable, default_grouping_tol, extract_c
 from .states import (
     OutcomeDistribution,
     PureState,
@@ -81,13 +80,7 @@ class Scenario:
             )
         if self.initial_state.dim != n * n:
             raise DimensionMismatchError("initial state must live on the composite space")
-        for name, obs in (("matrix_a", self.obs_a), ("matrix_b", self.obs_b), ("matrix_c", self.obs_c)):
-            largest = float(np.abs(obs.matrix).max())
-            if not (largest <= MAX_ENTRY_MAGNITUDE):
-                raise ValueError(
-                    f"{name} has an entry of magnitude {largest:.3e}, beyond the envelope of "
-                    f"{MAX_ENTRY_MAGNITUDE:.0e}"
-                )
+        _check_envelope(matrix_a=self.obs_a, matrix_b=self.obs_b, matrix_c=self.obs_c)
         residual = self.commutation_residual
         if not (residual <= COMMUTATION_TOL * max(1.0, float(np.abs(self.obs_c.matrix).max()))):
             raise ValueError(
@@ -110,6 +103,17 @@ class Scenario:
         return _chain_distributions(self)
 
 
+def _check_envelope(**observables: Observable) -> None:
+    """Reject any observable with an entry beyond ``MAX_ENTRY_MAGNITUDE``, naming its field."""
+    for name, obs in observables.items():
+        largest = float(np.abs(obs.matrix).max())
+        if not (largest <= MAX_ENTRY_MAGNITUDE):
+            raise ValueError(
+                f"{name} has an entry of magnitude {largest:.3e}, beyond the envelope of "
+                f"{MAX_ENTRY_MAGNITUDE:.0e}"
+            )
+
+
 def build_scenario(label, matrix_a, matrix_b, state, alpha: float = 1.0, matrix_c=None) -> Scenario:
     """Assemble a scenario, deriving C from the commutator when not supplied.
 
@@ -119,6 +123,8 @@ def build_scenario(label, matrix_a, matrix_b, state, alpha: float = 1.0, matrix_
     a = matrix_a if isinstance(matrix_a, Observable) else Observable(matrix_a)
     b = matrix_b if isinstance(matrix_b, Observable) else Observable(matrix_b)
     if matrix_c is None:
+        # checked before the commutator, which would overflow beyond the envelope
+        _check_envelope(matrix_a=a, matrix_b=b)
         c = Observable(extract_c(a.matrix, b.matrix, alpha))
     else:
         c = matrix_c if isinstance(matrix_c, Observable) else Observable(matrix_c)
@@ -210,17 +216,22 @@ class EprReport:
                     f"uncertainty audit failed after chain (s={chain.s_value!r}, a1={chain.a1_value!r})"
                 )
 
-    def branch_for(self, s_value: float, tol: float = 1e-9) -> SumBranchReport:
-        for branch in self.per_sum:
-            if abs(branch.s_value - s_value) <= tol:
-                return branch
-        raise KeyError(f"no populated branch for s={s_value!r}")
+    def branch_for(self, s_value: float, tol: float | None = None) -> SumBranchReport:
+        """The branch whose sum value is nearest s_value, within tol (default: the sum spectrum's grouping tolerance)."""
+        tol = default_grouping_tol(self.sum_spectrum.values) if tol is None else tol
+        branch = min(self.per_sum, key=lambda b: abs(b.s_value - s_value), default=None)
+        if branch is None or not (abs(branch.s_value - s_value) <= tol):
+            raise KeyError(f"no populated branch for s={s_value!r}")
+        return branch
 
-    def chain_for(self, s_value: float, a1_value: float, tol: float = 1e-9) -> ChainReport:
-        for chain in self.chains:
-            if abs(chain.s_value - s_value) <= tol and abs(chain.a1_value - a1_value) <= tol:
-                return chain
-        raise KeyError(f"no chain entry for (s={s_value!r}, a1={a1_value!r})")
+    def chain_for(self, s_value: float, a1_value: float, tol: float | None = None) -> ChainReport:
+        """The chain nearest (s_value, a1_value), within tol in each (default: as ``branch_for``)."""
+        tol = default_grouping_tol(self.sum_spectrum.values) if tol is None else tol
+        distance = lambda c: max(abs(c.s_value - s_value), abs(c.a1_value - a1_value))  # noqa: E731
+        chain = min(self.chains, key=distance, default=None)
+        if chain is None or not (distance(chain) <= tol):
+            raise KeyError(f"no chain entry for (s={s_value!r}, a1={a1_value!r})")
+        return chain
 
 
 def run_epr_analysis(sc: Scenario) -> EprReport:
@@ -240,14 +251,10 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     s_obs = sum_observable(a)
     index = s_obs.index
     spectrum = outcome_probabilities(state, s_obs)
-    lifted = {
-        (name, slot): (aligned_lift if name == "a" else lift)(obs, slot)
-        for name, obs in (("a", a), ("b", b), ("c", c))
-        for slot in (1, 2)
-    }
+    # lifted lines follow the factor's lines, so A(1) and A(2) outcomes are indexed like A's
+    lifted = {(name, slot): lift(obs, slot) for name, obs in (("a", a), ("b", b), ("c", c)) for slot in (1, 2)}
     a_values = a.eigenvalues
-    eye = np.eye(a.dim)
-    a1_projectors = [tensor_product(projector, eye) for projector in a.projectors]
+    a1_projectors = lifted[("a", 1)].projectors
 
     branches = []
     chains = []

@@ -151,7 +151,7 @@ def match_value(values, x: float, tol: float) -> int:
     if values.size == 0:
         raise SpectrumCoverageError("empty spectrum")
     idx = int(np.argmin(np.abs(values - x)))
-    if abs(values[idx] - x) > tol:
+    if not (abs(values[idx] - x) <= tol):
         raise SpectrumCoverageError(f"value {x!r} does not match any spectrum entry within {tol!r}")
     return idx
 
@@ -172,25 +172,23 @@ def phase_fix(vectors: np.ndarray, threshold: float = PHASE_PIVOT_THRESHOLD) -> 
     return out
 
 
-def _grouped_eigh(h: np.ndarray, grouping_tol: float | None) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+def _grouped_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
     w, v = np.linalg.eigh(h)
-    tol = default_grouping_tol(w) if grouping_tol is None else grouping_tol
-    return w, v, group_close_values(w, tol)
+    return w, v, group_close_values(w, default_grouping_tol(w))
 
 
-def spectral_decompose(h, grouping_tol: float | None = None) -> SpectralDecomposition:
+def spectral_decompose(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, merging near-degenerate eigenvalues.
 
     Floating-point eigensolvers split exact degeneracies by a few ulps; raw
-    eigenvalues whose pairwise gaps stay below ``grouping_tol`` (default
-    ``1e-9 * spectral radius``) are clustered into one line whose
-    projector is the sum of outer products of the group's eigenvectors.
+    eigenvalues whose pairwise gaps stay below ``1e-9 * spectral radius``
+    are clustered into one line whose projector is the sum of outer
+    products of the group's eigenvectors.
     """
     h = require_hermitian(h, name="input")
     if h.shape[0] > MAX_DIM:
         raise DimensionMismatchError(f"dimension {h.shape[0]} exceeds the supported envelope of {MAX_DIM}")
-    w, v, groups = _grouped_eigh(h, grouping_tol)
-    return _decomposition(w, v, groups)
+    return _decomposition(*_grouped_eigh(h))
 
 
 def _decomposition(w: np.ndarray, v: np.ndarray, groups: list[list[int]]) -> SpectralDecomposition:
@@ -215,17 +213,17 @@ class Observable:
 
     The decomposition (and the phase-fixed eigenvector matrix) is computed
     lazily on first access and then shared; instances are immutable. The
-    same holds for the lifted and sum observables built from a factor
-    observable in ``eprkit.composite``.
+    lifted and sum observables built from a factor observable in
+    ``eprkit.composite`` come with their decomposition already assembled from
+    the factor's lines, so reading it runs no eigensolver.
     """
 
-    def __init__(self, matrix, grouping_tol: float | None = None):
+    def __init__(self, matrix):
         m = require_hermitian(matrix, name="observable")
         if m.shape[0] > MAX_DIM:
             raise DimensionMismatchError(f"dimension {m.shape[0]} exceeds the supported envelope of {MAX_DIM}")
         m.setflags(write=False)
         self._matrix = m
-        self._grouping_tol = grouping_tol
         self._decomposition: SpectralDecomposition | None = None
         self._eigenvectors: np.ndarray | None = None
         # Composite-space observables derived from this one, built on first
@@ -244,24 +242,21 @@ class Observable:
 
     @property
     def grouping_tol(self) -> float:
-        if self._grouping_tol is not None:
-            return self._grouping_tol
         return default_grouping_tol(self.eigenvalues)
 
-    def _ensure_spectral(self) -> None:
-        if self._decomposition is not None and self._eigenvectors is not None:
-            return
-        w, v, groups = _grouped_eigh(self._matrix, self._grouping_tol)
+    def _solve(self) -> None:
+        """Run the eigensolver: fills the eigenvectors, and the decomposition unless it was given."""
+        w, v, groups = _grouped_eigh(self._matrix)
         v = phase_fix(v)
         if self._decomposition is None:
             self._decomposition = _decomposition(w, v, groups)
-        if self._eigenvectors is None:
-            v.setflags(write=False)
-            self._eigenvectors = v
+        v.setflags(write=False)
+        self._eigenvectors = v
 
     @property
     def decomposition(self) -> SpectralDecomposition:
-        self._ensure_spectral()
+        if self._decomposition is None:
+            self._solve()
         return self._decomposition
 
     @property
@@ -284,7 +279,8 @@ class Observable:
         Canonical only when the spectrum is nondegenerate; within a degenerate
         block the basis is whatever the eigensolver returned.
         """
-        self._ensure_spectral()
+        if self._eigenvectors is None:
+            self._solve()
         return self._eigenvectors
 
     @property

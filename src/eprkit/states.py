@@ -105,7 +105,7 @@ class OutcomeDistribution:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("outcome values must be strictly increasing")
         total = sum(p for _, p in self.outcomes)
-        if abs(total - 1.0) > 1e-10:
+        if not (abs(total - 1.0) <= 1e-10):
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     @property

@@ -124,7 +124,7 @@ class TestVerify:
         return str(path)
 
     @pytest.mark.parametrize("command", ["verify", "analyze", "sample"])
-    @pytest.mark.parametrize("x, keep_c", [(1e160, True), (1e308, True), (1e100, False)])
+    @pytest.mark.parametrize("x, keep_c", [(1e160, True), (1e308, True), (1e100, False), (1e200, False)])
     def test_overflowing_magnitude_is_invariant_error(self, command, x, keep_c, tmp_path, capsys):
         path = self._scaled_pauli(tmp_path, x, x, keep_c)
         extra = ["--shots", "100"] if command == "sample" else []

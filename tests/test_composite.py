@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eprkit.composite import (
-    CompositeSpace,
+    JointDistribution,
     anti_diagonals,
     decompose_by_sum,
     eigenspace_projector,
@@ -15,7 +15,6 @@ from eprkit.composite import (
 )
 from eprkit.errors import (
     DegenerateSpectrumError,
-    DimensionMismatchError,
     ImpossibleOutcomeError,
 )
 from eprkit.linalg import Observable, spectral_decompose
@@ -25,17 +24,6 @@ from helpers import PAULI_Z, brute_joint_probs, random_hermitian, random_state_v
 
 def pauli_a() -> Observable:
     return Observable(PAULI_Z)
-
-
-class TestCompositeSpace:
-    def test_basis_labels_lexicographic(self):
-        space = CompositeSpace.for_observable(pauli_a())
-        assert space.factor_dims == (2, 2)
-        assert space.basis_labels == ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0))
-
-    def test_rejects_degenerate_factor(self):
-        with pytest.raises(DegenerateSpectrumError):
-            CompositeSpace.for_observable(Observable(np.eye(2)))
 
 
 class TestAntiDiagonals:
@@ -108,6 +96,24 @@ class TestLift:
         with pytest.raises(ValueError):
             lift(pauli_a(), 3)
 
+    @pytest.mark.parametrize("slot", [1, 2])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_lines_match_the_eigensolver_on_the_lifted_matrix(self, n, slot):
+        # the lift takes its lines from the factor; a fresh eigh of kron(X, I) is the reference
+        rng = np.random.default_rng(70 + n)
+        u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        degenerate = u @ np.diag([1.0, 1.0] + [0.0] * (n - 2)) @ u.conj().T
+        for m in (random_hermitian(rng, n), degenerate, random_hermitian(rng, n) * 1e-9, random_hermitian(rng, n) * 1e3):
+            obs = Observable(m)
+            lifted = lift(obs, slot)
+            reference = spectral_decompose(lifted.matrix)
+            radius = float(np.abs(reference.eigenvalues).max())
+            assert lifted.multiplicities == reference.multiplicities
+            assert lifted.multiplicities == tuple(n * k for k in obs.multiplicities)
+            assert np.abs(lifted.eigenvalues - reference.eigenvalues).max() <= 1e-12 * radius
+            for mine, theirs in zip(lifted.decomposition.lines, reference.lines):
+                assert np.abs(mine.projector - theirs.projector).max() <= 1e-10
+
     def test_slots_commute(self):
         rng = np.random.default_rng(52)
         obs = Observable(random_hermitian(rng, 3))
@@ -132,10 +138,6 @@ class TestSumObservable:
         assert list(s.eigenvalues) == [2.0]
         assert s.multiplicities == (9,)
         assert np.allclose(s.matrix, 2 * np.eye(9))
-
-    def test_requires_identical_factors(self):
-        with pytest.raises(DimensionMismatchError):
-            sum_observable(pauli_a(), Observable(np.diag([1.0, 2.0])))
 
     def test_matches_direct_spectral_decomposition(self):
         # anti-diagonal construction vs re-decomposing the assembled matrix
@@ -186,6 +188,10 @@ class TestJointDistribution:
         psi = PureState(random_state_vector(np.random.default_rng(55), 4), factor_dims=(2, 2))
         with pytest.raises(DegenerateSpectrumError):
             joint_distribution(psi, Observable(np.eye(2)))
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError):
+            JointDistribution(q=np.array([[np.nan]]), a_eigenvalues=(0.0,))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(56)
@@ -274,6 +280,15 @@ class TestPostMeasurementState:
         psi = PureState([1.0, 0.0])
         with pytest.raises(ValueError):
             post_measurement_state(psi, 0.5 * np.eye(2))
+
+    def test_nan_idempotence_residual_rejected(self):
+        # P @ P overflows to NaN entries here, so P @ P - P is NaN, not a small residual
+        x = 1e200
+        p = np.array([[x, x + 1j * x], [x - 1j * x, x]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(np.abs(p @ p - p)).any()
+            with pytest.raises(ValueError, match="idempotent"):
+                post_measurement_state(PureState([1.0, 0.0]), p)
 
     def test_trace_formula_matches_probability(self):
         # tr(P |psi><psi|) is the same number as the collapse probability

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from eprkit.composite import lift, sum_observable
 from eprkit.conditional import (
+    ConditionalDistribution,
     PairSpectrumFunction,
     certain_prediction,
+    certain_prediction_from,
     conditional_distribution,
     conditional_prediction,
     epr_resolution_check,
@@ -69,6 +72,10 @@ class TestConditionalDistribution:
     def test_sum_outside_spectrum_rejected(self):
         with pytest.raises(SpectrumCoverageError):
             conditional_distribution(two_branch_state(), Observable(PAULI_Z), 0.7)
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError):
+            ConditionalDistribution(given_sum=0.0, support=((0.0, math.nan),))
 
     def test_matches_classical_conditioning(self):
         rng = np.random.default_rng(70)
@@ -195,6 +202,12 @@ class TestCertainPrediction:
         psi = PureState(np.full(4, 0.5), factor_dims=(2, 2))
         with pytest.raises(ValueError):
             certain_prediction(psi, obs, SpectrumFunction.identity([-1.0, 1.0]), 0.0, 1.0)
+
+    def test_rejects_nan_point_mass(self):
+        # a distribution object carrying a NaN where the point mass should be
+        a2_dist = SimpleNamespace(probabilities=np.array([math.nan, 0.0]))
+        with pytest.raises(ValueError, match="measurement chain"):
+            certain_prediction_from(a2_dist, 0, [-1.0, 1.0])
 
 
 class TestEprResolutionCheck:

@@ -180,14 +180,14 @@ class TestRunEprAnalysis:
                 a1_projectors.append(a)
             return original_tensor_product(a, b)
 
-        for module in (linalg, composite, conditional, lab):
+        for module in (linalg, composite, conditional):
             monkeypatch.setattr(module, "tensor_product", counting_tensor_product)
 
         built = []
         original_init = Observable.__init__
 
-        def counting_init(self, matrix, grouping_tol=None):
-            original_init(self, matrix, grouping_tol)
+        def counting_init(self, matrix):
+            original_init(self, matrix)
             if self.dim == n * n:
                 built.append(self)
 
@@ -211,12 +211,21 @@ class TestRunEprAnalysis:
                 copies = sum(np.array_equal(obs.matrix, kron) for obs in lifted)
                 assert copies <= 1, f"{name} lifted to slot {slot} {copies} times"
         assert len(lifted) <= 6
-        assert eigh_dims[n * n] <= 6
+        # lifted and sum observables take their lines from the factors: only N x N eigh calls
+        assert eigh_dims[n * n] == 0
 
         # a second analysis of the same scenario reuses everything
         counts = (len(built), sum(eigh_dims.values()))
         run_epr_analysis(sc)
         assert (len(built), sum(eigh_dims.values())) == counts
+
+        # a degenerate B lifts from its factor lines too
+        u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        b = u @ np.diag([1.0, 1.0] + [0.0] * (n - 2)) @ u.conj().T
+        degenerate = build_scenario("degenerate-b", matrices["a"], b, random_state_vector(rng, n * n))
+        assert not degenerate.obs_b.is_nondegenerate
+        run_epr_analysis(degenerate)
+        assert eigh_dims[n * n] == 0
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_analysis_is_invariant_under_scaling_a(self, n):
@@ -226,9 +235,17 @@ class TestRunEprAnalysis:
         base = run_epr_analysis(build_scenario("base", a, b, psi))
         radius = float(np.abs(np.linalg.eigvalsh(a)).max())
         for s in (1e-12, 1e-9, 1e3):
-            scaled = run_epr_analysis(build_scenario("scaled", a * s, b, psi))
+            sc = build_scenario("scaled", a * s, b, psi)
+            scaled = run_epr_analysis(sc)
             assert len(scaled.per_sum) == len(base.per_sum)
             assert len(scaled.chains) == len(base.chains)
+            # lookups and the oracle work at the scenario's own scale
+            for branch in scaled.per_sum:
+                assert scaled.branch_for(branch.s_value) is branch
+            for chain in scaled.chains:
+                assert scaled.chain_for(chain.s_value, chain.a1_value) is chain
+            oracle = oracle_conditional(sc.initial_state, sc.obs_a, SpectrumFunction.identity(sc.obs_a.eigenvalues))
+            assert len(oracle.entries) == len(scaled.per_sum)
             scaled_value = lambda x: pytest.approx(s * x, rel=1e-9, abs=1e-9 * s * radius)  # noqa: E731
             for got, want in zip(scaled.per_sum, base.per_sum):
                 assert got.s_value == scaled_value(want.s_value)

@@ -230,6 +230,8 @@ def test_match_value_picks_nearest():
     assert match_value(values, 1.9999999999, 1e-8) == 2
     with pytest.raises(SpectrumCoverageError):
         match_value(values, 1.0, 1e-8)
+    with pytest.raises(SpectrumCoverageError):
+        match_value(values, np.nan, 1e-8)
 
 
 def test_phase_fix_skips_negligible_components():

@@ -63,6 +63,10 @@ class TestOutcomeDistribution:
         with pytest.raises(ValueError):
             OutcomeDistribution(outcomes=((0.0, 0.4), (1.0, 0.4)))
 
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError):
+            OutcomeDistribution(outcomes=((0.0, math.nan),))
+
     def test_probability_lookup(self):
         dist = OutcomeDistribution(outcomes=((-1.0, 0.25), (1.0, 0.75)))
         assert dist.probability_of(1.0) == 0.75
