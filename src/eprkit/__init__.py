@@ -8,7 +8,6 @@ from .composite import (
     SumObservable,
     anti_diagonals,
     decompose_by_sum,
-    eigenspace_projector,
     joint_distribution,
     lift,
     post_measurement_state,

@@ -1,4 +1,4 @@
-"""Vectorized numpy implementation of the measurement-chain sampler.
+"""Measurement-chain sampling kernel: one vectorized numpy implementation.
 
 The random stream is counter-based (splitmix64): draw number n under seed g
 is ``mix64(g + n * PHI)`` with all arithmetic mod 2^64, so any draw can be
@@ -9,6 +9,9 @@ which makes results independent of evaluation order.
 Outcome selection is inverse-CDF with strict comparison: the chosen index is
 the first k with u < cdf[k]. Callers must pass cdf arrays whose final entry
 is exactly 1.0; uniforms are 53-bit and therefore strictly below 1.0.
+
+``ACTIVE_BACKEND`` and ``backends()`` name the kernel for benchmark and
+trace output.
 """
 
 from __future__ import annotations
@@ -69,3 +72,11 @@ def sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf: np.ndarr
 
         flat += np.bincount(s_idx * n_out + a_idx, minlength=d * n_out)
     return flat.reshape(d, n_out)
+
+
+ACTIVE_BACKEND = "python"
+
+
+def backends():
+    """Name -> kernel mapping; the numpy kernel is the only one."""
+    return {ACTIVE_BACKEND: sample_counts}

@@ -26,7 +26,7 @@ from .linalg import (
     match_value,
     tensor_product,
 )
-from .states import OutcomeDistribution, PureState
+from .states import OutcomeDistribution, PureState, project_outcomes
 
 # Conditioning on an outcome below this probability is treated as impossible.
 ZERO_PROB_THRESHOLD = 1e-12
@@ -219,19 +219,22 @@ def sum_probabilities(q: JointDistribution, idx: AntiDiagonalIndex) -> OutcomeDi
     return OutcomeDistribution(outcomes=tuple(outcomes))
 
 
-def eigenspace_projector(s: Observable, k: int) -> np.ndarray:
-    """Projector onto the k-th (ascending) eigenspace of an observable."""
-    lines = s.decomposition.lines
-    if not 0 <= k < len(lines):
-        raise IndexError(f"eigenspace index {k} out of range for {len(lines)} lines")
-    return lines[k].projector
-
-
-def post_measurement_state(state: PureState, projector) -> tuple[PureState, float]:
-    """Collapse: return (P psi / sqrt(p), p) with p = <psi|P|psi>.
+def collapse(state: PureState, projected: np.ndarray, prob: float) -> PureState:
+    """The state ``P psi / sqrt(p)`` an outcome leaves, from ``P psi`` and ``p = |P psi|^2``.
 
     Raises ImpossibleOutcomeError when p falls below the zero-probability
     threshold, since the collapsed state is undefined there.
+    """
+    if prob < ZERO_PROB_THRESHOLD:
+        raise ImpossibleOutcomeError(f"outcome has probability {prob:.3e}; cannot condition on it")
+    return PureState(projected, factor_dims=state.factor_dims)
+
+
+def post_measurement_state(state: PureState, projector) -> tuple[PureState, float]:
+    """Collapse onto a caller's projector: return (P psi / sqrt(p), p) with p = <psi|P|psi>.
+
+    The projector is checked to be Hermitian and idempotent. Raises
+    ImpossibleOutcomeError when p falls below the zero-probability threshold.
     """
     p_mat = as_complex_matrix(projector)
     if p_mat.shape != (state.dim, state.dim):
@@ -241,10 +244,7 @@ def post_measurement_state(state: PureState, projector) -> tuple[PureState, floa
         raise ValueError("projector must be Hermitian and idempotent")
     projected = p_mat @ state.amplitudes
     prob = float(np.real(np.vdot(projected, projected)))
-    if prob < ZERO_PROB_THRESHOLD:
-        raise ImpossibleOutcomeError(f"outcome has probability {prob:.3e}; cannot condition on it")
-    collapsed = PureState(projected, factor_dims=state.factor_dims)
-    return collapsed, min(prob, 1.0)
+    return collapse(state, projected, prob), min(prob, 1.0)
 
 
 def decompose_by_sum(state: PureState, s: Observable) -> list[tuple[float, PureState]]:
@@ -254,16 +254,12 @@ def decompose_by_sum(state: PureState, s: Observable) -> list[tuple[float, PureS
     the zero threshold. Branches keep the phase inherited from the projection,
     so the weighted branches add back up to the original state verbatim.
     """
-    if state.dim != s.dim:
-        raise DimensionMismatchError("state and observable dims differ")
-    branches = []
-    for line in s.decomposition.lines:
-        w = line.projector @ state.amplitudes
-        prob = float(np.real(np.vdot(w, w)))
-        if prob >= ZERO_PROB_THRESHOLD:
-            branch, p = post_measurement_state(state, line.projector)
-            branches.append((float(np.sqrt(p)), branch))
-    return branches
+    dist, projected = project_outcomes(state, s)
+    return [
+        (float(np.sqrt(p)), collapse(state, w, p))
+        for (_, p), w in zip(dist.outcomes, projected)
+        if p >= ZERO_PROB_THRESHOLD
+    ]
 
 
 def schmidt_rank(state: PureState, tol: float = 1e-10) -> int:

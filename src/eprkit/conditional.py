@@ -18,14 +18,13 @@ from .composite import (
     ZERO_PROB_THRESHOLD,
     AntiDiagonalIndex,
     SumObservable,
-    eigenspace_projector,
+    collapse,
     joint_distribution,
     lift,
-    post_measurement_state,
     sum_observable,
 )
 from .errors import DegenerateSpectrumError, DimensionMismatchError, SpectrumCoverageError
-from .linalg import Observable, group_close_values, match_value, tensor_product
+from .linalg import Observable, default_grouping_tol, group_close_values, match_value, tensor_product
 from .states import (
     OutcomeDistribution,
     PureState,
@@ -34,6 +33,7 @@ from .states import (
     audit_uncertainty,
     function_matrix,
     outcome_probabilities,
+    project_outcomes,
 )
 
 
@@ -107,14 +107,18 @@ class ConditionalExpectationTable:
 
 
 class PairSpectrumFunction:
-    """A real function of (first-factor outcome, sum outcome) pairs as a table."""
+    """A real function of (first-factor outcome, sum outcome) pairs as a table.
 
-    def __init__(self, entries: dict[tuple[float, float], float], match_tol: float = 1e-9):
+    A lookup returns the nearest entry, within a tolerance scaled to the
+    table's largest value, as ``EprReport.chain_for`` does.
+    """
+
+    def __init__(self, entries: dict[tuple[float, float], float]):
         if not entries:
             raise ValueError("pair function table is empty")
-        self._pairs = [(float(a), float(s)) for a, s in entries]
+        self._pairs = np.array([(float(a), float(s)) for a, s in entries])
         self._values = [float(v) for v in entries.values()]
-        self.match_tol = match_tol
+        self._tol = default_grouping_tol(self._pairs)
 
     @classmethod
     def from_callable(cls, index: AntiDiagonalIndex, fn) -> "PairSpectrumFunction":
@@ -127,21 +131,20 @@ class PairSpectrumFunction:
         return cls(entries)
 
     def __call__(self, a_value: float, s_value: float) -> float:
-        for (a, s), v in zip(self._pairs, self._values):
-            if abs(a - a_value) <= self.match_tol and abs(s - s_value) <= self.match_tol:
-                return v
-        raise SpectrumCoverageError(f"pair ({a_value!r}, {s_value!r}) not in the function table")
+        distance = np.abs(self._pairs - (a_value, s_value)).max(axis=1)
+        i = int(np.argmin(distance))
+        if not (distance[i] <= self._tol):
+            raise SpectrumCoverageError(f"pair ({a_value!r}, {s_value!r}) not in the function table")
+        return self._values[i]
 
 
-def _collapse_on_sum(state: PureState, a: Observable, s_value: float) -> tuple[PureState, float, int, SumObservable]:
+def _collapse_on_sum(state: PureState, a: Observable, s_value: float) -> tuple[PureState, int, SumObservable]:
     """Collapse onto the eigenspace of S matching s_value; returns the matched line's index too."""
     a.require_nondegenerate()
     s_obs = sum_observable(a)
-    if state.dim != s_obs.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} does not match composite dim {s_obs.dim}")
     k = s_obs.index.sum_index(s_value)
-    collapsed, prob = post_measurement_state(state, eigenspace_projector(s_obs, k))
-    return collapsed, prob, k, s_obs
+    dist, projected = project_outcomes(state, s_obs)
+    return collapse(state, projected[k], dist.outcomes[k][1]), k, s_obs
 
 
 def conditional_distribution(state: PureState, a: Observable, s_value: float) -> ConditionalDistribution:
@@ -151,7 +154,7 @@ def conditional_distribution(state: PureState, a: Observable, s_value: float) ->
     measure A(1) in the collapsed state. The support is exactly the set of
     first-factor eigenvalues compatible with the observed sum.
     """
-    collapsed, _, k, s_obs = _collapse_on_sum(state, a, s_value)
+    collapsed, k, s_obs = _collapse_on_sum(state, a, s_value)
     return conditional_distribution_from(outcome_probabilities(collapsed, lift(a, 1)), s_obs.index, k)
 
 
@@ -169,14 +172,14 @@ def conditional_distribution_from(
 def conditional_prediction(state: PureState, a: Observable, f: SpectrumFunction, s_value: float) -> PredictionSummary:
     """Mean and error of f(A(1)) predicted after the sum was observed as s_value."""
     f.require_covers(a.eigenvalues)
-    collapsed, _, _, _ = _collapse_on_sum(state, a, s_value)
+    collapsed, _, _ = _collapse_on_sum(state, a, s_value)
     mean, stdev = outcome_probabilities(collapsed, lift(a, 1)).moments([f(v) for v in a.eigenvalues])
     return PredictionSummary(mean=mean, stdev=stdev)
 
 
 def verify_theorem2(state: PureState, a: Observable, s_value: float) -> SumConstraintReport:
     """Residuals of the post-measurement identities m(A2) = s - m(A1), D(A1) = D(A2)."""
-    collapsed, _, k, s_obs = _collapse_on_sum(state, a, s_value)
+    collapsed, k, s_obs = _collapse_on_sum(state, a, s_value)
     return verify_theorem2_from(
         outcome_probabilities(collapsed, lift(a, 1)),
         outcome_probabilities(collapsed, lift(a, 2)),
@@ -204,10 +207,10 @@ def sequential_measure(state: PureState, a: Observable, s_value: float, a1_value
     Either stage raises ImpossibleOutcomeError when its outcome has
     (numerically) zero probability in the current state.
     """
-    collapsed, _, _, _ = _collapse_on_sum(state, a, s_value)
+    collapsed, _, _ = _collapse_on_sum(state, a, s_value)
     n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
-    final, _ = post_measurement_state(collapsed, lift(a, 1).projectors[n])
-    return final
+    dist, projected = project_outcomes(collapsed, lift(a, 1))
+    return collapse(collapsed, projected[n], dist.outcomes[n][1])
 
 
 def certain_prediction(
@@ -260,16 +263,13 @@ def quantum_conditional_expectation(state: PureState, a: Observable, f: Spectrum
     """
     f.require_covers(a.eigenvalues)
     s_obs = sum_observable(a)
-    if state.dim != s_obs.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} does not match composite dim {s_obs.dim}")
     f_lifted = tensor_product(function_matrix(a, f), np.eye(a.dim))
+    dist, projected = project_outcomes(state, s_obs)
     entries = []
-    for line in s_obs.decomposition.lines:
-        w = line.projector @ state.amplitudes
-        p = float(np.real(np.vdot(w, w)))
+    for (s, p), w in zip(dist.outcomes, projected):
         if p >= ZERO_PROB_THRESHOLD:
             e = float(np.real(np.vdot(w, f_lifted @ w))) / p
-            entries.append((line.eigenvalue, e))
+            entries.append((s, e))
     return ConditionalExpectationTable(entries=tuple(entries), match_tol=s_obs.index.match_tol)
 
 

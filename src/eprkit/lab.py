@@ -17,14 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .composite import (
-    ZERO_PROB_THRESHOLD,
-    eigenspace_projector,
-    lift,
-    post_measurement_state,
-    schmidt_rank,
-    sum_observable,
-)
+from .composite import ZERO_PROB_THRESHOLD, collapse, lift, schmidt_rank, sum_observable
 from .conditional import (
     ConditionalDistribution,
     PredictionSummary,
@@ -33,7 +26,7 @@ from .conditional import (
     conditional_distribution_from,
     verify_theorem2_from,
 )
-from .errors import DimensionMismatchError, ImpossibleOutcomeError
+from .errors import DimensionMismatchError, ImpossibleOutcomeError, ScenarioInvariantError
 from .linalg import MAX_DIM, Observable, default_grouping_tol, extract_c
 from .states import (
     OutcomeDistribution,
@@ -42,6 +35,7 @@ from .states import (
     audit_uncertainty_from,
     outcome_probabilities,
     prediction_error,
+    project_outcomes,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -209,10 +203,10 @@ class EprReport:
         # The uncertainty bound is a theorem; a violated audit is a bug, not a result.
         for branch in self.per_sum:
             if not (branch.audit_slot1.satisfied and branch.audit_slot2.satisfied):
-                raise ValueError(f"uncertainty audit failed in branch s={branch.s_value!r}")
+                raise ScenarioInvariantError(f"uncertainty audit failed in branch s={branch.s_value!r}")
         for chain in self.chains:
             if not chain.resolution.satisfied:
-                raise ValueError(
+                raise ScenarioInvariantError(
                     f"uncertainty audit failed after chain (s={chain.s_value!r}, a1={chain.a1_value!r})"
                 )
 
@@ -243,26 +237,28 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     and its pairs (n, m) are read off the sum index, so A(1) and A(2)
     distributions are indexed by A's eigenvalue position, never matched by
     value. Each outcome distribution in a collapsed state is computed once and
-    shared by the summaries, audits and chains.
+    shared by the summaries, audits and chains. Branches and chains collapse
+    from the vectors the sum and A(1) distributions projected.
     """
     a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
     a.require_nondegenerate()
     state = sc.initial_state
     s_obs = sum_observable(a)
     index = s_obs.index
-    spectrum = outcome_probabilities(state, s_obs)
+    spectrum, branch_vectors = project_outcomes(state, s_obs)
     # lifted lines follow the factor's lines, so A(1) and A(2) outcomes are indexed like A's
     lifted = {(name, slot): lift(obs, slot) for name, obs in (("a", a), ("b", b), ("c", c)) for slot in (1, 2)}
     a_values = a.eigenvalues
-    a1_projectors = lifted[("a", 1)].projectors
 
     branches = []
     chains = []
     for k, (s_value, prob) in enumerate(spectrum.outcomes):
         if prob < ZERO_PROB_THRESHOLD:
             continue
-        psi_s, _ = post_measurement_state(state, eigenspace_projector(s_obs, k))
-        dists = {key: outcome_probabilities(psi_s, obs) for key, obs in lifted.items()}
+        psi_s = collapse(state, branch_vectors[k], prob)
+        measured = {key: project_outcomes(psi_s, obs) for key, obs in lifted.items()}
+        dists = {key: dist for key, (dist, _) in measured.items()}
+        chain_vectors = measured[("a", 1)][1]
         summaries = {
             key: PredictionSummary(mean=dist.mean_of(dist.values), stdev=dist.moments()[1])
             for key, dist in dists.items()
@@ -296,7 +292,7 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
         for (n, m), (a1_value, cond_prob) in zip(index.sets[k], cond.support):
             if cond_prob < ZERO_PROB_THRESHOLD:
                 continue
-            phi, _ = post_measurement_state(psi_s, a1_projectors[n])
+            phi = collapse(psi_s, chain_vectors[n], cond_prob)
             a2_dist = outcome_probabilities(phi, lifted[("a", 2)])
             prediction = certain_prediction_from(a2_dist, m, a_values)
             a2_value = float(a_values[m])

@@ -216,9 +216,18 @@ class DiagonalVanishingReport:
     a_degenerate: bool
 
 
-def _check_same_dim(state: PureState, obs: Observable) -> None:
+def project_outcomes(state: PureState, obs: Observable) -> tuple[OutcomeDistribution, list[np.ndarray]]:
+    """``outcome_probabilities`` with each line's ``P_k psi``, the unnormalized state outcome k leaves."""
     if state.dim != obs.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != observable dim {obs.dim}")
+    outcomes = []
+    projected = []
+    for line in obs.decomposition.lines:
+        w = line.projector @ state.amplitudes
+        p = float(np.real(np.vdot(w, w)))
+        outcomes.append((line.eigenvalue, min(max(p, 0.0), 1.0)))
+        projected.append(w)
+    return OutcomeDistribution(outcomes=tuple(outcomes)), projected
 
 
 def outcome_probabilities(state: PureState, obs: Observable) -> OutcomeDistribution:
@@ -228,13 +237,7 @@ def outcome_probabilities(state: PureState, obs: Observable) -> OutcomeDistribut
     loses only quadratically small precision near zero, so eigenstates report
     genuinely negligible probabilities for the other outcomes.
     """
-    _check_same_dim(state, obs)
-    outcomes = []
-    for line in obs.decomposition.lines:
-        w = line.projector @ state.amplitudes
-        p = float(np.real(np.vdot(w, w)))
-        outcomes.append((line.eigenvalue, min(max(p, 0.0), 1.0)))
-    return OutcomeDistribution(outcomes=tuple(outcomes))
+    return project_outcomes(state, obs)[0]
 
 
 def function_matrix(obs: Observable, f: SpectrumFunction) -> np.ndarray:

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 import eprkit
 from eprkit import io as eprio
+from eprkit import lab
 from eprkit.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from eprkit.lab import MAX_ENTRY_MAGNITUDE, build_scenario
+from eprkit.states import UncertaintyReport
 from helpers import random_hermitian, random_state_vector
 
 BUNDLED = ["pauli_epr.json", "pauli_uniform.json", "spin_one.json"]
@@ -208,6 +210,17 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         probs = {entry["value"]: entry["probability"] for entry in payload["analysis"]["sum_spectrum"]}
         assert probs == pytest.approx({-2.0: 0.25, 0.0: 0.5, 2.0: 0.25}, abs=1e-10)
+
+    def test_failed_uncertainty_audit_is_invariant_error(self, monkeypatch, capsys):
+        # the bound is a theorem, so a failed audit is a defect to report, not a crash
+        failed = UncertaintyReport(delta_a=0.0, delta_b=0.0, rhs=1.0, satisfied=False)
+        monkeypatch.setattr(lab, "audit_uncertainty_from", lambda *args: failed)
+        assert main(["analyze", scenario_path("pauli_epr.json")]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("epr: invariant violation: uncertainty audit failed")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 class TestSample:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from eprkit.composite import (
+    PROJECTOR_TOL,
     JointDistribution,
     anti_diagonals,
     decompose_by_sum,
-    eigenspace_projector,
     joint_distribution,
     lift,
     post_measurement_state,
@@ -151,15 +151,23 @@ class TestSumObservable:
             assert np.abs(mine.projector - theirs.projector).max() <= 1e-9
 
     def test_projector_family_is_complete_and_orthogonal(self):
+        # collapses use these lines without re-checking them, so each must be a Hermitian
+        # idempotent, and each family an orthogonal resolution of the identity
         rng = np.random.default_rng(54)
-        s = sum_observable(Observable(random_hermitian(rng, 3)))
-        total = np.zeros((9, 9), dtype=complex)
-        for i, p in enumerate(s.projectors):
-            total += p
-            for j, q in enumerate(s.projectors):
-                expected = p if i == j else 0.0
-                assert np.abs(p @ q - expected).max() <= 1e-10
-        assert np.abs(total - np.eye(9)).max() <= 1e-10
+        for n in range(2, 9):
+            u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            equally_spaced = u @ np.diag(np.arange(n) - (n - 1) / 2) @ u.conj().T
+            for m in (random_hermitian(rng, n), equally_spaced):
+                obs = Observable(m)
+                for family in (sum_observable(obs).projectors, lift(obs, 1).projectors):
+                    total = np.zeros((n * n, n * n), dtype=complex)
+                    for i, p in enumerate(family):
+                        assert np.abs(p - p.conj().T).max() <= PROJECTOR_TOL
+                        total += p
+                        for j, q in enumerate(family):
+                            expected = p if i == j else 0.0
+                            assert np.abs(p @ q - expected).max() <= PROJECTOR_TOL
+                    assert np.abs(total - np.eye(n * n)).max() <= PROJECTOR_TOL
 
 
 class TestJointDistribution:
@@ -238,17 +246,17 @@ class TestSumProbabilities:
 class TestEigenspaceProjector:
     def test_pauli_projectors(self):
         s = sum_observable(pauli_a())
-        assert np.allclose(eigenspace_projector(s, 1), np.diag([0.0, 1.0, 1.0, 0.0]))
-        assert np.allclose(eigenspace_projector(s, 2), np.diag([1.0, 0.0, 0.0, 0.0]))
-        assert np.allclose(eigenspace_projector(s, 0), np.diag([0.0, 0.0, 0.0, 1.0]))
+        assert np.allclose(s.projectors[1], np.diag([0.0, 1.0, 1.0, 0.0]))
+        assert np.allclose(s.projectors[2], np.diag([1.0, 0.0, 0.0, 0.0]))
+        assert np.allclose(s.projectors[0], np.diag([0.0, 0.0, 0.0, 1.0]))
 
     def test_identity_factor_projector(self):
         s = sum_observable(Observable(np.eye(2)))
-        assert np.allclose(eigenspace_projector(s, 0), np.eye(4))
+        assert np.allclose(s.projectors[0], np.eye(4))
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            eigenspace_projector(sum_observable(pauli_a()), 3)
+            sum_observable(pauli_a()).projectors[3]
 
 
 class TestPostMeasurementState:
@@ -257,7 +265,7 @@ class TestPostMeasurementState:
         amplitudes = random_state_vector(rng, 4)
         psi = PureState(amplitudes, factor_dims=(2, 2))
         s = sum_observable(pauli_a())
-        collapsed, prob = post_measurement_state(psi, eigenspace_projector(s, 1))
+        collapsed, prob = post_measurement_state(psi, s.projectors[1])
         weight = abs(amplitudes[1]) ** 2 + abs(amplitudes[2]) ** 2
         assert prob == pytest.approx(weight, abs=1e-12)
         expected = np.array([0.0, amplitudes[1], amplitudes[2], 0.0]) / np.sqrt(weight)
@@ -266,7 +274,7 @@ class TestPostMeasurementState:
     def test_eigenstate_unchanged(self):
         psi = PureState([0.0, 1.0, 0.0, 0.0], factor_dims=(2, 2))
         s = sum_observable(pauli_a())
-        collapsed, prob = post_measurement_state(psi, eigenspace_projector(s, 1))
+        collapsed, prob = post_measurement_state(psi, s.projectors[1])
         assert prob == pytest.approx(1.0, abs=1e-12)
         assert collapsed.equals_up_to_phase(psi)
 
@@ -274,7 +282,7 @@ class TestPostMeasurementState:
         psi = PureState([1.0, 0.0, 0.0, 0.0], factor_dims=(2, 2))
         s = sum_observable(pauli_a())
         with pytest.raises(ImpossibleOutcomeError):
-            post_measurement_state(psi, eigenspace_projector(s, 1))
+            post_measurement_state(psi, s.projectors[1])
 
     def test_non_projector_rejected(self):
         psi = PureState([1.0, 0.0])

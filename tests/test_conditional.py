@@ -413,3 +413,17 @@ class TestPinningIdentity:
         h = PairSpectrumFunction({(1.0, 0.0): 2.0})
         with pytest.raises(SpectrumCoverageError):
             h(1.0, 2.0)
+
+    def test_pair_lookup_is_nearest_at_any_scale(self):
+        # at a spectral radius of 1e-12 every pair lies within 1e-9 of every other
+        rng = np.random.default_rng(62)
+        idx = sum_observable(Observable(random_hermitian(rng, 3) * 1e-12)).index
+        fn = lambda a, s: a * 1e12 + 10 * s * 1e12  # noqa: E731
+        h = PairSpectrumFunction.from_callable(idx, fn)
+        pairs = [(idx.factor_eigenvalues[n], s) for s, members in zip(idx.sums, idx.sets) for n, _ in members]
+        assert len({round(fn(a, s), 6) for a, s in pairs}) > 1
+        for a, s in pairs:
+            assert h(a, s) == fn(a, s)
+        a, s = pairs[0]
+        with pytest.raises(SpectrumCoverageError):
+            h(a + 1e-13, s)

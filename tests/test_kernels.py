@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from eprkit._kernels import sample_counts, sampling_py
+from eprkit import _kernels
+from eprkit._kernels import sample_counts
 
 
 @pytest.fixture
@@ -12,15 +13,15 @@ def simple_tables():
 
 
 def test_uniforms_are_in_unit_interval():
-    u = sampling_py.uniforms(12345, 10000)
+    u = _kernels.uniforms(12345, 10000)
     assert u.min() >= 0.0
     assert u.max() < 1.0
 
 
 def test_uniforms_are_counter_based():
     # any slice of the stream can be regenerated independently
-    whole = sampling_py.uniforms(7, 100)
-    tail = sampling_py.uniforms(7, 40, offset=60)
+    whole = _kernels.uniforms(7, 100)
+    tail = _kernels.uniforms(7, 40, offset=60)
     assert np.array_equal(whole[60:], tail)
 
 
@@ -70,12 +71,12 @@ def test_empirical_frequencies_approach_cdf(simple_tables):
 
 def test_rejects_mismatched_tables():
     with pytest.raises(ValueError):
-        sampling_py.sample_counts(0, 10, np.array([1.0]), np.array([[0.5, 1.0], [0.5, 1.0]]))
+        _kernels.sample_counts(0, 10, np.array([1.0]), np.array([[0.5, 1.0], [0.5, 1.0]]))
 
 
 def test_chunked_accumulation_matches_unchunked(simple_tables, monkeypatch):
     # force a tiny batch size so one call crosses many chunk boundaries
-    reference = sampling_py.sample_counts(77, 10000, *simple_tables)
-    monkeypatch.setattr(sampling_py, "CHUNK_SHOTS", 617)
-    chunked = sampling_py.sample_counts(77, 10000, *simple_tables)
+    reference = _kernels.sample_counts(77, 10000, *simple_tables)
+    monkeypatch.setattr(_kernels, "CHUNK_SHOTS", 617)
+    chunked = _kernels.sample_counts(77, 10000, *simple_tables)
     assert np.array_equal(reference, chunked)

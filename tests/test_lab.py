@@ -183,6 +183,18 @@ class TestRunEprAnalysis:
         for module in (linalg, composite, conditional):
             monkeypatch.setattr(module, "tensor_product", counting_tensor_product)
 
+        # branches and chains collapse from the vectors their distributions already projected
+        collapses = []
+        original_collapse = composite.post_measurement_state
+
+        def counting_collapse(state, projector):
+            collapses.append(projector)
+            return original_collapse(state, projector)
+
+        for module in (composite, conditional, lab):
+            if hasattr(module, "post_measurement_state"):
+                monkeypatch.setattr(module, "post_measurement_state", counting_collapse)
+
         built = []
         original_init = Observable.__init__
 
@@ -203,6 +215,7 @@ class TestRunEprAnalysis:
         report = run_epr_analysis(sc)
         assert len(report.per_sum) > 1 and len(report.chains) > n
         assert len(a1_projectors) <= n
+        assert collapses == []
 
         assert sum(type(obs) is SumObservable for obs in built) == 1
         lifted = [obs for obs in built if type(obs) is Observable]
