@@ -263,8 +263,14 @@ def quantum_conditional_expectation(state: PureState, a: Observable, f: Spectrum
     """
     f.require_covers(a.eigenvalues)
     s_obs = sum_observable(a)
+    return _conditional_expectation_from(a, f, s_obs, *project_outcomes(state, s_obs))
+
+
+def _conditional_expectation_from(
+    a: Observable, f: SpectrumFunction, s_obs: SumObservable, dist: OutcomeDistribution, projected: list[np.ndarray]
+) -> ConditionalExpectationTable:
+    """``quantum_conditional_expectation`` from the sum distribution and each line's P_k psi."""
     f_lifted = tensor_product(function_matrix(a, f), np.eye(a.dim))
-    dist, projected = project_outcomes(state, s_obs)
     entries = []
     for (s, p), w in zip(dist.outcomes, projected):
         if p >= ZERO_PROB_THRESHOLD:
@@ -317,10 +323,11 @@ def verify_tower_property(
     """
     s_obs = sum_observable(a)
     g.require_covers(s_obs.eigenvalues)
-    table = quantum_conditional_expectation(state, a, f)
-    p = outcome_probabilities(state, s_obs)
+    f.require_covers(a.eigenvalues)
+    dist, projected = project_outcomes(state, s_obs)
+    table = _conditional_expectation_from(a, f, s_obs, dist, projected)
     lhs = 0.0
-    for s, prob in p.outcomes:
+    for s, prob in dist.outcomes:
         if prob >= ZERO_PROB_THRESHOLD:
             lhs += g(s) * table.value_at(s) * prob
 

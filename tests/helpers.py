@@ -72,3 +72,22 @@ def brute_conditional_mean(psi: np.ndarray, factor_matrix: np.ndarray, f, s_valu
     if den == 0.0:
         raise ZeroDivisionError("conditioning on a zero-probability sum")
     return num / den
+
+
+def reference_sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf: np.ndarray) -> np.ndarray:
+    """The sampling kernel's selection done on floats, in one unchunked pass.
+
+    Draws the same uniforms as ``eprkit._kernels.sample_counts``, picks the
+    sum outcome by ``searchsorted`` on the float cdf and the first-factor
+    outcome as the first column of the selected row whose cdf exceeds the
+    uniform, through a (shots x N) gather and ``argmax``.
+    """
+    from eprkit._kernels import uniforms
+
+    sum_cdf = np.asarray(sum_cdf, dtype=np.float64)
+    cond_cdf = np.asarray(cond_cdf, dtype=np.float64)
+    d, n_out = cond_cdf.shape
+    u = uniforms(seed, 2 * shots)
+    s_idx = np.minimum(np.searchsorted(sum_cdf, u[0::2], side="right"), d - 1)
+    a_idx = (u[1::2, None] < cond_cdf[s_idx]).argmax(axis=1)
+    return np.bincount(s_idx * n_out + a_idx, minlength=d * n_out).reshape(d, n_out)

@@ -35,13 +35,35 @@ def test_analyze_report_matches_golden(stem, capsys):
     assert capsys.readouterr().out == golden
 
 
-@pytest.mark.parametrize("stem", BUNDLED)
-def test_sample_counts_match_golden_digest(stem, capsys):
+def golden_counts() -> dict[str, str]:
+    return json.loads((GOLDEN / "sample_counts.json").read_text(encoding="utf-8"))
+
+
+def check_counts_digest(stem: str, shots: int, seed: int, capsys) -> None:
     path = scenario_path(stem)
-    argv = ["sample", str(path), "--shots", str(PREFLIGHT_SHOTS), "--seed", str(PREFLIGHT_SEED)]
+    argv = ["sample", str(path), "--shots", str(shots), "--seed", str(seed)]
     assert main(argv) == EXIT_OK
     counts = json.loads(capsys.readouterr().out)["sampling"]["counts"]
     # the key names the scenario by its file contents, as the benchmark does
-    key = f"{stem}|{sha256(path.read_bytes())[:16]}|{PREFLIGHT_SHOTS}|{PREFLIGHT_SEED}"
-    golden = json.loads((GOLDEN / "sample_counts.json").read_text(encoding="utf-8"))
-    assert sha256(json.dumps(counts, sort_keys=True).encode("utf-8")) == golden[key]
+    key = f"{stem}|{sha256(path.read_bytes())[:16]}|{shots}|{seed}"
+    assert sha256(json.dumps(counts, sort_keys=True).encode("utf-8")) == golden_counts()[key]
+
+
+@pytest.mark.parametrize("stem", BUNDLED)
+def test_sample_counts_match_golden_digest(stem, capsys):
+    check_counts_digest(stem, PREFLIGHT_SHOTS, PREFLIGHT_SEED, capsys)
+
+
+# Every other digest of a bundled scenario: the seeds the benchmark's workloads
+# draw, including 2,000,000-shot runs that cross several kernel batches.
+WORKLOAD_KEYS = sorted(
+    key
+    for key in golden_counts()
+    if key.split("|")[0] in BUNDLED and key.split("|")[2:] != [str(PREFLIGHT_SHOTS), str(PREFLIGHT_SEED)]
+)
+
+
+@pytest.mark.parametrize("key", WORKLOAD_KEYS)
+def test_workload_sample_counts_match_golden_digest(key, capsys):
+    stem, _, shots, seed = key.split("|")
+    check_counts_digest(stem, int(shots), int(seed), capsys)
