@@ -11,6 +11,7 @@ request. No environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -46,7 +47,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The ``epr`` argument parser, built once per process: parsing leaves no state on it."""
     parser = _Parser(prog="epr", description="EPR analysis for finite-level composite systems")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,6 +6,15 @@ all pairs (a_n, a_m) with a_n + a_m equal share one eigenvalue, and the
 degeneracy of that eigenvalue is the number of such pairs. This module
 builds that structure explicitly and implements projective collapse onto
 sum eigenspaces.
+
+Measurements come in two equivalent forms. The factor-space form works on
+a state's N x N coefficient matrix psi (first factor as rows):
+(P x I) vec(psi) is vec(P psi), (I x P) vec(psi) is vec(psi P^T), and sum
+line k projects psi to the sum of P_n psi P_m^T over its pairs (n, m).
+``project_slot``, ``project_sum`` and ``slot_expectation`` take this form,
+and the analysis pipeline uses only them. The dense form (``lift``,
+``sum_observable``) assembles the N^2 x N^2 operators and their projectors;
+it serves the public API and cross-checks the factor-space form.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .linalg import (
     match_value,
     tensor_product,
 )
-from .states import OutcomeDistribution, PureState, project_outcomes
+from .states import OutcomeDistribution, PureState, project_outcomes, projected_distribution
 
 # Conditioning on an outcome below this probability is treated as impossible.
 ZERO_PROB_THRESHOLD = 1e-12
@@ -94,6 +103,55 @@ def anti_diagonals(spectrum) -> AntiDiagonalIndex:
         sets=tuple(sets),
         match_tol=tol,
     )
+
+
+def anti_diagonal_index(a: Observable) -> AntiDiagonalIndex:
+    """``anti_diagonals`` of A's spectrum, kept on ``a`` so every caller shares one index."""
+    if a._anti_diagonals is None:
+        a._anti_diagonals = anti_diagonals(a.eigenvalues)
+    return a._anti_diagonals
+
+
+def project_slot(psi: np.ndarray, obs: Observable, slot: int) -> tuple[OutcomeDistribution, np.ndarray]:
+    """Measure a factor observable on one slot of the coefficient matrix psi.
+
+    Returns the outcome distribution and the (lines, N, N) stack of projected
+    matrices ``P_k psi`` (slot 1) or ``psi P_k^T`` (slot 2), taken in one
+    batched product with the factor's projector stack.
+    """
+    stack = obs.projector_stack
+    if slot == 1:
+        projected = stack @ psi
+    elif slot == 2:
+        projected = psi @ stack.transpose(0, 2, 1)
+    else:
+        raise ValueError(f"slot must be 1 or 2, got {slot!r}")
+    return projected_distribution([line.eigenvalue for line in obs.decomposition.lines], projected), projected
+
+
+def project_sum(psi: np.ndarray, a: Observable) -> tuple[OutcomeDistribution, list[np.ndarray]]:
+    """Measure S = A(1) + A(2) on the coefficient matrix psi: line k projects it to the sum of P_n psi P_m^T.
+
+    The terms of all N^2 pairs come from two batched products; each line adds
+    up its own pairs in index order.
+    """
+    index = anti_diagonal_index(a)
+    stack = a.projector_stack
+    terms = (stack @ psi)[:, None] @ stack.transpose(0, 2, 1)[None]
+    projected = []
+    for pairs in index.sets:
+        rows, cols = zip(*pairs)
+        projected.append(terms[list(rows), list(cols)].sum(axis=0))
+    return projected_distribution(index.sums, projected), projected
+
+
+def slot_expectation(psi: np.ndarray, c: Observable, slot: int) -> complex:
+    """``<psi| C x I |psi>`` (slot 1) or ``<psi| I x C |psi>`` (slot 2) on the coefficient matrix psi."""
+    if slot == 1:
+        return complex(np.vdot(psi, c.matrix @ psi))
+    if slot == 2:
+        return complex(np.vdot(psi, psi @ c.matrix.T))
+    raise ValueError(f"slot must be 1 or 2, got {slot!r}")
 
 
 def _assemble_lines(obs: Observable, lines) -> None:
@@ -167,7 +225,7 @@ def sum_observable(a1: Observable) -> SumObservable:
     factor observable.
     """
     if a1._sum is None:
-        a1._sum = SumObservable(factor=a1, index=anti_diagonals(a1.eigenvalues))
+        a1._sum = SumObservable(factor=a1, index=anti_diagonal_index(a1))
     return a1._sum
 
 

@@ -57,8 +57,10 @@ class ConditionalDistribution:
     def probabilities(self) -> np.ndarray:
         return np.array([p for _, p in self.support])
 
-    def probability_of(self, value: float, tol: float = 1e-9) -> float:
-        idx = match_value(self.values, value, tol)
+    def probability_of(self, value: float, tol: float | None = None) -> float:
+        """Probability of the support value within tol of value (default: the support's grouping tolerance)."""
+        values = self.values
+        idx = match_value(values, value, default_grouping_tol(values) if tol is None else tol)
         return self.support[idx][1]
 
 

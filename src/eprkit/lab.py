@@ -5,7 +5,9 @@ space with an initial state of the two-factor composite. The analysis
 conditions on every reachable sum outcome, audits the uncertainty bound in
 each branch, runs the full measure-S-then-A1 chain, and the sampler draws
 reproducible measurement paths to compare empirical frequencies against the
-analytic distributions.
+analytic distributions. The analysis measures on the state's N x N
+coefficient matrix with the factor-space helpers of ``eprkit.composite``;
+no N^2 x N^2 operator is built for it or for sampling.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .composite import ZERO_PROB_THRESHOLD, collapse, lift, schmidt_rank, sum_observable
+from .composite import (
+    ZERO_PROB_THRESHOLD,
+    anti_diagonal_index,
+    collapse,
+    project_slot,
+    project_sum,
+    schmidt_rank,
+    slot_expectation,
+)
 from .conditional import (
     ConditionalDistribution,
     PredictionSummary,
@@ -28,15 +38,7 @@ from .conditional import (
 )
 from .errors import DimensionMismatchError, ImpossibleOutcomeError, ScenarioInvariantError
 from .linalg import MAX_DIM, Observable, default_grouping_tol, extract_c
-from .states import (
-    OutcomeDistribution,
-    PureState,
-    UncertaintyReport,
-    audit_uncertainty_from,
-    outcome_probabilities,
-    prediction_error,
-    project_outcomes,
-)
+from .states import OutcomeDistribution, PureState, UncertaintyReport, uncertainty_report
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -236,18 +238,20 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     the one walk over the paths (s_k, a_n, a_m): each branch is collapsed once
     and its pairs (n, m) are read off the sum index, so A(1) and A(2)
     distributions are indexed by A's eigenvalue position, never matched by
-    value. Each outcome distribution in a collapsed state is computed once and
-    shared by the summaries, audits and chains. Branches and chains collapse
-    from the vectors the sum and A(1) distributions projected.
+    value. Every measurement acts on the N x N coefficient matrix of the
+    state (``project_sum``, ``project_slot``, ``slot_expectation``), so no
+    N^2 x N^2 operator is built. Each outcome distribution in a collapsed
+    state is computed once and shared by the summaries, audits and chains.
+    Branches and chains collapse from the matrices the sum and A(1)
+    distributions projected.
     """
     a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
     a.require_nondegenerate()
+    n_dim = sc.factor_dim
     state = sc.initial_state
-    s_obs = sum_observable(a)
-    index = s_obs.index
-    spectrum, branch_vectors = project_outcomes(state, s_obs)
-    # lifted lines follow the factor's lines, so A(1) and A(2) outcomes are indexed like A's
-    lifted = {(name, slot): lift(obs, slot) for name, obs in (("a", a), ("b", b), ("c", c)) for slot in (1, 2)}
+    index = anti_diagonal_index(a)
+    spectrum, branch_matrices = project_sum(state.amplitudes.reshape(n_dim, n_dim), a)
+    factors = {"a": a, "b": b, "c": c}
     a_values = a.eigenvalues
 
     branches = []
@@ -255,17 +259,20 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     for k, (s_value, prob) in enumerate(spectrum.outcomes):
         if prob < ZERO_PROB_THRESHOLD:
             continue
-        psi_s = collapse(state, branch_vectors[k], prob)
-        measured = {key: project_outcomes(psi_s, obs) for key, obs in lifted.items()}
+        psi_s = collapse(state, branch_matrices[k], prob)
+        coeff_s = psi_s.amplitudes.reshape(n_dim, n_dim)
+        measured = {(name, slot): project_slot(coeff_s, obs, slot) for name, obs in factors.items() for slot in (1, 2)}
         dists = {key: dist for key, (dist, _) in measured.items()}
-        chain_vectors = measured[("a", 1)][1]
+        chain_matrices = measured[("a", 1)][1]
         summaries = {
             key: PredictionSummary(mean=dist.mean_of(dist.values), stdev=dist.moments()[1])
             for key, dist in dists.items()
         }
         audits = {
-            slot: audit_uncertainty_from(
-                psi_s, summaries[("a", slot)].stdev, summaries[("b", slot)].stdev, lifted[("c", slot)]
+            slot: uncertainty_report(
+                summaries[("a", slot)].stdev,
+                summaries[("b", slot)].stdev,
+                0.5 * abs(slot_expectation(coeff_s, c, slot)),
             )
             for slot in (1, 2)
         }
@@ -292,8 +299,9 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
         for (n, m), (a1_value, cond_prob) in zip(index.sets[k], cond.support):
             if cond_prob < ZERO_PROB_THRESHOLD:
                 continue
-            phi = collapse(psi_s, chain_vectors[n], cond_prob)
-            a2_dist = outcome_probabilities(phi, lifted[("a", 2)])
+            phi = collapse(psi_s, chain_matrices[n], cond_prob)
+            coeff_phi = phi.amplitudes.reshape(n_dim, n_dim)
+            a2_dist = project_slot(coeff_phi, a, 2)[0]
             prediction = certain_prediction_from(a2_dist, m, a_values)
             a2_value = float(a_values[m])
             chains.append(
@@ -305,8 +313,10 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
                     a2_predicted=prediction.value,
                     a2_stdev=prediction.stdev,
                     point_mass_residual=abs(1.0 - a2_dist.outcomes[m][1]),
-                    resolution=audit_uncertainty_from(
-                        phi, a2_dist.moments()[1], prediction_error(phi, lifted[("b", 2)]), lifted[("c", 2)]
+                    resolution=uncertainty_report(
+                        prediction.stdev,
+                        project_slot(coeff_phi, b, 2)[0].moments()[1],
+                        0.5 * abs(slot_expectation(coeff_phi, c, 2)),
                     ),
                 )
             )
@@ -355,7 +365,7 @@ def _chain_distributions(sc: Scenario):
     of every populated line.
     """
     report = sc.analysis
-    index = sum_observable(sc.obs_a).index
+    index = anti_diagonal_index(sc.obs_a)
     a_values = sc.obs_a.eigenvalues
     cond_probs = np.zeros((len(report.sum_spectrum.outcomes), sc.factor_dim))
     paths = {}

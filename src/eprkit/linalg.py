@@ -216,6 +216,8 @@ class Observable:
     lifted and sum observables built from a factor observable in
     ``eprkit.composite`` come with their decomposition already assembled from
     the factor's lines, so reading it runs no eigensolver.
+    ``projector_stack`` holds the line projectors as one array, which the
+    factor-space measurements of ``eprkit.composite`` apply in one batch.
     """
 
     def __init__(self, matrix):
@@ -226,11 +228,13 @@ class Observable:
         self._matrix = m
         self._decomposition: SpectralDecomposition | None = None
         self._eigenvectors: np.ndarray | None = None
-        # Composite-space observables derived from this one, built on first
-        # use by ``eprkit.composite.lift`` (keyed by slot) and
-        # ``eprkit.composite.sum_observable``, and freed with this instance.
+        self._projector_stack: np.ndarray | None = None
+        # Composite-space data derived from this one, built on first use by
+        # ``eprkit.composite.lift`` (keyed by slot), ``sum_observable`` and
+        # ``anti_diagonal_index``, and freed with this instance.
         self._lifts: dict[int, Observable] = {}
         self._sum: Observable | None = None
+        self._anti_diagonals = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -271,6 +275,15 @@ class Observable:
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
         return tuple(line.projector for line in self.decomposition.lines)
+
+    @property
+    def projector_stack(self) -> np.ndarray:
+        """The line projectors as one read-only (lines, dim, dim) array, stacked once."""
+        if self._projector_stack is None:
+            stack = np.stack(self.projectors)
+            stack.setflags(write=False)
+            self._projector_stack = stack
+        return self._projector_stack
 
     @property
     def eigenvectors(self) -> np.ndarray:

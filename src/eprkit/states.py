@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SpectrumCoverageError
-from .linalg import Observable, as_complex_matrix, extract_c, match_value, phase_fix
+from .linalg import Observable, as_complex_matrix, default_grouping_tol, extract_c, match_value, phase_fix
 
 # Input vectors shorter than this are rejected rather than silently normalized.
 MIN_STATE_NORM = 1e-8
@@ -116,8 +116,10 @@ class OutcomeDistribution:
     def probabilities(self) -> np.ndarray:
         return np.array([p for _, p in self.outcomes])
 
-    def probability_of(self, value: float, tol: float = 1e-9) -> float:
-        idx = match_value(self.values, value, tol)
+    def probability_of(self, value: float, tol: float | None = None) -> float:
+        """Probability of the outcome within tol of value (default: the outcomes' grouping tolerance)."""
+        values = self.values
+        idx = match_value(values, value, default_grouping_tol(values) if tol is None else tol)
         return self.outcomes[idx][1]
 
     def mean_of(self, fvals) -> float:
@@ -142,16 +144,17 @@ class SpectrumFunction:
 
     Lookups match keys within a tolerance, since spectrum values arrive as
     floats from an eigensolver while tables are often written as decimal
-    literals.
+    literals. The default tolerance scales with the table's largest key, as
+    the spectral grouping does.
     """
 
-    def __init__(self, table: dict[float, float], match_tol: float = 1e-9):
+    def __init__(self, table: dict[float, float], match_tol: float | None = None):
         if not table:
             raise ValueError("spectrum function table is empty")
         items = sorted((float(k), float(v)) for k, v in table.items())
         self._keys = np.array([k for k, _ in items])
         self._values = np.array([v for _, v in items])
-        self.match_tol = match_tol
+        self.match_tol = default_grouping_tol(self._keys) if match_tol is None else match_tol
 
     @classmethod
     def identity(cls, spectrum) -> "SpectrumFunction":
@@ -216,18 +219,25 @@ class DiagonalVanishingReport:
     a_degenerate: bool
 
 
+def projected_distribution(values, projected) -> OutcomeDistribution:
+    """The distribution ``p_k = |P_k psi|^2``, clamped to [0, 1], from each outcome's value and ``P_k psi``.
+
+    ``P_k psi`` may be a vector or a coefficient matrix; its squared norm is
+    the same. ``vecdot`` takes every line's norm in one call, with the
+    arithmetic of ``vdot``.
+    """
+    flat = np.reshape(projected, (len(values), -1))
+    probabilities = np.clip(np.vecdot(flat, flat).real, 0.0, 1.0)
+    return OutcomeDistribution(outcomes=tuple(zip(values, probabilities.tolist())))
+
+
 def project_outcomes(state: PureState, obs: Observable) -> tuple[OutcomeDistribution, list[np.ndarray]]:
     """``outcome_probabilities`` with each line's ``P_k psi``, the unnormalized state outcome k leaves."""
     if state.dim != obs.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != observable dim {obs.dim}")
-    outcomes = []
-    projected = []
-    for line in obs.decomposition.lines:
-        w = line.projector @ state.amplitudes
-        p = float(np.real(np.vdot(w, w)))
-        outcomes.append((line.eigenvalue, min(max(p, 0.0), 1.0)))
-        projected.append(w)
-    return OutcomeDistribution(outcomes=tuple(outcomes)), projected
+    lines = obs.decomposition.lines
+    projected = [line.projector @ state.amplitudes for line in lines]
+    return projected_distribution([line.eigenvalue for line in lines], projected), projected
 
 
 def outcome_probabilities(state: PureState, obs: Observable) -> OutcomeDistribution:
@@ -270,12 +280,13 @@ def audit_uncertainty(state: PureState, a: Observable, b: Observable, c: Observa
     """Check ``Delta(A) * Delta(B) >= |<C>| / 2`` in the given state."""
     if not (a.dim == b.dim == c.dim == state.dim):
         raise DimensionMismatchError("audit requires all operands on one space")
-    return audit_uncertainty_from(state, prediction_error(state, a), prediction_error(state, b), c)
+    return uncertainty_report(
+        prediction_error(state, a), prediction_error(state, b), 0.5 * abs(state.expectation(c.matrix))
+    )
 
 
-def audit_uncertainty_from(state: PureState, delta_a: float, delta_b: float, c: Observable) -> UncertaintyReport:
-    """``audit_uncertainty`` for prediction errors of A and B already computed in the state."""
-    rhs = 0.5 * abs(state.expectation(c.matrix))
+def uncertainty_report(delta_a: float, delta_b: float, rhs: float) -> UncertaintyReport:
+    """Judge ``delta_a * delta_b >= rhs``, the bound's right-hand side ``|<C>| / 2`` already evaluated."""
     return UncertaintyReport(
         delta_a=delta_a,
         delta_b=delta_b,

@@ -91,3 +91,83 @@ def reference_sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf
     s_idx = np.minimum(np.searchsorted(sum_cdf, u[0::2], side="right"), d - 1)
     a_idx = (u[1::2, None] < cond_cdf[s_idx]).argmax(axis=1)
     return np.bincount(s_idx * n_out + a_idx, minlength=d * n_out).reshape(d, n_out)
+
+
+def dense_epr_analysis(sc):
+    """``run_epr_analysis`` along the dense route: N^2 x N^2 lifted and sum projectors applied to the state vector.
+
+    Every measurement is ``project_outcomes`` with the package's ``lift`` and
+    ``sum_observable``, every collapse a ``collapse`` of the projected vector,
+    and every audit's right-hand side the expectation of the lifted C, so it
+    runs none of the factor-space measurements it cross-checks.
+    """
+    from eprkit.composite import ZERO_PROB_THRESHOLD, collapse, lift, schmidt_rank, sum_observable
+    from eprkit.conditional import (
+        PredictionSummary,
+        certain_prediction_from,
+        conditional_distribution_from,
+        verify_theorem2_from,
+    )
+    from eprkit.lab import ChainReport, EprReport, SumBranchReport
+    from eprkit.states import outcome_probabilities, prediction_error, project_outcomes, uncertainty_report
+
+    a = sc.obs_a
+    a.require_nondegenerate()
+    s_obs = sum_observable(a)
+    index = s_obs.index
+    spectrum, branch_vectors = project_outcomes(sc.initial_state, s_obs)
+    factors = {"a": a, "b": sc.obs_b, "c": sc.obs_c}
+    lifted = {(name, slot): lift(obs, slot) for name, obs in factors.items() for slot in (1, 2)}
+    branches, chains = [], []
+    for k, (s_value, prob) in enumerate(spectrum.outcomes):
+        if prob < ZERO_PROB_THRESHOLD:
+            continue
+        psi_s = collapse(sc.initial_state, branch_vectors[k], prob)
+        measured = {key: project_outcomes(psi_s, obs) for key, obs in lifted.items()}
+        dists = {key: dist for key, (dist, _) in measured.items()}
+        summaries = {key: PredictionSummary(mean=d.mean_of(d.values), stdev=d.moments()[1]) for key, d in dists.items()}
+        audits = {
+            slot: uncertainty_report(
+                summaries[("a", slot)].stdev,
+                summaries[("b", slot)].stdev,
+                0.5 * abs(psi_s.expectation(lifted[("c", slot)].matrix)),
+            )
+            for slot in (1, 2)
+        }
+        cond = conditional_distribution_from(dists[("a", 1)], index, k)
+        branches.append(
+            SumBranchReport(
+                s_value=s_value,
+                probability=prob,
+                schmidt_rank=schmidt_rank(psi_s),
+                **{f"{name}{slot}": summaries[(name, slot)] for name in "abc" for slot in (1, 2)},
+                sum_constraint=verify_theorem2_from(dists[("a", 1)], dists[("a", 2)], a, s_value),
+                audit_slot1=audits[1],
+                audit_slot2=audits[2],
+                sum_index=k,
+                conditional=cond,
+            )
+        )
+        for (n, m), (a1_value, cond_prob) in zip(index.sets[k], cond.support):
+            if cond_prob < ZERO_PROB_THRESHOLD:
+                continue
+            phi = collapse(psi_s, measured[("a", 1)][1][n], cond_prob)
+            a2_dist = outcome_probabilities(phi, lifted[("a", 2)])
+            prediction = certain_prediction_from(a2_dist, m, a.eigenvalues)
+            chains.append(
+                ChainReport(
+                    s_value=s_value,
+                    a1_value=a1_value,
+                    a2_value=float(a.eigenvalues[m]),
+                    conditional_probability=cond_prob,
+                    a2_predicted=prediction.value,
+                    a2_stdev=prediction.stdev,
+                    point_mass_residual=abs(1.0 - a2_dist.outcomes[m][1]),
+                    resolution=uncertainty_report(
+                        a2_dist.moments()[1],
+                        prediction_error(phi, lifted[("b", 2)]),
+                        0.5 * abs(phi.expectation(lifted[("c", 2)].matrix)),
+                    ),
+                )
+            )
+    return EprReport(scenario_label=sc.label, sum_spectrum=spectrum, per_sum=tuple(branches), chains=tuple(chains))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import eprkit
 from eprkit import io as eprio
-from eprkit import lab
+from eprkit import cli, lab
 from eprkit.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from eprkit.lab import MAX_ENTRY_MAGNITUDE, build_scenario
 from eprkit.states import UncertaintyReport
@@ -214,7 +214,7 @@ class TestAnalyze:
     def test_failed_uncertainty_audit_is_invariant_error(self, monkeypatch, capsys):
         # the bound is a theorem, so a failed audit is a defect to report, not a crash
         failed = UncertaintyReport(delta_a=0.0, delta_b=0.0, rhs=1.0, satisfied=False)
-        monkeypatch.setattr(lab, "audit_uncertainty_from", lambda *args: failed)
+        monkeypatch.setattr(lab, "uncertainty_report", lambda *args: failed)
         assert main(["analyze", scenario_path("pauli_epr.json")]) == EXIT_INVARIANT
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -300,6 +300,33 @@ class TestUsage:
 
     def test_unknown_flag(self):
         assert main(["verify", scenario_path("pauli_epr.json"), "--frobnicate"]) == EXIT_USAGE
+
+    def test_consecutive_calls_share_one_parser_and_keep_their_outputs(self, capsys):
+        cli._build_parser.cache_clear()
+        path = scenario_path("pauli_epr.json")
+        argvs = [
+            ["verify", path],
+            ["analyze", path],
+            ["sample", path, "--shots", "1000", "--seed", "5"],
+            ["sample", path, "--seed", "5"],  # --shots missing: a usage error
+        ]
+        runs = []
+        for _ in range(2):
+            for argv in argvs:
+                code = main(argv)
+                captured = capsys.readouterr()
+                runs.append((code, captured.out, captured.err))
+        assert cli._build_parser.cache_info().misses == 1
+        # the second round repeats the first byte for byte, after the usage error
+        assert runs[:4] == runs[4:]
+        (verify, analyze, sample, usage) = runs[:4]
+        assert verify[0] == EXIT_OK and verify[1].endswith("all invariants satisfied\n") and verify[2] == ""
+        golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "analyze-pauli_epr.json"
+        assert analyze == (EXIT_OK, golden.read_text(encoding="utf-8"), "")
+        assert sample[0] == EXIT_OK and sample[2] == ""
+        assert sum(json.loads(sample[1])["sampling"]["counts"].values()) == 1000
+        assert usage[0] == EXIT_USAGE and usage[1] == ""
+        assert usage[2].startswith("usage: epr sample") and "--shots" in usage[2].splitlines()[-1]
 
 
 def test_report_parser_rejects_unknown_sections(tmp_path):

@@ -48,6 +48,15 @@ def three_level_chain_state() -> tuple[PureState, Observable]:
 
 
 class TestConditionalDistribution:
+    def test_probability_lookup_tolerance_scales_with_the_support(self):
+        key = 2.5e12 + 5e-4
+        large = ConditionalDistribution(given_sum=1.5e12, support=((-1e12, 0.25), (key, 0.75)))
+        assert large.probability_of(float(f"{key:.15g}")) == 0.75
+        small = ConditionalDistribution(given_sum=4e-10, support=((1e-10, 0.25), (3e-10, 0.75)))
+        assert small.probability_of(1e-10) == 0.25
+        with pytest.raises(SpectrumCoverageError):
+            small.probability_of(2e-10)
+
     def test_two_branch_weights(self):
         dist = conditional_distribution(two_branch_state(), Observable(PAULI_Z), 0.0)
         assert dist.given_sum == 0.0

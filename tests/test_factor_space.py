@@ -1,0 +1,110 @@
+"""The factor-space measurements against the dense N^2 x N^2 route they replace in the analysis."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from eprkit import io as eprio
+from eprkit.composite import lift, project_slot, project_sum, slot_expectation, sum_observable
+from eprkit.lab import build_scenario, run_epr_analysis
+from eprkit.linalg import Observable
+from eprkit.states import PureState, project_outcomes
+from helpers import dense_epr_analysis, random_hermitian, random_state_vector
+
+# Largest move allowed between the two routes, relative to max(1, |x|).
+ROUTE_TOL = 1e-12
+
+
+def random_unitary(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+def scenario(rng, n, kind):
+    """A random, equally spaced (maximally degenerate sums) or degenerate-B scenario."""
+    a = random_hermitian(rng, n)
+    b = random_hermitian(rng, n)
+    if kind == "equal":
+        u = random_unitary(rng, n)
+        a = u @ np.diag(np.arange(n) - (n - 1) / 2) @ u.conj().T
+    elif kind == "degenerate-b":
+        u = random_unitary(rng, n)
+        b = u @ np.diag([1.0, 1.0] + [0.0] * (n - 2)) @ u.conj().T
+    return build_scenario(f"{kind}-{n}", a, b, random_state_vector(rng, n * n))
+
+
+def assert_close(got, want, path="report"):
+    """Every float within ROUTE_TOL * max(1, |x|); everything else equal."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= ROUTE_TOL * max(1.0, abs(want)), (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+def test_slot_products_are_the_kronecker_products():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 5):
+        p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        psi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        eye = np.eye(n)
+        assert np.allclose((p @ psi).reshape(-1), np.kron(p, eye) @ psi.reshape(-1), rtol=0, atol=1e-13)
+        assert np.allclose((psi @ p.T).reshape(-1), np.kron(eye, p) @ psi.reshape(-1), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_projections_match_the_lifted_and_sum_projectors(n):
+    rng = np.random.default_rng(40 + n)
+    obs = Observable(random_hermitian(rng, n))
+    a = Observable(random_hermitian(rng, n))
+    vec = random_state_vector(rng, n * n)
+    state, psi = PureState(vec, factor_dims=(n, n)), vec.reshape(n, n)
+    for slot in (1, 2):
+        dist, projected = project_slot(psi, obs, slot)
+        dense_dist, dense_projected = project_outcomes(state, lift(obs, slot))
+        assert dist.values.tolist() == dense_dist.values.tolist()
+        assert np.abs(dist.probabilities - dense_dist.probabilities).max() <= 1e-14
+        assert np.abs(projected.reshape(len(dense_projected), -1) - np.array(dense_projected)).max() <= 1e-14
+        expected = state.expectation(lift(obs, slot).matrix)
+        assert abs(slot_expectation(psi, obs, slot) - expected) <= 1e-14 * max(1.0, np.abs(obs.matrix).max())
+    dist, projected = project_sum(psi, a)
+    dense_dist, dense_projected = project_outcomes(state, sum_observable(a))
+    assert dist.values.tolist() == dense_dist.values.tolist()
+    assert np.abs(dist.probabilities - dense_dist.probabilities).max() <= 1e-14
+    assert np.abs(np.array([w.reshape(-1) for w in projected]) - np.array(dense_projected)).max() <= 1e-14
+
+
+def test_project_slot_rejects_a_third_slot():
+    obs = Observable(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        project_slot(np.eye(2), obs, 3)
+    with pytest.raises(ValueError):
+        slot_expectation(np.eye(2), obs, 0)
+
+
+CASES = [(n, kind) for n in range(2, 9) for kind in ("random", "equal")] + [(6, "degenerate-b")]
+
+
+@pytest.mark.parametrize("n,kind", CASES)
+def test_report_matches_the_dense_projector_route(n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    sc = scenario(rng, n, kind)
+    # the dense route gets its own scenario, so it shares no cached data with the analysis
+    dense = dense_epr_analysis(build_scenario(sc.label, sc.obs_a.matrix, sc.obs_b.matrix, sc.initial_state.amplitudes))
+    report = run_epr_analysis(sc)
+    if kind == "degenerate-b":
+        assert not sc.obs_b.is_nondegenerate
+    assert len(report.per_sum) > 1 and report.chains
+    # branch and chain keys as the report prints them
+    got, want = eprio.analysis_to_payload(report), eprio.analysis_to_payload(dense)
+    assert list(got["per_sum"]) == list(want["per_sum"])
+    assert list(got["chains"]) == list(want["chains"])
+    # every field, the unserialized conditional tables included
+    assert_close(dataclasses.asdict(report), dataclasses.asdict(dense))

@@ -73,6 +73,33 @@ class TestOutcomeDistribution:
         with pytest.raises(SpectrumCoverageError):
             dist.probability_of(0.0)
 
+    def test_probability_lookup_tolerance_scales_with_the_values(self):
+        # a value of a 1e12-scale table, as a 15-digit report prints it, still matches
+        key = 2.5e12 + 5e-4
+        large = OutcomeDistribution(outcomes=((-1e12, 0.25), (key, 0.75)))
+        assert large.probability_of(float(f"{key:.15g}")) == 0.75
+        # in a 1e-10-scale table a non-member does not match its neighbour
+        small = OutcomeDistribution(outcomes=((1e-10, 0.25), (3e-10, 0.75)))
+        assert small.probability_of(3e-10) == 0.75
+        with pytest.raises(SpectrumCoverageError):
+            small.probability_of(2e-10)
+        assert small.probability_of(2e-10, tol=1e-9) == 0.75
+
+
+class TestSpectrumFunction:
+    def test_lookup_tolerance_scales_with_the_keys(self):
+        key = 2.5e12 + 5e-4
+        large = SpectrumFunction({-1e12: 1.0, key: 2.0})
+        assert large(float(f"{key:.15g}")) == 2.0
+        assert large.match_tol == pytest.approx(2.5e3)
+        small = SpectrumFunction({1e-10: 1.0, 3e-10: 2.0})
+        assert small(3e-10) == 2.0
+        with pytest.raises(SpectrumCoverageError):
+            small(2e-10)
+        assert not small.covers([1e-10, 2e-10])
+        # an explicit tolerance still wins, and squaring keeps it
+        assert SpectrumFunction({1e-10: 1.0, 3e-10: 2.0}, match_tol=1e-9).squared()(2e-10) == 4.0
+
 
 class TestOutcomeProbabilities:
     def test_eigenstate_is_point_mass(self):
