@@ -88,8 +88,11 @@ def _read_text(path: str) -> str:
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _load_scenario(path: str) -> Scenario:

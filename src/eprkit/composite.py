@@ -11,10 +11,17 @@ Measurements come in two equivalent forms. The factor-space form works on
 a state's N x N coefficient matrix psi (first factor as rows):
 (P x I) vec(psi) is vec(P psi), (I x P) vec(psi) is vec(psi P^T), and sum
 line k projects psi to the sum of P_n psi P_m^T over its pairs (n, m).
-``project_slot``, ``project_sum`` and ``slot_expectation`` take this form,
-and the analysis pipeline uses only them. The dense form (``lift``,
-``sum_observable``) assembles the N^2 x N^2 operators and their projectors;
-it serves the public API and cross-checks the factor-space form.
+``project_slot``, ``project_sum``, ``slot_expectation`` and
+``schmidt_rank`` take this form on a (..., N, N) stack: leading axes index
+states, and each state's result has the bits it would have alone, since a
+batched product runs the same BLAS call on every matrix. The analysis
+pipeline measures every branch, and then every chain, in one such call per
+observable and slot. ``slot_expectation`` returns numpy complex values:
+take their modulus with Python's ``abs`` on ``tolist()`` entries where the
+bits matter, since ``np.abs`` of a complex can differ in the last bit.
+The dense form (``lift``, ``sum_observable``) assembles the N^2 x N^2
+operators and their projectors; it serves the public API and cross-checks
+the factor-space form.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .linalg import (
     match_value,
     tensor_product,
 )
-from .states import OutcomeDistribution, PureState, project_outcomes, projected_distribution
+from .states import OutcomeDistribution, PureState, project_outcomes, projected_probabilities
 
 # Conditioning on an outcome below this probability is treated as impossible.
 ZERO_PROB_THRESHOLD = 1e-12
@@ -112,46 +119,60 @@ def anti_diagonal_index(a: Observable) -> AntiDiagonalIndex:
     return a._anti_diagonals
 
 
-def project_slot(psi: np.ndarray, obs: Observable, slot: int) -> tuple[OutcomeDistribution, np.ndarray]:
-    """Measure a factor observable on one slot of the coefficient matrix psi.
+def project_slot(psi: np.ndarray, obs: Observable, slot: int) -> tuple[np.ndarray, np.ndarray]:
+    """Measure a factor observable on one slot of each coefficient matrix in the (..., N, N) stack psi.
 
-    Returns the outcome distribution and the (lines, N, N) stack of projected
-    matrices ``P_k psi`` (slot 1) or ``psi P_k^T`` (slot 2), taken in one
-    batched product with the factor's projector stack.
+    Returns the (..., lines) outcome probabilities, in the order of the
+    observable's lines, and the (..., lines, N, N) projected matrices
+    ``P_k psi`` (slot 1) or ``psi P_k^T`` (slot 2), taken in one batched
+    product with the factor's projector stack.
     """
     stack = obs.projector_stack
+    psi = psi[..., None, :, :]
     if slot == 1:
         projected = stack @ psi
     elif slot == 2:
         projected = psi @ stack.transpose(0, 2, 1)
     else:
         raise ValueError(f"slot must be 1 or 2, got {slot!r}")
-    return projected_distribution([line.eigenvalue for line in obs.decomposition.lines], projected), projected
+    return projected_probabilities(projected.reshape(*projected.shape[:-2], -1)), projected
 
 
-def project_sum(psi: np.ndarray, a: Observable) -> tuple[OutcomeDistribution, list[np.ndarray]]:
-    """Measure S = A(1) + A(2) on the coefficient matrix psi: line k projects it to the sum of P_n psi P_m^T.
+def project_sum(psi: np.ndarray, a: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """Measure S = A(1) + A(2) on each coefficient matrix in the (..., N, N) stack psi.
 
-    The terms of all N^2 pairs come from two batched products; each line adds
-    up its own pairs in index order.
+    Line k projects psi to the sum of P_n psi P_m^T over its pairs (n, m).
+    Returns the (..., lines) probabilities, in the order of the sum index,
+    and the (..., lines, N, N) projected matrices. The terms of all N^2
+    pairs come from two batched products; each line adds up its own pairs in
+    index order.
     """
     index = anti_diagonal_index(a)
     stack = a.projector_stack
-    terms = (stack @ psi)[:, None] @ stack.transpose(0, 2, 1)[None]
-    projected = []
-    for pairs in index.sets:
+    terms = (stack @ psi[..., None, :, :])[..., :, None, :, :] @ stack.transpose(0, 2, 1)
+    projected = np.empty((*psi.shape[:-2], len(index.sets), *psi.shape[-2:]), dtype=np.complex128)
+    for k, pairs in enumerate(index.sets):
         rows, cols = zip(*pairs)
-        projected.append(terms[list(rows), list(cols)].sum(axis=0))
-    return projected_distribution(index.sums, projected), projected
+        terms[..., list(rows), list(cols), :, :].sum(axis=-3, out=projected[..., k, :, :])
+    return projected_probabilities(projected.reshape(*projected.shape[:-2], -1)), projected
 
 
-def slot_expectation(psi: np.ndarray, c: Observable, slot: int) -> complex:
-    """``<psi| C x I |psi>`` (slot 1) or ``<psi| I x C |psi>`` (slot 2) on the coefficient matrix psi."""
+def slot_expectation(psi: np.ndarray, c: Observable, slot: int) -> np.ndarray:
+    """``<psi| C x I |psi>`` (slot 1) or ``<psi| I x C |psi>`` (slot 2) of each matrix in the (..., N, N) stack psi.
+
+    Each value is the ``vdot`` of psi with C psi (or psi C^T), as ``vecdot``
+    on the flattened matrices. The analysis takes the audit's modulus with
+    Python's ``abs`` on each ``tolist()`` entry: ``np.abs`` of a complex can
+    differ from it in the last bit.
+    """
     if slot == 1:
-        return complex(np.vdot(psi, c.matrix @ psi))
-    if slot == 2:
-        return complex(np.vdot(psi, psi @ c.matrix.T))
-    raise ValueError(f"slot must be 1 or 2, got {slot!r}")
+        applied = c.matrix @ psi
+    elif slot == 2:
+        applied = psi @ c.matrix.T
+    else:
+        raise ValueError(f"slot must be 1 or 2, got {slot!r}")
+    lead = psi.shape[:-2]
+    return np.vecdot(psi.reshape(*lead, -1), applied.reshape(*lead, -1))
 
 
 def _assemble_lines(obs: Observable, lines) -> None:
@@ -320,11 +341,15 @@ def decompose_by_sum(state: PureState, s: Observable) -> list[tuple[float, PureS
     ]
 
 
-def schmidt_rank(state: PureState, tol: float = 1e-10) -> int:
+def schmidt_rank(state: PureState | np.ndarray, tol: float = 1e-10) -> int | np.ndarray:
     """Number of singular values of the coefficient matrix above tol.
 
-    Rank 1 means a product state; rank >= 2 means entanglement.
+    Rank 1 means a product state; rank >= 2 means entanglement. ``state`` is
+    a two-factor PureState, whose rank comes back as an int, or a (..., N, N)
+    stack of coefficient matrices, whose ranks come back as an array.
     """
+    if not isinstance(state, PureState):
+        return np.count_nonzero(np.linalg.svd(state, compute_uv=False) > tol, axis=-1)
     if len(state.factor_dims) == 2:
         n = state.factor_dims[0]
     else:

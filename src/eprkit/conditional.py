@@ -11,6 +11,7 @@ check the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .composite import (
 from .errors import DegenerateSpectrumError, DimensionMismatchError, SpectrumCoverageError
 from .linalg import Observable, default_grouping_tol, group_close_values, match_value, tensor_product
 from .states import (
+    PROBABILITY_SUM_TOL,
     OutcomeDistribution,
     PureState,
     SpectrumFunction,
@@ -34,7 +36,11 @@ from .states import (
     function_matrix,
     outcome_probabilities,
     project_outcomes,
+    read_only_column,
 )
+
+# Slack below 1 allowed for the point mass of A(2) after the full chain.
+POINT_MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,16 +52,16 @@ class ConditionalDistribution:
 
     def __post_init__(self):
         total = sum(p for _, p in self.support)
-        if not (abs(total - 1.0) <= 1e-10):
+        if not (abs(total - 1.0) <= PROBABILITY_SUM_TOL):
             raise ValueError(f"conditional probabilities sum to {total!r}, not 1")
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.support])
+        return read_only_column(self.support, 0)
 
-    @property
+    @cached_property
     def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.support])
+        return read_only_column(self.support, 1)
 
     def probability_of(self, value: float, tol: float | None = None) -> float:
         """Probability of the support value within tol of value (default: the support's grouping tolerance)."""
@@ -157,17 +163,15 @@ def conditional_distribution(state: PureState, a: Observable, s_value: float) ->
     first-factor eigenvalues compatible with the observed sum.
     """
     collapsed, k, s_obs = _collapse_on_sum(state, a, s_value)
-    return conditional_distribution_from(outcome_probabilities(collapsed, lift(a, 1)), s_obs.index, k)
+    return conditional_distribution_from(outcome_probabilities(collapsed, lift(a, 1)).probabilities, s_obs.index, k)
 
 
-def conditional_distribution_from(
-    a1_dist: OutcomeDistribution, index: AntiDiagonalIndex, k: int
-) -> ConditionalDistribution:
-    """``conditional_distribution`` from the A(1) distribution, by A's index, in the state collapsed on sum line k."""
+def conditional_distribution_from(a1_probabilities, index: AntiDiagonalIndex, k: int) -> ConditionalDistribution:
+    """``conditional_distribution`` from the A(1) probabilities, by A's index, in the state collapsed on sum line k."""
     pairs = index.sets[k]
     if len({n for n, _ in pairs}) < len(pairs):
         raise DegenerateSpectrumError(f"A is too close to degenerate: sum {index.sums[k]!r} pins no A(2) outcome")
-    support = tuple((index.factor_eigenvalues[n], a1_dist.outcomes[n][1]) for n, _ in pairs)
+    support = tuple((index.factor_eigenvalues[n], float(a1_probabilities[n])) for n, _ in pairs)
     return ConditionalDistribution(given_sum=index.sums[k], support=support)
 
 
@@ -240,7 +244,7 @@ def certain_prediction_from(a2_dist: OutcomeDistribution, target: int, gvals) ->
 
     ``target`` is the index of the eigenvalue s - a1 of A, and ``gvals`` holds g on A's eigenvalues.
     """
-    if not (a2_dist.probabilities[target] >= 1.0 - 1e-10):
+    if not (a2_dist.probabilities[target] >= 1.0 - POINT_MASS_TOL):
         raise ValueError("state was not produced by the measurement chain for (s_value, a1_value)")
     mean, stdev = a2_dist.moments(gvals)
     return CertainPrediction(value=mean, stdev=stdev, delta_check=a2_dist)

@@ -5,9 +5,10 @@ space with an initial state of the two-factor composite. The analysis
 conditions on every reachable sum outcome, audits the uncertainty bound in
 each branch, runs the full measure-S-then-A1 chain, and the sampler draws
 reproducible measurement paths to compare empirical frequencies against the
-analytic distributions. The analysis measures on the state's N x N
-coefficient matrix with the factor-space helpers of ``eprkit.composite``;
-no N^2 x N^2 operator is built for it or for sampling.
+analytic distributions. The analysis measures stacks of N x N
+coefficient matrices, every branch or every chain at once, with the
+factor-space helpers of ``eprkit.composite``; no N^2 x N^2 operator is
+built for it or for sampling.
 """
 
 from __future__ import annotations
@@ -22,23 +23,30 @@ from . import _kernels
 from .composite import (
     ZERO_PROB_THRESHOLD,
     anti_diagonal_index,
-    collapse,
     project_slot,
     project_sum,
     schmidt_rank,
     slot_expectation,
 )
 from .conditional import (
+    POINT_MASS_TOL,
     ConditionalDistribution,
     PredictionSummary,
     SumConstraintReport,
-    certain_prediction_from,
     conditional_distribution_from,
-    verify_theorem2_from,
 )
 from .errors import DimensionMismatchError, ImpossibleOutcomeError, ScenarioInvariantError
 from .linalg import MAX_DIM, Observable, default_grouping_tol, extract_c
-from .states import OutcomeDistribution, PureState, UncertaintyReport, uncertainty_report
+from .states import (
+    PROBABILITY_SUM_TOL,
+    OutcomeDistribution,
+    PureState,
+    UncertaintyReport,
+    normalize,
+    ordered_mean,
+    spectral_moments,
+    uncertainty_report,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -235,98 +243,143 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
 
     Outcomes of (numerically) zero probability are omitted rather than
     reported as errors; every retained branch carries its own audits. This is
-    the one walk over the paths (s_k, a_n, a_m): each branch is collapsed once
-    and its pairs (n, m) are read off the sum index, so A(1) and A(2)
-    distributions are indexed by A's eigenvalue position, never matched by
-    value. Every measurement acts on the N x N coefficient matrix of the
-    state (``project_sum``, ``project_slot``, ``slot_expectation``), so no
-    N^2 x N^2 operator is built. Each outcome distribution in a collapsed
-    state is computed once and shared by the summaries, audits and chains.
-    Branches and chains collapse from the matrices the sum and A(1)
-    distributions projected.
+    the one walk over the paths (s_k, a_n, a_m): each branch's pairs (n, m)
+    are read off the sum index, so A(1) and A(2) distributions are indexed by
+    A's eigenvalue position, never matched by value.
+
+    The walk is one stacked pass. The populated sum lines' projected N x N
+    coefficient matrices form a (K, N, N) stack, normalized at once; A, B
+    and C are measured on both slots of every branch with one batched
+    product each (``project_slot``, ``slot_expectation``), and the means,
+    stdevs, audit right-hand sides and Schmidt ranks are array operations.
+    The chains do the same on the (J, N, N) stack of A(1)-projected branch
+    matrices. Every float has the bits the state-by-state loop gives: sums
+    run in outcome order, each row's ``vecdot`` is the ``dot`` or ``vdot``
+    of that row, and each audit's |<C>| is Python's ``abs`` of a complex,
+    which ``np.abs`` can miss in the last bit. Only the report objects are
+    built in a loop. A measurement that does not sum to 1, a collapsed state
+    that fails its norm check or a chain that misses its point mass raises
+    ScenarioInvariantError.
     """
     a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
     a.require_nondegenerate()
     n_dim = sc.factor_dim
-    state = sc.initial_state
     index = anti_diagonal_index(a)
-    spectrum, branch_matrices = project_sum(state.amplitudes.reshape(n_dim, n_dim), a)
-    factors = {"a": a, "b": b, "c": c}
     a_values = a.eigenvalues
+    sum_probs, line_matrices = project_sum(sc.initial_state.amplitudes.reshape(n_dim, n_dim), a)
+    _require_normalized(sum_probs, "S")
+    spectrum = OutcomeDistribution(outcomes=tuple(zip(index.sums, sum_probs.tolist())))
+
+    kept = np.flatnonzero(~(sum_probs < ZERO_PROB_THRESHOLD))
+    psi_s = _collapse_all(line_matrices[kept])
+    summaries, moments = {}, {}
+    for name, obs in (("a", a), ("b", b), ("c", c)):
+        for slot in (1, 2):
+            probs, projected = project_slot(psi_s, obs, slot)
+            _require_normalized(probs, f"{name.upper()}({slot})")
+            if (name, slot) == ("a", 1):
+                a1_probs, a1_projected = probs.tolist(), projected
+            moments[name, slot] = spectral_moments(obs.eigenvalues, probs)
+            summaries[name, slot] = [
+                PredictionSummary(mean=mean, stdev=stdev)
+                for mean, stdev in zip(ordered_mean(obs.eigenvalues, probs).tolist(), moments[name, slot][1].tolist())
+            ]
+    (mean1, stdev1), (mean2, stdev2) = moments["a", 1], moments["a", 2]
+    mean_residuals = np.abs(mean2 - (np.asarray(index.sums)[kept] - mean1)).tolist()
+    stdev_gaps = np.abs(stdev1 - stdev2).tolist()
+    rhs = {slot: _half_modulus(slot_expectation(psi_s, c, slot)) for slot in (1, 2)}
+    ranks = schmidt_rank(psi_s).tolist()
 
     branches = []
-    chains = []
-    for k, (s_value, prob) in enumerate(spectrum.outcomes):
-        if prob < ZERO_PROB_THRESHOLD:
-            continue
-        psi_s = collapse(state, branch_matrices[k], prob)
-        coeff_s = psi_s.amplitudes.reshape(n_dim, n_dim)
-        measured = {(name, slot): project_slot(coeff_s, obs, slot) for name, obs in factors.items() for slot in (1, 2)}
-        dists = {key: dist for key, (dist, _) in measured.items()}
-        chain_matrices = measured[("a", 1)][1]
-        summaries = {
-            key: PredictionSummary(mean=dist.mean_of(dist.values), stdev=dist.moments()[1])
-            for key, dist in dists.items()
-        }
+    walked = []  # (branch position, n, m, a1 value, conditional probability) of every chain
+    for i, k in enumerate(kept.tolist()):
+        summary = {key: rows[i] for key, rows in summaries.items()}
         audits = {
-            slot: uncertainty_report(
-                summaries[("a", slot)].stdev,
-                summaries[("b", slot)].stdev,
-                0.5 * abs(slot_expectation(coeff_s, c, slot)),
-            )
+            slot: uncertainty_report(summary[("a", slot)].stdev, summary[("b", slot)].stdev, rhs[slot][i])
             for slot in (1, 2)
         }
-        cond = conditional_distribution_from(dists[("a", 1)], index, k)
+        cond = conditional_distribution_from(a1_probs[i], index, k)
         branches.append(
             SumBranchReport(
-                s_value=s_value,
-                probability=prob,
-                schmidt_rank=schmidt_rank(psi_s),
-                a1=summaries[("a", 1)],
-                a2=summaries[("a", 2)],
-                b1=summaries[("b", 1)],
-                b2=summaries[("b", 2)],
-                c1=summaries[("c", 1)],
-                c2=summaries[("c", 2)],
-                sum_constraint=verify_theorem2_from(dists[("a", 1)], dists[("a", 2)], a, s_value),
+                s_value=index.sums[k],
+                probability=spectrum.outcomes[k][1],
+                schmidt_rank=ranks[i],
+                a1=summary[("a", 1)],
+                a2=summary[("a", 2)],
+                b1=summary[("b", 1)],
+                b2=summary[("b", 2)],
+                c1=summary[("c", 1)],
+                c2=summary[("c", 2)],
+                sum_constraint=SumConstraintReport(mean_identity_residual=mean_residuals[i], stdev_gap=stdev_gaps[i]),
                 audit_slot1=audits[1],
                 audit_slot2=audits[2],
                 sum_index=k,
                 conditional=cond,
             )
         )
-
         for (n, m), (a1_value, cond_prob) in zip(index.sets[k], cond.support):
-            if cond_prob < ZERO_PROB_THRESHOLD:
-                continue
-            phi = collapse(psi_s, chain_matrices[n], cond_prob)
-            coeff_phi = phi.amplitudes.reshape(n_dim, n_dim)
-            a2_dist = project_slot(coeff_phi, a, 2)[0]
-            prediction = certain_prediction_from(a2_dist, m, a_values)
-            a2_value = float(a_values[m])
-            chains.append(
-                ChainReport(
-                    s_value=s_value,
-                    a1_value=a1_value,
-                    a2_value=a2_value,
-                    conditional_probability=cond_prob,
-                    a2_predicted=prediction.value,
-                    a2_stdev=prediction.stdev,
-                    point_mass_residual=abs(1.0 - a2_dist.outcomes[m][1]),
-                    resolution=uncertainty_report(
-                        prediction.stdev,
-                        project_slot(coeff_phi, b, 2)[0].moments()[1],
-                        0.5 * abs(slot_expectation(coeff_phi, c, 2)),
-                    ),
-                )
-            )
+            if not cond_prob < ZERO_PROB_THRESHOLD:
+                walked.append((i, n, m, a1_value, cond_prob))
 
+    positions, ns, ms = (np.array([chain[j] for chain in walked], dtype=np.intp) for j in range(3))
+    phi = _collapse_all(a1_projected[positions, ns])
+    a2_probs = project_slot(phi, a, 2)[0]
+    _require_normalized(a2_probs, "A(2) after the chain")
+    point_mass = a2_probs[np.arange(len(walked)), ms]
+    if not np.all(point_mass >= 1.0 - POINT_MASS_TOL):
+        raise ScenarioInvariantError("a state left by the measurement chain misses its A(2) point mass")
+    a2_predicted, a2_stdev = (x.tolist() for x in spectral_moments(a_values, a2_probs))
+    residuals = np.abs(1.0 - point_mass).tolist()
+    b2_probs = project_slot(phi, b, 2)[0]
+    _require_normalized(b2_probs, "B(2) after the chain")
+    b2_stdev = spectral_moments(b.eigenvalues, b2_probs)[1].tolist()
+    chain_rhs = _half_modulus(slot_expectation(phi, c, 2))
+
+    chains = [
+        ChainReport(
+            s_value=branches[i].s_value,
+            a1_value=a1_value,
+            a2_value=float(a_values[m]),
+            conditional_probability=cond_prob,
+            a2_predicted=a2_predicted[j],
+            a2_stdev=a2_stdev[j],
+            point_mass_residual=residuals[j],
+            resolution=uncertainty_report(a2_stdev[j], b2_stdev[j], chain_rhs[j]),
+        )
+        for j, (i, n, m, a1_value, cond_prob) in enumerate(walked)
+    ]
     return EprReport(
         scenario_label=sc.label,
         sum_spectrum=spectrum,
         per_sum=tuple(branches),
         chains=tuple(chains),
     )
+
+
+def _collapse_all(projected: np.ndarray) -> np.ndarray:
+    """The states ``P psi / |P psi|`` of a (states, N, N) stack of projected coefficient matrices."""
+    try:
+        unit, _ = normalize(projected.reshape(len(projected), -1))
+    except ValueError as exc:
+        raise ScenarioInvariantError(f"collapsed state: {exc}") from exc
+    return unit.reshape(projected.shape)
+
+
+def _require_normalized(probabilities: np.ndarray, measured: str) -> None:
+    """Check that every row of a stacked measurement sums to 1; NaN fails.
+
+    Each row is added in outcome order, as ``OutcomeDistribution`` adds it,
+    and held to the same ``PROBABILITY_SUM_TOL``.
+    """
+    totals = np.cumsum(probabilities, axis=-1)[..., -1]
+    failed = ~(np.abs(totals - 1.0) <= PROBABILITY_SUM_TOL)
+    if failed.any():
+        raise ScenarioInvariantError(f"{measured} probabilities sum to {float(totals[failed][0])!r}, not 1")
+
+
+def _half_modulus(expectations: np.ndarray) -> list[float]:
+    """``|<C>| / 2`` of each expectation, with Python's ``abs``: ``np.abs`` of a complex can differ in the last bit."""
+    return [0.5 * abs(z) for z in expectations.tolist()]
 
 
 def path_key(s_value: float, a1_value: float, a2_value: float) -> str:

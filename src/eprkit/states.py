@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,28 @@ HUP_SLACK = 1e-10
 
 PHASE_EQUAL_TOL = 1e-10
 
+# Largest distance from 1 allowed for the total probability of one measurement.
+PROBABILITY_SUM_TOL = 1e-10
+
+
+def normalize(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide every complex vector along the last axis by its 2-norm; return the unit vectors and the norms.
+
+    Each norm is ``sqrt(re.re + im.im)``, the arithmetic ``np.linalg.norm``
+    uses on one complex vector, so a stack of vectors normalizes bit for bit
+    as each would alone. Raises ValueError when an amplitude is not finite or
+    a norm falls below ``MIN_STATE_NORM`` or overflows.
+    """
+    if not np.isfinite(vectors).all():
+        raise ValueError("state amplitudes must be finite")
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(vectors.real, vectors.real) + np.vecdot(vectors.imag, vectors.imag))
+    if np.any(norms < MIN_STATE_NORM):
+        raise ValueError(f"state vector norm {float(np.min(norms)):.3e} is below {MIN_STATE_NORM}")
+    if not np.isfinite(norms).all():
+        raise ValueError("state vector norm overflows the float range")
+    return vectors / norms[..., None], norms
+
 
 class PureState:
     """A normalized complex vector on a (possibly composite) Hilbert space.
@@ -35,15 +58,7 @@ class PureState:
     """
 
     def __init__(self, amplitudes, factor_dims=None):
-        vec = np.ascontiguousarray(amplitudes, dtype=np.complex128).reshape(-1)
-        if not np.isfinite(vec).all():
-            raise ValueError("state amplitudes must be finite")
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(vec))
-        if norm < MIN_STATE_NORM:
-            raise ValueError(f"state vector norm {norm:.3e} is below {MIN_STATE_NORM}")
-        if not math.isfinite(norm):
-            raise ValueError("state vector norm overflows the float range")
+        vec, norm = normalize(np.ascontiguousarray(amplitudes, dtype=np.complex128).reshape(-1))
         if factor_dims is None:
             factor_dims = (vec.size,)
         factor_dims = tuple(int(d) for d in factor_dims)
@@ -51,11 +66,10 @@ class PureState:
             raise DimensionMismatchError(
                 f"factor dims {factor_dims} do not multiply to vector length {vec.size}"
             )
-        vec = vec / norm
         vec.setflags(write=False)
         self._amplitudes = vec
         self._factor_dims = factor_dims
-        self._norm_scale = norm
+        self._norm_scale = float(norm)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -105,16 +119,16 @@ class OutcomeDistribution:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("outcome values must be strictly increasing")
         total = sum(p for _, p in self.outcomes)
-        if not (abs(total - 1.0) <= 1e-10):
+        if not (abs(total - 1.0) <= PROBABILITY_SUM_TOL):
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.outcomes])
+        return read_only_column(self.outcomes, 0)
 
-    @property
+    @cached_property
     def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.outcomes])
+        return read_only_column(self.outcomes, 1)
 
     def probability_of(self, value: float, tol: float | None = None) -> float:
         """Probability of the outcome within tol of value (default: the outcomes' grouping tolerance)."""
@@ -124,19 +138,45 @@ class OutcomeDistribution:
 
     def mean_of(self, fvals) -> float:
         """``sum_k f(v_k) p_k`` for f's values ``fvals`` on the outcomes, accumulated in outcome order."""
-        return float(sum(fv * p for fv, (_, p) in zip(fvals, self.outcomes, strict=True)))
+        fvals = np.asarray(fvals, dtype=float)
+        if fvals.shape != self.probabilities.shape:
+            raise ValueError(f"{fvals.size} function values for {len(self.outcomes)} outcomes")
+        return float(ordered_mean(fvals, self.probabilities))
 
     def moments(self, fvals=None) -> tuple[float, float]:
-        """Mean and standard deviation of f(value), given f's values on the outcomes (default: the values).
-
-        The mean is a dot product, so it can differ from ``mean_of`` in the
-        last bit; the variance is taken about that mean, never as
-        ``E[f^2] - E[f]^2``, which loses all precision near zero.
-        """
+        """Mean and standard deviation of f(value), given f's values on the outcomes (default: the values)."""
         fvals = self.values if fvals is None else np.asarray(fvals, dtype=float)
-        mean = float(np.dot(fvals, self.probabilities))
-        var = float(np.dot((fvals - mean) ** 2, self.probabilities))
-        return mean, math.sqrt(max(var, 0.0))
+        mean, stdev = spectral_moments(fvals, self.probabilities)
+        return float(mean), float(stdev)
+
+
+def read_only_column(pairs, i: int) -> np.ndarray:
+    """Entry i of every pair as one read-only array, built once for a frozen distribution."""
+    column = np.array([pair[i] for pair in pairs])
+    column.setflags(write=False)
+    return column
+
+
+def ordered_mean(fvals: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
+    """``sum_k f_k p_k`` along the last axis, accumulated in outcome order.
+
+    ``cumsum`` adds left to right, as Python's ``sum`` does; adding 0.0 turns
+    a -0.0 total into the 0.0 that ``sum``'s integer start gives.
+    """
+    return np.cumsum(fvals * probabilities, axis=-1)[..., -1] + 0.0
+
+
+def spectral_moments(fvals: np.ndarray, probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of f along the last axis, for f's values on the outcomes.
+
+    The mean is a dot product (``vecdot`` has ``np.dot``'s arithmetic on
+    each row), so it can differ from ``ordered_mean`` in the last bit; the
+    variance is taken about that mean, never as ``E[f^2] - E[f]^2``, which
+    loses all precision near zero.
+    """
+    mean = np.vecdot(fvals, probabilities)
+    var = np.vecdot((fvals - mean[..., None]) ** 2, probabilities)
+    return mean, np.sqrt(np.maximum(var, 0.0))
 
 
 class SpectrumFunction:
@@ -219,16 +259,14 @@ class DiagonalVanishingReport:
     a_degenerate: bool
 
 
-def projected_distribution(values, projected) -> OutcomeDistribution:
-    """The distribution ``p_k = |P_k psi|^2``, clamped to [0, 1], from each outcome's value and ``P_k psi``.
+def projected_probabilities(projected: np.ndarray) -> np.ndarray:
+    """Outcome probabilities ``p_k = |P_k psi|^2``, clamped to [0, 1], from each ``P_k psi`` flattened on the last axis.
 
-    ``P_k psi`` may be a vector or a coefficient matrix; its squared norm is
-    the same. ``vecdot`` takes every line's norm in one call, with the
-    arithmetic of ``vdot``.
+    Leading axes index lines, and states before them when a stack of states
+    was measured. ``vecdot`` takes every squared norm in one call, with the
+    arithmetic of ``vdot`` on each.
     """
-    flat = np.reshape(projected, (len(values), -1))
-    probabilities = np.clip(np.vecdot(flat, flat).real, 0.0, 1.0)
-    return OutcomeDistribution(outcomes=tuple(zip(values, probabilities.tolist())))
+    return np.clip(np.vecdot(projected, projected).real, 0.0, 1.0)
 
 
 def project_outcomes(state: PureState, obs: Observable) -> tuple[OutcomeDistribution, list[np.ndarray]]:
@@ -237,7 +275,8 @@ def project_outcomes(state: PureState, obs: Observable) -> tuple[OutcomeDistribu
         raise DimensionMismatchError(f"state dim {state.dim} != observable dim {obs.dim}")
     lines = obs.decomposition.lines
     projected = [line.projector @ state.amplitudes for line in lines]
-    return projected_distribution([line.eigenvalue for line in lines], projected), projected
+    probabilities = projected_probabilities(np.array(projected))
+    return OutcomeDistribution(tuple(zip([line.eigenvalue for line in lines], probabilities.tolist()))), projected
 
 
 def outcome_probabilities(state: PureState, obs: Observable) -> OutcomeDistribution:

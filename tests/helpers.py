@@ -134,7 +134,7 @@ def dense_epr_analysis(sc):
             )
             for slot in (1, 2)
         }
-        cond = conditional_distribution_from(dists[("a", 1)], index, k)
+        cond = conditional_distribution_from(dists[("a", 1)].probabilities, index, k)
         branches.append(
             SumBranchReport(
                 s_value=s_value,
@@ -171,3 +171,132 @@ def dense_epr_analysis(sc):
                 )
             )
     return EprReport(scenario_label=sc.label, sum_spectrum=spectrum, per_sum=tuple(branches), chains=tuple(chains))
+
+
+def reference_epr_analysis(sc):
+    """``run_epr_analysis`` as the state-by-state loop the stacked pass replaced, with that loop's arithmetic.
+
+    One branch, then one chain, at a time: each collapse divides by
+    ``np.linalg.norm``, each measurement is one batched product of the
+    factor's projector stack with one coefficient matrix, each summary mean
+    a Python ``sum`` in outcome order, each stdev a pair of ``np.dot`` calls,
+    and each audit's right-hand side ``abs`` of a ``vdot``. The stacked pass
+    must reproduce every float of this report bit for bit.
+    """
+    import math
+
+    from eprkit.composite import ZERO_PROB_THRESHOLD, anti_diagonal_index
+    from eprkit.conditional import ConditionalDistribution, PredictionSummary, SumConstraintReport
+    from eprkit.lab import ChainReport, EprReport, SumBranchReport
+    from eprkit.states import OutcomeDistribution, uncertainty_report
+
+    def norms(projected):
+        flat = np.reshape(projected, (len(projected), -1))
+        return np.clip(np.vecdot(flat, flat).real, 0.0, 1.0).tolist()
+
+    def collapse(projected):
+        vec = np.ascontiguousarray(projected, dtype=np.complex128).reshape(-1)
+        return (vec / float(np.linalg.norm(vec))).reshape(projected.shape)
+
+    def project_slot(psi, obs, slot):
+        stack = obs.projector_stack
+        projected = stack @ psi if slot == 1 else psi @ stack.transpose(0, 2, 1)
+        return norms(projected), projected
+
+    def slot_expectation(psi, c, slot):
+        return complex(np.vdot(psi, c.matrix @ psi if slot == 1 else psi @ c.matrix.T))
+
+    def mean_of(fvals, probs):
+        return float(sum(fv * p for fv, p in zip(fvals, probs, strict=True)))
+
+    def moments(fvals, probs):
+        probs = np.array(probs)
+        mean = float(np.dot(fvals, probs))
+        var = float(np.dot((fvals - mean) ** 2, probs))
+        return mean, math.sqrt(max(var, 0.0))
+
+    a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
+    a.require_nondegenerate()
+    n_dim = sc.factor_dim
+    index = anti_diagonal_index(a)
+    psi = sc.initial_state.amplitudes.reshape(n_dim, n_dim)
+    stack = a.projector_stack
+    terms = (stack @ psi)[:, None] @ stack.transpose(0, 2, 1)[None]
+    branch_matrices = [terms[[n for n, _ in pairs], [m for _, m in pairs]].sum(axis=0) for pairs in index.sets]
+    spectrum = OutcomeDistribution(outcomes=tuple(zip(index.sums, norms(branch_matrices))))
+    factors = {"a": a, "b": b, "c": c}
+    a_values = a.eigenvalues
+
+    branches = []
+    chains = []
+    for k, (s_value, prob) in enumerate(spectrum.outcomes):
+        if prob < ZERO_PROB_THRESHOLD:
+            continue
+        coeff_s = collapse(branch_matrices[k])
+        measured = {(name, slot): project_slot(coeff_s, obs, slot) for name, obs in factors.items() for slot in (1, 2)}
+        summaries = {
+            (name, slot): PredictionSummary(
+                mean=mean_of(factors[name].eigenvalues, probs), stdev=moments(factors[name].eigenvalues, probs)[1]
+            )
+            for (name, slot), (probs, _) in measured.items()
+        }
+        audits = {
+            slot: uncertainty_report(
+                summaries[("a", slot)].stdev,
+                summaries[("b", slot)].stdev,
+                0.5 * abs(slot_expectation(coeff_s, c, slot)),
+            )
+            for slot in (1, 2)
+        }
+        a1_probs, chain_matrices = measured[("a", 1)]
+        cond = ConditionalDistribution(
+            given_sum=s_value, support=tuple((index.factor_eigenvalues[n], a1_probs[n]) for n, _ in index.sets[k])
+        )
+        mean1, stdev1 = moments(a_values, a1_probs)
+        mean2, stdev2 = moments(a_values, measured[("a", 2)][0])
+        branches.append(
+            SumBranchReport(
+                s_value=s_value,
+                probability=prob,
+                schmidt_rank=int(np.count_nonzero(np.linalg.svd(coeff_s, compute_uv=False) > 1e-10)),
+                **{f"{name}{slot}": summaries[(name, slot)] for name in "abc" for slot in (1, 2)},
+                sum_constraint=SumConstraintReport(
+                    mean_identity_residual=abs(mean2 - (s_value - mean1)), stdev_gap=abs(stdev1 - stdev2)
+                ),
+                audit_slot1=audits[1],
+                audit_slot2=audits[2],
+                sum_index=k,
+                conditional=cond,
+            )
+        )
+
+        for (n, m), (a1_value, cond_prob) in zip(index.sets[k], cond.support):
+            if cond_prob < ZERO_PROB_THRESHOLD:
+                continue
+            coeff_phi = collapse(chain_matrices[n])
+            a2_probs = project_slot(coeff_phi, a, 2)[0]
+            assert a2_probs[m] >= 1.0 - 1e-10
+            predicted, stdev = moments(a_values, a2_probs)
+            chains.append(
+                ChainReport(
+                    s_value=s_value,
+                    a1_value=a1_value,
+                    a2_value=float(a_values[m]),
+                    conditional_probability=cond_prob,
+                    a2_predicted=predicted,
+                    a2_stdev=stdev,
+                    point_mass_residual=abs(1.0 - a2_probs[m]),
+                    resolution=uncertainty_report(
+                        stdev,
+                        moments(b.eigenvalues, project_slot(coeff_phi, b, 2)[0])[1],
+                        0.5 * abs(slot_expectation(coeff_phi, c, 2)),
+                    ),
+                )
+            )
+
+    return EprReport(
+        scenario_label=sc.label,
+        sum_spectrum=spectrum,
+        per_sum=tuple(branches),
+        chains=tuple(chains),
+    )

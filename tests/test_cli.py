@@ -222,6 +222,59 @@ class TestAnalyze:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "distort, message",
+        [
+            # every measurement's probabilities doubled: none sums to 1
+            (lambda probs, obs, slot, a: 2.0 * probs, "probabilities sum to"),
+            # A(2) shifted by one outcome: still normalized, but the chain's point mass moves off a_m
+            (
+                lambda probs, obs, slot, a: np.roll(probs, 1, axis=-1) if obs is a and slot == 2 else probs,
+                "point mass",
+            ),
+        ],
+        ids=["sum-to-one", "point-mass"],
+    )
+    def test_failed_walk_check_is_invariant_error(self, monkeypatch, capsys, distort, message):
+        # the walk's own checks fail as invariant violations, not as tracebacks
+        sc = eprio.scenario_from_json(scenario_text("pauli_epr.json"))
+        original = lab.project_slot
+
+        def distorted(psi, obs, slot):
+            probs, projected = original(psi, obs, slot)
+            return distort(probs, obs, slot, sc.obs_a), projected
+
+        monkeypatch.setattr(lab, "project_slot", distorted)
+        monkeypatch.setattr(cli, "_load_scenario", lambda path: sc)
+        assert main(["analyze", scenario_path("pauli_epr.json")]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("epr: invariant violation: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", scenario_path("pauli_epr.json")],
+            ["sample", scenario_path("pauli_epr.json"), "--shots", "100"],
+            ["demo-pauli", "--amplitudes", "1,0,0,0,0,0,0,0"],
+        ],
+        ids=["analyze", "sample", "demo-pauli"],
+    )
+    def test_out_to_a_missing_directory_is_usage_error(self, argv, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "dir" / "r.json"
+        assert main(argv + ["--out", str(target)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"epr: error: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not target.exists()
+
 
 class TestSample:
     def test_identical_seed_identical_bytes(self, tmp_path):

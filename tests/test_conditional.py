@@ -57,6 +57,14 @@ class TestConditionalDistribution:
         with pytest.raises(SpectrumCoverageError):
             small.probability_of(2e-10)
 
+    def test_arrays_are_built_once_and_read_only(self):
+        dist = ConditionalDistribution(given_sum=0.0, support=((-1.0, 0.25), (1.0, 0.75)))
+        for name in ("values", "probabilities"):
+            first = getattr(dist, name)
+            assert getattr(dist, name) is first
+            assert not first.flags.writeable
+        assert dist.values.tolist() == [-1.0, 1.0] and dist.probabilities.tolist() == [0.25, 0.75]
+
     def test_two_branch_weights(self):
         dist = conditional_distribution(two_branch_state(), Observable(PAULI_Z), 0.0)
         assert dist.given_sum == 0.0

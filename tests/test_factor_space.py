@@ -1,16 +1,19 @@
 """The factor-space measurements against the dense N^2 x N^2 route they replace in the analysis."""
 
 import dataclasses
+import struct
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from eprkit import io as eprio
-from eprkit.composite import lift, project_slot, project_sum, slot_expectation, sum_observable
+from eprkit import composite
+from eprkit.composite import anti_diagonal_index, lift, project_slot, project_sum, slot_expectation, sum_observable
 from eprkit.lab import build_scenario, run_epr_analysis
 from eprkit.linalg import Observable
 from eprkit.states import PureState, project_outcomes
-from helpers import dense_epr_analysis, random_hermitian, random_state_vector
+from helpers import dense_epr_analysis, random_hermitian, random_state_vector, reference_epr_analysis
 
 # Largest move allowed between the two routes, relative to max(1, |x|).
 ROUTE_TOL = 1e-12
@@ -67,18 +70,35 @@ def test_projections_match_the_lifted_and_sum_projectors(n):
     vec = random_state_vector(rng, n * n)
     state, psi = PureState(vec, factor_dims=(n, n)), vec.reshape(n, n)
     for slot in (1, 2):
-        dist, projected = project_slot(psi, obs, slot)
+        probabilities, projected = project_slot(psi, obs, slot)
         dense_dist, dense_projected = project_outcomes(state, lift(obs, slot))
-        assert dist.values.tolist() == dense_dist.values.tolist()
-        assert np.abs(dist.probabilities - dense_dist.probabilities).max() <= 1e-14
+        assert obs.eigenvalues.tolist() == dense_dist.values.tolist()
+        assert np.abs(probabilities - dense_dist.probabilities).max() <= 1e-14
         assert np.abs(projected.reshape(len(dense_projected), -1) - np.array(dense_projected)).max() <= 1e-14
         expected = state.expectation(lift(obs, slot).matrix)
         assert abs(slot_expectation(psi, obs, slot) - expected) <= 1e-14 * max(1.0, np.abs(obs.matrix).max())
-    dist, projected = project_sum(psi, a)
+    probabilities, projected = project_sum(psi, a)
     dense_dist, dense_projected = project_outcomes(state, sum_observable(a))
-    assert dist.values.tolist() == dense_dist.values.tolist()
-    assert np.abs(dist.probabilities - dense_dist.probabilities).max() <= 1e-14
-    assert np.abs(np.array([w.reshape(-1) for w in projected]) - np.array(dense_projected)).max() <= 1e-14
+    assert list(anti_diagonal_index(a).sums) == dense_dist.values.tolist()
+    assert np.abs(probabilities - dense_dist.probabilities).max() <= 1e-14
+    assert np.abs(projected.reshape(len(dense_projected), -1) - np.array(dense_projected)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_a_stack_of_states_measures_as_each_state_alone(n):
+    # the leading axis of a stack changes no bit of any state's result
+    rng = np.random.default_rng(60 + n)
+    obs, a = Observable(random_hermitian(rng, n)), Observable(random_hermitian(rng, n))
+    stack = np.array([random_state_vector(rng, n * n).reshape(n, n) for _ in range(4)])
+    measurements = [lambda psi, slot=slot: project_slot(psi, obs, slot) for slot in (1, 2)]
+    measurements += [lambda psi: project_sum(psi, a)]
+    measurements += [lambda psi, slot=slot: (slot_expectation(psi, obs, slot),) for slot in (1, 2)]
+    measurements += [lambda psi: (composite.schmidt_rank(psi),)]
+    for measure in measurements:
+        together = measure(stack)
+        for i, psi in enumerate(stack):
+            for joint, alone in zip(together, measure(psi)):
+                assert joint[i].tobytes() == np.asarray(alone).tobytes()
 
 
 def test_project_slot_rejects_a_third_slot():
@@ -108,3 +128,52 @@ def test_report_matches_the_dense_projector_route(n, kind):
     assert list(got["chains"]) == list(want["chains"])
     # every field, the unserialized conditional tables included
     assert_close(dataclasses.asdict(report), dataclasses.asdict(dense))
+
+
+def assert_identical(got, want, path="report"):
+    """Every float bit for bit (``struct.pack``), every other value equal and of the same type."""
+    assert type(got) is type(want), (path, type(got), type(want))
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_identical(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_identical(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want), (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+BUNDLED = ("pauli_epr.json", "pauli_uniform.json", "spin_one.json")
+
+
+def bundled(name):
+    return eprio.scenario_from_json(resources.files("eprkit.scenarios").joinpath(name).read_text(encoding="utf-8"))
+
+
+def scaled(n, factor):
+    rng = np.random.default_rng([n, 12])
+    sc = scenario(rng, n, "random")
+    return build_scenario(f"scaled-{n}", sc.obs_a.matrix * factor, sc.obs_b.matrix, sc.initial_state.amplitudes)
+
+
+def generated(n, kind):
+    return scenario(np.random.default_rng([n, len(kind)]), n, kind)
+
+
+IDENTITY_CASES = (
+    [pytest.param(lambda name=name: bundled(name), id=name) for name in BUNDLED]
+    + [pytest.param(lambda n=n, kind=kind: generated(n, kind), id=f"{kind}-{n}") for n, kind in CASES]
+    + [pytest.param(lambda n=n, f=f: scaled(n, f), id=f"scaled-{n}-{f:g}") for n in (3, 5, 8) for f in (1e-12, 1e3)]
+)
+
+
+@pytest.mark.parametrize("make", IDENTITY_CASES)
+def test_stacked_walk_is_bit_identical_to_the_state_by_state_loop(make):
+    # each side gets its own scenario, so neither reads data the other cached
+    want = reference_epr_analysis(make())
+    got = run_epr_analysis(make())
+    assert_identical(dataclasses.asdict(got), dataclasses.asdict(want))

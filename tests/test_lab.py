@@ -211,10 +211,24 @@ class TestRunEprAnalysis:
             stacks.append(len(arrays))
             return original_stack(arrays, *args, **kwargs)
 
+        # the walk measures every branch, then every chain, as one stack: its measurement calls
+        # do not grow with the number of branches and chains
+        measured = Counter()
+        for name in ("project_slot", "project_sum", "slot_expectation"):
+            original = getattr(composite, name)
+
+            def counting_measure(*args, _name=name, _original=original, **kwargs):
+                measured[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(lab, name, counting_measure)
+
         monkeypatch.setattr(Observable, "__init__", counting_init)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np, "stack", counting_stack)
         report = run_epr_analysis(sc)
+        per_analysis = measured.copy()
+        assert per_analysis == Counter({"project_sum": 1, "project_slot": 8, "slot_expectation": 3})
         assert len(report.per_sum) > 1 and len(report.chains) > n
         assert calls == Counter({"anti_diagonals": 1})
         # no observable is built at all, so none of composite dimension N^2
@@ -244,6 +258,13 @@ class TestRunEprAnalysis:
         factors = (degenerate.obs_a, degenerate.obs_b, degenerate.obs_c)
         assert sorted(stacks) == sorted(len(obs.decomposition.lines) for obs in factors)
         assert len(degenerate.obs_b.decomposition.lines) == 2
+
+        # N=3 walks a handful of branches and chains, N=8 dozens, with the same measurement calls
+        small = build_scenario("guard-3", random_hermitian(rng, 3), random_hermitian(rng, 3), random_state_vector(rng, 9))
+        measured.clear()
+        small_report = run_epr_analysis(small)
+        assert len(small_report.chains) < len(report.chains)
+        assert measured == per_analysis
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_analysis_is_invariant_under_scaling_a(self, n):

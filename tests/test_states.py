@@ -67,6 +67,20 @@ class TestOutcomeDistribution:
         with pytest.raises(ValueError):
             OutcomeDistribution(outcomes=((0.0, math.nan),))
 
+    def test_arrays_are_built_once_and_read_only(self):
+        dist = OutcomeDistribution(outcomes=((-1.0, 0.25), (1.0, 0.75)))
+        for name in ("values", "probabilities"):
+            first = getattr(dist, name)
+            assert getattr(dist, name) is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = 0.0
+        assert dist.values.tolist() == [-1.0, 1.0] and dist.probabilities.tolist() == [0.25, 0.75]
+        assert dist.mean_of([2.0, 4.0]) == 3.5
+        # one function value per outcome, as before
+        with pytest.raises(ValueError):
+            dist.mean_of([2.0])
+
     def test_probability_lookup(self):
         dist = OutcomeDistribution(outcomes=((-1.0, 0.25), (1.0, 0.75)))
         assert dist.probability_of(1.0) == 0.75
