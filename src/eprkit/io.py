@@ -5,6 +5,14 @@ nested arrays, and every float is emitted with 15 significant digits (a
 representation that survives a parse/emit round trip unchanged). Parsing is
 strict: unknown fields are rejected so that typos fail loudly instead of
 being silently ignored.
+
+``emit_json`` is one recursive pass that appends text pieces and joins them;
+its bytes are those of ``json.dumps(indent=2, allow_nan=False)`` applied to
+the payload with every float rounded to 15 significant digits. A float's
+text is ``f"{v:.15g}"`` itself, which for a finite value already is the
+shortest repr of the rounded double; only an integral text (given ``.0``),
+the exponent +15 and exponents of magnitude 308 or more (written by
+``repr`` after the round trip) differ.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -34,35 +43,119 @@ _REPORT_REQUIRED = {"schema_version", "label", "inputs", "analysis", "metadata"}
 _REPORT_OPTIONAL = {"sampling"}
 
 
-def _quantize(value):
-    """Round every float to 15 significant digits, recursively."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, str)) or value is None:
-        return value
+def _float_text(value: float) -> str:
+    """``repr(float(f"{value:.15g}"))``, built from the formatted text without the round trip.
+
+    A finite decimal of at most 15 significant digits parses to its own
+    double, whose shortest repr has the same digits; only the layout can
+    differ. An integral text gains ``.0`` and a non-finite value raises, as
+    ``json.dumps(allow_nan=False)`` does. The exponent +15 (which repr writes
+    positionally) and |exponent| >= 308 (subnormals, and values that round
+    to inf) go through the round trip.
+    """
+    text = f"{value:.15g}"
+    mark = text.find("e")
+    if mark < 0:
+        if "." in text:
+            return text
+        if text[-1] not in "fn":  # inf, -inf and nan fall through to the check below
+            return text + ".0"
+    elif -308 < (exponent := int(text[mark + 1 :])) < 308 and exponent != 15:
+        return text
+    rounded = float(text)
+    if not math.isfinite(rounded):
+        raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+    return repr(rounded)
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps quotes it: str as is, bool, int, float and None by their JSON text."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _quote(json.dumps(key, allow_nan=False))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _scalar_text(value) -> str:
+    """The JSON text of a non-container value, checked in json.dumps' order (bool before int).
+
+    Subclasses count: a ``np.float64`` is written as a float.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return float(f"{value:.15g}")
-    if isinstance(value, dict):
-        return {k: _quantize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_quantize(v) for v in value]
+        return _float_text(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _encode(value, newline: str, append) -> None:
+    """Append the text of value, laid out as ``json.dumps(indent=2)`` lays it out.
+
+    newline is the line break plus the indent of the line value starts on.
+    Floats, the bulk of a report, are written inline in the loops.
+    """
+    if isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        separator = "," + inner
+        for key, item in value.items():
+            head = opener + (_quote(key) if type(key) is str else _key_text(key)) + ": "
+            opener = separator
+            if type(item) is float:
+                append(head + _float_text(item))
+            elif isinstance(item, (dict, list, tuple)):
+                append(head)
+                _encode(item, inner, append)
+            else:
+                append(head + _scalar_text(item))
+        append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        separator = "," + inner
+        for item in value:
+            if type(item) is float:
+                append(opener + _float_text(item))
+            elif isinstance(item, (dict, list, tuple)):
+                append(opener)
+                _encode(item, inner, append)
+            else:
+                append(opener + _scalar_text(item))
+            opener = separator
+        append(newline + "]")
+    else:
+        append(_scalar_text(value))
+
+
 def emit_json(payload: dict) -> str:
-    return json.dumps(_quantize(payload), indent=2, allow_nan=False) + "\n"
-
-
-def _complex_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+    """``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline, every float rounded to 15 digits."""
+    pieces: list[str] = []
+    _encode(payload, "\n", pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def _matrix_payload(m: np.ndarray) -> list:
-    return [[_complex_pair(z) for z in row] for row in m]
+    return [[[z.real, z.imag] for z in row] for row in m.tolist()]
 
 
 def _vector_payload(v: np.ndarray) -> list:
-    return [_complex_pair(z) for z in v]
+    return [[z.real, z.imag] for z in v.tolist()]
 
 
 def _reject_constant(name: str):

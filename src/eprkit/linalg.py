@@ -81,13 +81,18 @@ def extract_c(a, b, alpha: float) -> np.ndarray:
     """Solve ``[A, B] = i*alpha*C`` for C given Hermitian A, B.
 
     The commutator of Hermitian matrices is anti-Hermitian, so the result is
-    Hermitian up to rounding.
+    Hermitian up to rounding. A quotient that overflows (a subnormal alpha)
+    raises ValueError.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     a = require_hermitian(a, name="a")
     b = require_hermitian(b, name="b")
-    return commutator(a, b) / (1j * alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = commutator(a, b) / (1j * alpha)
+    if not np.isfinite(c).all():
+        raise ValueError(f"[A, B]/(i*alpha) overflows for alpha = {alpha:.3e}")
+    return c
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ loops) so that agreement between the two is a real cross-check.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -300,3 +302,28 @@ def reference_epr_analysis(sc):
         per_sum=tuple(branches),
         chains=tuple(chains),
     )
+
+
+def _quantize(value):
+    """Round every float to 15 significant digits, recursively."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, str)) or value is None:
+        return value
+    if isinstance(value, float):
+        return float(f"{value:.15g}")
+    if isinstance(value, dict):
+        return {k: _quantize(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_quantize(v) for v in value]
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_emit_json(payload) -> str:
+    """``io.emit_json`` as it was before the one-pass writer: a rounded copy, then ``json.dumps(indent=2)``.
+
+    The writer must reproduce these bytes, and raise the same exception type
+    (ValueError for NaN and infinities, TypeError for anything else JSON
+    cannot hold) where this raises.
+    """
+    return json.dumps(_quantize(payload), indent=2, allow_nan=False) + "\n"

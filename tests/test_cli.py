@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
@@ -134,6 +135,24 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "envelope" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "analyze", "sample"])
+    @pytest.mark.parametrize("keep_c", [True, False])
+    def test_subnormal_alpha_is_invariant_error(self, command, keep_c, tmp_path, capsys):
+        # [A, B] / (i * 5e-324) overflows, with or without a matrix_c to compare it with
+        payload = json.loads(scenario_text("pauli_epr.json"))
+        payload["alpha"] = 5e-324
+        if not keep_c:
+            del payload["matrix_c"]
+        path = tmp_path / "subnormal_alpha.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        extra = ["--shots", "100"] if command == "sample" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, str(path), *extra]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.startswith("epr: invariant violation: ") and err.count("\n") == 1
+        assert "alpha" in err
 
     @pytest.mark.parametrize("command", ["verify", "analyze", "sample"])
     @pytest.mark.parametrize("factor", [1e155, 1e200])

@@ -1,0 +1,182 @@
+"""The one-pass report writer, byte for byte against the rounded-copy-plus-json.dumps it replaced.
+
+Reports are compared as the CLI writes them (bundled scenarios, the
+benchmark's generated workloads) and as the golden files hold them; a
+hypothesis fuzz covers payload shapes and floats that no report reaches.
+perfbench/ is only read: its golden files and its workload generator.
+"""
+
+import functools
+import gc
+import importlib.util
+import math
+import sys
+from importlib.resources import files
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from eprkit import io as eprio
+from eprkit.cli import EXIT_OK, main
+from eprkit.lab import build_scenario
+from helpers import random_hermitian, random_state_vector, reference_emit_json
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BUNDLED = ["pauli_epr", "pauli_uniform", "spin_one"]
+
+
+@functools.cache
+def load_workloads():
+    """perfbench/workloads.py, imported from its file under its own name (its dataclass needs the module registered)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def emitted_payloads(argv, monkeypatch, capsys) -> tuple[list, str]:
+    """Run one ``epr`` command and return the payloads it emitted with its stdout."""
+    seen = []
+    emit = eprio.emit_json
+    monkeypatch.setattr(eprio, "emit_json", lambda payload: seen.append(payload) or emit(payload))
+    assert main(argv) == EXIT_OK
+    monkeypatch.setattr(eprio, "emit_json", emit)
+    return seen, capsys.readouterr().out
+
+
+def assert_cli_matches_reference(argv, monkeypatch, capsys) -> None:
+    payloads, out = emitted_payloads(argv, monkeypatch, capsys)
+    assert len(payloads) == 1
+    assert out == reference_emit_json(payloads[0])
+
+
+@pytest.mark.parametrize("stem", BUNDLED)
+@pytest.mark.parametrize("command", [["analyze"], ["sample", "--shots", "10000", "--seed", "3"]])
+def test_bundled_reports_match_the_reference(stem, command, monkeypatch, capsys):
+    path = str(files("eprkit.scenarios") / f"{stem}.json")
+    assert_cli_matches_reference([command[0], path, *command[1:]], monkeypatch, capsys)
+
+
+def test_demo_pauli_scenario_matches_the_reference(monkeypatch, capsys):
+    argv = ["demo-pauli", "--amplitudes", "0.6,0,0,0.1,-0.3,0.2,0,0.7", "--label", "tést\n"]
+    assert_cli_matches_reference(argv, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("golden", sorted(PERFBENCH.glob("golden/analyze-*.json")), ids=lambda p: p.stem)
+def test_golden_reports_re_emit_unchanged(golden):
+    text = golden.read_text(encoding="utf-8")
+    payload = eprio.run_report_from_json(text)
+    assert eprio.emit_json(payload) == reference_emit_json(payload) == text
+
+
+@pytest.mark.parametrize("workload", ["analyze_large", "cli_small"])
+@pytest.mark.parametrize("seed", range(6))
+def test_workload_reports_match_the_reference(workload, seed, tmp_path, monkeypatch, capsys):
+    workloads = load_workloads()
+    scenario_dir = Path(eprio.__file__).parent / "scenarios"
+    ops = [op for op in workloads.build(workload, seed, tmp_path, scenario_dir) if op.kind != "verify"]
+    assert ops
+    for op in ops:
+        assert_cli_matches_reference(op.argv, monkeypatch, capsys)
+
+
+def test_emitting_a_report_leaves_no_reference_cycle():
+    # a walk that keeps itself alive (a closure calling itself) would hold each
+    # report's pieces until the collector runs
+    rng = np.random.default_rng(8)
+    sc = build_scenario("gc", random_hermitian(rng, 8), random_hermitian(rng, 8), random_state_vector(rng, 64))
+    payload = eprio.run_report_payload(sc, eprio.analysis_to_payload(sc.analysis), None, "test")
+    gc.collect()
+    gc.disable()
+    try:
+        text = eprio.emit_json(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(text) > 50_000
+
+
+def outcome(emit, payload):
+    """The text emit writes, or the type of the exception it raises."""
+    try:
+        return emit(payload)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+# every double that stays finite at 15 digits; the ones beyond are in NON_FINITE below
+LARGEST = 1.79769313486231e308
+FLOATS = st.one_of(
+    st.floats(min_value=-LARGEST, max_value=LARGEST),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and the normal edge
+    st.floats(min_value=1e15, max_value=1e16, exclude_max=True),  # repr writes these positionally
+    st.floats(min_value=-1e16, max_value=-1e15, exclude_min=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, 9.999999999999999e14, LARGEST]),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(),
+    FLOATS,
+    FLOATS.map(np.float64),
+)
+KEYS = st.text()  # any code point: non-ASCII, control characters, quotes and backslashes
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAYLOADS)
+@example({"é\x00\n\"\\\u2028": [1e15, -0.0, 5e-324, (True, None, 7)]})
+@example([])
+@example({})
+def test_fuzzed_payloads_match_the_reference(payload):
+    assert outcome(eprio.emit_json, payload) == outcome(reference_emit_json, payload)
+
+
+@st.composite
+def payload_holding(draw, leaves):
+    """A nested payload with a drawn leaf somewhere inside it, beside fuzzed siblings."""
+    value = draw(leaves)
+    for _ in range(draw(st.integers(0, 3))):
+        siblings = draw(st.lists(PAYLOADS, max_size=3))
+        siblings.insert(draw(st.integers(0, len(siblings))), value)
+        shape = draw(st.sampled_from(["list", "tuple", "dict"]))
+        if shape == "dict":
+            keys = draw(st.lists(KEYS, min_size=len(siblings), max_size=len(siblings), unique=True))
+            value = dict(zip(keys, siblings))
+        else:
+            value = siblings if shape == "list" else tuple(siblings)
+    return value
+
+
+# the largest double rounds to 1.79769313486232e308 at 15 digits, beyond the float range;
+# siblings hold only valid values, since a payload with two faults may raise either
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 1.7976931348623157e308, -1.7976931348623157e308])
+UNSUPPORTED = st.sampled_from([object(), {1, 2}, 1 + 2j, np.int64(3), np.bool_(True), b"bytes"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload_holding(st.one_of(NON_FINITE, NON_FINITE.map(np.float64))))
+def test_non_finite_floats_raise_value_error(payload):
+    assert outcome(reference_emit_json, payload) is ValueError
+    assert outcome(eprio.emit_json, payload) is ValueError
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload_holding(UNSUPPORTED))
+def test_unsupported_values_raise_type_error(payload):
+    assert outcome(reference_emit_json, payload) is TypeError
+    assert outcome(eprio.emit_json, payload) is TypeError

@@ -118,6 +118,11 @@ class TestExtractC:
         with pytest.raises(NonHermitianError):
             extract_c(upper, PAULI_X, 1.0)
 
+    def test_overflowing_quotient_rejected(self):
+        # [Z, X] / (i * 5e-324) overflows; the pytest filter turns any numpy warning into an error
+        with pytest.raises(ValueError, match="overflows"):
+            extract_c(PAULI_Z, PAULI_X, 5e-324)
+
 
 class TestIsHermitian:
     def test_sigma_y(self):
