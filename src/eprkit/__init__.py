@@ -4,16 +4,12 @@ __version__ = "0.1.0"
 
 from .composite import (
     AntiDiagonalIndex,
-    JointDistribution,
     SumObservable,
     anti_diagonals,
-    decompose_by_sum,
-    joint_distribution,
     lift,
     post_measurement_state,
     schmidt_rank,
     sum_observable,
-    sum_probabilities,
 )
 from .conditional import (
     CertainPrediction,

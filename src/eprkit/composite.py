@@ -20,8 +20,9 @@ observable and slot. ``slot_expectation`` returns numpy complex values:
 take their modulus with Python's ``abs`` on ``tolist()`` entries where the
 bits matter, since ``np.abs`` of a complex can differ in the last bit.
 The dense form (``lift``, ``sum_observable``) assembles the N^2 x N^2
-operators and their projectors; it serves the public API and cross-checks
-the factor-space form.
+operators and their projectors. Neither the analysis nor any
+``eprkit.conditional`` entry point runs it; it stays public as the
+independent route the tests check the factor-space form against.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .linalg import (
     match_value,
     tensor_product,
 )
-from .states import OutcomeDistribution, PureState, project_outcomes, projected_probabilities
+from .states import PureState, projected_probabilities
 
 # Conditioning on an outcome below this probability is treated as impossible.
 ZERO_PROB_THRESHOLD = 1e-12
@@ -250,52 +251,11 @@ def sum_observable(a1: Observable) -> SumObservable:
     return a1._sum
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Probabilities q[n, m] of jointly observing (a_n, a_m) on the two factors."""
-
-    q: np.ndarray
-    a_eigenvalues: tuple[float, ...]
-
-    def __post_init__(self):
-        n = len(self.a_eigenvalues)
-        if self.q.shape != (n, n):
-            raise DimensionMismatchError(f"q shape {self.q.shape} does not match spectrum size {n}")
-        if self.q.min() < -1e-12 or self.q.max() > 1.0 + 1e-12:
-            raise ValueError("joint probabilities must lie in [0, 1]")
-        total = float(self.q.sum())
-        if not (abs(total - 1.0) <= 1e-10):
-            raise ValueError(f"joint probabilities sum to {total!r}, not 1")
-
-
 def _composite_factor_dim(state: PureState, n: int) -> None:
     if state.dim != n * n:
         raise DimensionMismatchError(f"state dim {state.dim} is not the composite dim {n * n}")
     if len(state.factor_dims) == 2 and state.factor_dims != (n, n):
         raise DimensionMismatchError(f"state factors {state.factor_dims} are not ({n}, {n})")
-
-
-def joint_distribution(state: PureState, a: Observable) -> JointDistribution:
-    """Coefficients of the state on the product eigenbasis, squared."""
-    a.require_nondegenerate()
-    _composite_factor_dim(state, a.dim)
-    v = a.eigenvectors
-    psi = state.amplitudes.reshape(a.dim, a.dim)
-    coeff = v.conj().T @ psi @ v.conj()
-    q = np.clip(np.abs(coeff) ** 2, 0.0, 1.0)
-    q.setflags(write=False)
-    return JointDistribution(q=q, a_eigenvalues=tuple(float(x) for x in a.eigenvalues))
-
-
-def sum_probabilities(q: JointDistribution, idx: AntiDiagonalIndex) -> OutcomeDistribution:
-    """Accumulate joint probabilities along anti-diagonals: p(s_k) = sum over S(k)."""
-    if len(q.a_eigenvalues) != len(idx.factor_eigenvalues):
-        raise DimensionMismatchError("joint distribution and index use different spectra")
-    outcomes = []
-    for s, members in zip(idx.sums, idx.sets):
-        p = float(sum(q.q[n, m] for n, m in members))
-        outcomes.append((s, min(max(p, 0.0), 1.0)))
-    return OutcomeDistribution(outcomes=tuple(outcomes))
 
 
 def collapse(state: PureState, projected: np.ndarray, prob: float) -> PureState:
@@ -324,21 +284,6 @@ def post_measurement_state(state: PureState, projector) -> tuple[PureState, floa
     projected = p_mat @ state.amplitudes
     prob = float(np.real(np.vdot(projected, projected)))
     return collapse(state, projected, prob), min(prob, 1.0)
-
-
-def decompose_by_sum(state: PureState, s: Observable) -> list[tuple[float, PureState]]:
-    """Split a state into its sum-eigenspace branches.
-
-    Returns (sqrt(p(s_k)), branch) for every eigenvalue with probability above
-    the zero threshold. Branches keep the phase inherited from the projection,
-    so the weighted branches add back up to the original state verbatim.
-    """
-    dist, projected = project_outcomes(state, s)
-    return [
-        (float(np.sqrt(p)), collapse(state, w, p))
-        for (_, p), w in zip(dist.outcomes, projected)
-        if p >= ZERO_PROB_THRESHOLD
-    ]
 
 
 def schmidt_rank(state: PureState | np.ndarray, tol: float = 1e-10) -> int | np.ndarray:

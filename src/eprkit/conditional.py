@@ -2,10 +2,14 @@
 
 Once S = A(1) + A(2) has been measured, predictions about either factor are
 made in the collapsed state, and they coincide with classically conditioning
-the joint outcome distribution on the observed sum. Both routes are
-implemented here: the projector route (collapse, then predict) and a
-brute-force classical oracle that never touches a projector, so each can
-check the other.
+the joint outcome distribution on the observed sum. Every entry point runs
+the projector route (collapse, then predict) on the state's N x N
+coefficient matrix psi with the factor-space measurements of
+``eprkit.composite`` (``project_sum``, ``project_slot``,
+``slot_expectation``), as the analysis does, so none builds an N^2 x N^2
+operator; the pinning and tower checks also read the joint weights |K|^2,
+K = V^H psi conj(V). ``oracle_conditional`` is the brute-force classical
+conditioning that never touches a projector, so each can check the other.
 """
 
 from __future__ import annotations
@@ -18,25 +22,23 @@ import numpy as np
 from .composite import (
     ZERO_PROB_THRESHOLD,
     AntiDiagonalIndex,
-    SumObservable,
+    _composite_factor_dim,
+    anti_diagonal_index,
     collapse,
-    joint_distribution,
-    lift,
-    sum_observable,
+    project_slot,
+    project_sum,
+    slot_expectation,
 )
 from .errors import DegenerateSpectrumError, DimensionMismatchError, SpectrumCoverageError
-from .linalg import Observable, default_grouping_tol, group_close_values, match_value, tensor_product
+from .linalg import Observable, default_grouping_tol, group_close_values, match_value
 from .states import (
     PROBABILITY_SUM_TOL,
     OutcomeDistribution,
     PureState,
     SpectrumFunction,
     UncertaintyReport,
-    audit_uncertainty,
-    function_matrix,
-    outcome_probabilities,
-    project_outcomes,
     read_only_column,
+    uncertainty_report,
 )
 
 # Slack below 1 allowed for the point mass of A(2) after the full chain.
@@ -146,24 +148,43 @@ class PairSpectrumFunction:
         return self._values[i]
 
 
-def _collapse_on_sum(state: PureState, a: Observable, s_value: float) -> tuple[PureState, int, SumObservable]:
-    """Collapse onto the eigenspace of S matching s_value; returns the matched line's index too."""
+def _coefficients(state: PureState, a: Observable) -> np.ndarray:
+    """The state's N x N coefficient matrix for the factor observable A, first factor as rows."""
+    n = a.dim
+    if state.dim != n * n:
+        raise DimensionMismatchError(f"state dim {state.dim} is not the composite dim {n * n}")
+    return state.amplitudes.reshape(n, n)
+
+
+def _slot_distribution(psi: np.ndarray, obs: Observable, slot: int) -> OutcomeDistribution:
+    """Outcome distribution of a factor observable measured on one slot of the coefficient matrix psi."""
+    probabilities = project_slot(psi, obs, slot)[0]
+    return OutcomeDistribution(tuple(zip(obs.eigenvalues.tolist(), probabilities.tolist())))
+
+
+def _sum_branch(state: PureState, a: Observable, s_value: float) -> tuple[np.ndarray, int]:
+    """The coefficient matrix of the state collapsed on the sum line matching s_value, and that line's index."""
     a.require_nondegenerate()
-    s_obs = sum_observable(a)
-    k = s_obs.index.sum_index(s_value)
-    dist, projected = project_outcomes(state, s_obs)
-    return collapse(state, projected[k], dist.outcomes[k][1]), k, s_obs
+    k = anti_diagonal_index(a).sum_index(s_value)
+    probabilities, lines = project_sum(_coefficients(state, a), a)
+    return _coefficients(collapse(state, lines[k], float(probabilities[k])), a), k
+
+
+def _joint_weights(psi: np.ndarray, a: Observable) -> np.ndarray:
+    """|K|^2 with K = V^H psi conj(V), for a nondegenerate A: the probability of each product eigenstate |a_n>|a_m>."""
+    v = a.eigenvectors
+    return np.abs(v.conj().T @ psi @ v.conj()) ** 2
 
 
 def conditional_distribution(state: PureState, a: Observable, s_value: float) -> ConditionalDistribution:
     """First-factor outcome probabilities given that the sum was observed as s_value.
 
-    Computed along the projector route: collapse onto the sum eigenspace, then
+    Computed along the projector route: collapse onto the sum line, then
     measure A(1) in the collapsed state. The support is exactly the set of
     first-factor eigenvalues compatible with the observed sum.
     """
-    collapsed, k, s_obs = _collapse_on_sum(state, a, s_value)
-    return conditional_distribution_from(outcome_probabilities(collapsed, lift(a, 1)).probabilities, s_obs.index, k)
+    psi_s, k = _sum_branch(state, a, s_value)
+    return conditional_distribution_from(project_slot(psi_s, a, 1)[0], anti_diagonal_index(a), k)
 
 
 def conditional_distribution_from(a1_probabilities, index: AntiDiagonalIndex, k: int) -> ConditionalDistribution:
@@ -178,19 +199,19 @@ def conditional_distribution_from(a1_probabilities, index: AntiDiagonalIndex, k:
 def conditional_prediction(state: PureState, a: Observable, f: SpectrumFunction, s_value: float) -> PredictionSummary:
     """Mean and error of f(A(1)) predicted after the sum was observed as s_value."""
     f.require_covers(a.eigenvalues)
-    collapsed, _, _ = _collapse_on_sum(state, a, s_value)
-    mean, stdev = outcome_probabilities(collapsed, lift(a, 1)).moments([f(v) for v in a.eigenvalues])
+    psi_s, _ = _sum_branch(state, a, s_value)
+    mean, stdev = _slot_distribution(psi_s, a, 1).moments([f(v) for v in a.eigenvalues])
     return PredictionSummary(mean=mean, stdev=stdev)
 
 
 def verify_theorem2(state: PureState, a: Observable, s_value: float) -> SumConstraintReport:
     """Residuals of the post-measurement identities m(A2) = s - m(A1), D(A1) = D(A2)."""
-    collapsed, k, s_obs = _collapse_on_sum(state, a, s_value)
+    psi_s, k = _sum_branch(state, a, s_value)
     return verify_theorem2_from(
-        outcome_probabilities(collapsed, lift(a, 1)),
-        outcome_probabilities(collapsed, lift(a, 2)),
+        _slot_distribution(psi_s, a, 1),
+        _slot_distribution(psi_s, a, 2),
         a,
-        s_obs.index.sums[k],
+        anti_diagonal_index(a).sums[k],
     )
 
 
@@ -213,10 +234,10 @@ def sequential_measure(state: PureState, a: Observable, s_value: float, a1_value
     Either stage raises ImpossibleOutcomeError when its outcome has
     (numerically) zero probability in the current state.
     """
-    collapsed, _, _ = _collapse_on_sum(state, a, s_value)
+    psi_s, _ = _sum_branch(state, a, s_value)
     n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
-    dist, projected = project_outcomes(collapsed, lift(a, 1))
-    return collapse(collapsed, projected[n], dist.outcomes[n][1])
+    probabilities, projected = project_slot(psi_s, a, 1)
+    return collapse(state, projected[n], float(probabilities[n]))
 
 
 def certain_prediction(
@@ -228,21 +249,30 @@ def certain_prediction(
 ) -> CertainPrediction:
     """Predict g(A(2)) in the state left by the full measurement chain.
 
-    After S = s and A(1) = a1 the second factor is pinned to s - a1, so the
-    prediction carries zero error and the outcome distribution of A(2) is a
-    point mass there. Everything is still computed honestly in the state; the
-    chain values only identify which point mass to expect.
+    After S = s and A(1) = a1 the second factor is pinned to the partner m
+    of a1's pair (n, m) on the sum line, so the prediction carries zero error
+    and the outcome distribution of A(2) is a point mass there. The partner
+    is read off the sum index, as the analysis reads it, so a line that
+    merged near-coincident sums still pins its A(2) outcome. Everything is
+    still computed honestly in the state; the chain values only identify
+    which point mass to expect.
     """
     g.require_covers(a.eigenvalues)
-    target = match_value(a.eigenvalues, s_value - a1_value, a.grouping_tol)
-    a2_dist = outcome_probabilities(phi, lift(a, 2))
-    return certain_prediction_from(a2_dist, target, [g(v) for v in a.eigenvalues])
+    index = anti_diagonal_index(a)
+    k = index.sum_index(s_value)
+    n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
+    partners = [m for row, m in index.sets[k] if row == n]
+    if len(partners) != 1:
+        raise SpectrumCoverageError(f"a1 = {a1_value!r} pins no single A(2) outcome on sum {index.sums[k]!r}")
+    a2_dist = _slot_distribution(_coefficients(phi, a), a, 2)
+    return certain_prediction_from(a2_dist, partners[0], [g(v) for v in a.eigenvalues])
 
 
 def certain_prediction_from(a2_dist: OutcomeDistribution, target: int, gvals) -> CertainPrediction:
     """``certain_prediction`` from the A(2) distribution, by A's index, in the post-chain state.
 
-    ``target`` is the index of the eigenvalue s - a1 of A, and ``gvals`` holds g on A's eigenvalues.
+    ``target`` is the index of A(2)'s pinned eigenvalue, a1's partner on the sum line, and ``gvals`` holds g on A's
+    eigenvalues.
     """
     if not (a2_dist.probabilities[target] >= 1.0 - POINT_MASS_TOL):
         raise ValueError("state was not produced by the measurement chain for (s_value, a1_value)")
@@ -258,7 +288,14 @@ def epr_resolution_check(phi: PureState, a: Observable, b: Observable, c: Observ
     right-hand side is therefore zero and a zero-error prediction of A(2)
     contradicts nothing.
     """
-    return audit_uncertainty(phi, lift(a, 2), lift(b, 2), lift(c, 2))
+    if not (a.dim == b.dim == c.dim):
+        raise DimensionMismatchError("audit requires all operands on one space")
+    psi = _coefficients(phi, a)
+    return uncertainty_report(
+        _slot_distribution(psi, a, 2).moments()[1],
+        _slot_distribution(psi, b, 2).moments()[1],
+        0.5 * abs(complex(slot_expectation(psi, c, 2))),
+    )
 
 
 def quantum_conditional_expectation(state: PureState, a: Observable, f: SpectrumFunction) -> ConditionalExpectationTable:
@@ -268,21 +305,23 @@ def quantum_conditional_expectation(state: PureState, a: Observable, f: Spectrum
     each collapsed branch of positive probability.
     """
     f.require_covers(a.eigenvalues)
-    s_obs = sum_observable(a)
-    return _conditional_expectation_from(a, f, s_obs, *project_outcomes(state, s_obs))
+    return _expectation_table(a, f, *project_sum(_coefficients(state, a), a))
 
 
-def _conditional_expectation_from(
-    a: Observable, f: SpectrumFunction, s_obs: SumObservable, dist: OutcomeDistribution, projected: list[np.ndarray]
+def _expectation_table(
+    a: Observable, f: SpectrumFunction, probabilities: np.ndarray, lines: np.ndarray
 ) -> ConditionalExpectationTable:
-    """``quantum_conditional_expectation`` from the sum distribution and each line's P_k psi."""
-    f_lifted = tensor_product(function_matrix(a, f), np.eye(a.dim))
-    entries = []
-    for (s, p), w in zip(dist.outcomes, projected):
-        if p >= ZERO_PROB_THRESHOLD:
-            e = float(np.real(np.vdot(w, f_lifted @ w))) / p
-            entries.append((s, e))
-    return ConditionalExpectationTable(entries=tuple(entries), match_tol=s_obs.index.match_tol)
+    """``quantum_conditional_expectation`` from the sum probabilities and each line's projected matrix P_k psi.
+
+    <psi_k| f(A1) |psi_k> is sum_n f(a_n) |P_n psi_k|^2: f's values against
+    A(1) measured on each populated line.
+    """
+    index = anti_diagonal_index(a)
+    kept = np.flatnonzero(probabilities >= ZERO_PROB_THRESHOLD)
+    weights = project_slot(lines[kept], a, 1)[0]
+    e = weights @ np.array([f(v) for v in a.eigenvalues]) / probabilities[kept]
+    entries = tuple(zip([index.sums[k] for k in kept.tolist()], e.tolist()))
+    return ConditionalExpectationTable(entries=entries, match_tol=index.match_tol)
 
 
 def oracle_conditional(state: PureState, a: Observable, f: SpectrumFunction) -> ConditionalExpectationTable:
@@ -325,29 +364,24 @@ def verify_tower_property(
 
     The left side contracts the conditional-expectation table against the sum
     distribution; the right side is a direct double sum over the joint
-    distribution, with no conditioning involved.
+    weights |K|^2, with no conditioning involved.
     """
-    s_obs = sum_observable(a)
-    g.require_covers(s_obs.eigenvalues)
+    index = anti_diagonal_index(a)
+    g.require_covers(index.sums)
     f.require_covers(a.eigenvalues)
-    dist, projected = project_outcomes(state, s_obs)
-    table = _conditional_expectation_from(a, f, s_obs, dist, projected)
-    lhs = 0.0
-    for s, prob in dist.outcomes:
-        if prob >= ZERO_PROB_THRESHOLD:
-            lhs += g(s) * table.value_at(s) * prob
+    probabilities, lines = project_sum(_coefficients(state, a), a)
+    table = _expectation_table(a, f, probabilities, lines)
+    kept = probabilities[probabilities >= ZERO_PROB_THRESHOLD].tolist()
+    lhs = sum(g(s) * e * p for (s, e), p in zip(table.entries, kept))
 
-    q = joint_distribution(state, a)
-    values = a.eigenvalues
-    # look G up at the grouped sum for each pair, not the raw a_i + a_j,
+    a.require_nondegenerate()
+    _composite_factor_dim(state, a.dim)
+    q = _joint_weights(_coefficients(state, a), a)
+    fvals = [f(v) for v in a.eigenvalues]
+    # G is read at each pair's grouped sum, not the raw a_n + a_m,
     # so merged near-coincident sums cannot drift outside G's match tolerance
-    index = s_obs.index
-    sum_of_pair = {pair: s for s, members in zip(index.sums, index.sets) for pair in members}
-    rhs = 0.0
-    for i in range(a.dim):
-        for j in range(a.dim):
-            rhs += f(values[i]) * g(sum_of_pair[(i, j)]) * q.q[i, j]
-    return abs(lhs - rhs)
+    rhs = sum(g(s) * fvals[n] * q[n, m] for s, members in zip(index.sums, index.sets) for n, m in members)
+    return abs(lhs - float(rhs))
 
 
 def verify_ce2(
@@ -359,19 +393,16 @@ def verify_ce2(
 ) -> float:
     """Residual of the pinning identity: conditioning H(A1, S) on observed (a1, s) yields H(a1, s).
 
-    H(A1, S) is assembled as an operator from the joint eigenprojectors of the
-    commuting pair and evaluated in the post-chain state.
+    H(A1, S) is evaluated in the post-chain state from its joint weights
+    |K|^2: the product eigenstate |a_n>|a_m> of a pair on sum line k is a
+    joint eigenstate of A1 and S with value H(a_n, s_k).
     """
     phi = sequential_measure(state, a, s_value, a1_value)
-    s_obs = sum_observable(a)
-    index = s_obs.index
-    v = a.eigenvectors
-    factor_projectors = [np.outer(v[:, i], v[:, i].conj()) for i in range(a.dim)]
-    h_op = np.zeros((s_obs.dim, s_obs.dim), dtype=np.complex128)
-    for s, members in zip(index.sums, index.sets):
-        for n, m in members:
-            h_op += h(index.factor_eigenvalues[n], s) * tensor_product(factor_projectors[n], factor_projectors[m])
-    predicted = float(np.real(phi.expectation(h_op)))
+    index = anti_diagonal_index(a)
+    q = _joint_weights(_coefficients(phi, a), a)
+    predicted = sum(
+        h(index.factor_eigenvalues[n], s) * q[n, m] for s, members in zip(index.sums, index.sets) for n, m in members
+    )
     k = index.sum_index(s_value)
     n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
-    return abs(predicted - h(float(a.eigenvalues[n]), index.sums[k]))
+    return abs(float(predicted) - h(float(a.eigenvalues[n]), index.sums[k]))

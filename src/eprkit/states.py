@@ -289,14 +289,6 @@ def outcome_probabilities(state: PureState, obs: Observable) -> OutcomeDistribut
     return project_outcomes(state, obs)[0]
 
 
-def function_matrix(obs: Observable, f: SpectrumFunction) -> np.ndarray:
-    """Assemble the matrix ``f(A) = sum_k f(a_k) P_k``."""
-    out = np.zeros((obs.dim, obs.dim), dtype=np.complex128)
-    for line in obs.decomposition.lines:
-        out += f(line.eigenvalue) * line.projector
-    return out
-
-
 def best_predictor(state: PureState, obs: Observable, f: SpectrumFunction) -> float:
     """Expected value of ``f(A)``: the predictor minimizing mean squared error.
 

@@ -26,6 +26,14 @@ def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def function_matrix(obs, f) -> np.ndarray:
+    """The matrix ``f(A) = sum_k f(a_k) P_k`` from the observable's lines, for checks against a quadratic form."""
+    out = np.zeros((obs.dim, obs.dim), dtype=np.complex128)
+    for line in obs.decomposition.lines:
+        out += f(line.eigenvalue) * line.projector
+    return out
+
+
 def brute_outcome_probs(psi: np.ndarray, matrix: np.ndarray, decimals: int = 9) -> dict[float, float]:
     """Outcome distribution via a fresh eigh and rounding-based grouping."""
     w, v = np.linalg.eigh(matrix)

@@ -14,7 +14,7 @@ import pytest
 
 from eprkit import io as eprio
 from eprkit.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
-from eprkit.composite import decompose_by_sum, sum_observable
+from eprkit.composite import ZERO_PROB_THRESHOLD, project_sum, sum_observable
 from eprkit.conditional import (
     conditional_distribution,
     oracle_conditional,
@@ -145,13 +145,15 @@ def test_criterion_6_branch_decomposition():
         obs = Observable(random_hermitian(rng, n))
         s = sum_observable(obs)
         psi = PureState(random_state_vector(rng, n * n), factor_dims=(n, n))
-        branches = decompose_by_sum(psi, s)
-        rebuilt = sum(w * branch.amplitudes for w, branch in branches)
-        assert np.linalg.norm(rebuilt - psi.amplitudes) <= 1e-10
-        for weight, branch in branches:
-            s_val = float(np.real(np.vdot(branch.amplitudes, s.matrix @ branch.amplitudes)))
-            assert np.linalg.norm(s.matrix @ branch.amplitudes - s_val * branch.amplitudes) <= 1e-10
-    _ok(6, "100 random states: weighted branches rebuild the state at 1e-10")
+        probs, lines = project_sum(psi.amplitudes.reshape(n, n), obs)
+        assert np.linalg.norm(lines.sum(axis=0).reshape(-1) - psi.amplitudes) <= 1e-10
+        for prob, line in zip(probs, lines.reshape(len(lines), -1)):
+            if prob < ZERO_PROB_THRESHOLD:
+                continue
+            branch = line / np.sqrt(prob)
+            s_val = float(np.real(np.vdot(branch, s.matrix @ branch)))
+            assert np.linalg.norm(s.matrix @ branch - s_val * branch) <= 1e-10
+    _ok(6, "100 random states: the sum lines rebuild the state at 1e-10")
 
 
 def test_criterion_7_monte_carlo_consistency():

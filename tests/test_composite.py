@@ -3,27 +3,55 @@ import pytest
 
 from eprkit.composite import (
     PROJECTOR_TOL,
-    JointDistribution,
+    ZERO_PROB_THRESHOLD,
+    anti_diagonal_index,
     anti_diagonals,
-    decompose_by_sum,
-    joint_distribution,
     lift,
     post_measurement_state,
+    project_slot,
+    project_sum,
     schmidt_rank,
     sum_observable,
-    sum_probabilities,
 )
+from eprkit.conditional import verify_tower_property
 from eprkit.errors import (
     DegenerateSpectrumError,
     ImpossibleOutcomeError,
 )
 from eprkit.linalg import Observable, spectral_decompose
-from eprkit.states import PureState, outcome_probabilities
-from helpers import PAULI_Z, brute_joint_probs, random_hermitian, random_state_vector
+from eprkit.states import PureState, SpectrumFunction, outcome_probabilities
+from helpers import PAULI_Z, brute_joint_probs, brute_sum_distribution, random_hermitian, random_state_vector
 
 
 def pauli_a() -> Observable:
     return Observable(PAULI_Z)
+
+
+def sum_lines(psi: PureState, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """``project_sum`` of the state's coefficient matrix: each sum line's probability and projected matrix."""
+    n = obs.dim
+    return project_sum(psi.amplitudes.reshape(n, n), obs)
+
+
+def joint_from_sum_lines(psi: PureState, obs: Observable) -> np.ndarray:
+    """q[n, m] read off the sum lines: line k holds at most one pair (n, m) per row, so A(1) on it gives q[n, m]."""
+    q = np.zeros((obs.dim, obs.dim))
+    _, lines = sum_lines(psi, obs)
+    for line, pairs in zip(lines, anti_diagonal_index(obs).sets):
+        row_weights = project_slot(line, obs, 1)[0]
+        for n, m in pairs:
+            q[n, m] = row_weights[n]
+    return q
+
+
+def populated_branches(psi: PureState, obs: Observable) -> list[tuple[float, np.ndarray]]:
+    """(sqrt(p(s_k)), P_k psi / sqrt(p(s_k))) of every sum line above the zero threshold, as flat vectors."""
+    probs, lines = sum_lines(psi, obs)
+    return [
+        (float(np.sqrt(p)), line.reshape(-1) / np.sqrt(p))
+        for p, line in zip(probs.tolist(), lines)
+        if p >= ZERO_PROB_THRESHOLD
+    ]
 
 
 class TestAntiDiagonals:
@@ -174,32 +202,35 @@ class TestJointDistribution:
     def test_product_state_indicator(self):
         # |a_2(1), a_1(2)> for sigma_z: +1 on factor 1, -1 on factor 2
         psi = PureState([0.0, 1.0, 0.0, 0.0], factor_dims=(2, 2))
-        q = joint_distribution(psi, pauli_a())
         expected = np.zeros((2, 2))
         expected[1, 0] = 1.0
-        assert np.allclose(q.q, expected, atol=1e-12)
+        assert np.allclose(joint_from_sum_lines(psi, pauli_a()), expected, atol=1e-12)
 
     def test_uniform_amplitudes(self):
         psi = PureState(np.full(4, 0.5), factor_dims=(2, 2))
-        q = joint_distribution(psi, pauli_a())
-        assert np.allclose(q.q, np.full((2, 2), 0.25), atol=1e-12)
+        assert np.allclose(joint_from_sum_lines(psi, pauli_a()), np.full((2, 2), 0.25), atol=1e-12)
 
     def test_two_branch_state(self):
         psi = PureState([0.0, np.sqrt(0.8), np.sqrt(0.2), 0.0], factor_dims=(2, 2))
-        q = joint_distribution(psi, pauli_a())
-        assert q.q[1, 0] == pytest.approx(0.8, abs=1e-12)
-        assert q.q[0, 1] == pytest.approx(0.2, abs=1e-12)
-        assert q.q[0, 0] == pytest.approx(0.0, abs=1e-12)
-        assert q.q[1, 1] == pytest.approx(0.0, abs=1e-12)
+        q = joint_from_sum_lines(psi, pauli_a())
+        assert q[1, 0] == pytest.approx(0.8, abs=1e-12)
+        assert q[0, 1] == pytest.approx(0.2, abs=1e-12)
+        assert q[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert q[1, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_degenerate_factor(self):
+        # the tower check reads the joint weights in A's eigenbasis, which a degenerate A does not fix
         psi = PureState(random_state_vector(np.random.default_rng(55), 4), factor_dims=(2, 2))
+        obs = Observable(np.eye(2))
+        f = SpectrumFunction.identity(obs.eigenvalues)
+        g = SpectrumFunction.identity(anti_diagonal_index(obs).sums)
         with pytest.raises(DegenerateSpectrumError):
-            joint_distribution(psi, Observable(np.eye(2)))
+            verify_tower_property(psi, obs, f, g)
 
     def test_rejects_nan_probability(self):
+        # joint weights come from a state's amplitudes, and a state rejects a NaN amplitude
         with pytest.raises(ValueError):
-            JointDistribution(q=np.array([[np.nan]]), a_eigenvalues=(0.0,))
+            PureState([np.nan, 0.0, 0.0, 1.0], factor_dims=(2, 2))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(56)
@@ -207,40 +238,41 @@ class TestJointDistribution:
             n = int(rng.integers(2, 6))
             obs = Observable(random_hermitian(rng, n))
             psi = PureState(random_state_vector(rng, n * n), factor_dims=(n, n))
-            q = joint_distribution(psi, obs)
             _, brute = brute_joint_probs(psi.amplitudes, obs.matrix)
-            assert np.abs(q.q - brute).max() <= 1e-10
+            assert np.abs(joint_from_sum_lines(psi, obs) - brute).max() <= 1e-10
 
 
 class TestSumProbabilities:
     def test_uniform_joint(self):
         psi = PureState(np.full(4, 0.5), factor_dims=(2, 2))
-        obs = pauli_a()
-        dist = sum_probabilities(joint_distribution(psi, obs), anti_diagonals(obs.eigenvalues))
-        assert dist.probabilities == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
+        probs, _ = sum_lines(psi, pauli_a())
+        assert probs == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
 
     def test_concentrated_joint(self):
         psi = PureState([1.0, 0.0, 0.0, 0.0], factor_dims=(2, 2))
         obs = pauli_a()
-        dist = sum_probabilities(joint_distribution(psi, obs), anti_diagonals(obs.eigenvalues))
-        assert dist.probability_of(2.0) == pytest.approx(1.0, abs=1e-12)
+        probs, _ = sum_lines(psi, obs)
+        assert probs[anti_diagonal_index(obs).sum_index(2.0)] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_branch_state_mass_at_zero(self):
         psi = PureState([0.0, np.sqrt(0.8), np.sqrt(0.2), 0.0], factor_dims=(2, 2))
         obs = pauli_a()
-        dist = sum_probabilities(joint_distribution(psi, obs), anti_diagonals(obs.eigenvalues))
-        assert dist.probability_of(0.0) == pytest.approx(1.0, abs=1e-12)
+        probs, _ = sum_lines(psi, obs)
+        assert probs[anti_diagonal_index(obs).sum_index(0.0)] == pytest.approx(1.0, abs=1e-12)
 
     def test_agrees_with_projector_route(self):
-        # two independent computation routes for the sum distribution
+        # the factor-space sum lines against the dense sum projectors and a brute-force enumeration
         rng = np.random.default_rng(57)
         for _ in range(100):
             n = int(rng.integers(2, 5))
             obs = Observable(random_hermitian(rng, n))
             psi = PureState(random_state_vector(rng, n * n), factor_dims=(n, n))
-            via_joint = sum_probabilities(joint_distribution(psi, obs), anti_diagonals(obs.eigenvalues))
+            probs, _ = sum_lines(psi, obs)
             via_projectors = outcome_probabilities(psi, sum_observable(obs))
-            assert via_joint.probabilities == pytest.approx(via_projectors.probabilities, abs=1e-10)
+            assert probs == pytest.approx(via_projectors.probabilities, abs=1e-10)
+            brute = brute_sum_distribution(psi.amplitudes, obs.matrix)
+            assert sorted(brute) == pytest.approx(anti_diagonal_index(obs).sums, abs=1e-8)
+            assert probs == pytest.approx(list(brute.values()), abs=1e-10)
 
 
 class TestEigenspaceProjector:
@@ -316,40 +348,39 @@ class TestPostMeasurementState:
 class TestDecomposeBySum:
     def test_uniform_weights(self):
         psi = PureState(np.full(4, 0.5), factor_dims=(2, 2))
-        branches = decompose_by_sum(psi, sum_observable(pauli_a()))
-        weights = [w for w, _ in branches]
+        weights = [w for w, _ in populated_branches(psi, pauli_a())]
         assert weights == pytest.approx([0.5, np.sqrt(0.5), 0.5], abs=1e-12)
 
     def test_eigenstate_single_branch(self):
         psi = PureState([0.0, 0.0, 0.0, 1.0], factor_dims=(2, 2))
-        branches = decompose_by_sum(psi, sum_observable(pauli_a()))
+        branches = populated_branches(psi, pauli_a())
         assert len(branches) == 1
         assert branches[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_weight_branch_omitted(self):
         psi = PureState([0.0, np.sqrt(0.8), np.sqrt(0.2), 0.0], factor_dims=(2, 2))
-        branches = decompose_by_sum(psi, sum_observable(pauli_a()))
+        branches = populated_branches(psi, pauli_a())
         assert len(branches) == 1
         assert branches[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_reconstruction_and_branch_structure(self):
+        # the sum lines add back to psi, and each populated line is an eigenvector of the dense S
         rng = np.random.default_rng(60)
         for _ in range(100):
             n = int(rng.integers(2, 5))
             obs = Observable(random_hermitian(rng, n))
             s = sum_observable(obs)
             psi = PureState(random_state_vector(rng, n * n), factor_dims=(n, n))
-            branches = decompose_by_sum(psi, s)
-            rebuilt = sum(w * branch.amplitudes for w, branch in branches)
+            _, lines = sum_lines(psi, obs)
+            assert np.linalg.norm(lines.sum(axis=0).reshape(-1) - psi.amplitudes) <= 1e-10
+            branches = populated_branches(psi, obs)
+            rebuilt = sum(w * branch for w, branch in branches)
             assert np.linalg.norm(rebuilt - psi.amplitudes) <= 1e-10
-            for i, (w, branch) in enumerate(branches):
-                s_val = float(
-                    np.real(np.vdot(branch.amplitudes, s.matrix @ branch.amplitudes))
-                )
-                residual = np.linalg.norm(s.matrix @ branch.amplitudes - s_val * branch.amplitudes)
-                assert residual <= 1e-9
+            for i, (_, branch) in enumerate(branches):
+                s_val = float(np.real(np.vdot(branch, s.matrix @ branch)))
+                assert np.linalg.norm(s.matrix @ branch - s_val * branch) <= 1e-9
                 for _, other in branches[i + 1 :]:
-                    assert abs(branch.overlap(other)) <= 1e-10
+                    assert abs(np.vdot(branch, other)) <= 1e-10
 
 
 class TestSchmidtRank:

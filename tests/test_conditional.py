@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprkit.composite import lift, sum_observable
+from eprkit import composite, conditional, linalg, states
+from eprkit.composite import ZERO_PROB_THRESHOLD, anti_diagonal_index, collapse, lift, sum_observable
 from eprkit.conditional import (
     ConditionalDistribution,
     PairSpectrumFunction,
@@ -22,14 +24,15 @@ from eprkit.conditional import (
     verify_theorem2,
     verify_tower_property,
 )
-from eprkit.errors import ImpossibleOutcomeError, SpectrumCoverageError
+from eprkit.errors import DegenerateSpectrumError, DimensionMismatchError, ImpossibleOutcomeError, SpectrumCoverageError
 from eprkit.linalg import Observable, extract_c
-from eprkit.states import PureState, SpectrumFunction, best_predictor
+from eprkit.states import PureState, SpectrumFunction, audit_uncertainty, best_predictor, project_outcomes
 from helpers import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     brute_conditional_mean,
+    function_matrix,
     random_hermitian,
     random_state_vector,
 )
@@ -227,6 +230,22 @@ class TestCertainPrediction:
             certain_prediction_from(a2_dist, 0, [-1.0, 1.0])
 
 
+    def test_merged_sum_line_pins_the_partner_of_a1(self):
+        # the sum line merges (0, 2), (1, 1) and (2, 0) although 1 + 1 misses 2 + 3.9e-9 by more than
+        # A's grouping tolerance, so s - a1 matches no eigenvalue: the partner comes from the pair (1, 1)
+        obs = Observable(np.diag([0.0, 1.0, 2.0 + 3.9e-9]))
+        psi = PureState(random_state_vector(np.random.default_rng(74), 9), factor_dims=(3, 3))
+        index = anti_diagonal_index(obs)
+        s_value = index.sums[2]
+        assert index.sets[2] == ((0, 2), (1, 1), (2, 0))
+        phi = sequential_measure(psi, obs, s_value, 1.0)
+        result = certain_prediction(phi, obs, SpectrumFunction.identity(obs.eigenvalues), s_value, 1.0)
+        assert result.value == 1.0
+        assert result.stdev == 0.0
+        with pytest.raises(SpectrumCoverageError):
+            certain_prediction(phi, obs, SpectrumFunction.identity(obs.eigenvalues), index.sums[0], 1.0)
+
+
 class TestEprResolutionCheck:
     def test_pauli_chain_state(self):
         a, b, c = Observable(PAULI_Z), Observable(PAULI_X), Observable(PAULI_Y)
@@ -371,18 +390,17 @@ class TestTowerProperty:
                 assert partial == pytest.approx(q_route * dist.outcomes[k][1], abs=1e-10)
 
     def test_projects_onto_the_sum_lines_once(self, monkeypatch):
+        import eprkit.composite
         import eprkit.conditional
-        import eprkit.states
 
         calls = []
-        project_outcomes = eprkit.states.project_outcomes
+        project_sum = eprkit.composite.project_sum
 
-        def counting(state, obs):
+        def counting(psi, obs):
             calls.append(obs)
-            return project_outcomes(state, obs)
+            return project_sum(psi, obs)
 
-        for module in (eprkit.conditional, eprkit.states):
-            monkeypatch.setattr(module, "project_outcomes", counting)
+        monkeypatch.setattr(eprkit.conditional, "project_sum", counting)
         rng = np.random.default_rng(75)
         obs = Observable(random_hermitian(rng, 4))
         psi = PureState(random_state_vector(rng, 16), factor_dims=(4, 4))
@@ -466,3 +484,230 @@ class TestPinningIdentity:
         a, s = pairs[0]
         with pytest.raises(SpectrumCoverageError):
             h(a + 1e-13, s)
+
+
+def within(x, y) -> bool:
+    """|x - y| <= 1e-12 * max(1, |x|), elementwise."""
+    x, y = np.asarray(x), np.asarray(y)
+    return bool(np.all(np.abs(x - y) <= 1e-12 * np.maximum(1.0, np.abs(x))))
+
+
+def factor_observable(rng, n: int, spacing: str) -> Observable:
+    if spacing == "random":
+        return Observable(random_hermitian(rng, n))
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return Observable(u @ np.diag(np.arange(n) - (n - 1) / 2) @ u.conj().T)
+
+
+class TestDenseRoute:
+    """The entry points measure on the N x N coefficient matrix; the dense N^2 x N^2 route is their reference."""
+
+    @pytest.mark.parametrize("spacing", ["random", "equal"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_entry_point_matches_the_dense_route(self, n, spacing):
+        rng = np.random.default_rng(90 + n)
+        a = factor_observable(rng, n, spacing)
+        b = Observable(random_hermitian(rng, n))
+        c = Observable(extract_c(a.matrix, b.matrix, 1.0))
+        psi = PureState(random_state_vector(rng, n * n), factor_dims=(n, n))
+        s_obs = sum_observable(a)
+        index = s_obs.index
+        f = SpectrumFunction.from_callable(a.eigenvalues, lambda x: math.sin(x) + x * x)
+        fvals = [f(v) for v in a.eigenvalues]
+        g = SpectrumFunction({s: v for s, v in zip(index.sums, rng.standard_normal(len(index.sums)))})
+        h = PairSpectrumFunction.from_callable(index, lambda x, s: x * s + math.cos(s))
+        eye = np.eye(n)
+        f1 = np.kron(function_matrix(a, f), eye)
+        g_s = sum(g(s) * p for s, p in zip(index.sums, s_obs.projectors))
+        h_op = sum(
+            h(index.factor_eigenvalues[i], s) * np.kron(a.projectors[i], a.projectors[j])
+            for s, members in zip(index.sums, index.sets)
+            for i, j in members
+        )
+        lifted = {(obs, slot): lift(obs, slot) for obs in (a, b, c) for slot in (1, 2)}
+
+        dist, projected = project_outcomes(psi, s_obs)
+        populated = [(k, s, p) for k, (s, p) in enumerate(dist.outcomes) if p >= ZERO_PROB_THRESHOLD]
+        dense_table = [(s, float(np.real(np.vdot(projected[k], f1 @ projected[k]))) / p) for k, s, p in populated]
+        table = quantum_conditional_expectation(psi, a, f)
+        assert [s for s, _ in table.entries] == [s for s, _ in dense_table]
+        assert within([e for _, e in table.entries], [e for _, e in dense_table])
+        lhs = sum(g(s) * e * p for (s, e), (_, _, p) in zip(dense_table, populated))
+        dense_tower = abs(lhs - float(np.real(psi.expectation(f1 @ g_s))))
+        assert within(verify_tower_property(psi, a, f, g), dense_tower)
+
+        chains = 0
+        for k, s, p in populated:
+            psi_s = collapse(psi, projected[k], p)
+            a1_dist, a1_projected = project_outcomes(psi_s, lifted[a, 1])
+            a2_dist, _ = project_outcomes(psi_s, lifted[a, 2])
+            dist_s = conditional_distribution(psi, a, s)
+            assert dist_s.given_sum == s
+            assert dist_s.values.tolist() == [index.factor_eigenvalues[i] for i, _ in index.sets[k]]
+            assert within(dist_s.probabilities, [a1_dist.probabilities[i] for i, _ in index.sets[k]])
+            summary = conditional_prediction(psi, a, f, s)
+            assert within((summary.mean, summary.stdev), a1_dist.moments(fvals))
+            report = verify_theorem2(psi, a, s)
+            (mean1, stdev1), (mean2, stdev2) = a1_dist.moments(a.eigenvalues), a2_dist.moments(a.eigenvalues)
+            assert within(report.mean_identity_residual, abs(mean2 - (s - mean1)))
+            assert within(report.stdev_gap, abs(stdev1 - stdev2))
+
+            for i, j in index.sets[k]:
+                a1_value = index.factor_eigenvalues[i]
+                if a1_dist.probabilities[i] < ZERO_PROB_THRESHOLD:
+                    continue
+                chains += 1
+                dense_phi = collapse(psi_s, a1_projected[i], a1_dist.probabilities[i])
+                phi = sequential_measure(psi, a, s, a1_value)
+                assert phi.factor_dims == (n, n)
+                assert within(phi.amplitudes, dense_phi.amplitudes)
+                prediction = certain_prediction(phi, a, f, s, a1_value)
+                dense_a2 = project_outcomes(dense_phi, lifted[a, 2])[0]
+                assert within(prediction.delta_check.probabilities, dense_a2.probabilities)
+                assert within((prediction.value, prediction.stdev), dense_a2.moments(fvals))
+                audit = epr_resolution_check(phi, a, b, c)
+                dense_audit = audit_uncertainty(dense_phi, lifted[a, 2], lifted[b, 2], lifted[c, 2])
+                fields = ("delta_a", "delta_b", "rhs")
+                assert within([getattr(audit, x) for x in fields], [getattr(dense_audit, x) for x in fields])
+                assert audit.satisfied == dense_audit.satisfied
+                dense_ce2 = abs(float(np.real(dense_phi.expectation(h_op))) - h(a1_value, s))
+                assert within(verify_ce2(psi, a, h, s, a1_value), dense_ce2)
+        assert chains >= n
+
+    def test_no_entry_point_runs_the_dense_route(self, monkeypatch):
+        n = 4
+        rng = np.random.default_rng(91)
+        a, b = Observable(random_hermitian(rng, n)), Observable(random_hermitian(rng, n))
+        c = Observable(extract_c(a.matrix, b.matrix, 1.0))
+        psi = PureState(random_state_vector(rng, n * n), factor_dims=(n, n))
+        index = anti_diagonal_index(a)
+        f = SpectrumFunction.identity(a.eigenvalues)
+        g = SpectrumFunction.identity(index.sums)
+        h = PairSpectrumFunction.from_callable(index, lambda x, s: x + s)
+        s_value = index.sums[len(index.sums) // 2]
+        a1_value = index.factor_eigenvalues[index.sets[len(index.sums) // 2][0][0]]
+
+        calls = Counter()
+        watched = {
+            "lift": composite,
+            "sum_observable": composite,
+            "tensor_product": linalg,
+            "project_outcomes": states,
+            "post_measurement_state": composite,
+        }
+        for name, home in watched.items():
+            original = getattr(home, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (linalg, states, composite, conditional):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        built = []
+        original_init = Observable.__init__
+
+        def counting_init(self, matrix):
+            original_init(self, matrix)
+            built.append(self.dim)
+
+        monkeypatch.setattr(Observable, "__init__", counting_init)
+
+        conditional_distribution(psi, a, s_value)
+        conditional_prediction(psi, a, f, s_value)
+        verify_theorem2(psi, a, s_value)
+        phi = sequential_measure(psi, a, s_value, a1_value)
+        certain_prediction(phi, a, f, s_value, a1_value)
+        epr_resolution_check(phi, a, b, c)
+        quantum_conditional_expectation(psi, a, f)
+        verify_tower_property(psi, a, f, g)
+        verify_ce2(psi, a, h, s_value, a1_value)
+        assert calls == Counter()
+        assert built == []
+
+    def test_degenerate_a(self):
+        rng = np.random.default_rng(92)
+        u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        a = Observable(u @ np.diag([1.0, 1.0, 2.0]) @ u.conj().T)
+        assert a.multiplicities == (2, 1)
+        psi = PureState(random_state_vector(rng, 9), factor_dims=(3, 3))
+        index = anti_diagonal_index(a)
+        s_value, a1_value = index.sums[1], index.factor_eigenvalues[0]
+        f = SpectrumFunction.from_callable(a.eigenvalues, lambda x: x * x)
+        g = SpectrumFunction.identity(index.sums)
+        h = PairSpectrumFunction.from_callable(index, lambda x, s: x + s)
+        for call in (
+            lambda: conditional_distribution(psi, a, s_value),
+            lambda: conditional_prediction(psi, a, f, s_value),
+            lambda: verify_theorem2(psi, a, s_value),
+            lambda: sequential_measure(psi, a, s_value, a1_value),
+            lambda: verify_tower_property(psi, a, f, g),
+            lambda: verify_ce2(psi, a, h, s_value, a1_value),
+        ):
+            with pytest.raises(DegenerateSpectrumError):
+                call()
+
+        # the conditional expectation and the post-chain checks read A's lines, which a degenerate A still has
+        s_obs = sum_observable(a)
+        dist, projected = project_outcomes(psi, s_obs)
+        f1 = np.kron(function_matrix(a, f), np.eye(3))
+        expected = [
+            (s, float(np.real(np.vdot(w, f1 @ w))) / p)
+            for (s, p), w in zip(dist.outcomes, projected)
+            if p >= ZERO_PROB_THRESHOLD
+        ]
+        table = quantum_conditional_expectation(psi, a, f)
+        assert [s for s, _ in table.entries] == [s for s, _ in expected]
+        assert within([e for _, e in table.entries], [e for _, e in expected])
+        phi = PureState(np.kron(u[:, 0], u[:, 2]), factor_dims=(3, 3))
+        prediction = certain_prediction(phi, a, f, s_value, a1_value)
+        assert prediction.value == pytest.approx(4.0, abs=1e-12)
+        assert prediction.stdev <= 1e-10
+        b = Observable(random_hermitian(rng, 3))
+        audit = epr_resolution_check(phi, a, b, Observable(extract_c(a.matrix, b.matrix, 1.0)))
+        assert audit.delta_a <= 1e-10 and audit.rhs <= 1e-10 and audit.satisfied
+
+    def test_rejected_inputs(self):
+        a = Observable(np.diag([1.0, 2.0, 3.0]))
+        index = anti_diagonal_index(a)
+        f = SpectrumFunction.identity(a.eigenvalues)
+        g = SpectrumFunction.identity(index.sums)
+        h = PairSpectrumFunction.from_callable(index, lambda x, s: x + s)
+        wrong = PureState(random_state_vector(np.random.default_rng(93), 4), factor_dims=(2, 2))
+        for call in (
+            lambda: conditional_distribution(wrong, a, 4.0),
+            lambda: conditional_prediction(wrong, a, f, 4.0),
+            lambda: verify_theorem2(wrong, a, 4.0),
+            lambda: sequential_measure(wrong, a, 4.0, 1.0),
+            lambda: certain_prediction(wrong, a, f, 4.0, 1.0),
+            lambda: epr_resolution_check(wrong, a, a, a),
+            lambda: quantum_conditional_expectation(wrong, a, f),
+            lambda: verify_tower_property(wrong, a, f, g),
+            lambda: verify_ce2(wrong, a, h, 4.0, 1.0),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                call()
+        psi, _ = three_level_chain_state()
+        with pytest.raises(DimensionMismatchError):
+            epr_resolution_check(psi, a, Observable(PAULI_X), a)
+        with pytest.raises(DimensionMismatchError):
+            epr_resolution_check(psi, a, a, Observable(PAULI_Y))
+        # only |1,3>, |2,2> and |3,1> carry weight, so the sum 5 is impossible
+        for call in (
+            lambda: conditional_distribution(psi, a, 5.0),
+            lambda: sequential_measure(psi, a, 5.0, 2.0),
+            lambda: verify_ce2(psi, a, h, 5.0, 2.0),
+        ):
+            with pytest.raises(ImpossibleOutcomeError):
+                call()
+        phi = sequential_measure(psi, a, 4.0, 1.0)
+        for call in (
+            lambda: conditional_distribution(psi, a, 4.5),
+            lambda: sequential_measure(psi, a, 4.0, 1.5),
+            lambda: certain_prediction(phi, a, f, 4.0, 1.5),
+            lambda: certain_prediction(phi, a, SpectrumFunction({1.0: 1.0}), 4.0, 1.0),
+            lambda: verify_ce2(psi, a, h, 4.5, 1.0),
+        ):
+            with pytest.raises(SpectrumCoverageError):
+                call()

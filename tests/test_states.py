@@ -14,12 +14,19 @@ from eprkit.states import (
     SpectrumFunction,
     audit_uncertainty,
     best_predictor,
-    function_matrix,
     outcome_probabilities,
     prediction_error,
     verify_theorem1,
 )
-from helpers import PAULI_X, PAULI_Y, PAULI_Z, brute_outcome_probs, random_hermitian, random_state_vector
+from helpers import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    brute_outcome_probs,
+    function_matrix,
+    random_hermitian,
+    random_state_vector,
+)
 
 
 class TestPureState:
