@@ -19,6 +19,8 @@ pipeline measures every branch, and then every chain, in one such call per
 observable and slot. ``slot_expectation`` returns numpy complex values:
 take their modulus with Python's ``abs`` on ``tolist()`` entries where the
 bits matter, since ``np.abs`` of a complex can differ in the last bit.
+``eprkit.conditional`` reads its sum-conditioned answers off the joint
+table |K|^2 instead, and measures a post-chain state with ``project_slot``.
 The dense form (``lift``, ``sum_observable``) assembles the N^2 x N^2
 operators and their projectors. Neither the analysis nor any
 ``eprkit.conditional`` entry point runs it; it stays public as the
@@ -251,13 +253,6 @@ def sum_observable(a1: Observable) -> SumObservable:
     return a1._sum
 
 
-def _composite_factor_dim(state: PureState, n: int) -> None:
-    if state.dim != n * n:
-        raise DimensionMismatchError(f"state dim {state.dim} is not the composite dim {n * n}")
-    if len(state.factor_dims) == 2 and state.factor_dims != (n, n):
-        raise DimensionMismatchError(f"state factors {state.factor_dims} are not ({n}, {n})")
-
-
 def collapse(state: PureState, projected: np.ndarray, prob: float) -> PureState:
     """The state ``P psi / sqrt(p)`` an outcome leaves, from ``P psi`` and ``p = |P psi|^2``.
 
@@ -299,6 +294,8 @@ def schmidt_rank(state: PureState | np.ndarray, tol: float = 1e-10) -> int | np.
         n = state.factor_dims[0]
     else:
         n = int(round(np.sqrt(state.dim)))
-    _composite_factor_dim(state, n)
+    # with two declared factors (n, n2), n * n2 == n * n only when they are (n, n)
+    if state.dim != n * n:
+        raise DimensionMismatchError(f"state dim {state.dim} is not the composite dim {n * n}")
     singular = np.linalg.svd(state.amplitudes.reshape(n, n), compute_uv=False)
     return int(np.count_nonzero(singular > tol))

@@ -2,14 +2,15 @@
 
 Once S = A(1) + A(2) has been measured, predictions about either factor are
 made in the collapsed state, and they coincide with classically conditioning
-the joint outcome distribution on the observed sum. Every entry point runs
-the projector route (collapse, then predict) on the state's N x N
-coefficient matrix psi with the factor-space measurements of
-``eprkit.composite`` (``project_sum``, ``project_slot``,
-``slot_expectation``), as the analysis does, so none builds an N^2 x N^2
-operator; the pinning and tower checks also read the joint weights |K|^2,
-K = V^H psi conj(V). ``oracle_conditional`` is the brute-force classical
-conditioning that never touches a projector, so each can check the other.
+the joint outcome distribution on the observed sum. Every sum-conditioned
+entry point reads that distribution off the N x N joint table W = |K|^2,
+K = V^H psi conj(V): the probability of each product eigenstate |a_n>|a_m>.
+Sum line k keeps orthogonal pairs (n, m), so its branch is a mixture of
+them: p(s_k) adds W over the line, and the A(1) and A(2) distributions in
+the branch are its row and column sums over p(s_k). ``certain_prediction``
+and ``epr_resolution_check`` measure the caller's post-chain state with
+``project_slot`` and ``slot_expectation``. None builds an N^2 x N^2 operator.
+``oracle_conditional`` conditions the same table by brute force.
 """
 
 from __future__ import annotations
@@ -19,17 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .composite import (
-    ZERO_PROB_THRESHOLD,
-    AntiDiagonalIndex,
-    _composite_factor_dim,
-    anti_diagonal_index,
-    collapse,
-    project_slot,
-    project_sum,
-    slot_expectation,
-)
-from .errors import DegenerateSpectrumError, DimensionMismatchError, SpectrumCoverageError
+from .composite import ZERO_PROB_THRESHOLD, AntiDiagonalIndex, anti_diagonal_index, project_slot, slot_expectation
+from .errors import DegenerateSpectrumError, DimensionMismatchError, ImpossibleOutcomeError, SpectrumCoverageError
 from .linalg import Observable, default_grouping_tol, group_close_values, match_value
 from .states import (
     PROBABILITY_SUM_TOL,
@@ -112,9 +104,6 @@ class ConditionalExpectationTable:
         idx = match_value(self.sums, s_value, self.match_tol)
         return self.entries[idx][1]
 
-    def as_spectrum_function(self) -> SpectrumFunction:
-        return SpectrumFunction({s: e for s, e in self.entries}, match_tol=self.match_tol)
-
 
 class PairSpectrumFunction:
     """A real function of (first-factor outcome, sum outcome) pairs as a table.
@@ -153,38 +142,58 @@ def _coefficients(state: PureState, a: Observable) -> np.ndarray:
     n = a.dim
     if state.dim != n * n:
         raise DimensionMismatchError(f"state dim {state.dim} is not the composite dim {n * n}")
+    if len(state.factor_dims) == 2 and state.factor_dims != (n, n):
+        raise DimensionMismatchError(f"state factors {state.factor_dims} are not ({n}, {n})")
     return state.amplitudes.reshape(n, n)
 
 
-def _slot_distribution(psi: np.ndarray, obs: Observable, slot: int) -> OutcomeDistribution:
-    """Outcome distribution of a factor observable measured on one slot of the coefficient matrix psi."""
-    probabilities = project_slot(psi, obs, slot)[0]
-    return OutcomeDistribution(tuple(zip(obs.eigenvalues.tolist(), probabilities.tolist())))
+def _joint_table(state: PureState, a: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """K = V^H psi conj(V) and W, the probability of each pair (n, m) of A's lines.
 
-
-def _sum_branch(state: PureState, a: Observable, s_value: float) -> tuple[np.ndarray, int]:
-    """The coefficient matrix of the state collapsed on the sum line matching s_value, and that line's index."""
-    a.require_nondegenerate()
-    k = anti_diagonal_index(a).sum_index(s_value)
-    probabilities, lines = project_sum(_coefficients(state, a), a)
-    return _coefficients(collapse(state, lines[k], float(probabilities[k])), a), k
-
-
-def _joint_weights(psi: np.ndarray, a: Observable) -> np.ndarray:
-    """|K|^2 with K = V^H psi conj(V), for a nondegenerate A: the probability of each product eigenstate |a_n>|a_m>."""
+    W[n, m] adds |K|^2 over the contiguous eigenvectors of lines n and m, so
+    it is |P_n psi P_m^T|^2 also for a degenerate A.
+    """
     v = a.eigenvectors
-    return np.abs(v.conj().T @ psi @ v.conj()) ** 2
+    coefficients = v.conj().T @ _coefficients(state, a) @ v.conj()
+    starts = np.cumsum((0, *a.multiplicities[:-1]))
+    w = np.add.reduceat(np.add.reduceat(np.abs(coefficients) ** 2, starts, axis=0), starts, axis=1)
+    return coefficients, w
+
+
+def _possible(probability: float) -> float:
+    """The probability of an outcome to condition on; ImpossibleOutcomeError below the zero-probability threshold."""
+    if probability < ZERO_PROB_THRESHOLD:
+        raise ImpossibleOutcomeError(f"outcome has probability {probability:.3e}; cannot condition on it")
+    return probability
+
+
+def _branch(state: PureState, a: Observable, s_value: float) -> tuple[AntiDiagonalIndex, int, np.ndarray, np.ndarray]:
+    """A's sum index, the line k matching s_value, K, and the joint table of the state collapsed on line k.
+
+    The collapsed table is W on line k's pairs over p(s_k), 0 off the line.
+    """
+    a.require_nondegenerate()
+    index = anti_diagonal_index(a)
+    k = index.sum_index(s_value)
+    coefficients, w = _joint_table(state, a)
+    on_line = np.zeros(w.shape, dtype=bool)
+    on_line[tuple(zip(*index.sets[k]))] = True
+    return index, k, coefficients, np.where(on_line, w, 0.0) / _possible(float(w[on_line].sum()))
+
+
+def _distribution(obs: Observable, probabilities: np.ndarray) -> OutcomeDistribution:
+    """The outcome distribution of a factor observable from its probabilities, in the order of its lines."""
+    return OutcomeDistribution(tuple(zip(obs.eigenvalues.tolist(), probabilities.tolist())))
 
 
 def conditional_distribution(state: PureState, a: Observable, s_value: float) -> ConditionalDistribution:
     """First-factor outcome probabilities given that the sum was observed as s_value.
 
-    Computed along the projector route: collapse onto the sum line, then
-    measure A(1) in the collapsed state. The support is exactly the set of
-    first-factor eigenvalues compatible with the observed sum.
+    The support is exactly the set of first-factor eigenvalues compatible
+    with the observed sum.
     """
-    psi_s, k = _sum_branch(state, a, s_value)
-    return conditional_distribution_from(project_slot(psi_s, a, 1)[0], anti_diagonal_index(a), k)
+    index, k, _, branch = _branch(state, a, s_value)
+    return conditional_distribution_from(branch.sum(axis=1), index, k)
 
 
 def conditional_distribution_from(a1_probabilities, index: AntiDiagonalIndex, k: int) -> ConditionalDistribution:
@@ -198,31 +207,19 @@ def conditional_distribution_from(a1_probabilities, index: AntiDiagonalIndex, k:
 
 def conditional_prediction(state: PureState, a: Observable, f: SpectrumFunction, s_value: float) -> PredictionSummary:
     """Mean and error of f(A(1)) predicted after the sum was observed as s_value."""
-    f.require_covers(a.eigenvalues)
-    psi_s, _ = _sum_branch(state, a, s_value)
-    mean, stdev = _slot_distribution(psi_s, a, 1).moments([f(v) for v in a.eigenvalues])
+    fvals = [f(v) for v in a.eigenvalues]
+    _, _, _, branch = _branch(state, a, s_value)
+    mean, stdev = _distribution(a, branch.sum(axis=1)).moments(fvals)
     return PredictionSummary(mean=mean, stdev=stdev)
 
 
 def verify_theorem2(state: PureState, a: Observable, s_value: float) -> SumConstraintReport:
     """Residuals of the post-measurement identities m(A2) = s - m(A1), D(A1) = D(A2)."""
-    psi_s, k = _sum_branch(state, a, s_value)
-    return verify_theorem2_from(
-        _slot_distribution(psi_s, a, 1),
-        _slot_distribution(psi_s, a, 2),
-        a,
-        anti_diagonal_index(a).sums[k],
-    )
-
-
-def verify_theorem2_from(
-    a1_dist: OutcomeDistribution, a2_dist: OutcomeDistribution, a: Observable, s_value: float
-) -> SumConstraintReport:
-    """``verify_theorem2`` from the A(1) and A(2) distributions, by A's index, in the state collapsed on sum s_value."""
-    mean1, stdev1 = a1_dist.moments(a.eigenvalues)
-    mean2, stdev2 = a2_dist.moments(a.eigenvalues)
+    index, k, _, branch = _branch(state, a, s_value)
+    mean1, stdev1 = _distribution(a, branch.sum(axis=1)).moments()
+    mean2, stdev2 = _distribution(a, branch.sum(axis=0)).moments()
     return SumConstraintReport(
-        mean_identity_residual=abs(mean2 - (s_value - mean1)),
+        mean_identity_residual=abs(mean2 - (index.sums[k] - mean1)),
         stdev_gap=abs(stdev1 - stdev2),
     )
 
@@ -230,14 +227,19 @@ def verify_theorem2_from(
 def sequential_measure(state: PureState, a: Observable, s_value: float, a1_value: float) -> PureState:
     """Collapse on S = s_value, then on A(1) = a1_value.
 
-    The result is the product basis state |a1, s - a1> up to a global phase.
-    Either stage raises ImpossibleOutcomeError when its outcome has
-    (numerically) zero probability in the current state.
+    The result is the product basis state |a1, s - a1> up to a global phase:
+    the unit phase of K[n, m] times |a_n>|a_m>. Either stage raises
+    ImpossibleOutcomeError when its outcome has (numerically) zero
+    probability in the current state.
     """
-    psi_s, _ = _sum_branch(state, a, s_value)
+    index, k, coefficients, branch = _branch(state, a, s_value)
     n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
-    probabilities, projected = project_slot(psi_s, a, 1)
-    return collapse(state, projected[n], float(probabilities[n]))
+    _possible(float(branch[n].sum()))
+    # a line that merged near-coincident sums can give a_n several partners, kept in proportion
+    partners = [m for row, m in index.sets[k] if row == n]
+    row = coefficients[n, partners]
+    v = a.eigenvectors
+    return PureState(np.kron(v[:, n], v[:, partners] @ (row / np.abs(row).max())), factor_dims=state.factor_dims)
 
 
 def certain_prediction(
@@ -257,25 +259,17 @@ def certain_prediction(
     still computed honestly in the state; the chain values only identify
     which point mass to expect.
     """
-    g.require_covers(a.eigenvalues)
+    gvals = [g(v) for v in a.eigenvalues]
     index = anti_diagonal_index(a)
     k = index.sum_index(s_value)
     n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
     partners = [m for row, m in index.sets[k] if row == n]
     if len(partners) != 1:
         raise SpectrumCoverageError(f"a1 = {a1_value!r} pins no single A(2) outcome on sum {index.sums[k]!r}")
-    a2_dist = _slot_distribution(_coefficients(phi, a), a, 2)
-    return certain_prediction_from(a2_dist, partners[0], [g(v) for v in a.eigenvalues])
-
-
-def certain_prediction_from(a2_dist: OutcomeDistribution, target: int, gvals) -> CertainPrediction:
-    """``certain_prediction`` from the A(2) distribution, by A's index, in the post-chain state.
-
-    ``target`` is the index of A(2)'s pinned eigenvalue, a1's partner on the sum line, and ``gvals`` holds g on A's
-    eigenvalues.
-    """
-    if not (a2_dist.probabilities[target] >= 1.0 - POINT_MASS_TOL):
+    probabilities = project_slot(_coefficients(phi, a), a, 2)[0]
+    if not (probabilities[partners[0]] >= 1.0 - POINT_MASS_TOL):
         raise ValueError("state was not produced by the measurement chain for (s_value, a1_value)")
+    a2_dist = _distribution(a, probabilities)
     mean, stdev = a2_dist.moments(gvals)
     return CertainPrediction(value=mean, stdev=stdev, delta_check=a2_dist)
 
@@ -292,8 +286,8 @@ def epr_resolution_check(phi: PureState, a: Observable, b: Observable, c: Observ
         raise DimensionMismatchError("audit requires all operands on one space")
     psi = _coefficients(phi, a)
     return uncertainty_report(
-        _slot_distribution(psi, a, 2).moments()[1],
-        _slot_distribution(psi, b, 2).moments()[1],
+        _distribution(a, project_slot(psi, a, 2)[0]).moments()[1],
+        _distribution(b, project_slot(psi, b, 2)[0]).moments()[1],
         0.5 * abs(complex(slot_expectation(psi, c, 2))),
     )
 
@@ -301,35 +295,40 @@ def epr_resolution_check(phi: PureState, a: Observable, b: Observable, c: Observ
 def quantum_conditional_expectation(state: PureState, a: Observable, f: SpectrumFunction) -> ConditionalExpectationTable:
     """The function e on the sum spectrum with E[e(S) G(S)] = E[f(A1) G(S)] for all G.
 
-    Evaluated along the projector route: e(s_k) = <psi_k| f(A1) |psi_k> in
-    each collapsed branch of positive probability.
+    e(s_k) = <psi_k| f(A1) |psi_k> in each collapsed branch of positive
+    probability, read off the joint table W; a degenerate A is fine.
     """
-    f.require_covers(a.eigenvalues)
-    return _expectation_table(a, f, *project_sum(_coefficients(state, a), a))
+    fvals = [f(v) for v in a.eigenvalues]
+    return _expectation_table(anti_diagonal_index(a), fvals, _joint_table(state, a)[1])[0]
 
 
-def _expectation_table(
-    a: Observable, f: SpectrumFunction, probabilities: np.ndarray, lines: np.ndarray
-) -> ConditionalExpectationTable:
-    """``quantum_conditional_expectation`` from the sum probabilities and each line's projected matrix P_k psi.
+def _expectation_table(index: AntiDiagonalIndex, fvals, w) -> tuple[ConditionalExpectationTable, np.ndarray]:
+    """``quantum_conditional_expectation`` from f's values on A's lines and W, and the probabilities of its sums.
 
-    <psi_k| f(A1) |psi_k> is sum_n f(a_n) |P_n psi_k|^2: f's values against
-    A(1) measured on each populated line.
+    p(s_k) adds W over line k's pairs, and e(s_k) adds f(a_n) W[n, m] over
+    them, divided by p(s_k).
     """
-    index = anti_diagonal_index(a)
+    n = len(index.factor_eigenvalues)
+    lines = np.empty((n, n), dtype=np.intp)
+    for k, pairs in enumerate(index.sets):
+        lines[tuple(zip(*pairs))] = k
+    lines = lines.ravel()
+    probabilities = np.bincount(lines, weights=w.ravel(), minlength=len(index.sums))
+    weighted = np.bincount(lines, weights=(np.asarray(fvals)[:, None] * w).ravel(), minlength=len(index.sums))
     kept = np.flatnonzero(probabilities >= ZERO_PROB_THRESHOLD)
-    weights = project_slot(lines[kept], a, 1)[0]
-    e = weights @ np.array([f(v) for v in a.eigenvalues]) / probabilities[kept]
+    e = weighted[kept] / probabilities[kept]
     entries = tuple(zip([index.sums[k] for k in kept.tolist()], e.tolist()))
-    return ConditionalExpectationTable(entries=entries, match_tol=index.match_tol)
+    return ConditionalExpectationTable(entries=entries, match_tol=index.match_tol), probabilities[kept]
 
 
 def oracle_conditional(state: PureState, a: Observable, f: SpectrumFunction) -> ConditionalExpectationTable:
-    """Brute-force classical conditioning; the ground truth for the projector route.
+    """Brute-force classical conditioning, pair by pair, of the joint table the entry points read.
 
     Extracts the joint coefficients directly, enumerates all N^2 outcome
     pairs, groups their sums, and conditions the resulting classical table.
-    No projector machinery is involved.
+    No projector machinery is involved; it shares K = V^H psi conj(V) with
+    the entry points, so the dense projector route is their independent
+    reference.
     """
     a.require_nondegenerate()
     n_dim = a.dim
@@ -364,23 +363,18 @@ def verify_tower_property(
 
     The left side contracts the conditional-expectation table against the sum
     distribution; the right side is a direct double sum over the joint
-    weights |K|^2, with no conditioning involved.
+    weights W, with no conditioning involved.
     """
     index = anti_diagonal_index(a)
-    g.require_covers(index.sums)
-    f.require_covers(a.eigenvalues)
-    probabilities, lines = project_sum(_coefficients(state, a), a)
-    table = _expectation_table(a, f, probabilities, lines)
-    kept = probabilities[probabilities >= ZERO_PROB_THRESHOLD].tolist()
-    lhs = sum(g(s) * e * p for (s, e), p in zip(table.entries, kept))
-
-    a.require_nondegenerate()
-    _composite_factor_dim(state, a.dim)
-    q = _joint_weights(_coefficients(state, a), a)
-    fvals = [f(v) for v in a.eigenvalues]
-    # G is read at each pair's grouped sum, not the raw a_n + a_m,
+    # G is read at each line's grouped sum, not the raw a_n + a_m,
     # so merged near-coincident sums cannot drift outside G's match tolerance
-    rhs = sum(g(s) * fvals[n] * q[n, m] for s, members in zip(index.sums, index.sets) for n, m in members)
+    gvals = {s: g(s) for s in index.sums}
+    fvals = [f(v) for v in a.eigenvalues]
+    w = _joint_table(state, a)[1]
+    a.require_nondegenerate()
+    table, probabilities = _expectation_table(index, fvals, w)
+    lhs = sum(gvals[s] * e * p for (s, e), p in zip(table.entries, probabilities.tolist()))
+    rhs = sum(gvals[s] * sum(fvals[n] * w[n, m] for n, m in members) for s, members in zip(index.sums, index.sets))
     return abs(lhs - float(rhs))
 
 
@@ -393,16 +387,12 @@ def verify_ce2(
 ) -> float:
     """Residual of the pinning identity: conditioning H(A1, S) on observed (a1, s) yields H(a1, s).
 
-    H(A1, S) is evaluated in the post-chain state from its joint weights
-    |K|^2: the product eigenstate |a_n>|a_m> of a pair on sum line k is a
-    joint eigenstate of A1 and S with value H(a_n, s_k).
+    The post-chain joint table is row n of the collapsed table, renormalized:
+    a1's pairs (n, m) on sum line k, each a joint eigenstate of A1 and S
+    with value H(a_n, s_k).
     """
-    phi = sequential_measure(state, a, s_value, a1_value)
-    index = anti_diagonal_index(a)
-    q = _joint_weights(_coefficients(phi, a), a)
-    predicted = sum(
-        h(index.factor_eigenvalues[n], s) * q[n, m] for s, members in zip(index.sums, index.sets) for n, m in members
-    )
-    k = index.sum_index(s_value)
+    index, k, _, branch = _branch(state, a, s_value)
     n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
-    return abs(float(predicted) - h(float(a.eigenvalues[n]), index.sums[k]))
+    chain = branch[n] / _possible(float(branch[n].sum()))
+    pinned = h(index.factor_eigenvalues[n], index.sums[k])
+    return abs(sum(pinned * p for p in chain.tolist()) - pinned)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, SpectrumCoverageError
-from .linalg import Observable, as_complex_matrix, default_grouping_tol, extract_c, match_value, phase_fix
+from .linalg import Observable, as_complex_matrix, default_grouping_tol, extract_c, match_value
 
 # Input vectors shorter than this are rejected rather than silently normalized.
 MIN_STATE_NORM = 1e-8
@@ -336,8 +336,7 @@ def verify_theorem1(a: Observable, b: Observable, alpha: float = 1.0) -> Diagona
     if a.dim != b.dim:
         raise DimensionMismatchError("observables act on different spaces")
     c = extract_c(a.matrix, b.matrix, alpha)
-    vectors = a.eigenvectors if a.is_nondegenerate else phase_fix(np.linalg.eigh(a.matrix)[1])
-    diag = np.einsum("ij,jk,ki->i", vectors.conj().T, c, vectors)
+    diag = np.einsum("ij,jk,ki->i", a.eigenvectors.conj().T, c, a.eigenvectors)
     return DiagonalVanishingReport(
         trace_residual=abs(complex(np.trace(c))),
         max_diag_residual=float(np.abs(diag).max()),

@@ -113,10 +113,10 @@ def dense_epr_analysis(sc):
     """
     from eprkit.composite import ZERO_PROB_THRESHOLD, collapse, lift, schmidt_rank, sum_observable
     from eprkit.conditional import (
+        POINT_MASS_TOL,
         PredictionSummary,
-        certain_prediction_from,
+        SumConstraintReport,
         conditional_distribution_from,
-        verify_theorem2_from,
     )
     from eprkit.lab import ChainReport, EprReport, SumBranchReport
     from eprkit.states import outcome_probabilities, prediction_error, project_outcomes, uncertainty_report
@@ -145,13 +145,17 @@ def dense_epr_analysis(sc):
             for slot in (1, 2)
         }
         cond = conditional_distribution_from(dists[("a", 1)].probabilities, index, k)
+        mean1, stdev1 = dists[("a", 1)].moments(a.eigenvalues)
+        mean2, stdev2 = dists[("a", 2)].moments(a.eigenvalues)
         branches.append(
             SumBranchReport(
                 s_value=s_value,
                 probability=prob,
                 schmidt_rank=schmidt_rank(psi_s),
                 **{f"{name}{slot}": summaries[(name, slot)] for name in "abc" for slot in (1, 2)},
-                sum_constraint=verify_theorem2_from(dists[("a", 1)], dists[("a", 2)], a, s_value),
+                sum_constraint=SumConstraintReport(
+                    mean_identity_residual=abs(mean2 - (s_value - mean1)), stdev_gap=abs(stdev1 - stdev2)
+                ),
                 audit_slot1=audits[1],
                 audit_slot2=audits[2],
                 sum_index=k,
@@ -163,15 +167,17 @@ def dense_epr_analysis(sc):
                 continue
             phi = collapse(psi_s, measured[("a", 1)][1][n], cond_prob)
             a2_dist = outcome_probabilities(phi, lifted[("a", 2)])
-            prediction = certain_prediction_from(a2_dist, m, a.eigenvalues)
+            if not (a2_dist.probabilities[m] >= 1.0 - POINT_MASS_TOL):
+                raise ValueError("a state left by the measurement chain misses its A(2) point mass")
+            a2_predicted, a2_stdev = a2_dist.moments(a.eigenvalues)
             chains.append(
                 ChainReport(
                     s_value=s_value,
                     a1_value=a1_value,
                     a2_value=float(a.eigenvalues[m]),
                     conditional_probability=cond_prob,
-                    a2_predicted=prediction.value,
-                    a2_stdev=prediction.stdev,
+                    a2_predicted=a2_predicted,
+                    a2_stdev=a2_stdev,
                     point_mass_residual=abs(1.0 - a2_dist.outcomes[m][1]),
                     resolution=uncertainty_report(
                         a2_dist.moments()[1],

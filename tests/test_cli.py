@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import eprkit
 from eprkit import io as eprio
-from eprkit import cli, lab
+from eprkit import cli, lab, linalg
 from eprkit.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from eprkit.lab import MAX_ENTRY_MAGNITUDE, build_scenario
 from eprkit.states import UncertaintyReport
@@ -459,6 +459,33 @@ def test_degenerate_factor_scenario_verifies_but_cannot_analyze(tmp_path, capsys
     capsys.readouterr()
     assert main(["analyze", str(path)]) == EXIT_INVARIANT
     assert "repeated eigenvalues" in capsys.readouterr().err
+
+
+def test_verify_reads_a_degenerate_a_in_the_basis_of_its_one_solve(tmp_path, capsys, monkeypatch):
+    # the diagonal of C is read in phase_fix(eigh(A)) for any A, and A's own solve already holds that basis
+    rng = np.random.default_rng(48)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    degenerate = u @ np.diag([1.0, 1.0, 2.0]) @ u.conj().T
+    sc = build_scenario("degenerate-a", degenerate, random_hermitian(rng, 3), random_state_vector(rng, 9))
+    path = tmp_path / "degenerate_a.json"
+    path.write_text(eprio.scenario_to_json(sc), encoding="utf-8")
+    loaded = eprio.scenario_from_json(path.read_text(encoding="utf-8"))
+    a, b = loaded.obs_a.matrix, loaded.obs_b.matrix
+    vectors = linalg.phase_fix(np.linalg.eigh(a)[1])
+    diag = np.einsum("ij,jk,ki->i", vectors.conj().T, linalg.extract_c(a, b, loaded.alpha), vectors)
+    expected = f"  max |<a|C|a>| in A eigenbasis:   {float(np.abs(diag).max()):.3e}"
+
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counting(matrix, *args, **kwargs):
+        solved.append(np.array(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert main(["verify", str(path)]) == EXIT_OK
+    assert expected in capsys.readouterr().out.splitlines()
+    assert sum(np.array_equal(matrix, a) for matrix in solved) == 1
 
 
 def test_console_script_entry_point():

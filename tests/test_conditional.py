@@ -1,6 +1,6 @@
 import math
+import tracemalloc
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from eprkit.conditional import (
     ConditionalDistribution,
     PairSpectrumFunction,
     certain_prediction,
-    certain_prediction_from,
     conditional_distribution,
     conditional_prediction,
     epr_resolution_check,
@@ -223,12 +222,13 @@ class TestCertainPrediction:
         with pytest.raises(ValueError):
             certain_prediction(psi, obs, SpectrumFunction.identity([-1.0, 1.0]), 0.0, 1.0)
 
-    def test_rejects_nan_point_mass(self):
-        # a distribution object carrying a NaN where the point mass should be
-        a2_dist = SimpleNamespace(probabilities=np.array([math.nan, 0.0]))
+    def test_rejects_nan_point_mass(self, monkeypatch):
+        # a measurement of A(2) that returns NaN where the point mass should be
+        obs = Observable(PAULI_Z)
+        phi = sequential_measure(two_branch_state(), obs, 0.0, 1.0)
+        monkeypatch.setattr(conditional, "project_slot", lambda psi, o, slot: (np.array([math.nan, 0.0]), None))
         with pytest.raises(ValueError, match="measurement chain"):
-            certain_prediction_from(a2_dist, 0, [-1.0, 1.0])
-
+            certain_prediction(phi, obs, SpectrumFunction.identity([-1.0, 1.0]), 0.0, 1.0)
 
     def test_merged_sum_line_pins_the_partner_of_a1(self):
         # the sum line merges (0, 2), (1, 1) and (2, 0) although 1 + 1 misses 2 + 3.9e-9 by more than
@@ -388,27 +388,6 @@ class TestTowerProperty:
                 partial = table.value_at(s_value) * dist.outcomes[k][1]
                 q_route = brute_conditional_mean(psi.amplitudes, obs.matrix, lambda a: a, s_value)
                 assert partial == pytest.approx(q_route * dist.outcomes[k][1], abs=1e-10)
-
-    def test_projects_onto_the_sum_lines_once(self, monkeypatch):
-        import eprkit.composite
-        import eprkit.conditional
-
-        calls = []
-        project_sum = eprkit.composite.project_sum
-
-        def counting(psi, obs):
-            calls.append(obs)
-            return project_sum(psi, obs)
-
-        monkeypatch.setattr(eprkit.conditional, "project_sum", counting)
-        rng = np.random.default_rng(75)
-        obs = Observable(random_hermitian(rng, 4))
-        psi = PureState(random_state_vector(rng, 16), factor_dims=(4, 4))
-        sums = sum_observable(obs).eigenvalues
-        f = SpectrumFunction.identity(obs.eigenvalues)
-        g = SpectrumFunction({sv: v for sv, v in zip(sums, rng.standard_normal(len(sums)))})
-        assert verify_tower_property(psi, obs, f, g) <= 1e-10
-        assert len(calls) == 1
 
     def test_survives_merged_near_coincident_sums(self):
         # two distinct pairs land within the grouping tolerance of each other,
@@ -594,6 +573,8 @@ class TestDenseRoute:
             "tensor_product": linalg,
             "project_outcomes": states,
             "post_measurement_state": composite,
+            "project_sum": composite,
+            "collapse": composite,
         }
         for name, home in watched.items():
             original = getattr(home, name)
@@ -674,20 +655,30 @@ class TestDenseRoute:
         f = SpectrumFunction.identity(a.eigenvalues)
         g = SpectrumFunction.identity(index.sums)
         h = PairSpectrumFunction.from_callable(index, lambda x, s: x + s)
-        wrong = PureState(random_state_vector(np.random.default_rng(93), 4), factor_dims=(2, 2))
-        for call in (
-            lambda: conditional_distribution(wrong, a, 4.0),
-            lambda: conditional_prediction(wrong, a, f, 4.0),
-            lambda: verify_theorem2(wrong, a, 4.0),
-            lambda: sequential_measure(wrong, a, 4.0, 1.0),
-            lambda: certain_prediction(wrong, a, f, 4.0, 1.0),
-            lambda: epr_resolution_check(wrong, a, a, a),
-            lambda: quantum_conditional_expectation(wrong, a, f),
-            lambda: verify_tower_property(wrong, a, f, g),
-            lambda: verify_ce2(wrong, a, h, 4.0, 1.0),
+        rng = np.random.default_rng(93)
+        a4 = Observable(np.diag([1.0, 2.0, 3.0, 4.0]))
+        index4 = anti_diagonal_index(a4)
+        f4, g4 = SpectrumFunction.identity(a4.eigenvalues), SpectrumFunction.identity(index4.sums)
+        h4 = PairSpectrumFunction.from_callable(index4, lambda x, s: x + s)
+        # a 16-vector fits A's 4 x 4 coefficient matrix, but its declared factors do not
+        misfactored = PureState(random_state_vector(rng, 16), factor_dims=(2, 8))
+        for wrong, obs, fn, gn, hn in (
+            (PureState(random_state_vector(rng, 4), factor_dims=(2, 2)), a, f, g, h),
+            (misfactored, a4, f4, g4, h4),
         ):
-            with pytest.raises(DimensionMismatchError):
-                call()
+            for call in (
+                lambda: conditional_distribution(wrong, obs, 4.0),
+                lambda: conditional_prediction(wrong, obs, fn, 4.0),
+                lambda: verify_theorem2(wrong, obs, 4.0),
+                lambda: sequential_measure(wrong, obs, 4.0, 1.0),
+                lambda: certain_prediction(wrong, obs, fn, 4.0, 1.0),
+                lambda: epr_resolution_check(wrong, obs, obs, obs),
+                lambda: quantum_conditional_expectation(wrong, obs, fn),
+                lambda: verify_tower_property(wrong, obs, fn, gn),
+                lambda: verify_ce2(wrong, obs, hn, 4.0, 1.0),
+            ):
+                with pytest.raises(DimensionMismatchError):
+                    call()
         psi, _ = three_level_chain_state()
         with pytest.raises(DimensionMismatchError):
             epr_resolution_check(psi, a, Observable(PAULI_X), a)
@@ -711,3 +702,49 @@ class TestDenseRoute:
         ):
             with pytest.raises(SpectrumCoverageError):
                 call()
+
+
+class TestTargetSize:
+    def test_every_sum_conditioned_entry_point_stays_small_at_n_64(self):
+        # the joint table is N x N; the projected-line route held an (N, N, N, N) stack
+        n = 64
+        rng = np.random.default_rng(94)
+        a = Observable(random_hermitian(rng, n))
+        psi = PureState(random_state_vector(rng, n * n), factor_dims=(n, n))
+        index = anti_diagonal_index(a)
+        f = SpectrumFunction.identity(a.eigenvalues)
+        g = SpectrumFunction.identity(index.sums)
+        h = PairSpectrumFunction.from_callable(index, lambda x, s: x + s)
+        k = len(index.sums) // 2
+        s_value = index.sums[k]
+        a1_value = index.factor_eigenvalues[index.sets[k][0][0]]
+        results = {}
+        for name, call in (
+            ("distribution", lambda: conditional_distribution(psi, a, s_value)),
+            ("prediction", lambda: conditional_prediction(psi, a, f, s_value)),
+            ("theorem2", lambda: verify_theorem2(psi, a, s_value)),
+            ("chain", lambda: sequential_measure(psi, a, s_value, a1_value)),
+            ("table", lambda: quantum_conditional_expectation(psi, a, f)),
+            ("tower", lambda: verify_tower_property(psi, a, f, g)),
+            ("ce2", lambda: verify_ce2(psi, a, h, s_value, a1_value)),
+        ):
+            tracemalloc.start()
+            try:
+                results[name] = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000, name
+        # the paper's identities still hold at the target size
+        scale = float(np.abs(a.eigenvalues).max())
+        assert results["theorem2"].mean_identity_residual <= 1e-12 * scale
+        assert results["theorem2"].stdev_gap <= 1e-12 * scale
+        dist = results["distribution"]
+        assert results["prediction"].mean == pytest.approx(float(dist.values @ dist.probabilities), abs=1e-12 * scale)
+        assert len(results["table"].entries) == len(index.sums)
+        assert results["tower"] <= 1e-10 * scale
+        assert results["ce2"] <= 1e-12 * scale
+        i, j = index.sets[k][0]
+        v = a.eigenvectors
+        assert results["chain"].factor_dims == (n, n)
+        assert abs(np.vdot(np.kron(v[:, i], v[:, j]), results["chain"].amplitudes)) == pytest.approx(1.0, abs=1e-12)

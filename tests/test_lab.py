@@ -9,8 +9,8 @@ import pytest
 
 from eprkit import cli, composite, conditional, lab, linalg, states
 from eprkit import io as eprio
-from eprkit.composite import anti_diagonal_index, lift, sum_observable
-from eprkit.conditional import conditional_distribution, oracle_conditional
+from eprkit.composite import anti_diagonal_index, collapse, lift, sum_observable
+from eprkit.conditional import oracle_conditional
 from eprkit.errors import DegenerateSpectrumError, DimensionMismatchError
 from eprkit.lab import (
     build_pauli_scenario,
@@ -22,7 +22,7 @@ from eprkit.lab import (
 )
 from eprkit.lab import ShotRecord
 from eprkit.linalg import Observable, extract_c
-from eprkit.states import PureState, SpectrumFunction, outcome_probabilities
+from eprkit.states import PureState, SpectrumFunction, project_outcomes
 from helpers import (
     PAULI_X,
     PAULI_Y,
@@ -347,19 +347,22 @@ class TestSampleChain:
         for i, sc in enumerate(bundled_and_random_scenarios()):
             tol = 0.0 if i < len(BUNDLED) else 16 * sc.factor_dim * np.finfo(float).eps
             spectrum, cond_probs, paths = sc.chain_tables
-            dense = outcome_probabilities(sc.initial_state, sum_observable(sc.obs_a))
+            index = anti_diagonal_index(sc.obs_a)
+            dense, projected = project_outcomes(sc.initial_state, sum_observable(sc.obs_a))
             assert spectrum.values.tolist() == dense.values.tolist()
             assert np.abs(spectrum.probabilities - dense.probabilities).max() <= tol
             populated = {k for k, _ in paths}
             assert populated == {k for k, (_, p) in enumerate(dense.outcomes) if p >= lab.ZERO_PROB_THRESHOLD}
-            for k, (s_value, _) in enumerate(spectrum.outcomes):
+            for k, (_, p) in enumerate(dense.outcomes):
                 if k not in populated:
                     assert not cond_probs[k].any()
                     continue
-                dist = conditional_distribution(sc.initial_state, sc.obs_a, s_value)
+                a1 = project_outcomes(collapse(sc.initial_state, projected[k], p), lift(sc.obs_a, 1))[0]
+                rows = [n for n, _ in index.sets[k]]
                 support = sorted(n for kk, n in paths if kk == k)
-                assert [paths[k, n][1] for n in support] == dist.values.tolist()
-                assert np.abs(cond_probs[k, support] - dist.probabilities).max() <= tol
+                assert support == rows
+                assert [paths[k, n][1] for n in support] == a1.values[rows].tolist()
+                assert np.abs(cond_probs[k, support] - a1.probabilities[rows]).max() <= tol
                 assert not np.delete(cond_probs[k], support).any()
 
     def test_rejects_bad_shots(self):
