@@ -389,6 +389,25 @@ class TestTowerProperty:
                 q_route = brute_conditional_mean(psi.amplitudes, obs.matrix, lambda a: a, s_value)
                 assert partial == pytest.approx(q_route * dist.outcomes[k][1], abs=1e-10)
 
+    def test_projects_onto_the_sum_lines_once(self, monkeypatch):
+        # both sides of the residual read one joint table W; the sum lines are summed off it, not re-projected
+        calls = []
+        joint_table = conditional._joint_table
+
+        def counting(psi, obs):
+            calls.append(obs)
+            return joint_table(psi, obs)
+
+        monkeypatch.setattr(conditional, "_joint_table", counting)
+        rng = np.random.default_rng(75)
+        obs = Observable(random_hermitian(rng, 4))
+        psi = PureState(random_state_vector(rng, 16), factor_dims=(4, 4))
+        sums = sum_observable(obs).eigenvalues
+        f = SpectrumFunction.identity(obs.eigenvalues)
+        g = SpectrumFunction({sv: v for sv, v in zip(sums, rng.standard_normal(len(sums)))})
+        assert verify_tower_property(psi, obs, f, g) <= 1e-10
+        assert len(calls) == 1
+
     def test_survives_merged_near_coincident_sums(self):
         # two distinct pairs land within the grouping tolerance of each other,
         # so their sums merge into one line; G lookups must follow the merge
