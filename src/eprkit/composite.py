@@ -10,26 +10,28 @@ sum eigenspaces.
 Measurements come in two equivalent forms. The factor-space form works on
 a state's N x N coefficient matrix psi (first factor as rows):
 (P x I) vec(psi) is vec(P psi), (I x P) vec(psi) is vec(psi P^T), and sum
-line k projects psi to the sum of P_n psi P_m^T over its pairs (n, m).
-``project_slot``, ``project_sum``, ``slot_expectation`` and
+line k keeps the amplitudes K[n, m] of K = V^H psi conj(V)
+(``eigenbasis_coefficients``) on its pairs (n, m), which the index's
+``labels`` name. ``project_slot``, ``slot_expectation`` and
 ``schmidt_rank`` take this form on a (..., N, N) stack: leading axes index
 states, and each state's result has the bits it would have alone, since a
 batched product runs the same BLAS call on every matrix. The analysis
-pipeline measures every branch, and then every chain, in one such call per
-observable and slot. ``slot_expectation`` returns numpy complex values:
-take their modulus with Python's ``abs`` on ``tolist()`` entries where the
-bits matter, since ``np.abs`` of a complex can differ in the last bit.
-``eprkit.conditional`` reads its sum-conditioned answers off the joint
-table |K|^2 instead, and measures a post-chain state with ``project_slot``.
-The dense form (``lift``, ``sum_observable``) assembles the N^2 x N^2
-operators and their projectors. Neither the analysis nor any
-``eprkit.conditional`` entry point runs it; it stays public as the
-independent route the tests check the factor-space form against.
+measures B and C on every branch in one ``project_slot`` call per
+observable and slot, and reads everything about A off K; ``line_totals``
+adds weights given per eigenvector over each line of an observable.
+``slot_expectation`` returns numpy complex values: take their modulus with
+Python's ``abs`` on ``tolist()`` entries where the bits matter, since
+``np.abs`` of a complex can differ in the last bit. ``eprkit.conditional``
+reads its sum-conditioned answers off the joint table |K|^2 too. The dense
+form (``lift``, ``sum_observable``) assembles the N^2 x N^2 operators and
+their projectors. Neither the analysis nor any ``eprkit.conditional``
+entry point runs it; it stays public as the independent route the tests
+check the factor-space form against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .linalg import (
     SpectralLine,
     as_complex_matrix,
     default_grouping_tol,
-    group_close_values,
     hermiticity_tolerance,
     match_value,
     tensor_product,
@@ -52,6 +53,9 @@ ZERO_PROB_THRESHOLD = 1e-12
 
 PROJECTOR_TOL = 1e-10
 
+# Singular values above this count toward the Schmidt rank.
+SCHMIDT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class AntiDiagonalIndex:
@@ -59,13 +63,15 @@ class AntiDiagonalIndex:
 
     ``sets[k]`` lists the 0-based index pairs (n, m) with
     ``a_n + a_m == sums[k]`` (within ``match_tol``); its length is the
-    degeneracy of the k-th sum eigenvalue.
+    degeneracy of the k-th sum eigenvalue. ``labels[n, m]`` is the line k
+    of the pair (n, m), as one read-only N x N array.
     """
 
     factor_eigenvalues: tuple[float, ...]
     sums: tuple[float, ...]
     sets: tuple[tuple[tuple[int, int], ...], ...]
     match_tol: float
+    labels: np.ndarray = field(repr=False, compare=False)
 
     @property
     def degeneracies(self) -> tuple[int, ...]:
@@ -88,7 +94,10 @@ def anti_diagonals(spectrum) -> AntiDiagonalIndex:
     """Group the N^2 pairwise sums of a strictly increasing spectrum.
 
     Sums whose gaps stay below the grouping tolerance are merged, mirroring
-    how near-degenerate eigenvalues are merged in spectral decomposition.
+    how near-degenerate eigenvalues are merged in spectral decomposition:
+    sorted, a gap above the tolerance starts a new line. Each line's sum is
+    the ``np.mean`` of its pair sums in sorted order, and its pairs are
+    listed in (n, m) order.
     """
     ev = np.asarray(spectrum, dtype=float)
     if ev.ndim != 1 or ev.size == 0:
@@ -96,23 +105,59 @@ def anti_diagonals(spectrum) -> AntiDiagonalIndex:
     if np.any(np.diff(ev) <= 0):
         raise ValueError("spectrum must be strictly increasing")
     n = ev.size
-    pair_sums = np.array([ev[i] + ev[j] for i in range(n) for j in range(n)])
-    pairs = [(i, j) for i in range(n) for j in range(n)]
+    pair_sums = np.add.outer(ev, ev).ravel()
     tol = default_grouping_tol(pair_sums)
     order = np.argsort(pair_sums, kind="stable")
-    groups = group_close_values(pair_sums[order], tol)
-    sums = []
-    sets = []
-    for group in groups:
-        members = sorted(pairs[order[i]] for i in group)
-        sums.append(float(np.mean(pair_sums[order[list(group)]])))
-        sets.append(tuple(members))
+    ordered = pair_sums[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-np.inf) > tol)
+    sizes = np.diff(starts, append=ordered.size)
+    line = np.repeat(np.arange(starts.size), sizes)
+    labels = np.empty(n * n, dtype=np.intp)
+    labels[order] = line
+    labels = labels.reshape(n, n)
+    labels.setflags(write=False)
+    members = order[np.lexsort((order, line))].tolist()
+    pairs = [divmod(flat, n) for flat in members]
+    bounds = np.append(starts, ordered.size).tolist()
     return AntiDiagonalIndex(
-        factor_eigenvalues=tuple(float(v) for v in ev),
-        sums=tuple(sums),
-        sets=tuple(sets),
+        factor_eigenvalues=tuple(ev.tolist()),
+        sums=tuple(_group_means(ordered, starts, sizes).tolist()),
+        sets=tuple(tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
         match_tol=tol,
+        labels=labels,
     )
+
+
+# numpy sums at most this many values with its eight accumulators; longer sums split recursively.
+_PAIRWISE_BLOCK = 128
+
+
+def _group_means(ordered: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``np.mean`` of each contiguous group of ``ordered``, bit for bit, for all groups at once.
+
+    numpy adds a group of n values pairwise: eight accumulators take the
+    whole blocks of eight in turn, are added as a tree, then the last n % 8
+    values follow one by one (for n < 8, all of them), and the total is
+    added to 0.0. Here every group's blocks and tail are padded with -0.0,
+    which adds nothing, so one array operation per step serves all groups.
+    """
+    if sizes.max() > _PAIRWISE_BLOCK:
+        return np.array([np.mean(ordered[lo : lo + size]) for lo, size in zip(starts, sizes)])
+    whole = 8 * (sizes // 8)
+    group = np.repeat(np.arange(sizes.size), sizes)
+    offset = np.arange(ordered.size) - starts[group]
+    in_block = offset < whole[group]
+    blocks = np.full((sizes.size, max(int(whole.max()) // 8, 1), 8), -0.0)
+    blocks[group[in_block], offset[in_block] // 8, offset[in_block] % 8] = ordered[in_block]
+    tail = np.full((sizes.size, 7), -0.0)
+    tail[group[~in_block], (offset - whole[group])[~in_block]] = ordered[~in_block]
+    r = blocks[:, 0]
+    for block in blocks.transpose(1, 0, 2)[1:]:
+        r = r + block
+    total = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    for column in tail.T:
+        total = total + column
+    return (0.0 + total) / sizes
 
 
 def anti_diagonal_index(a: Observable) -> AntiDiagonalIndex:
@@ -120,6 +165,17 @@ def anti_diagonal_index(a: Observable) -> AntiDiagonalIndex:
     if a._anti_diagonals is None:
         a._anti_diagonals = anti_diagonals(a.eigenvalues)
     return a._anti_diagonals
+
+
+def eigenbasis_coefficients(psi: np.ndarray, a: Observable) -> np.ndarray:
+    """K = V^H psi conj(V): the amplitudes of the coefficient matrix psi on A's product eigenstates |a_n>|a_m>."""
+    v = a.eigenvectors
+    return v.conj().T @ psi @ v.conj()
+
+
+def line_totals(weights: np.ndarray, obs: Observable, axis: int = -1) -> np.ndarray:
+    """Add weights given per eigenvector of obs (its columns, ascending) over each of its lines, along axis."""
+    return np.add.reduceat(weights, np.cumsum((0, *obs.multiplicities[:-1])), axis=axis)
 
 
 def project_slot(psi: np.ndarray, obs: Observable, slot: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,25 +194,6 @@ def project_slot(psi: np.ndarray, obs: Observable, slot: int) -> tuple[np.ndarra
         projected = psi @ stack.transpose(0, 2, 1)
     else:
         raise ValueError(f"slot must be 1 or 2, got {slot!r}")
-    return projected_probabilities(projected.reshape(*projected.shape[:-2], -1)), projected
-
-
-def project_sum(psi: np.ndarray, a: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Measure S = A(1) + A(2) on each coefficient matrix in the (..., N, N) stack psi.
-
-    Line k projects psi to the sum of P_n psi P_m^T over its pairs (n, m).
-    Returns the (..., lines) probabilities, in the order of the sum index,
-    and the (..., lines, N, N) projected matrices. The terms of all N^2
-    pairs come from two batched products; each line adds up its own pairs in
-    index order.
-    """
-    index = anti_diagonal_index(a)
-    stack = a.projector_stack
-    terms = (stack @ psi[..., None, :, :])[..., :, None, :, :] @ stack.transpose(0, 2, 1)
-    projected = np.empty((*psi.shape[:-2], len(index.sets), *psi.shape[-2:]), dtype=np.complex128)
-    for k, pairs in enumerate(index.sets):
-        rows, cols = zip(*pairs)
-        terms[..., list(rows), list(cols), :, :].sum(axis=-3, out=projected[..., k, :, :])
     return projected_probabilities(projected.reshape(*projected.shape[:-2], -1)), projected
 
 
@@ -281,7 +318,7 @@ def post_measurement_state(state: PureState, projector) -> tuple[PureState, floa
     return collapse(state, projected, prob), min(prob, 1.0)
 
 
-def schmidt_rank(state: PureState | np.ndarray, tol: float = 1e-10) -> int | np.ndarray:
+def schmidt_rank(state: PureState | np.ndarray, tol: float = SCHMIDT_TOL) -> int | np.ndarray:
     """Number of singular values of the coefficient matrix above tol.
 
     Rank 1 means a product state; rank >= 2 means entanglement. ``state`` is

@@ -8,8 +8,10 @@ K = V^H psi conj(V): the probability of each product eigenstate |a_n>|a_m>.
 Sum line k keeps orthogonal pairs (n, m), so its branch is a mixture of
 them: p(s_k) adds W over the line, and the A(1) and A(2) distributions in
 the branch are its row and column sums over p(s_k). ``certain_prediction``
-and ``epr_resolution_check`` measure the caller's post-chain state with
-``project_slot`` and ``slot_expectation``. None builds an N^2 x N^2 operator.
+and ``epr_resolution_check`` measure slot 2 of the caller's post-chain
+state psi: each line's probability adds the squared column norms of
+psi conj(V) over its eigenvectors, and <C(2)> is ``slot_expectation``. None
+builds an N^2 x N^2 operator or a stack of projected states.
 ``oracle_conditional`` conditions the same table by brute force.
 """
 
@@ -20,7 +22,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .composite import ZERO_PROB_THRESHOLD, AntiDiagonalIndex, anti_diagonal_index, project_slot, slot_expectation
+from .composite import (
+    ZERO_PROB_THRESHOLD,
+    AntiDiagonalIndex,
+    anti_diagonal_index,
+    eigenbasis_coefficients,
+    line_totals,
+    slot_expectation,
+)
 from .errors import DegenerateSpectrumError, DimensionMismatchError, ImpossibleOutcomeError, SpectrumCoverageError
 from .linalg import Observable, default_grouping_tol, group_close_values, match_value
 from .states import (
@@ -153,11 +162,19 @@ def _joint_table(state: PureState, a: Observable) -> tuple[np.ndarray, np.ndarra
     W[n, m] adds |K|^2 over the contiguous eigenvectors of lines n and m, so
     it is |P_n psi P_m^T|^2 also for a degenerate A.
     """
-    v = a.eigenvectors
-    coefficients = v.conj().T @ _coefficients(state, a) @ v.conj()
-    starts = np.cumsum((0, *a.multiplicities[:-1]))
-    w = np.add.reduceat(np.add.reduceat(np.abs(coefficients) ** 2, starts, axis=0), starts, axis=1)
+    coefficients = eigenbasis_coefficients(_coefficients(state, a), a)
+    w = line_totals(line_totals(np.abs(coefficients) ** 2, a, axis=0), a, axis=1)
     return coefficients, w
+
+
+def _slot2_probabilities(psi: np.ndarray, obs: Observable) -> np.ndarray:
+    """Outcome probabilities of obs on slot 2 of the coefficient matrix psi, in the order of its lines.
+
+    Line l's probability |psi P_l^T|^2 adds the squared norms of the columns
+    psi conj(v_j) over its eigenvectors v_j.
+    """
+    columns = psi @ obs.eigenvectors.conj()
+    return line_totals(np.sum(columns.real**2 + columns.imag**2, axis=0), obs)
 
 
 def _possible(probability: float) -> float:
@@ -176,8 +193,7 @@ def _branch(state: PureState, a: Observable, s_value: float) -> tuple[AntiDiagon
     index = anti_diagonal_index(a)
     k = index.sum_index(s_value)
     coefficients, w = _joint_table(state, a)
-    on_line = np.zeros(w.shape, dtype=bool)
-    on_line[tuple(zip(*index.sets[k]))] = True
+    on_line = index.labels == k
     return index, k, coefficients, np.where(on_line, w, 0.0) / _possible(float(w[on_line].sum()))
 
 
@@ -266,7 +282,7 @@ def certain_prediction(
     partners = [m for row, m in index.sets[k] if row == n]
     if len(partners) != 1:
         raise SpectrumCoverageError(f"a1 = {a1_value!r} pins no single A(2) outcome on sum {index.sums[k]!r}")
-    probabilities = project_slot(_coefficients(phi, a), a, 2)[0]
+    probabilities = _slot2_probabilities(_coefficients(phi, a), a)
     if not (probabilities[partners[0]] >= 1.0 - POINT_MASS_TOL):
         raise ValueError("state was not produced by the measurement chain for (s_value, a1_value)")
     a2_dist = _distribution(a, probabilities)
@@ -286,8 +302,8 @@ def epr_resolution_check(phi: PureState, a: Observable, b: Observable, c: Observ
         raise DimensionMismatchError("audit requires all operands on one space")
     psi = _coefficients(phi, a)
     return uncertainty_report(
-        _distribution(a, project_slot(psi, a, 2)[0]).moments()[1],
-        _distribution(b, project_slot(psi, b, 2)[0]).moments()[1],
+        _distribution(a, _slot2_probabilities(psi, a)).moments()[1],
+        _distribution(b, _slot2_probabilities(psi, b)).moments()[1],
         0.5 * abs(complex(slot_expectation(psi, c, 2))),
     )
 
@@ -308,11 +324,7 @@ def _expectation_table(index: AntiDiagonalIndex, fvals, w) -> tuple[ConditionalE
     p(s_k) adds W over line k's pairs, and e(s_k) adds f(a_n) W[n, m] over
     them, divided by p(s_k).
     """
-    n = len(index.factor_eigenvalues)
-    lines = np.empty((n, n), dtype=np.intp)
-    for k, pairs in enumerate(index.sets):
-        lines[tuple(zip(*pairs))] = k
-    lines = lines.ravel()
+    lines = index.labels.ravel()
     probabilities = np.bincount(lines, weights=w.ravel(), minlength=len(index.sums))
     weighted = np.bincount(lines, weights=(np.asarray(fvals)[:, None] * w).ravel(), minlength=len(index.sums))
     kept = np.flatnonzero(probabilities >= ZERO_PROB_THRESHOLD)

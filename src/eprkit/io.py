@@ -198,26 +198,32 @@ def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
         raise ScenarioFormatError(f"{where} has unknown fields: {sorted(unknown)}")
 
 
-def _parse_complex(entry, where: str) -> complex:
-    if (
-        not isinstance(entry, list)
-        or len(entry) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-    ):
-        raise ScenarioFormatError(f"{where} must be a [re, im] pair of numbers")
-    return complex(float(entry[0]), float(entry[1]))
+# JSON numbers parse to exactly these types; a bool is neither.
+_NUMBER_TYPES = (int, float)
+
+
+def _check_pairs(cells: list, where: str) -> None:
+    """Check that every cell is a [re, im] pair of numbers, naming the first that is not as ``where[j]``."""
+    for j, cell in enumerate(cells):
+        if not (
+            type(cell) is list and len(cell) == 2 and type(cell[0]) in _NUMBER_TYPES and type(cell[1]) in _NUMBER_TYPES
+        ):
+            raise ScenarioFormatError(f"{where}[{j}] must be a [re, im] pair of numbers")
+
+
+def _complex_array(pairs: list) -> np.ndarray:
+    """The complex array of checked [re, im] pairs, nested to any depth, in one conversion."""
+    return np.array(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _parse_matrix(entry, n: int, where: str) -> np.ndarray:
     if not isinstance(entry, list) or len(entry) != n:
         raise ScenarioFormatError(f"{where} must be a {n}x{n} nested array")
-    out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(entry):
         if not isinstance(row, list) or len(row) != n:
             raise ScenarioFormatError(f"{where} row {i} must have {n} entries")
-        for j, cell in enumerate(row):
-            out[i, j] = _parse_complex(cell, f"{where}[{i}][{j}]")
-    return out
+        _check_pairs(row, f"{where}[{i}]")
+    return _complex_array(entry)
 
 
 def scenario_to_payload(sc: Scenario) -> dict:
@@ -266,7 +272,8 @@ def scenario_from_json(text: str) -> Scenario:
     state_entry = payload["state"]
     if not isinstance(state_entry, list) or len(state_entry) != n * n:
         raise ScenarioFormatError(f"state must have {n * n} amplitude pairs")
-    state = np.array([_parse_complex(z, f"state[{i}]") for i, z in enumerate(state_entry)])
+    _check_pairs(state_entry, "state")
+    state = _complex_array(state_entry)
 
     for name, matrix in (("matrix_a", matrix_a), ("matrix_b", matrix_b), ("matrix_c", matrix_c)):
         if matrix is not None and not is_hermitian(matrix):

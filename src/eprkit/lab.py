@@ -5,10 +5,11 @@ space with an initial state of the two-factor composite. The analysis
 conditions on every reachable sum outcome, audits the uncertainty bound in
 each branch, runs the full measure-S-then-A1 chain, and the sampler draws
 reproducible measurement paths to compare empirical frequencies against the
-analytic distributions. The analysis measures stacks of N x N
-coefficient matrices, every branch or every chain at once, with the
-factor-space helpers of ``eprkit.composite``; no N^2 x N^2 operator is
-built for it or for sampling.
+analytic distributions. The analysis reads A's distributions, the Schmidt
+ranks and every chain off the state's N x N amplitudes K in A's product
+eigenbasis, and measures B and C on the stack of N x N branch states with
+``eprkit.composite.project_slot``; no N^2 x N^2 operator is built for it
+or for sampling.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import numpy as np
 
 from . import _kernels
 from .composite import (
+    SCHMIDT_TOL,
     ZERO_PROB_THRESHOLD,
     anti_diagonal_index,
+    eigenbasis_coefficients,
+    line_totals,
     project_slot,
-    project_sum,
-    schmidt_rank,
-    slot_expectation,
 )
 from .conditional import (
     POINT_MASS_TOL,
@@ -44,6 +45,7 @@ from .states import (
     UncertaintyReport,
     normalize,
     ordered_mean,
+    projected_probabilities,
     spectral_moments,
     uncertainty_report,
 )
@@ -247,48 +249,63 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     are read off the sum index, so A(1) and A(2) distributions are indexed by
     A's eigenvalue position, never matched by value.
 
-    The walk is one stacked pass. The populated sum lines' projected N x N
-    coefficient matrices form a (K, N, N) stack, normalized at once; A, B
-    and C are measured on both slots of every branch with one batched
-    product each (``project_slot``, ``slot_expectation``), and the means,
-    stdevs, audit right-hand sides and Schmidt ranks are array operations.
-    The chains do the same on the (J, N, N) stack of A(1)-projected branch
-    matrices. Every float has the bits the state-by-state loop gives: sums
-    run in outcome order, each row's ``vecdot`` is the ``dot`` or ``vdot``
-    of that row, and each audit's |<C>| is Python's ``abs`` of a complex,
-    which ``np.abs`` can miss in the last bit. Only the report objects are
-    built in a loop. A measurement that does not sum to 1, a collapsed state
-    that fails its norm check or a chain that misses its point mass raises
-    ScenarioInvariantError.
+    Everything is read off K = V^H psi conj(V), the state's amplitudes on
+    the product eigenstates |a_n>|a_m>, computed once. Sum line k keeps K on
+    its pairs (K_k, scattered by the index's ``labels``), and the branch
+    state is V K_k V^T, whose squared norm is p(s_k). A line holds at most
+    one pair per row and column, so once K_k is normalized the A(1) and
+    A(2) distributions are the row and column sums of |K_k|^2, the Schmidt
+    rank counts the entries of |K_k| above ``SCHMIDT_TOL``, and each
+    audit's |<C>| / 2 weighs the diagonal of C' = V^H C V with its slot's
+    distribution. Only B and C are measured on the (branches, N, N) stack
+    of branch states, with ``project_slot``. The chain S, then A(1) = a_n,
+    leaves u |a_n>|a_m> with the unit phase u of K[n, m]: A(2) is the point
+    mass |u|^2 at m, B(2) is row m of the overlap table |V_B^H V_A|^2
+    added over B's lines, and the bound's right-hand side is |C'_mm| / 2.
+    Only the report objects are built in a loop. A measurement that does
+    not sum to 1, a collapsed state that fails its norm check or a chain
+    that misses its point mass raises ScenarioInvariantError.
     """
     a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
     a.require_nondegenerate()
     n_dim = sc.factor_dim
     index = anti_diagonal_index(a)
     a_values = a.eigenvalues
-    sum_probs, line_matrices = project_sum(sc.initial_state.amplitudes.reshape(n_dim, n_dim), a)
+    v = a.eigenvectors
+    coefficients = eigenbasis_coefficients(sc.initial_state.amplitudes.reshape(n_dim, n_dim), a)
+    lines = np.zeros((len(index.sums), n_dim * n_dim), dtype=np.complex128)
+    lines[index.labels.ravel(), np.arange(n_dim * n_dim)] = coefficients.ravel()
+    lines = lines.reshape(-1, n_dim, n_dim)
+    projected = v @ lines @ v.T
+    sum_probs = projected_probabilities(projected.reshape(len(lines), -1))
     _require_normalized(sum_probs, "S")
     spectrum = OutcomeDistribution(outcomes=tuple(zip(index.sums, sum_probs.tolist())))
 
     kept = np.flatnonzero(~(sum_probs < ZERO_PROB_THRESHOLD))
-    psi_s = _collapse_all(line_matrices[kept])
-    summaries, moments = {}, {}
-    for name, obs in (("a", a), ("b", b), ("c", c)):
+    psi_s, norms = _collapse_all(projected[kept])
+    branch_coefficients = lines[kept] / norms[:, None, None]
+    weights = branch_coefficients.real**2 + branch_coefficients.imag**2
+    probabilities = {("a", 1): weights.sum(axis=2), ("a", 2): weights.sum(axis=1)}
+    for name, obs in (("b", b), ("c", c)):
         for slot in (1, 2):
-            probs, projected = project_slot(psi_s, obs, slot)
-            _require_normalized(probs, f"{name.upper()}({slot})")
-            if (name, slot) == ("a", 1):
-                a1_probs, a1_projected = probs.tolist(), projected
-            moments[name, slot] = spectral_moments(obs.eigenvalues, probs)
-            summaries[name, slot] = [
-                PredictionSummary(mean=mean, stdev=stdev)
-                for mean, stdev in zip(ordered_mean(obs.eigenvalues, probs).tolist(), moments[name, slot][1].tolist())
-            ]
+            probabilities[name, slot] = project_slot(psi_s, obs, slot)[0]
+    factors = {"a": a, "b": b, "c": c}
+    summaries, moments = {}, {}
+    for (name, slot), probs in probabilities.items():
+        _require_normalized(probs, f"{name.upper()}({slot})")
+        values = factors[name].eigenvalues
+        moments[name, slot] = spectral_moments(values, probs)
+        summaries[name, slot] = [
+            PredictionSummary(mean=mean, stdev=stdev)
+            for mean, stdev in zip(ordered_mean(values, probs).tolist(), moments[name, slot][1].tolist())
+        ]
     (mean1, stdev1), (mean2, stdev2) = moments["a", 1], moments["a", 2]
     mean_residuals = np.abs(mean2 - (np.asarray(index.sums)[kept] - mean1)).tolist()
     stdev_gaps = np.abs(stdev1 - stdev2).tolist()
-    rhs = {slot: _half_modulus(slot_expectation(psi_s, c, slot)) for slot in (1, 2)}
-    ranks = schmidt_rank(psi_s).tolist()
+    c_diagonal = np.vecdot(v, c.matrix @ v, axis=0)
+    rhs = {slot: _half_modulus(probabilities["a", slot] @ c_diagonal) for slot in (1, 2)}
+    ranks = np.count_nonzero(np.abs(branch_coefficients) > SCHMIDT_TOL, axis=(1, 2)).tolist()
+    a1_probs = probabilities["a", 1].tolist()
 
     branches = []
     walked = []  # (branch position, n, m, a1 value, conditional probability) of every chain
@@ -321,19 +338,20 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
             if not cond_prob < ZERO_PROB_THRESHOLD:
                 walked.append((i, n, m, a1_value, cond_prob))
 
-    positions, ns, ms = (np.array([chain[j] for chain in walked], dtype=np.intp) for j in range(3))
-    phi = _collapse_all(a1_projected[positions, ns])
-    a2_probs = project_slot(phi, a, 2)[0]
+    ns, ms = (np.array([chain[j] for chain in walked], dtype=np.intp) for j in (1, 2))
+    amplitudes = coefficients[ns, ms]
+    a2_probs = _chain_a2_probabilities(amplitudes / np.abs(amplitudes), ms, n_dim)
     _require_normalized(a2_probs, "A(2) after the chain")
     point_mass = a2_probs[np.arange(len(walked)), ms]
     if not np.all(point_mass >= 1.0 - POINT_MASS_TOL):
         raise ScenarioInvariantError("a state left by the measurement chain misses its A(2) point mass")
     a2_predicted, a2_stdev = (x.tolist() for x in spectral_moments(a_values, a2_probs))
     residuals = np.abs(1.0 - point_mass).tolist()
-    b2_probs = project_slot(phi, b, 2)[0]
+    overlaps = np.abs(b.eigenvectors.conj().T @ v) ** 2
+    b2_probs = line_totals(overlaps.T, b)[ms]
     _require_normalized(b2_probs, "B(2) after the chain")
     b2_stdev = spectral_moments(b.eigenvalues, b2_probs)[1].tolist()
-    chain_rhs = _half_modulus(slot_expectation(phi, c, 2))
+    chain_rhs = _half_modulus(c_diagonal[ms])
 
     chains = [
         ChainReport(
@@ -356,13 +374,20 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     )
 
 
-def _collapse_all(projected: np.ndarray) -> np.ndarray:
-    """The states ``P psi / |P psi|`` of a (states, N, N) stack of projected coefficient matrices."""
+def _collapse_all(projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The states ``P psi / |P psi|`` of a (states, N, N) stack of projected coefficient matrices, and the norms."""
     try:
-        unit, _ = normalize(projected.reshape(len(projected), -1))
+        unit, norms = normalize(projected.reshape(len(projected), -1))
     except ValueError as exc:
         raise ScenarioInvariantError(f"collapsed state: {exc}") from exc
-    return unit.reshape(projected.shape)
+    return unit.reshape(projected.shape), norms
+
+
+def _chain_a2_probabilities(units: np.ndarray, ms: np.ndarray, n_dim: int) -> np.ndarray:
+    """A(2) probabilities of the chains' states u |a_n>|a_m>: |u|^2 at m, 0 elsewhere, one row per chain."""
+    table = np.zeros((len(ms), n_dim))
+    table[np.arange(len(ms)), ms] = units.real**2 + units.imag**2
+    return table
 
 
 def _require_normalized(probabilities: np.ndarray, measured: str) -> None:

@@ -103,6 +103,62 @@ def reference_sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf
     return np.bincount(s_idx * n_out + a_idx, minlength=d * n_out).reshape(d, n_out)
 
 
+def project_sum(psi: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
+    """Measure S = A(1) + A(2) on each coefficient matrix in the (..., N, N) stack psi, by projection.
+
+    Line k projects psi to the sum of P_n psi P_m^T over its pairs (n, m).
+    Returns the (..., lines) probabilities, in the order of the sum index,
+    and the (..., lines, N, N) projected matrices. The terms of all N^2
+    pairs come from two batched products; each line adds up its own pairs in
+    index order. This is the measurement the analysis made before it read
+    the joint table |K|^2.
+    """
+    from eprkit.composite import anti_diagonal_index
+    from eprkit.states import projected_probabilities
+
+    index = anti_diagonal_index(a)
+    stack = a.projector_stack
+    terms = (stack @ psi[..., None, :, :])[..., :, None, :, :] @ stack.transpose(0, 2, 1)
+    projected = np.empty((*psi.shape[:-2], len(index.sets), *psi.shape[-2:]), dtype=np.complex128)
+    for k, pairs in enumerate(index.sets):
+        rows, cols = zip(*pairs)
+        terms[..., list(rows), list(cols), :, :].sum(axis=-3, out=projected[..., k, :, :])
+    return projected_probabilities(projected.reshape(*projected.shape[:-2], -1)), projected
+
+
+def reference_anti_diagonals(spectrum):
+    """``composite.anti_diagonals`` as the per-pair loop with one ``np.mean`` per line that the array version replaced.
+
+    The array version must reproduce its sums and sets bit for bit.
+    """
+    from eprkit.composite import AntiDiagonalIndex
+    from eprkit.linalg import default_grouping_tol, group_close_values
+
+    ev = np.asarray(spectrum, dtype=float)
+    n = ev.size
+    pair_sums = np.array([ev[i] + ev[j] for i in range(n) for j in range(n)])
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    tol = default_grouping_tol(pair_sums)
+    order = np.argsort(pair_sums, kind="stable")
+    groups = group_close_values(pair_sums[order], tol)
+    sums = []
+    sets = []
+    for group in groups:
+        members = sorted(pairs[order[i]] for i in group)
+        sums.append(float(np.mean(pair_sums[order[list(group)]])))
+        sets.append(tuple(members))
+    labels = np.empty((n, n), dtype=np.intp)
+    for k, members in enumerate(sets):
+        labels[tuple(zip(*members))] = k
+    return AntiDiagonalIndex(
+        factor_eigenvalues=tuple(float(v) for v in ev),
+        sums=tuple(sums),
+        sets=tuple(sets),
+        match_tol=tol,
+        labels=labels,
+    )
+
+
 def dense_epr_analysis(sc):
     """``run_epr_analysis`` along the dense route: N^2 x N^2 lifted and sum projectors applied to the state vector.
 
@@ -196,8 +252,10 @@ def reference_epr_analysis(sc):
     ``np.linalg.norm``, each measurement is one batched product of the
     factor's projector stack with one coefficient matrix, each summary mean
     a Python ``sum`` in outcome order, each stdev a pair of ``np.dot`` calls,
-    and each audit's right-hand side ``abs`` of a ``vdot``. The stacked pass
-    must reproduce every float of this report bit for bit.
+    and each audit's right-hand side ``abs`` of a ``vdot``. The analysis reads
+    the same report off the joint table |K|^2, so it must reproduce every
+    int, bool and key of it exactly and every float within
+    1e-12 * max(1, |x|, R), R the largest |eigenvalue| of A, B and C.
     """
     import math
 

@@ -14,7 +14,7 @@ import pytest
 
 from eprkit import io as eprio
 from eprkit.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
-from eprkit.composite import ZERO_PROB_THRESHOLD, project_sum, sum_observable
+from eprkit.composite import ZERO_PROB_THRESHOLD, sum_observable
 from eprkit.conditional import (
     conditional_distribution,
     oracle_conditional,
@@ -31,7 +31,7 @@ from eprkit.states import (
     outcome_probabilities,
     verify_theorem1,
 )
-from helpers import random_hermitian, random_state_vector
+from helpers import project_sum, random_hermitian, random_state_vector
 
 EPR_AMPLITUDES = [0.0, math.sqrt(0.8), math.sqrt(0.2), 0.0]
 BUNDLED = ["pauli_epr.json", "pauli_uniform.json", "spin_one.json"]

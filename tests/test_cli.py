@@ -114,6 +114,33 @@ class TestVerify:
         assert "parse error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, edit, message",
+        [
+            ("matrix_a", lambda m: m[0].__setitem__(1, [True, 0.0]), "matrix_a[0][1] must be a [re, im] pair of numbers"),
+            ("matrix_b", lambda m: m[1].__setitem__(0, ["0.5", 0.0]), "matrix_b[1][0] must be a [re, im] pair of numbers"),
+            ("state", lambda m: m.__setitem__(2, [0.5]), "state[2] must be a [re, im] pair of numbers"),
+            ("matrix_c", lambda m: m[1].pop(), "matrix_c row 1 must have 2 entries"),
+            ("state", lambda m: m.pop(), "state must have 4 amplitude pairs"),
+            # the first bad cell in row order is named, before a ragged row further down
+            (
+                "matrix_a",
+                lambda m: (m[0].__setitem__(1, [0.0, False]), m[1].pop()),
+                "matrix_a[0][1] must be a [re, im] pair of numbers",
+            ),
+        ],
+        ids=["bool", "string", "short-pair", "ragged-row", "short-state", "first-bad-cell"],
+    )
+    def test_malformed_cell_names_itself(self, field, edit, message, tmp_path, capsys):
+        payload = json.loads(scenario_text("pauli_epr.json"))
+        edit(payload[field])
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["analyze", str(bad)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"epr: parse error: {message}\n"
+
     @staticmethod
     def _scaled_pauli(tmp_path, xa: float, xb: float, keep_c: bool) -> str:
         # A = diag(xa, -xa), B = xb * Pauli X; the derived C is xa * xb * Pauli Y
@@ -242,28 +269,20 @@ class TestAnalyze:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
-        "distort, message",
+        "seam, distort, message",
         [
-            # every measurement's probabilities doubled: none sums to 1
-            (lambda probs, obs, slot, a: 2.0 * probs, "probabilities sum to"),
-            # A(2) shifted by one outcome: still normalized, but the chain's point mass moves off a_m
-            (
-                lambda probs, obs, slot, a: np.roll(probs, 1, axis=-1) if obs is a and slot == 2 else probs,
-                "point mass",
-            ),
+            # every measurement of B and C doubled: none sums to 1
+            ("project_slot", lambda measured: (2.0 * measured[0], measured[1]), "probabilities sum to"),
+            # the chains' A(2) table shifted by one outcome: still normalized, but the point mass moves off a_m
+            ("_chain_a2_probabilities", lambda table: np.roll(table, 1, axis=-1), "point mass"),
         ],
         ids=["sum-to-one", "point-mass"],
     )
-    def test_failed_walk_check_is_invariant_error(self, monkeypatch, capsys, distort, message):
+    def test_failed_walk_check_is_invariant_error(self, monkeypatch, capsys, seam, distort, message):
         # the walk's own checks fail as invariant violations, not as tracebacks
         sc = eprio.scenario_from_json(scenario_text("pauli_epr.json"))
-        original = lab.project_slot
-
-        def distorted(psi, obs, slot):
-            probs, projected = original(psi, obs, slot)
-            return distort(probs, obs, slot, sc.obs_a), projected
-
-        monkeypatch.setattr(lab, "project_slot", distorted)
+        original = getattr(lab, seam)
+        monkeypatch.setattr(lab, seam, lambda *args: distort(original(*args)))
         monkeypatch.setattr(cli, "_load_scenario", lambda path: sc)
         assert main(["analyze", scenario_path("pauli_epr.json")]) == EXIT_INVARIANT
         captured = capsys.readouterr()

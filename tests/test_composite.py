@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from eprkit.composite import (
     lift,
     post_measurement_state,
     project_slot,
-    project_sum,
     schmidt_rank,
     sum_observable,
 )
@@ -20,7 +21,15 @@ from eprkit.errors import (
 )
 from eprkit.linalg import Observable, spectral_decompose
 from eprkit.states import PureState, SpectrumFunction, outcome_probabilities
-from helpers import PAULI_Z, brute_joint_probs, brute_sum_distribution, random_hermitian, random_state_vector
+from helpers import (
+    PAULI_Z,
+    brute_joint_probs,
+    brute_sum_distribution,
+    project_sum,
+    random_hermitian,
+    random_state_vector,
+    reference_anti_diagonals,
+)
 
 
 def pauli_a() -> Observable:
@@ -91,6 +100,31 @@ class TestAntiDiagonals:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             anti_diagonals([1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            # the middle line has 8 members, which np.mean adds pairwise
+            pytest.param(np.arange(8) * 0.1 + 0.3, id="equal-8"),
+            pytest.param((np.arange(16) - 7.5) * 0.7, id="equal-16"),  # lines of 9 to 16 members
+            pytest.param(np.sort(np.random.default_rng(51).uniform(-6, 6, 6)), id="generic-6"),
+            pytest.param(np.sort(np.random.default_rng(52).standard_normal(12)) * 1e-9, id="generic-12-tiny"),
+            pytest.param(1.0 + np.arange(12) * 1e-11, id="merged-144"),  # one line of N^2 pairs
+            pytest.param(np.array([-0.0, 1.0]), id="negative-zero"),
+            pytest.param(np.array([2.5]), id="singleton"),
+        ],
+    )
+    def test_matches_the_pair_loop_bit_for_bit(self, spectrum):
+        idx = anti_diagonals(spectrum)
+        want = reference_anti_diagonals(spectrum)
+        assert [struct.pack("<d", s) for s in idx.sums] == [struct.pack("<d", s) for s in want.sums]
+        assert idx.sets == want.sets
+        assert idx.match_tol == want.match_tol
+        assert idx.factor_eigenvalues == want.factor_eigenvalues
+        # labels name each pair's line, and cannot be changed through the shared index
+        assert idx.labels.shape == (spectrum.size, spectrum.size)
+        assert np.array_equal(idx.labels, want.labels)
+        assert not idx.labels.flags.writeable
 
     def test_counting_predicate(self):
         idx = anti_diagonals([-1.0, 1.0])

@@ -226,7 +226,7 @@ class TestCertainPrediction:
         # a measurement of A(2) that returns NaN where the point mass should be
         obs = Observable(PAULI_Z)
         phi = sequential_measure(two_branch_state(), obs, 0.0, 1.0)
-        monkeypatch.setattr(conditional, "project_slot", lambda psi, o, slot: (np.array([math.nan, 0.0]), None))
+        monkeypatch.setattr(conditional, "_slot2_probabilities", lambda psi, o: np.array([math.nan, 0.0]))
         with pytest.raises(ValueError, match="measurement chain"):
             certain_prediction(phi, obs, SpectrumFunction.identity([-1.0, 1.0]), 0.0, 1.0)
 
@@ -592,7 +592,6 @@ class TestDenseRoute:
             "tensor_product": linalg,
             "project_outcomes": states,
             "post_measurement_state": composite,
-            "project_sum": composite,
             "collapse": composite,
         }
         for name, home in watched.items():
@@ -767,3 +766,45 @@ class TestTargetSize:
         v = a.eigenvectors
         assert results["chain"].factor_dims == (n, n)
         assert abs(np.vdot(np.kron(v[:, i], v[:, j]), results["chain"].amplitudes)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_post_chain_checks_measure_no_projected_stack_at_n_64(self):
+        # slot 2's probabilities are column norms of psi conj(V): N x N work, where a
+        # stack of projected states held a (lines, N, N) array
+        n = 64
+        rng = np.random.default_rng(95)
+        a, b = Observable(random_hermitian(rng, n)), Observable(random_hermitian(rng, n))
+        c = Observable(extract_c(a.matrix, b.matrix, 1.0))
+        psi = PureState(random_state_vector(rng, n * n), factor_dims=(n, n))
+        index = anti_diagonal_index(a)
+        k = len(index.sums) // 2
+        s_value = index.sums[k]
+        a1_value = index.factor_eigenvalues[index.sets[k][0][0]]
+        f = SpectrumFunction.identity(a.eigenvalues)
+        phi = sequential_measure(psi, a, s_value, a1_value)
+        for obs in (a, b):
+            obs.eigenvectors
+        results = {}
+        for name, call in (
+            ("prediction", lambda: certain_prediction(phi, a, f, s_value, a1_value)),
+            ("audit", lambda: epr_resolution_check(phi, a, b, c)),
+        ):
+            tracemalloc.start()
+            try:
+                results[name] = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, name
+        # the same numbers as projecting the state on each line of slot 2
+        coefficients = phi.amplitudes.reshape(n, n)
+        a2 = composite.project_slot(coefficients, a, 2)[0]
+        b2 = composite.project_slot(coefficients, b, 2)[0]
+        scale = float(np.abs(a.eigenvalues).max())
+        assert results["prediction"].value == pytest.approx(float(a.eigenvalues @ a2), abs=1e-12 * scale)
+        assert np.abs(results["prediction"].delta_check.probabilities - a2).max() <= 1e-12
+        assert results["prediction"].stdev <= 1e-10 * scale
+        assert results["audit"].delta_a <= 1e-10 * scale
+        b_mean = float(b.eigenvalues @ b2)
+        b_stdev = math.sqrt(float(((b.eigenvalues - b_mean) ** 2) @ b2))
+        assert results["audit"].delta_b == pytest.approx(b_stdev, abs=1e-12 * float(np.abs(b.eigenvalues).max()))
+        assert results["audit"].satisfied

@@ -211,40 +211,55 @@ class TestRunEprAnalysis:
             stacks.append(len(arrays))
             return original_stack(arrays, *args, **kwargs)
 
-        # the walk measures every branch, then every chain, as one stack: its measurement calls
-        # do not grow with the number of branches and chains
+        # the walk reads A's distributions, the Schmidt ranks and the chains off the joint table |K|^2:
+        # it measures only B and C on both slots of the stack of branch states, whose calls do not grow
+        # with the number of branches and chains, and it projects no stack of chain states
         measured = Counter()
-        for name in ("project_slot", "project_sum", "slot_expectation"):
+        measured_states = []
+        for name in ("project_slot", "slot_expectation", "schmidt_rank"):
             original = getattr(composite, name)
 
             def counting_measure(*args, _name=name, _original=original, **kwargs):
                 measured[_name] += 1
+                measured_states.append(len(args[0]))
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(lab, name, counting_measure)
+            for module in (composite, conditional, states, lab):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting_measure)
+        svd_calls = []
+        original_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            svd_calls.append(np.shape(args[0]))
+            return original_svd(*args, **kwargs)
 
         monkeypatch.setattr(Observable, "__init__", counting_init)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np, "stack", counting_stack)
         report = run_epr_analysis(sc)
         per_analysis = measured.copy()
-        assert per_analysis == Counter({"project_sum": 1, "project_slot": 8, "slot_expectation": 3})
+        assert per_analysis == Counter({"project_slot": 4})
+        assert not hasattr(composite, "project_sum") and svd_calls == []
         assert len(report.per_sum) > 1 and len(report.chains) > n
+        assert measured_states == [len(report.per_sum)] * 4
         assert calls == Counter({"anti_diagonals": 1})
         # no observable is built at all, so none of composite dimension N^2
         assert built == []
-        # only the factors A, B and C are diagonalised, each once, and each stacks its projectors once
+        # only the factors A, B and C are diagonalised, each once; B and C stack their projectors once, A never
         assert eigh_dims == Counter({n: 3})
-        assert stacks == [n, n, n]
-        cached = [obs.projector_stack for obs in (sc.obs_a, sc.obs_b, sc.obs_c)]
+        assert stacks == [n, n]
+        assert sc.obs_a._projector_stack is None
+        cached = [obs.projector_stack for obs in (sc.obs_b, sc.obs_c)]
 
         # a second analysis of the same scenario reuses the index, the stacks and the decompositions
         run_epr_analysis(sc)
         assert calls == Counter({"anti_diagonals": 1})
-        assert eigh_dims == Counter({n: 3}) and stacks == [n, n, n] and built == []
-        assert all(obs.projector_stack is stack for obs, stack in zip((sc.obs_a, sc.obs_b, sc.obs_c), cached))
+        assert eigh_dims == Counter({n: 3}) and stacks == [n, n] and built == []
+        assert all(obs.projector_stack is stack for obs, stack in zip((sc.obs_b, sc.obs_c), cached))
 
-        # a degenerate B stacks its two lines: each factor stacks one projector per line, and no N^2-size work runs
+        # a degenerate B stacks its two lines: B and C stack one projector per line, and no N^2-size work runs
         u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
         b = u @ np.diag([1.0, 1.0] + [0.0] * (n - 2)) @ u.conj().T
         degenerate = build_scenario("degenerate-b", sc.obs_a.matrix, b, random_state_vector(rng, n * n))
@@ -255,13 +270,14 @@ class TestRunEprAnalysis:
         run_epr_analysis(degenerate)
         assert calls == Counter({"anti_diagonals": 2})
         assert built == [] and eigh_dims == Counter({n: 3})
-        factors = (degenerate.obs_a, degenerate.obs_b, degenerate.obs_c)
+        factors = (degenerate.obs_b, degenerate.obs_c)
         assert sorted(stacks) == sorted(len(obs.decomposition.lines) for obs in factors)
         assert len(degenerate.obs_b.decomposition.lines) == 2
 
         # N=3 walks a handful of branches and chains, N=8 dozens, with the same measurement calls
         small = build_scenario("guard-3", random_hermitian(rng, 3), random_hermitian(rng, 3), random_state_vector(rng, 9))
         measured.clear()
+        measured_states.clear()
         small_report = run_epr_analysis(small)
         assert len(small_report.chains) < len(report.chains)
         assert measured == per_analysis
