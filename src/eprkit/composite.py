@@ -64,14 +64,23 @@ class AntiDiagonalIndex:
     ``sets[k]`` lists the 0-based index pairs (n, m) with
     ``a_n + a_m == sums[k]`` (within ``match_tol``); its length is the
     degeneracy of the k-th sum eigenvalue. ``labels[n, m]`` is the line k
-    of the pair (n, m), as one read-only N x N array.
+    of the pair (n, m), as one read-only N x N array derived from ``sets``
+    (-1 for a pair no line lists).
     """
 
     factor_eigenvalues: tuple[float, ...]
     sums: tuple[float, ...]
     sets: tuple[tuple[tuple[int, int], ...], ...]
     match_tol: float
-    labels: np.ndarray = field(repr=False, compare=False)
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.factor_eigenvalues)
+        labels = np.full((n, n), -1, dtype=np.intp)
+        pairs = np.array([pair for line in self.sets for pair in line], dtype=np.intp).reshape(-1, 2)
+        labels[pairs[:, 0], pairs[:, 1]] = np.repeat(np.arange(len(self.sets)), self.degeneracies)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def degeneracies(self) -> tuple[int, ...]:
@@ -112,52 +121,15 @@ def anti_diagonals(spectrum) -> AntiDiagonalIndex:
     starts = np.flatnonzero(np.diff(ordered, prepend=-np.inf) > tol)
     sizes = np.diff(starts, append=ordered.size)
     line = np.repeat(np.arange(starts.size), sizes)
-    labels = np.empty(n * n, dtype=np.intp)
-    labels[order] = line
-    labels = labels.reshape(n, n)
-    labels.setflags(write=False)
     members = order[np.lexsort((order, line))].tolist()
     pairs = [divmod(flat, n) for flat in members]
     bounds = np.append(starts, ordered.size).tolist()
     return AntiDiagonalIndex(
         factor_eigenvalues=tuple(ev.tolist()),
-        sums=tuple(_group_means(ordered, starts, sizes).tolist()),
+        sums=tuple(float(np.mean(ordered[lo:hi])) for lo, hi in zip(bounds, bounds[1:])),
         sets=tuple(tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
         match_tol=tol,
-        labels=labels,
     )
-
-
-# numpy sums at most this many values with its eight accumulators; longer sums split recursively.
-_PAIRWISE_BLOCK = 128
-
-
-def _group_means(ordered: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``np.mean`` of each contiguous group of ``ordered``, bit for bit, for all groups at once.
-
-    numpy adds a group of n values pairwise: eight accumulators take the
-    whole blocks of eight in turn, are added as a tree, then the last n % 8
-    values follow one by one (for n < 8, all of them), and the total is
-    added to 0.0. Here every group's blocks and tail are padded with -0.0,
-    which adds nothing, so one array operation per step serves all groups.
-    """
-    if sizes.max() > _PAIRWISE_BLOCK:
-        return np.array([np.mean(ordered[lo : lo + size]) for lo, size in zip(starts, sizes)])
-    whole = 8 * (sizes // 8)
-    group = np.repeat(np.arange(sizes.size), sizes)
-    offset = np.arange(ordered.size) - starts[group]
-    in_block = offset < whole[group]
-    blocks = np.full((sizes.size, max(int(whole.max()) // 8, 1), 8), -0.0)
-    blocks[group[in_block], offset[in_block] // 8, offset[in_block] % 8] = ordered[in_block]
-    tail = np.full((sizes.size, 7), -0.0)
-    tail[group[~in_block], (offset - whole[group])[~in_block]] = ordered[~in_block]
-    r = blocks[:, 0]
-    for block in blocks.transpose(1, 0, 2)[1:]:
-        r = r + block
-    total = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    for column in tail.T:
-        total = total + column
-    return (0.0 + total) / sizes
 
 
 def anti_diagonal_index(a: Observable) -> AntiDiagonalIndex:

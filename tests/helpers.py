@@ -147,15 +147,11 @@ def reference_anti_diagonals(spectrum):
         members = sorted(pairs[order[i]] for i in group)
         sums.append(float(np.mean(pair_sums[order[list(group)]])))
         sets.append(tuple(members))
-    labels = np.empty((n, n), dtype=np.intp)
-    for k, members in enumerate(sets):
-        labels[tuple(zip(*members))] = k
     return AntiDiagonalIndex(
         factor_eigenvalues=tuple(float(v) for v in ev),
         sums=tuple(sums),
         sets=tuple(sets),
         match_tol=tol,
-        labels=labels,
     )
 
 

@@ -273,10 +273,12 @@ class TestAnalyze:
         [
             # every measurement of B and C doubled: none sums to 1
             ("project_slot", lambda measured: (2.0 * measured[0], measured[1]), "probabilities sum to"),
+            # every branch norm halved: the A(1) and A(2) rows of |K_k|^2 sum to 4
+            ("_collapse_all", lambda collapsed: (collapsed[0], 0.5 * collapsed[1]), "A(1) probabilities sum to"),
             # the chains' A(2) table shifted by one outcome: still normalized, but the point mass moves off a_m
             ("_chain_a2_probabilities", lambda table: np.roll(table, 1, axis=-1), "point mass"),
         ],
-        ids=["sum-to-one", "point-mass"],
+        ids=["sum-to-one", "a-sum-to-one", "point-mass"],
     )
     def test_failed_walk_check_is_invariant_error(self, monkeypatch, capsys, seam, distort, message):
         # the walk's own checks fail as invariant violations, not as tracebacks
