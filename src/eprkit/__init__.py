@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .composite import (
     AntiDiagonalIndex,
-    SumObservable,
     anti_diagonals,
     lift,
     post_measurement_state,

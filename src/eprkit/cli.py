@@ -99,12 +99,12 @@ def _load_scenario(path: str) -> Scenario:
     return io.scenario_from_json(_read_text(path))
 
 
-def _parse_positive_int(text: str, name: str, maximum: int | None = None) -> int:
+def _parse_positive_int(text: str, name: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise _UsageError(f"{name} must be an integer, got {text!r}") from exc
-    if value < 1 or (maximum is not None and value > maximum):
+    if value < 1:
         raise _UsageError(f"{name} out of range: {value}")
     return value
 

@@ -12,10 +12,11 @@ a state's N x N coefficient matrix psi (first factor as rows):
 (P x I) vec(psi) is vec(P psi), (I x P) vec(psi) is vec(psi P^T), and sum
 line k keeps the amplitudes K[n, m] of K = V^H psi conj(V)
 (``eigenbasis_coefficients``) on its pairs (n, m), which the index's
-``labels`` name. ``project_slot``, ``slot_expectation`` and
-``schmidt_rank`` take this form on a (..., N, N) stack: leading axes index
-states, and each state's result has the bits it would have alone, since a
-batched product runs the same BLAS call on every matrix. The analysis
+``labels`` name; ``coefficient_matrix`` gives a state's psi.
+``project_slot`` and ``slot_expectation`` take this form on a
+(..., N, N) stack: leading axes index states, and each state's result has
+the bits it would have alone, since a batched product runs the same BLAS
+call on every matrix. The analysis
 measures B and C on every branch in one ``project_slot`` call per
 observable and slot, and reads everything about A off K; ``line_totals``
 adds weights given per eigenvector over each line of an observable.
@@ -23,10 +24,10 @@ adds weights given per eigenvector over each line of an observable.
 Python's ``abs`` on ``tolist()`` entries where the bits matter, since
 ``np.abs`` of a complex can differ in the last bit. ``eprkit.conditional``
 reads its sum-conditioned answers off the joint table |K|^2 too. The dense
-form (``lift``, ``sum_observable``) assembles the N^2 x N^2 operators and
-their projectors. Neither the analysis nor any ``eprkit.conditional``
-entry point runs it; it stays public as the independent route the tests
-check the factor-space form against.
+form (``lift``, ``sum_observable``) assembles a new N^2 x N^2 operator
+and its projectors on each call. Neither the analysis nor any
+``eprkit.conditional`` entry point runs it; it stays public as the
+independent route the tests check the factor-space form against.
 """
 
 from __future__ import annotations
@@ -187,13 +188,14 @@ def slot_expectation(psi: np.ndarray, c: Observable, slot: int) -> np.ndarray:
     return np.vecdot(psi.reshape(*lead, -1), applied.reshape(*lead, -1))
 
 
-def _assemble_lines(obs: Observable, lines) -> None:
-    """Give a composite observable its spectral lines from factor lines, so reading them runs no eigensolver.
+def _assemble_lines(matrix: np.ndarray, lines) -> Observable:
+    """Observable(matrix) with its lines assembled from factor lines, so reading them runs no eigensolver.
 
     Each entry of ``lines`` is (eigenvalue, pairs of factor lines (L, R)); the
     line's projector is the sum of ``P_L x P_R`` over its pairs, and its
     multiplicity the sum of the products of their multiplicities.
     """
+    obs = Observable(matrix)
     assembled = []
     for eigenvalue, pairs in lines:
         projector = np.zeros((obs.dim, obs.dim), dtype=np.complex128)
@@ -204,62 +206,62 @@ def _assemble_lines(obs: Observable, lines) -> None:
         projector.setflags(write=False)
         assembled.append(SpectralLine(eigenvalue=eigenvalue, multiplicity=multiplicity, projector=projector))
     obs._decomposition = SpectralDecomposition(lines=tuple(assembled), source_dim=obs.dim)
+    return obs
 
 
 def lift(obs: Observable, slot: int) -> Observable:
     """Embed a factor observable into the composite space: A x I or I x A.
 
     The k-th line of the lift is the k-th line of ``obs``, with projector
-    ``P_k x I`` (or ``I x P_k``) and N times its multiplicity. Built once per
-    (observable, slot) and kept on ``obs``, so every caller shares one lifted
-    observable and its spectral decomposition.
+    ``P_k x I`` (or ``I x P_k``) and N times its multiplicity. Each call
+    builds a new observable.
     """
     if slot not in (1, 2):
         raise ValueError(f"slot must be 1 or 2, got {slot!r}")
-    lifted = obs._lifts.get(slot)
-    if lifted is None:
-        # the identity's one line: eigenvalue 1 on the whole factor
-        eye = SpectralLine(eigenvalue=1.0, multiplicity=obs.dim, projector=np.eye(obs.dim))
-        lines = obs.decomposition.lines
-        if slot == 1:
-            lifted = Observable(tensor_product(obs.matrix, eye.projector))
-            _assemble_lines(lifted, [(line.eigenvalue, [(line, eye)]) for line in lines])
-        else:
-            lifted = Observable(tensor_product(eye.projector, obs.matrix))
-            _assemble_lines(lifted, [(line.eigenvalue, [(eye, line)]) for line in lines])
-        obs._lifts[slot] = lifted
-    return lifted
-
-
-class SumObservable(Observable):
-    """S = A x I + I x A with its decomposition built from anti-diagonals.
-
-    The eigenprojectors are assembled exactly as sums of factor eigenprojector
-    products, so each sum eigenvalue carries the anti-diagonal degeneracy by
-    construction rather than by re-grouping eigensolver output.
-    """
-
-    def __init__(self, factor: Observable, index: AntiDiagonalIndex):
-        eye = np.eye(factor.dim)
-        super().__init__(tensor_product(factor.matrix, eye) + tensor_product(eye, factor.matrix))
-        # no reference back to ``factor``: it holds this observable in its
-        # cache, and a cycle would outlive the scenario until a GC pass
-        self.index = index
-        lines = factor.decomposition.lines
-        _assemble_lines(
-            self, [(s, [(lines[n], lines[m]) for n, m in members]) for s, members in zip(index.sums, index.sets)]
+    # the identity's one line: eigenvalue 1 on the whole factor
+    eye = SpectralLine(eigenvalue=1.0, multiplicity=obs.dim, projector=np.eye(obs.dim))
+    lines = obs.decomposition.lines
+    if slot == 1:
+        return _assemble_lines(
+            tensor_product(obs.matrix, eye.projector), [(line.eigenvalue, [(line, eye)]) for line in lines]
         )
+    return _assemble_lines(
+        tensor_product(eye.projector, obs.matrix), [(line.eigenvalue, [(eye, line)]) for line in lines]
+    )
 
 
-def sum_observable(a1: Observable) -> SumObservable:
-    """Build the conserved sum S = A(1) + A(2) for two identical factors.
+def sum_observable(a1: Observable) -> Observable:
+    """Build the conserved sum S = A x I + I x A for two identical factors.
 
-    The result is kept on ``a1``, so its projectors are assembled once per
-    factor observable.
+    Line k is sum line k of ``anti_diagonal_index(a1)``: its projector is
+    assembled exactly as the sum of factor eigenprojector products over the
+    line's pairs, so each sum eigenvalue carries the anti-diagonal degeneracy
+    by construction rather than by re-grouping eigensolver output. Each call
+    builds a new observable.
     """
-    if a1._sum is None:
-        a1._sum = SumObservable(factor=a1, index=anti_diagonal_index(a1))
-    return a1._sum
+    eye = np.eye(a1.dim)
+    index = anti_diagonal_index(a1)
+    lines = a1.decomposition.lines
+    return _assemble_lines(
+        tensor_product(a1.matrix, eye) + tensor_product(eye, a1.matrix),
+        [(s, [(lines[n], lines[m]) for n, m in members]) for s, members in zip(index.sums, index.sets)],
+    )
+
+
+def require_possible(probability: float) -> float:
+    """The probability of an outcome to condition on; ImpossibleOutcomeError below the zero-probability threshold."""
+    if probability < ZERO_PROB_THRESHOLD:
+        raise ImpossibleOutcomeError(f"outcome has probability {probability:.3e}; cannot condition on it")
+    return probability
+
+
+def coefficient_matrix(state: PureState, n: int) -> np.ndarray:
+    """The N x N coefficient matrix of a state on two N-level factors, first factor as rows."""
+    if state.dim != n * n:
+        raise DimensionMismatchError(f"state dim {state.dim} is not the composite dim {n * n}")
+    if len(state.factor_dims) == 2 and state.factor_dims != (n, n):
+        raise DimensionMismatchError(f"state factors {state.factor_dims} are not ({n}, {n})")
+    return state.amplitudes.reshape(n, n)
 
 
 def collapse(state: PureState, projected: np.ndarray, prob: float) -> PureState:
@@ -268,8 +270,7 @@ def collapse(state: PureState, projected: np.ndarray, prob: float) -> PureState:
     Raises ImpossibleOutcomeError when p falls below the zero-probability
     threshold, since the collapsed state is undefined there.
     """
-    if prob < ZERO_PROB_THRESHOLD:
-        raise ImpossibleOutcomeError(f"outcome has probability {prob:.3e}; cannot condition on it")
+    require_possible(prob)
     return PureState(projected, factor_dims=state.factor_dims)
 
 
@@ -290,21 +291,12 @@ def post_measurement_state(state: PureState, projector) -> tuple[PureState, floa
     return collapse(state, projected, prob), min(prob, 1.0)
 
 
-def schmidt_rank(state: PureState | np.ndarray, tol: float = SCHMIDT_TOL) -> int | np.ndarray:
-    """Number of singular values of the coefficient matrix above tol.
+def schmidt_rank(state: PureState, tol: float = SCHMIDT_TOL) -> int:
+    """Number of singular values of a two-factor state's coefficient matrix above tol.
 
-    Rank 1 means a product state; rank >= 2 means entanglement. ``state`` is
-    a two-factor PureState, whose rank comes back as an int, or a (..., N, N)
-    stack of coefficient matrices, whose ranks come back as an array.
+    Rank 1 means a product state; rank >= 2 means entanglement. The factor
+    dim is the first of two declared factors, else the square root of the
+    state's dim.
     """
-    if not isinstance(state, PureState):
-        return np.count_nonzero(np.linalg.svd(state, compute_uv=False) > tol, axis=-1)
-    if len(state.factor_dims) == 2:
-        n = state.factor_dims[0]
-    else:
-        n = int(round(np.sqrt(state.dim)))
-    # with two declared factors (n, n2), n * n2 == n * n only when they are (n, n)
-    if state.dim != n * n:
-        raise DimensionMismatchError(f"state dim {state.dim} is not the composite dim {n * n}")
-    singular = np.linalg.svd(state.amplitudes.reshape(n, n), compute_uv=False)
-    return int(np.count_nonzero(singular > tol))
+    n = state.factor_dims[0] if len(state.factor_dims) == 2 else int(round(np.sqrt(state.dim)))
+    return int(np.count_nonzero(np.linalg.svd(coefficient_matrix(state, n), compute_uv=False) > tol))

@@ -18,7 +18,6 @@ builds an N^2 x N^2 operator or a stack of projected states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,51 +25,33 @@ from .composite import (
     ZERO_PROB_THRESHOLD,
     AntiDiagonalIndex,
     anti_diagonal_index,
+    coefficient_matrix,
     eigenbasis_coefficients,
     line_totals,
+    require_possible,
     slot_expectation,
 )
-from .errors import DegenerateSpectrumError, DimensionMismatchError, ImpossibleOutcomeError, SpectrumCoverageError
+from .errors import DegenerateSpectrumError, DimensionMismatchError, SpectrumCoverageError
 from .linalg import Observable, default_grouping_tol, group_close_values, match_value
-from .states import (
-    PROBABILITY_SUM_TOL,
-    OutcomeDistribution,
-    PureState,
-    SpectrumFunction,
-    UncertaintyReport,
-    read_only_column,
-    uncertainty_report,
-)
+from .states import OutcomeDistribution, PureState, SpectrumFunction, UncertaintyReport, uncertainty_report
 
 # Slack below 1 allowed for the point mass of A(2) after the full chain.
 POINT_MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ConditionalDistribution:
-    """Distribution of first-factor outcomes given an observed sum."""
+class ConditionalDistribution(OutcomeDistribution):
+    """Distribution of first-factor outcomes given an observed sum.
+
+    The outcomes are exactly the first-factor eigenvalues compatible with
+    ``given_sum``; ``support`` is a read-only alias of them.
+    """
 
     given_sum: float
-    support: tuple[tuple[float, float], ...]
 
-    def __post_init__(self):
-        total = sum(p for _, p in self.support)
-        if not (abs(total - 1.0) <= PROBABILITY_SUM_TOL):
-            raise ValueError(f"conditional probabilities sum to {total!r}, not 1")
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return read_only_column(self.support, 0)
-
-    @cached_property
-    def probabilities(self) -> np.ndarray:
-        return read_only_column(self.support, 1)
-
-    def probability_of(self, value: float, tol: float | None = None) -> float:
-        """Probability of the support value within tol of value (default: the support's grouping tolerance)."""
-        values = self.values
-        idx = match_value(values, value, default_grouping_tol(values) if tol is None else tol)
-        return self.support[idx][1]
+    @property
+    def support(self) -> tuple[tuple[float, float], ...]:
+        return self.outcomes
 
 
 @dataclass(frozen=True)
@@ -146,23 +127,13 @@ class PairSpectrumFunction:
         return self._values[i]
 
 
-def _coefficients(state: PureState, a: Observable) -> np.ndarray:
-    """The state's N x N coefficient matrix for the factor observable A, first factor as rows."""
-    n = a.dim
-    if state.dim != n * n:
-        raise DimensionMismatchError(f"state dim {state.dim} is not the composite dim {n * n}")
-    if len(state.factor_dims) == 2 and state.factor_dims != (n, n):
-        raise DimensionMismatchError(f"state factors {state.factor_dims} are not ({n}, {n})")
-    return state.amplitudes.reshape(n, n)
-
-
 def _joint_table(state: PureState, a: Observable) -> tuple[np.ndarray, np.ndarray]:
     """K = V^H psi conj(V) and W, the probability of each pair (n, m) of A's lines.
 
     W[n, m] adds |K|^2 over the contiguous eigenvectors of lines n and m, so
     it is |P_n psi P_m^T|^2 also for a degenerate A.
     """
-    coefficients = eigenbasis_coefficients(_coefficients(state, a), a)
+    coefficients = eigenbasis_coefficients(coefficient_matrix(state, a.dim), a)
     w = line_totals(line_totals(np.abs(coefficients) ** 2, a, axis=0), a, axis=1)
     return coefficients, w
 
@@ -177,13 +148,6 @@ def _slot2_probabilities(psi: np.ndarray, obs: Observable) -> np.ndarray:
     return line_totals(np.sum(columns.real**2 + columns.imag**2, axis=0), obs)
 
 
-def _possible(probability: float) -> float:
-    """The probability of an outcome to condition on; ImpossibleOutcomeError below the zero-probability threshold."""
-    if probability < ZERO_PROB_THRESHOLD:
-        raise ImpossibleOutcomeError(f"outcome has probability {probability:.3e}; cannot condition on it")
-    return probability
-
-
 def _branch(state: PureState, a: Observable, s_value: float) -> tuple[AntiDiagonalIndex, int, np.ndarray, np.ndarray]:
     """A's sum index, the line k matching s_value, K, and the joint table of the state collapsed on line k.
 
@@ -194,7 +158,7 @@ def _branch(state: PureState, a: Observable, s_value: float) -> tuple[AntiDiagon
     k = index.sum_index(s_value)
     coefficients, w = _joint_table(state, a)
     on_line = index.labels == k
-    return index, k, coefficients, np.where(on_line, w, 0.0) / _possible(float(w[on_line].sum()))
+    return index, k, coefficients, np.where(on_line, w, 0.0) / require_possible(float(w[on_line].sum()))
 
 
 def _distribution(obs: Observable, probabilities: np.ndarray) -> OutcomeDistribution:
@@ -205,8 +169,8 @@ def _distribution(obs: Observable, probabilities: np.ndarray) -> OutcomeDistribu
 def conditional_distribution(state: PureState, a: Observable, s_value: float) -> ConditionalDistribution:
     """First-factor outcome probabilities given that the sum was observed as s_value.
 
-    The support is exactly the set of first-factor eigenvalues compatible
-    with the observed sum.
+    The outcomes are exactly the first-factor eigenvalues compatible with
+    the observed sum.
     """
     index, k, _, branch = _branch(state, a, s_value)
     return conditional_distribution_from(branch.sum(axis=1), index, k)
@@ -217,8 +181,8 @@ def conditional_distribution_from(a1_probabilities, index: AntiDiagonalIndex, k:
     pairs = index.sets[k]
     if len({n for n, _ in pairs}) < len(pairs):
         raise DegenerateSpectrumError(f"A is too close to degenerate: sum {index.sums[k]!r} pins no A(2) outcome")
-    support = tuple((index.factor_eigenvalues[n], float(a1_probabilities[n])) for n, _ in pairs)
-    return ConditionalDistribution(given_sum=index.sums[k], support=support)
+    outcomes = tuple((index.factor_eigenvalues[n], float(a1_probabilities[n])) for n, _ in pairs)
+    return ConditionalDistribution(outcomes=outcomes, given_sum=index.sums[k])
 
 
 def conditional_prediction(state: PureState, a: Observable, f: SpectrumFunction, s_value: float) -> PredictionSummary:
@@ -250,7 +214,7 @@ def sequential_measure(state: PureState, a: Observable, s_value: float, a1_value
     """
     index, k, coefficients, branch = _branch(state, a, s_value)
     n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
-    _possible(float(branch[n].sum()))
+    require_possible(float(branch[n].sum()))
     # a line that merged near-coincident sums can give a_n several partners, kept in proportion
     partners = [m for row, m in index.sets[k] if row == n]
     row = coefficients[n, partners]
@@ -282,7 +246,7 @@ def certain_prediction(
     partners = [m for row, m in index.sets[k] if row == n]
     if len(partners) != 1:
         raise SpectrumCoverageError(f"a1 = {a1_value!r} pins no single A(2) outcome on sum {index.sums[k]!r}")
-    probabilities = _slot2_probabilities(_coefficients(phi, a), a)
+    probabilities = _slot2_probabilities(coefficient_matrix(phi, a.dim), a)
     if not (probabilities[partners[0]] >= 1.0 - POINT_MASS_TOL):
         raise ValueError("state was not produced by the measurement chain for (s_value, a1_value)")
     a2_dist = _distribution(a, probabilities)
@@ -300,7 +264,7 @@ def epr_resolution_check(phi: PureState, a: Observable, b: Observable, c: Observ
     """
     if not (a.dim == b.dim == c.dim):
         raise DimensionMismatchError("audit requires all operands on one space")
-    psi = _coefficients(phi, a)
+    psi = coefficient_matrix(phi, a.dim)
     return uncertainty_report(
         _distribution(a, _slot2_probabilities(psi, a)).moments()[1],
         _distribution(b, _slot2_probabilities(psi, b)).moments()[1],
@@ -344,17 +308,15 @@ def oracle_conditional(state: PureState, a: Observable, f: SpectrumFunction) -> 
     """
     a.require_nondegenerate()
     n_dim = a.dim
-    if state.dim != n_dim * n_dim:
-        raise DimensionMismatchError(f"state dim {state.dim} is not the composite dim {n_dim * n_dim}")
     v = a.eigenvectors
-    coeff = v.conj().T @ state.amplitudes.reshape(n_dim, n_dim) @ v.conj()
+    coeff = v.conj().T @ coefficient_matrix(state, n_dim) @ v.conj()
     q = np.abs(coeff) ** 2
     values = a.eigenvalues
 
     pair_sums = np.array([values[i] + values[j] for i in range(n_dim) for j in range(n_dim)])
     pair_index = [(i, j) for i in range(n_dim) for j in range(n_dim)]
     order = np.argsort(pair_sums, kind="stable")
-    tol = 1e-9 * float(np.abs(pair_sums).max())
+    tol = default_grouping_tol(pair_sums)
     entries = []
     for group in group_close_values(pair_sums[order], tol):
         members = [pair_index[order[g]] for g in group]
@@ -405,6 +367,6 @@ def verify_ce2(
     """
     index, k, _, branch = _branch(state, a, s_value)
     n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
-    chain = branch[n] / _possible(float(branch[n].sum()))
+    chain = branch[n] / require_possible(float(branch[n].sum()))
     pinned = h(index.factor_eigenvalues[n], index.sums[k])
     return abs(sum(pinned * p for p in chain.tolist()) - pinned)

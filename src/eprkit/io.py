@@ -283,9 +283,7 @@ def scenario_from_json(text: str) -> Scenario:
         return build_scenario(
             payload["label"], matrix_a, matrix_b, state, alpha=float(alpha), matrix_c=matrix_c
         )
-    except EprError as exc:
-        raise ScenarioInvariantError(str(exc)) from exc
-    except ValueError as exc:
+    except (EprError, ValueError) as exc:
         raise ScenarioInvariantError(str(exc)) from exc
 
 

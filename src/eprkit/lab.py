@@ -334,7 +334,7 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
                 conditional=cond,
             )
         )
-        for (n, m), (a1_value, cond_prob) in zip(index.sets[k], cond.support):
+        for (n, m), (a1_value, cond_prob) in zip(index.sets[k], cond.outcomes):
             if not cond_prob < ZERO_PROB_THRESHOLD:
                 walked.append((i, n, m, a1_value, cond_prob))
 
@@ -430,16 +430,12 @@ class ShotRecord:
     def empirical(self) -> dict[tuple[float, float, float], float]:
         return {path: count / self.shots for path, count in self.counts}
 
-    @property
-    def counts_dict(self) -> dict[tuple[float, float, float], int]:
-        return dict(self.counts)
-
 
 def _chain_distributions(sc: Scenario):
     """Sum distribution, conditional table and outcome paths for sampling, read off the analysis.
 
     ``cond_probs[k, n]`` is p(a_n | s_k), and ``paths[k, n]`` is the path
-    (s_k, a_n, a_m) of the pair (n, m) on sum line k, for every support entry
+    (s_k, a_n, a_m) of the pair (n, m) on sum line k, for every conditional outcome
     of every populated line.
     """
     report = sc.analysis
@@ -449,7 +445,7 @@ def _chain_distributions(sc: Scenario):
     paths = {}
     for branch in report.per_sum:
         k = branch.sum_index
-        for (n, m), (a1_value, p) in zip(index.sets[k], branch.conditional.support):
+        for (n, m), (a1_value, p) in zip(index.sets[k], branch.conditional.outcomes):
             cond_probs[k, n] = p
             paths[k, n] = (branch.s_value, a1_value, float(a_values[m]))
     return report.sum_spectrum, cond_probs, paths

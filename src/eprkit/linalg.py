@@ -177,25 +177,6 @@ def phase_fix(vectors: np.ndarray, threshold: float = PHASE_PIVOT_THRESHOLD) -> 
     return out
 
 
-def _grouped_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    w, v = np.linalg.eigh(h)
-    return w, v, group_close_values(w, default_grouping_tol(w))
-
-
-def spectral_decompose(h) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix, merging near-degenerate eigenvalues.
-
-    Floating-point eigensolvers split exact degeneracies by a few ulps; raw
-    eigenvalues whose pairwise gaps stay below ``1e-9 * spectral radius``
-    are clustered into one line whose projector is the sum of outer
-    products of the group's eigenvectors.
-    """
-    h = require_hermitian(h, name="input")
-    if h.shape[0] > MAX_DIM:
-        raise DimensionMismatchError(f"dimension {h.shape[0]} exceeds the supported envelope of {MAX_DIM}")
-    return _decomposition(*_grouped_eigh(h))
-
-
 def _decomposition(w: np.ndarray, v: np.ndarray, groups: list[list[int]]) -> SpectralDecomposition:
     """One line per group: the mean eigenvalue and the projector onto the group's eigenvectors."""
     lines = []
@@ -218,9 +199,9 @@ class Observable:
 
     The decomposition (and the phase-fixed eigenvector matrix) is computed
     lazily on first access and then shared; instances are immutable. The
-    lifted and sum observables built from a factor observable in
-    ``eprkit.composite`` come with their decomposition already assembled from
-    the factor's lines, so reading it runs no eigensolver.
+    lifted and sum observables that ``eprkit.composite`` builds from a factor
+    observable come with their decomposition already assembled from the
+    factor's lines, so reading it runs no eigensolver.
     ``projector_stack`` holds the line projectors as one array, which the
     factor-space measurements of ``eprkit.composite`` apply in one batch.
     """
@@ -234,11 +215,7 @@ class Observable:
         self._decomposition: SpectralDecomposition | None = None
         self._eigenvectors: np.ndarray | None = None
         self._projector_stack: np.ndarray | None = None
-        # Composite-space data derived from this one, built on first use by
-        # ``eprkit.composite.lift`` (keyed by slot), ``sum_observable`` and
-        # ``anti_diagonal_index``, and freed with this instance.
-        self._lifts: dict[int, Observable] = {}
-        self._sum: Observable | None = None
+        # the sum index of ``eprkit.composite.anti_diagonal_index``, built on first use
         self._anti_diagonals = None
 
     @property
@@ -255,10 +232,10 @@ class Observable:
 
     def _solve(self) -> None:
         """Run the eigensolver: fills the eigenvectors, and the decomposition unless it was given."""
-        w, v, groups = _grouped_eigh(self._matrix)
+        w, v = np.linalg.eigh(self._matrix)
         v = phase_fix(v)
         if self._decomposition is None:
-            self._decomposition = _decomposition(w, v, groups)
+            self._decomposition = _decomposition(w, v, group_close_values(w, default_grouping_tol(w)))
         v.setflags(write=False)
         self._eigenvectors = v
 
@@ -319,3 +296,14 @@ class Observable:
 
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim})"
+
+
+def spectral_decompose(h) -> SpectralDecomposition:
+    """Eigendecompose a Hermitian matrix, merging near-degenerate eigenvalues.
+
+    Floating-point eigensolvers split exact degeneracies by a few ulps; raw
+    eigenvalues whose pairwise gaps stay below ``1e-9 * spectral radius``
+    are clustered into one line whose projector is the sum of outer
+    products of the group's eigenvectors. This is ``Observable(h).decomposition``.
+    """
+    return Observable(h).decomposition

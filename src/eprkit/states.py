@@ -208,10 +208,6 @@ class SpectrumFunction:
     def from_callable(cls, spectrum, fn) -> "SpectrumFunction":
         return cls({float(a): float(fn(a)) for a in spectrum})
 
-    @property
-    def table(self) -> dict[float, float]:
-        return {float(k): float(v) for k, v in zip(self._keys, self._values)}
-
     def __call__(self, value: float) -> float:
         idx = match_value(self._keys, value, self.match_tol)
         return float(self._values[idx])
@@ -223,10 +219,6 @@ class SpectrumFunction:
         except SpectrumCoverageError:
             return False
         return True
-
-    def require_covers(self, spectrum) -> None:
-        for a in spectrum:
-            self(a)
 
     def squared(self) -> "SpectrumFunction":
         return SpectrumFunction(

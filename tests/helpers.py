@@ -163,7 +163,14 @@ def dense_epr_analysis(sc):
     and every audit's right-hand side the expectation of the lifted C, so it
     runs none of the factor-space measurements it cross-checks.
     """
-    from eprkit.composite import ZERO_PROB_THRESHOLD, collapse, lift, schmidt_rank, sum_observable
+    from eprkit.composite import (
+        ZERO_PROB_THRESHOLD,
+        anti_diagonal_index,
+        collapse,
+        lift,
+        schmidt_rank,
+        sum_observable,
+    )
     from eprkit.conditional import (
         POINT_MASS_TOL,
         PredictionSummary,
@@ -176,7 +183,7 @@ def dense_epr_analysis(sc):
     a = sc.obs_a
     a.require_nondegenerate()
     s_obs = sum_observable(a)
-    index = s_obs.index
+    index = anti_diagonal_index(a)
     spectrum, branch_vectors = project_outcomes(sc.initial_state, s_obs)
     factors = {"a": a, "b": sc.obs_b, "c": sc.obs_c}
     lifted = {(name, slot): lift(obs, slot) for name, obs in factors.items() for slot in (1, 2)}
@@ -320,7 +327,7 @@ def reference_epr_analysis(sc):
         }
         a1_probs, chain_matrices = measured[("a", 1)]
         cond = ConditionalDistribution(
-            given_sum=s_value, support=tuple((index.factor_eigenvalues[n], a1_probs[n]) for n, _ in index.sets[k])
+            given_sum=s_value, outcomes=tuple((index.factor_eigenvalues[n], a1_probs[n]) for n, _ in index.sets[k])
         )
         mean1, stdev1 = moments(a_values, a1_probs)
         mean2, stdev2 = moments(a_values, measured[("a", 2)][0])

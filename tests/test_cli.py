@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import eprkit
 from eprkit import io as eprio
-from eprkit import cli, lab, linalg
+from eprkit import cli, composite, conditional, lab, linalg, states
 from eprkit.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from eprkit.lab import MAX_ENTRY_MAGNITUDE, build_scenario
 from eprkit.states import UncertaintyReport
@@ -353,6 +353,31 @@ class TestSample:
             ["sample", scenario_path("pauli_epr.json"), "--shots", "10", "--seed", str(2**64)]
         )
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_no_command_runs_the_dense_route(name, monkeypatch, capsys):
+    # verify, analyze and sample work on N x N matrices: none reaches an N^2 x N^2 operator or projector
+    dense = {
+        "lift": composite,
+        "sum_observable": composite,
+        "tensor_product": linalg,
+        "project_outcomes": states,
+        "post_measurement_state": composite,
+    }
+    for attr, home in dense.items():
+        original = getattr(home, attr)
+
+        def refuse(*args, _attr=attr, **kwargs):
+            raise AssertionError(f"{_attr} called")
+
+        for module in (linalg, states, composite, conditional, lab, eprio, cli):
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, refuse)
+    path = scenario_path(name)
+    for argv in (["verify", path], ["analyze", path], ["sample", path, "--shots", "1000"]):
+        assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 class TestDemoPauli:

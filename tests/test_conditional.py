@@ -52,15 +52,15 @@ def three_level_chain_state() -> tuple[PureState, Observable]:
 class TestConditionalDistribution:
     def test_probability_lookup_tolerance_scales_with_the_support(self):
         key = 2.5e12 + 5e-4
-        large = ConditionalDistribution(given_sum=1.5e12, support=((-1e12, 0.25), (key, 0.75)))
+        large = ConditionalDistribution(given_sum=1.5e12, outcomes=((-1e12, 0.25), (key, 0.75)))
         assert large.probability_of(float(f"{key:.15g}")) == 0.75
-        small = ConditionalDistribution(given_sum=4e-10, support=((1e-10, 0.25), (3e-10, 0.75)))
+        small = ConditionalDistribution(given_sum=4e-10, outcomes=((1e-10, 0.25), (3e-10, 0.75)))
         assert small.probability_of(1e-10) == 0.25
         with pytest.raises(SpectrumCoverageError):
             small.probability_of(2e-10)
 
     def test_arrays_are_built_once_and_read_only(self):
-        dist = ConditionalDistribution(given_sum=0.0, support=((-1.0, 0.25), (1.0, 0.75)))
+        dist = ConditionalDistribution(given_sum=0.0, outcomes=((-1.0, 0.25), (1.0, 0.75)))
         for name in ("values", "probabilities"):
             first = getattr(dist, name)
             assert getattr(dist, name) is first
@@ -94,7 +94,7 @@ class TestConditionalDistribution:
 
     def test_rejects_nan_probability(self):
         with pytest.raises(ValueError):
-            ConditionalDistribution(given_sum=0.0, support=((0.0, math.nan),))
+            ConditionalDistribution(given_sum=0.0, outcomes=((0.0, math.nan),))
 
     def test_matches_classical_conditioning(self):
         rng = np.random.default_rng(70)
@@ -446,13 +446,13 @@ class TestTowerProperty:
 class TestPinningIdentity:
     def test_pauli_product_function(self):
         obs = Observable(PAULI_Z)
-        idx = sum_observable(obs).index
+        idx = anti_diagonal_index(obs)
         h = PairSpectrumFunction.from_callable(idx, lambda a, s: a * s)
         assert verify_ce2(two_branch_state(), obs, h, 0.0, 1.0) <= 1e-10
 
     def test_three_level_sum_function(self):
         psi, obs = three_level_chain_state()
-        idx = sum_observable(obs).index
+        idx = anti_diagonal_index(obs)
         h = PairSpectrumFunction.from_callable(idx, lambda a, s: a + s)
         assert verify_ce2(psi, obs, h, 4.0, 1.0) <= 1e-10
         # the pinned value itself is a1 + s = 5
@@ -460,7 +460,7 @@ class TestPinningIdentity:
 
     def test_constant_function(self):
         obs = Observable(PAULI_Z)
-        idx = sum_observable(obs).index
+        idx = anti_diagonal_index(obs)
         h = PairSpectrumFunction.from_callable(idx, lambda a, s: 4.25)
         assert verify_ce2(two_branch_state(), obs, h, 0.0, 1.0) <= 1e-10
 
@@ -472,7 +472,7 @@ class TestPinningIdentity:
     def test_pair_lookup_is_nearest_at_any_scale(self):
         # at a spectral radius of 1e-12 every pair lies within 1e-9 of every other
         rng = np.random.default_rng(62)
-        idx = sum_observable(Observable(random_hermitian(rng, 3) * 1e-12)).index
+        idx = anti_diagonal_index(Observable(random_hermitian(rng, 3) * 1e-12))
         fn = lambda a, s: a * 1e12 + 10 * s * 1e12  # noqa: E731
         h = PairSpectrumFunction.from_callable(idx, fn)
         pairs = [(idx.factor_eigenvalues[n], s) for s, members in zip(idx.sums, idx.sets) for n, _ in members]
@@ -509,7 +509,7 @@ class TestDenseRoute:
         c = Observable(extract_c(a.matrix, b.matrix, 1.0))
         psi = PureState(random_state_vector(rng, n * n), factor_dims=(n, n))
         s_obs = sum_observable(a)
-        index = s_obs.index
+        index = anti_diagonal_index(a)
         f = SpectrumFunction.from_callable(a.eigenvalues, lambda x: math.sin(x) + x * x)
         fvals = [f(v) for v in a.eigenvalues]
         g = SpectrumFunction({s: v for s, v in zip(index.sums, rng.standard_normal(len(index.sums)))})

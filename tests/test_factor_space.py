@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from eprkit import io as eprio
-from eprkit import composite
 from eprkit.composite import anti_diagonal_index, lift, project_slot, slot_expectation, sum_observable
 from eprkit.lab import build_scenario, run_epr_analysis
 from eprkit.linalg import Observable, extract_c
@@ -92,7 +91,6 @@ def test_a_stack_of_states_measures_as_each_state_alone(n):
     measurements = [lambda psi, slot=slot: project_slot(psi, obs, slot) for slot in (1, 2)]
     measurements += [lambda psi: project_sum(psi, a)]
     measurements += [lambda psi, slot=slot: (slot_expectation(psi, obs, slot),) for slot in (1, 2)]
-    measurements += [lambda psi: (composite.schmidt_rank(psi),)]
     for measure in measurements:
         together = measure(stack)
         for i, psi in enumerate(stack):

@@ -322,8 +322,7 @@ class TestRunEprAnalysis:
         sc = build_pauli_scenario([0.5, 0.5, 0.5, 0.5])
         run_epr_analysis(sc)
         compare_empirical(sample_chain(sc, 100, seed=1), sc)
-        refs = [weakref.ref(sc), weakref.ref(sum_observable(sc.obs_a)), weakref.ref(anti_diagonal_index(sc.obs_a))]
-        refs += [weakref.ref(lift(obs, slot)) for obs in (sc.obs_a, sc.obs_b, sc.obs_c) for slot in (1, 2)]
+        refs = [weakref.ref(sc), weakref.ref(anti_diagonal_index(sc.obs_a))]
         refs += [weakref.ref(obs.projector_stack) for obs in (sc.obs_a, sc.obs_b, sc.obs_c)]
         # with the cycle collector off, only reference counting can free them
         gc.disable()
