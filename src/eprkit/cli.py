@@ -83,6 +83,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write_output(text: str, out: str | None) -> None:

@@ -4,8 +4,8 @@ The sum S = A(1) + A(2) of one observable measured on both factors has
 eigenspaces indexed by the anti-diagonals of the factor spectrum product:
 all pairs (a_n, a_m) with a_n + a_m equal share one eigenvalue, and the
 degeneracy of that eigenvalue is the number of such pairs. This module
-builds that structure explicitly and implements projective collapse onto
-sum eigenspaces.
+builds that structure explicitly and measures the sum, and either factor,
+on a state's N x N coefficient matrix.
 
 Measurements come in two equivalent forms. The factor-space form works on
 a state's N x N coefficient matrix psi (first factor as rows):

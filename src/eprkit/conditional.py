@@ -120,11 +120,7 @@ class PairSpectrumFunction:
         return cls(entries)
 
     def __call__(self, a_value: float, s_value: float) -> float:
-        distance = np.abs(self._pairs - (a_value, s_value)).max(axis=1)
-        i = int(np.argmin(distance))
-        if not (distance[i] <= self._tol):
-            raise SpectrumCoverageError(f"pair ({a_value!r}, {s_value!r}) not in the function table")
-        return self._values[i]
+        return self._values[match_value(self._pairs, (a_value, s_value), self._tol)]
 
 
 def _joint_table(state: PureState, a: Observable) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +209,7 @@ def sequential_measure(state: PureState, a: Observable, s_value: float, a1_value
     probability in the current state.
     """
     index, k, coefficients, branch = _branch(state, a, s_value)
-    n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
+    n = a.line_index(a1_value)
     require_possible(float(branch[n].sum()))
     # a line that merged near-coincident sums can give a_n several partners, kept in proportion
     partners = [m for row, m in index.sets[k] if row == n]
@@ -242,7 +238,7 @@ def certain_prediction(
     gvals = [g(v) for v in a.eigenvalues]
     index = anti_diagonal_index(a)
     k = index.sum_index(s_value)
-    n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
+    n = a.line_index(a1_value)
     partners = [m for row, m in index.sets[k] if row == n]
     if len(partners) != 1:
         raise SpectrumCoverageError(f"a1 = {a1_value!r} pins no single A(2) outcome on sum {index.sums[k]!r}")
@@ -366,7 +362,7 @@ def verify_ce2(
     with value H(a_n, s_k).
     """
     index, k, _, branch = _branch(state, a, s_value)
-    n = match_value(a.eigenvalues, a1_value, a.grouping_tol)
+    n = a.line_index(a1_value)
     chain = branch[n] / require_possible(float(branch[n].sum()))
     pinned = h(index.factor_eigenvalues[n], index.sums[k])
     return abs(sum(pinned * p for p in chain.tolist()) - pinned)

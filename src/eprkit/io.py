@@ -182,7 +182,7 @@ def _load_json(text: str):
         return json.loads(
             text, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_finite_int
         )
-    except ValueError as exc:  # JSONDecodeError, the hooks' errors, int() beyond its digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, the hooks, int() digits, nesting depth
         raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
 
 

@@ -37,14 +37,13 @@ from .conditional import (
     conditional_distribution_from,
 )
 from .errors import DimensionMismatchError, ImpossibleOutcomeError, ScenarioInvariantError
-from .linalg import MAX_DIM, Observable, default_grouping_tol, extract_c
+from .linalg import MAX_DIM, Observable, default_grouping_tol, extract_c, match_value
 from .states import (
     PROBABILITY_SUM_TOL,
     OutcomeDistribution,
     PureState,
     UncertaintyReport,
     normalize,
-    ordered_mean,
     projected_probabilities,
     spectral_moments,
     uncertainty_report,
@@ -222,22 +221,15 @@ class EprReport:
                     f"uncertainty audit failed after chain (s={chain.s_value!r}, a1={chain.a1_value!r})"
                 )
 
-    def branch_for(self, s_value: float, tol: float | None = None) -> SumBranchReport:
-        """The branch whose sum value is nearest s_value, within tol (default: the sum spectrum's grouping tolerance)."""
-        tol = default_grouping_tol(self.sum_spectrum.values) if tol is None else tol
-        branch = min(self.per_sum, key=lambda b: abs(b.s_value - s_value), default=None)
-        if branch is None or not (abs(branch.s_value - s_value) <= tol):
-            raise KeyError(f"no populated branch for s={s_value!r}")
-        return branch
+    def branch_for(self, s_value: float) -> SumBranchReport:
+        """The branch whose sum value is nearest s_value, within the sum spectrum's grouping tolerance."""
+        tol = default_grouping_tol(self.sum_spectrum.values)
+        return self.per_sum[match_value([b.s_value for b in self.per_sum], s_value, tol)]
 
-    def chain_for(self, s_value: float, a1_value: float, tol: float | None = None) -> ChainReport:
-        """The chain nearest (s_value, a1_value), within tol in each (default: as ``branch_for``)."""
-        tol = default_grouping_tol(self.sum_spectrum.values) if tol is None else tol
-        distance = lambda c: max(abs(c.s_value - s_value), abs(c.a1_value - a1_value))  # noqa: E731
-        chain = min(self.chains, key=distance, default=None)
-        if chain is None or not (distance(chain) <= tol):
-            raise KeyError(f"no chain entry for (s={s_value!r}, a1={a1_value!r})")
-        return chain
+    def chain_for(self, s_value: float, a1_value: float) -> ChainReport:
+        """The chain nearest (s_value, a1_value), within ``branch_for``'s tolerance in each."""
+        tol = default_grouping_tol(self.sum_spectrum.values)
+        return self.chains[match_value([(c.s_value, c.a1_value) for c in self.chains], (s_value, a1_value), tol)]
 
 
 def run_epr_analysis(sc: Scenario) -> EprReport:
@@ -293,12 +285,9 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     summaries, moments = {}, {}
     for (name, slot), probs in probabilities.items():
         _require_normalized(probs, f"{name.upper()}({slot})")
-        values = factors[name].eigenvalues
-        moments[name, slot] = spectral_moments(values, probs)
-        summaries[name, slot] = [
-            PredictionSummary(mean=mean, stdev=stdev)
-            for mean, stdev in zip(ordered_mean(values, probs).tolist(), moments[name, slot][1].tolist())
-        ]
+        moments[name, slot] = spectral_moments(factors[name].eigenvalues, probs)
+        means, stdevs = (x.tolist() for x in moments[name, slot])
+        summaries[name, slot] = [PredictionSummary(mean=mean, stdev=stdev) for mean, stdev in zip(means, stdevs)]
     (mean1, stdev1), (mean2, stdev2) = moments["a", 1], moments["a", 2]
     mean_residuals = np.abs(mean2 - (np.asarray(index.sums)[kept] - mean1)).tolist()
     stdev_gaps = np.abs(stdev1 - stdev2).tolist()

@@ -52,9 +52,10 @@ def is_hermitian(m, tol: float | None = None) -> bool:
     return float(np.abs(a - a.conj().T).max(initial=0.0)) <= tol
 
 
-def require_hermitian(m, tol: float | None = None, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
+    """``m`` as a complex matrix; NonHermitianError unless square and Hermitian within ``hermiticity_tolerance``."""
     a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1] or not is_hermitian(a, tol):
+    if a.shape[0] != a.shape[1] or not is_hermitian(a):
         raise NonHermitianError(f"{name} is not Hermitian within tolerance")
     return a
 
@@ -150,19 +151,24 @@ def group_close_values(sorted_values: np.ndarray, tol: float) -> list[list[int]]
     return groups
 
 
-def match_value(values, x: float, tol: float) -> int:
-    """Index of the entry of ``values`` within tol of x; raises if none matches."""
+def match_value(values, x: float | tuple[float, ...], tol: float) -> int:
+    """Index of the entry of ``values`` nearest x, within tol; raises if none matches.
+
+    Entries are numbers, or equal-length tuples matched to a tuple x by
+    their largest coordinate gap. The first of equally near entries wins.
+    """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise SpectrumCoverageError("empty spectrum")
-    idx = int(np.argmin(np.abs(values - x)))
-    if not (abs(values[idx] - x) <= tol):
+    distance = np.abs(values - np.asarray(x, dtype=float)).reshape(len(values), -1).max(axis=1)
+    idx = int(np.argmin(distance))
+    if not (distance[idx] <= tol):
         raise SpectrumCoverageError(f"value {x!r} does not match any spectrum entry within {tol!r}")
     return idx
 
 
-def phase_fix(vectors: np.ndarray, threshold: float = PHASE_PIVOT_THRESHOLD) -> np.ndarray:
-    """Rotate each column so its first component of magnitude > threshold is real positive.
+def phase_fix(vectors: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first component of magnitude > ``PHASE_PIVOT_THRESHOLD`` is real positive.
 
     Projectors are phase-invariant, but reported eigenvectors should be
     deterministic across runs and platforms.
@@ -170,7 +176,7 @@ def phase_fix(vectors: np.ndarray, threshold: float = PHASE_PIVOT_THRESHOLD) -> 
     out = np.array(vectors, dtype=np.complex128, copy=True)
     for j in range(out.shape[1]):
         col = out[:, j]
-        pivots = np.nonzero(np.abs(col) > threshold)[0]
+        pivots = np.nonzero(np.abs(col) > PHASE_PIVOT_THRESHOLD)[0]
         if pivots.size:
             pivot = col[pivots[0]]
             col *= np.conj(pivot) / abs(pivot)
@@ -288,11 +294,9 @@ class Observable:
                 f"observable has repeated eigenvalues (multiplicities {self.multiplicities})"
             )
 
-    def line_index(self, value: float, tol: float | None = None) -> int:
-        """Index of the spectral line whose eigenvalue matches ``value`` within tol."""
-        if tol is None:
-            tol = self.grouping_tol
-        return match_value(self.eigenvalues, value, tol)
+    def line_index(self, value: float) -> int:
+        """Index of the spectral line whose eigenvalue matches ``value`` within ``grouping_tol``."""
+        return match_value(self.eigenvalues, value, self.grouping_tol)
 
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim})"

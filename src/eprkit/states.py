@@ -137,15 +137,14 @@ class OutcomeDistribution:
         return self.outcomes[idx][1]
 
     def mean_of(self, fvals) -> float:
-        """``sum_k f(v_k) p_k`` for f's values ``fvals`` on the outcomes, accumulated in outcome order."""
-        fvals = np.asarray(fvals, dtype=float)
-        if fvals.shape != self.probabilities.shape:
-            raise ValueError(f"{fvals.size} function values for {len(self.outcomes)} outcomes")
-        return float(ordered_mean(fvals, self.probabilities))
+        """``sum_k f(v_k) p_k`` for f's values ``fvals`` on the outcomes: the mean of ``moments``."""
+        return self.moments(fvals)[0]
 
     def moments(self, fvals=None) -> tuple[float, float]:
         """Mean and standard deviation of f(value), given f's values on the outcomes (default: the values)."""
         fvals = self.values if fvals is None else np.asarray(fvals, dtype=float)
+        if fvals.shape != self.probabilities.shape:
+            raise ValueError(f"{fvals.size} function values for {len(self.outcomes)} outcomes")
         mean, stdev = spectral_moments(fvals, self.probabilities)
         return float(mean), float(stdev)
 
@@ -157,24 +156,18 @@ def read_only_column(pairs, i: int) -> np.ndarray:
     return column
 
 
-def ordered_mean(fvals: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
-    """``sum_k f_k p_k`` along the last axis, accumulated in outcome order.
-
-    ``cumsum`` adds left to right, as Python's ``sum`` does; adding 0.0 turns
-    a -0.0 total into the 0.0 that ``sum``'s integer start gives.
-    """
-    return np.cumsum(fvals * probabilities, axis=-1)[..., -1] + 0.0
-
-
 def spectral_moments(fvals: np.ndarray, probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard deviation of f along the last axis, for f's values on the outcomes.
 
-    The mean is a dot product (``vecdot`` has ``np.dot``'s arithmetic on
-    each row), so it can differ from ``ordered_mean`` in the last bit; the
-    variance is taken about that mean, never as ``E[f^2] - E[f]^2``, which
-    loses all precision near zero.
+    This is the package's one mean and variance. The mean ``sum_k f_k p_k``
+    is accumulated in outcome order: ``cumsum`` adds left to right, as
+    Python's ``sum`` does, so a stack of distributions gives each row the
+    bits it would have alone, and adding 0.0 turns a -0.0 total into the 0.0
+    that ``sum``'s integer start gives. The variance is ``sum_k p_k (f_k -
+    mean)^2`` about that same mean, never ``E[f^2] - E[f]^2``, which loses
+    all precision near zero.
     """
-    mean = np.vecdot(fvals, probabilities)
+    mean = np.cumsum(fvals * probabilities, axis=-1)[..., -1] + 0.0
     var = np.vecdot((fvals - mean[..., None]) ** 2, probabilities)
     return mean, np.sqrt(np.maximum(var, 0.0))
 

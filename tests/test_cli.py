@@ -57,6 +57,16 @@ class TestVerify:
         bad.write_text("{not json at all", encoding="utf-8")
         assert main(["verify", str(bad)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("command", ["verify", "analyze", "sample"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000], ids=["not-utf8", "too-deep"])
+    def test_undecodable_file_is_one_line_parse_error(self, command, content, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = [command, str(bad)] + (["--shots", "10"] if command == "sample" else [])
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("epr: parse error: ") and err.count("\n") == 1
+
     def test_unknown_field_is_parse_error(self, tmp_path, capsys):
         payload = json.loads(scenario_text("pauli_epr.json"))
         payload["extra_knob"] = 1
@@ -467,6 +477,13 @@ def test_report_parser_rejects_non_finite_numbers(tmp_path):
     assert '"probability": 1.0' in text
     with pytest.raises(ScenarioFormatError):
         eprio.run_report_from_json(text.replace('"probability": 1.0', '"probability": NaN', 1))
+
+
+def test_report_parser_rejects_too_deep_nesting():
+    from eprkit.errors import ScenarioFormatError
+
+    with pytest.raises(ScenarioFormatError, match="invalid JSON"):
+        eprio.run_report_from_json("[" * 100000)
 
 
 def _scaled_scenario(seed: int, scale: float):

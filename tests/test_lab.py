@@ -11,7 +11,7 @@ from eprkit import cli, composite, conditional, lab, linalg, states
 from eprkit import io as eprio
 from eprkit.composite import anti_diagonal_index, collapse, lift, sum_observable
 from eprkit.conditional import oracle_conditional
-from eprkit.errors import DegenerateSpectrumError, DimensionMismatchError
+from eprkit.errors import DegenerateSpectrumError, DimensionMismatchError, SpectrumCoverageError
 from eprkit.lab import (
     build_pauli_scenario,
     build_scenario,
@@ -155,6 +155,35 @@ class TestRunEprAnalysis:
                 assert chain.a2_stdev <= 1e-10
                 assert chain.resolution.rhs <= 1e-10
                 assert chain.resolution.satisfied
+
+    def test_sum_constraint_is_taken_from_the_printed_moments(self):
+        # each residual is recomputed from the means and stdevs the report prints, bit for bit
+        rng = np.random.default_rng(1)
+        for trial in range(60):
+            n = int(rng.integers(2, 9))
+            a, b, psi = random_hermitian(rng, n), random_hermitian(rng, n), random_state_vector(rng, n * n)
+            report = run_epr_analysis(build_scenario(f"random-{trial}", a, b, psi))
+            for branch in report.per_sum:
+                a1, a2 = branch.a1, branch.a2
+                assert branch.sum_constraint.mean_identity_residual == abs(a2.mean - (branch.s_value - a1.mean))
+                assert branch.sum_constraint.stdev_gap == abs(a1.stdev - a2.stdev)
+
+    @pytest.mark.parametrize(
+        "lookup",
+        [
+            lambda r: r.branch_for(0.5),
+            lambda r: r.branch_for(math.nan),
+            lambda r: r.chain_for(0.0, 0.0),
+            lambda r: r.chain_for(2.0, 1.0),
+            lambda r: r.chain_for(math.nan, 1.0),
+            lambda r: r.chain_for(0.0, math.nan),
+        ],
+        ids=["branch-miss", "branch-nan", "chain-miss", "chain-unpopulated", "chain-nan-s", "chain-nan-a1"],
+    )
+    def test_lookup_miss_is_spectrum_coverage_error(self, lookup):
+        report = run_epr_analysis(build_pauli_scenario(EPR_AMPLITUDES))
+        with pytest.raises(SpectrumCoverageError):
+            lookup(report)
 
     def test_spectral_data_is_built_once_per_scenario(self, monkeypatch):
         n = 8

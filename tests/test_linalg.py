@@ -237,6 +237,15 @@ def test_match_value_picks_nearest():
         match_value(values, 1.0, 1e-8)
     with pytest.raises(SpectrumCoverageError):
         match_value(values, np.nan, 1e-8)
+    # tuples match by their largest coordinate gap; the first of equally near entries wins
+    pairs = [(0.0, 1.0), (1.0, 0.0), (1.0, 2.0), (1.0, 0.0)]
+    assert match_value(pairs, (1.0 + 1e-9, -1e-9), 1e-8) == 1
+    assert match_value(pairs, (0.5, 1.0), 0.5) == 0
+    for miss in [(0.0, 1.5), (1.0, np.nan), (np.nan, 0.0)]:
+        with pytest.raises(SpectrumCoverageError):
+            match_value(pairs, miss, 1e-8)
+    with pytest.raises(SpectrumCoverageError):
+        match_value([], (0.0, 0.0), 1e-8)
 
 
 def test_phase_fix_skips_negligible_components():

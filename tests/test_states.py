@@ -84,9 +84,13 @@ class TestOutcomeDistribution:
                 first[0] = 0.0
         assert dist.values.tolist() == [-1.0, 1.0] and dist.probabilities.tolist() == [0.25, 0.75]
         assert dist.mean_of([2.0, 4.0]) == 3.5
-        # one function value per outcome, as before
-        with pytest.raises(ValueError):
-            dist.mean_of([2.0])
+
+    @pytest.mark.parametrize("method", ["moments", "mean_of"])
+    @pytest.mark.parametrize("fvals", [[2.0], [2.0, 4.0, 6.0]], ids=["one", "three"])
+    def test_needs_one_function_value_per_outcome(self, method, fvals):
+        dist = OutcomeDistribution(outcomes=((-1.0, 0.25), (1.0, 0.75)))
+        with pytest.raises(ValueError, match="function values for 2 outcomes"):
+            getattr(dist, method)(fvals)
 
     def test_probability_lookup(self):
         dist = OutcomeDistribution(outcomes=((-1.0, 0.25), (1.0, 0.75)))
@@ -199,6 +203,16 @@ class TestBestPredictor:
             spectral = best_predictor(psi, obs, f)
             quadratic = float(np.real(psi.expectation(function_matrix(obs, f))))
             assert spectral == pytest.approx(quadratic, abs=1e-10)
+
+    def test_is_the_mean_of_the_distribution_moments(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            obs = Observable(random_hermitian(rng, n))
+            psi = PureState(random_state_vector(rng, n))
+            f = SpectrumFunction.from_callable(obs.eigenvalues, lambda a: a * a - 2 * a + 0.5)
+            fvals = [f(v) for v in obs.eigenvalues]
+            assert best_predictor(psi, obs, f) == outcome_probabilities(psi, obs).moments(fvals)[0]
 
 
 class TestPredictionError:
