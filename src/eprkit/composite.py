@@ -291,12 +291,12 @@ def post_measurement_state(state: PureState, projector) -> tuple[PureState, floa
     return collapse(state, projected, prob), min(prob, 1.0)
 
 
-def schmidt_rank(state: PureState, tol: float = SCHMIDT_TOL) -> int:
-    """Number of singular values of a two-factor state's coefficient matrix above tol.
+def schmidt_rank(state: PureState) -> int:
+    """Number of singular values of a two-factor state's coefficient matrix above ``SCHMIDT_TOL``.
 
     Rank 1 means a product state; rank >= 2 means entanglement. The factor
     dim is the first of two declared factors, else the square root of the
     state's dim.
     """
     n = state.factor_dims[0] if len(state.factor_dims) == 2 else int(round(np.sqrt(state.dim)))
-    return int(np.count_nonzero(np.linalg.svd(coefficient_matrix(state, n), compute_uv=False) > tol))
+    return int(np.count_nonzero(np.linalg.svd(coefficient_matrix(state, n), compute_uv=False) > SCHMIDT_TOL))

@@ -169,16 +169,22 @@ def conditional_distribution(state: PureState, a: Observable, s_value: float) ->
     the observed sum.
     """
     index, k, _, branch = _branch(state, a, s_value)
-    return conditional_distribution_from(branch.sum(axis=1), index, k)
-
-
-def conditional_distribution_from(a1_probabilities, index: AntiDiagonalIndex, k: int) -> ConditionalDistribution:
-    """``conditional_distribution`` from the A(1) probabilities, by A's index, in the state collapsed on sum line k."""
-    pairs = index.sets[k]
-    if len({n for n, _ in pairs}) < len(pairs):
-        raise DegenerateSpectrumError(f"A is too close to degenerate: sum {index.sums[k]!r} pins no A(2) outcome")
-    outcomes = tuple((index.factor_eigenvalues[n], float(a1_probabilities[n])) for n, _ in pairs)
+    _require_pinned(index, [k])
+    a1_probabilities = branch.sum(axis=1).tolist()
+    outcomes = tuple((index.factor_eigenvalues[n], a1_probabilities[n]) for n, _ in index.sets[k])
     return ConditionalDistribution(outcomes=outcomes, given_sum=index.sums[k])
+
+
+def _require_pinned(index: AntiDiagonalIndex, lines) -> None:
+    """DegenerateSpectrumError naming the first of the given sum lines that lists two pairs (n, m) with one n.
+
+    A sum line that merged near-coincident sums can do that, and observing
+    a_n there pins no A(2) outcome.
+    """
+    for k in lines:
+        pairs = index.sets[k]
+        if len({n for n, _ in pairs}) < len(pairs):
+            raise DegenerateSpectrumError(f"A is too close to degenerate: sum {index.sums[k]!r} pins no A(2) outcome")
 
 
 def conditional_prediction(state: PureState, a: Observable, f: SpectrumFunction, s_value: float) -> PredictionSummary:

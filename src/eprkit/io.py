@@ -257,6 +257,11 @@ def scenario_from_json(text: str) -> Scenario:
         raise ScenarioFormatError(f"unsupported schema_version {payload['schema_version']!r}")
     if not isinstance(payload["label"], str):
         raise ScenarioFormatError("label must be a string")
+    try:
+        # JSON escapes can spell a lone surrogate, which no output can encode
+        payload["label"].encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ScenarioFormatError(f"label is not valid Unicode text: {exc}") from exc
     n = payload["factor_dim"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ScenarioFormatError("factor_dim must be a positive integer")

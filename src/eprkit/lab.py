@@ -5,7 +5,9 @@ space with an initial state of the two-factor composite. The analysis
 conditions on every reachable sum outcome, audits the uncertainty bound in
 each branch, runs the full measure-S-then-A1 chain, and the sampler draws
 reproducible measurement paths to compare empirical frequencies against the
-analytic distributions. The analysis reads A's distributions, the Schmidt
+analytic distributions. The sampler and the comparison read the report's own
+branches and chains, so they draw and check only the outcomes it lists. The
+analysis reads A's distributions, the Schmidt
 ranks and every chain off the state's N x N amplitudes K in A's product
 eigenbasis, and measures B and C on the stack of N x N branch states with
 ``eprkit.composite.project_slot``; no N^2 x N^2 operator is built for it
@@ -29,14 +31,8 @@ from .composite import (
     line_totals,
     project_slot,
 )
-from .conditional import (
-    POINT_MASS_TOL,
-    ConditionalDistribution,
-    PredictionSummary,
-    SumConstraintReport,
-    conditional_distribution_from,
-)
-from .errors import DimensionMismatchError, ImpossibleOutcomeError, ScenarioInvariantError
+from .conditional import POINT_MASS_TOL, PredictionSummary, SumConstraintReport, _require_pinned
+from .errors import DimensionMismatchError, ScenarioInvariantError
 from .linalg import MAX_DIM, Observable, default_grouping_tol, extract_c, match_value
 from .states import (
     PROBABILITY_SUM_TOL,
@@ -181,10 +177,6 @@ class SumBranchReport:
     sum_constraint: SumConstraintReport
     audit_slot1: UncertaintyReport
     audit_slot2: UncertaintyReport
-    # Not serialized: the sum line's index and its full A(1) distribution,
-    # below-threshold entries included, for the sampling tables.
-    sum_index: int = field(repr=False)
-    conditional: ConditionalDistribution = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -236,10 +228,11 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     """Condition on every reachable sum outcome and run every reachable chain.
 
     Outcomes of (numerically) zero probability are omitted rather than
-    reported as errors; every retained branch carries its own audits. This is
-    the one walk over the paths (s_k, a_n, a_m): each branch's pairs (n, m)
-    are read off the sum index, so A(1) and A(2) distributions are indexed by
-    A's eigenvalue position, never matched by value.
+    reported as errors; every retained branch carries its own audits. The
+    report's branches and chains are the only paths (s_k, a_n, a_m) that
+    ``sample_chain`` and ``compare_empirical`` see. A(1) and A(2)
+    distributions are indexed by A's eigenvalue position, never matched by
+    value.
 
     Everything is read off K = V^H psi conj(V), the state's amplitudes on
     the product eigenstates |a_n>|a_m>, computed once. Sum line k keeps K on
@@ -250,13 +243,18 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     rank counts the entries of |K_k| above ``SCHMIDT_TOL``, and each
     audit's |<C>| / 2 weighs the diagonal of C' = V^H C V with its slot's
     distribution. Only B and C are measured on the (branches, N, N) stack
-    of branch states, with ``project_slot``. The chain S, then A(1) = a_n,
-    leaves u |a_n>|a_m> with the unit phase u of K[n, m]: A(2) is the point
-    mass |u|^2 at m, B(2) is row m of the overlap table |V_B^H V_A|^2
-    added over B's lines, and the bound's right-hand side is |C'_mm| / 2.
-    Only the report objects are built in a loop. A measurement that does
-    not sum to 1, a collapsed state that fails its norm check or a chain
-    that misses its point mass raises ScenarioInvariantError.
+    of branch states, with ``project_slot``. The chains are one selection
+    of the normalized |K_k|^2 at or above ``ZERO_PROB_THRESHOLD``: its entry
+    on the pair (n, m) is p(a_n | s_k), since a_n has one partner on the
+    line (a line that merged near-coincident sums and gives a_n two
+    partners raises DegenerateSpectrumError first). The chain S, then
+    A(1) = a_n, leaves u |a_n>|a_m> with the unit phase u of K[n, m]: A(2)
+    is the point mass |u|^2 at m, B(2) is row m of the overlap table
+    |V_B^H V_A|^2 added over B's lines, and the bound's right-hand side is
+    |C'_mm| / 2. Only the report objects are built in a loop. A
+    measurement that does not sum to 1, a collapsed state that fails its
+    norm check or a chain that misses its point mass raises
+    ScenarioInvariantError.
     """
     a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
     a.require_nondegenerate()
@@ -294,20 +292,18 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     c_diagonal = np.vecdot(v, c.matrix @ v, axis=0)
     rhs = {slot: _half_modulus(probabilities["a", slot] @ c_diagonal) for slot in (1, 2)}
     ranks = np.count_nonzero(np.abs(branch_coefficients) > SCHMIDT_TOL, axis=(1, 2)).tolist()
-    a1_probs = probabilities["a", 1].tolist()
+    s_values = [index.sums[k] for k in kept.tolist()]
 
     branches = []
-    walked = []  # (branch position, n, m, a1 value, conditional probability) of every chain
     for i, k in enumerate(kept.tolist()):
         summary = {key: rows[i] for key, rows in summaries.items()}
         audits = {
             slot: uncertainty_report(summary[("a", slot)].stdev, summary[("b", slot)].stdev, rhs[slot][i])
             for slot in (1, 2)
         }
-        cond = conditional_distribution_from(a1_probs[i], index, k)
         branches.append(
             SumBranchReport(
-                s_value=index.sums[k],
+                s_value=s_values[i],
                 probability=spectrum.outcomes[k][1],
                 schmidt_rank=ranks[i],
                 a1=summary[("a", 1)],
@@ -319,19 +315,16 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
                 sum_constraint=SumConstraintReport(mean_identity_residual=mean_residuals[i], stdev_gap=stdev_gaps[i]),
                 audit_slot1=audits[1],
                 audit_slot2=audits[2],
-                sum_index=k,
-                conditional=cond,
             )
         )
-        for (n, m), (a1_value, cond_prob) in zip(index.sets[k], cond.outcomes):
-            if not cond_prob < ZERO_PROB_THRESHOLD:
-                walked.append((i, n, m, a1_value, cond_prob))
 
-    ns, ms = (np.array([chain[j] for chain in walked], dtype=np.intp) for j in (1, 2))
+    _require_pinned(index, kept.tolist())
+    # C order is branch, then n, then m: each branch's chains in the order of its line's pairs
+    walked, ns, ms = np.nonzero(~(weights < ZERO_PROB_THRESHOLD))
     amplitudes = coefficients[ns, ms]
     a2_probs = _chain_a2_probabilities(amplitudes / np.abs(amplitudes), ms, n_dim)
     _require_normalized(a2_probs, "A(2) after the chain")
-    point_mass = a2_probs[np.arange(len(walked)), ms]
+    point_mass = a2_probs[np.arange(len(ms)), ms]
     if not np.all(point_mass >= 1.0 - POINT_MASS_TOL):
         raise ScenarioInvariantError("a state left by the measurement chain misses its A(2) point mass")
     a2_predicted, a2_stdev = (x.tolist() for x in spectral_moments(a_values, a2_probs))
@@ -344,16 +337,18 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
 
     chains = [
         ChainReport(
-            s_value=branches[i].s_value,
-            a1_value=a1_value,
-            a2_value=float(a_values[m]),
+            s_value=s_values[i],
+            a1_value=index.factor_eigenvalues[n],
+            a2_value=index.factor_eigenvalues[m],
             conditional_probability=cond_prob,
             a2_predicted=a2_predicted[j],
             a2_stdev=a2_stdev[j],
             point_mass_residual=residuals[j],
             resolution=uncertainty_report(a2_stdev[j], b2_stdev[j], chain_rhs[j]),
         )
-        for j, (i, n, m, a1_value, cond_prob) in enumerate(walked)
+        for j, (i, n, m, cond_prob) in enumerate(
+            zip(walked.tolist(), ns.tolist(), ms.tolist(), weights[walked, ns, ms].tolist())
+        )
     ]
     return EprReport(
         scenario_label=sc.label,
@@ -421,31 +416,35 @@ class ShotRecord:
 
 
 def _chain_distributions(sc: Scenario):
-    """Sum distribution, conditional table and outcome paths for sampling, read off the analysis.
+    """The sampling tables, read off the report's branches and chains alone.
 
-    ``cond_probs[k, n]`` is p(a_n | s_k), and ``paths[k, n]`` is the path
-    (s_k, a_n, a_m) of the pair (n, m) on sum line k, for every conditional outcome
-    of every populated line.
+    ``branch_probs[i]`` is p(s) of the report's branch i. Row i of
+    ``cond_probs`` lists p(a1 | s) of branch i's chains in report order,
+    then zeros; ``paths[i, j]`` is the path (s, a1, a2) of the chain in
+    column j. The sampler and the comparison see exactly the outcomes the
+    report lists.
     """
     report = sc.analysis
-    index = anti_diagonal_index(sc.obs_a)
-    a_values = sc.obs_a.eigenvalues
-    cond_probs = np.zeros((len(report.sum_spectrum.outcomes), sc.factor_dim))
-    paths = {}
-    for branch in report.per_sum:
-        k = branch.sum_index
-        for (n, m), (a1_value, p) in zip(index.sets[k], branch.conditional.outcomes):
-            cond_probs[k, n] = p
-            paths[k, n] = (branch.s_value, a1_value, float(a_values[m]))
-    return report.sum_spectrum, cond_probs, paths
+    position = {branch.s_value: i for i, branch in enumerate(report.per_sum)}
+    rows = np.array([position[chain.s_value] for chain in report.chains], dtype=np.intp)
+    # a branch's chains are consecutive in the report, so a chain's column is its rank among them
+    columns = np.arange(rows.size) - np.searchsorted(rows, rows)
+    cond_probs = np.zeros((len(report.per_sum), sc.factor_dim))
+    cond_probs[rows, columns] = [chain.conditional_probability for chain in report.chains]
+    paths = {
+        (i, j): (chain.s_value, chain.a1_value, chain.a2_value)
+        for i, j, chain in zip(rows.tolist(), columns.tolist(), report.chains)
+    }
+    return np.array([branch.probability for branch in report.per_sum]), cond_probs, paths
 
 
 def sample_chain(sc: Scenario, shots: int, seed: int = 0) -> ShotRecord:
     """Sample ``shots`` full measurement chains, reproducibly in the seed.
 
-    Each shot draws a sum outcome from the analytic distribution, collapses,
-    draws the first-factor outcome from the conditional distribution, and
-    records the implied second-factor value. The stream is counter-based, so
+    Each shot draws a branch of the report from p(s), then one of its
+    chains from p(a1 | s), and records the chain's path (s, a1, a2). Each
+    CDF ends at exactly 1.0 on its last listed entry, so every draw lands
+    on an outcome the report lists. The stream is counter-based, so
     identical (scenario, shots, seed) yields identical counts regardless of
     backend or evaluation order.
     """
@@ -454,24 +453,17 @@ def sample_chain(sc: Scenario, shots: int, seed: int = 0) -> ShotRecord:
     if not 0 <= int(seed) <= MAX_SEED:
         raise ValueError("seed must fit in 64 bits")
 
-    spectrum, cond_probs, paths = sc.chain_tables
-
-    sum_cdf = np.cumsum(np.clip(spectrum.probabilities, 0.0, 1.0))
+    branch_probs, cond_probs, paths = sc.chain_tables
+    sum_cdf = np.cumsum(np.clip(branch_probs, 0.0, 1.0))
     sum_cdf[-1] = 1.0
-    cond_cdf = np.ones(cond_probs.shape)
-    for k in {k for k, _ in paths}:
-        cond_cdf[k] = np.cumsum(np.clip(cond_probs[k], 0.0, 1.0))
-        cond_cdf[k, -1] = 1.0
+    cond_cdf = np.cumsum(np.clip(cond_probs, 0.0, 1.0), axis=1)
+    # a row's chains fill its first columns: its cdf is exactly 1.0 from its last chain on
+    chain_counts = np.count_nonzero(cond_probs, axis=1)
+    cond_cdf[np.arange(cond_probs.shape[1]) >= chain_counts[:, None] - 1] = 1.0
 
     counts_matrix = _kernels.sample_counts(int(seed), int(shots), sum_cdf, cond_cdf)
-
-    counts = []
-    for k, n in zip(*np.nonzero(counts_matrix)):
-        path = paths.get((int(k), int(n)))
-        if path is None:
-            raise ImpossibleOutcomeError(f"sampled first-factor outcome {n} lies on no populated sum line {k}")
-        counts.append((path, int(counts_matrix[k, n])))
-    counts.sort(key=lambda item: item[0])
+    drawn = zip(*(x.tolist() for x in np.nonzero(counts_matrix)))
+    counts = sorted((paths[i, j], int(counts_matrix[i, j])) for i, j in drawn)
     return ShotRecord(scenario_label=sc.label, seed=int(seed), shots=int(shots), counts=tuple(counts))
 
 
@@ -494,16 +486,20 @@ class EmpiricalComparison:
 
 
 def compare_empirical(record: ShotRecord, sc: Scenario) -> EmpiricalComparison:
-    """Check every sampled path against its analytic probability and 3-sigma band."""
+    """Check every sampled path against its analytic probability and 3-sigma band.
+
+    The analytic paths are the report's chains, each with p(s) p(a1 | s)
+    off the sampling tables, clamped at 1.
+    """
     if record.scenario_label != sc.label:
         raise ValueError(
             f"record was sampled from {record.scenario_label!r}, not {sc.label!r}"
         )
-    spectrum, cond_probs, paths = sc.chain_tables
-    analytic: dict[str, tuple[tuple[float, float, float], float]] = {}
-    for (k, n), path in paths.items():
-        if cond_probs[k, n] > 0.0:
-            analytic[path_key(*path)] = (path, spectrum.outcomes[k][1] * cond_probs[k, n])
+    branch_probs, cond_probs, paths = sc.chain_tables
+    # p(s) p(a1 | s) can round above 1, where p (1 - p) would have no square root
+    analytic = {
+        path_key(*path): (path, min(branch_probs[i] * cond_probs[i, j], 1.0)) for (i, j), path in paths.items()
+    }
 
     empirical = {path_key(*path): freq for path, freq in record.empirical.items()}
     unknown = set(empirical) - set(analytic)

@@ -42,14 +42,12 @@ def hermiticity_tolerance(m: np.ndarray) -> float:
     return 1e-10 * max(1.0, scale)
 
 
-def is_hermitian(m, tol: float | None = None) -> bool:
-    """True iff ``max |M - M^H| <= tol`` (defaults to a magnitude-scaled tolerance)."""
+def is_hermitian(m) -> bool:
+    """True iff ``max |M - M^H|`` is within ``hermiticity_tolerance``, scaled to the matrix magnitude."""
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"hermiticity is defined for square matrices, got {a.shape}")
-    if tol is None:
-        tol = hermiticity_tolerance(a)
-    return float(np.abs(a - a.conj().T).max(initial=0.0)) <= tol
+    return float(np.abs(a - a.conj().T).max(initial=0.0)) <= hermiticity_tolerance(a)
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:

@@ -93,9 +93,9 @@ class PureState:
             raise DimensionMismatchError("states live on different spaces")
         return complex(np.vdot(self._amplitudes, other._amplitudes))
 
-    def equals_up_to_phase(self, other: "PureState", tol: float = PHASE_EQUAL_TOL) -> bool:
-        """Physical equality: ``|<self|other>| >= 1 - tol``."""
-        return abs(self.overlap(other)) >= 1.0 - tol
+    def equals_up_to_phase(self, other: "PureState") -> bool:
+        """Physical equality: ``|<self|other>| >= 1 - PHASE_EQUAL_TOL``."""
+        return abs(self.overlap(other)) >= 1.0 - PHASE_EQUAL_TOL
 
     def expectation(self, matrix) -> complex:
         """Quadratic form ``<psi|M|psi>``."""
@@ -130,10 +130,10 @@ class OutcomeDistribution:
     def probabilities(self) -> np.ndarray:
         return read_only_column(self.outcomes, 1)
 
-    def probability_of(self, value: float, tol: float | None = None) -> float:
-        """Probability of the outcome within tol of value (default: the outcomes' grouping tolerance)."""
+    def probability_of(self, value: float) -> float:
+        """Probability of the outcome within the outcomes' grouping tolerance of value."""
         values = self.values
-        idx = match_value(values, value, default_grouping_tol(values) if tol is None else tol)
+        idx = match_value(values, value, default_grouping_tol(values))
         return self.outcomes[idx][1]
 
     def mean_of(self, fvals) -> float:

@@ -171,12 +171,7 @@ def dense_epr_analysis(sc):
         schmidt_rank,
         sum_observable,
     )
-    from eprkit.conditional import (
-        POINT_MASS_TOL,
-        PredictionSummary,
-        SumConstraintReport,
-        conditional_distribution_from,
-    )
+    from eprkit.conditional import POINT_MASS_TOL, PredictionSummary, SumConstraintReport
     from eprkit.lab import ChainReport, EprReport, SumBranchReport
     from eprkit.states import outcome_probabilities, prediction_error, project_outcomes, uncertainty_report
 
@@ -203,7 +198,6 @@ def dense_epr_analysis(sc):
             )
             for slot in (1, 2)
         }
-        cond = conditional_distribution_from(dists[("a", 1)].probabilities, index, k)
         mean1, stdev1 = dists[("a", 1)].moments(a.eigenvalues)
         mean2, stdev2 = dists[("a", 2)].moments(a.eigenvalues)
         branches.append(
@@ -217,11 +211,10 @@ def dense_epr_analysis(sc):
                 ),
                 audit_slot1=audits[1],
                 audit_slot2=audits[2],
-                sum_index=k,
-                conditional=cond,
             )
         )
-        for (n, m), (a1_value, cond_prob) in zip(index.sets[k], cond.support):
+        for n, m in index.sets[k]:
+            cond_prob = float(dists[("a", 1)].probabilities[n])
             if cond_prob < ZERO_PROB_THRESHOLD:
                 continue
             phi = collapse(psi_s, measured[("a", 1)][1][n], cond_prob)
@@ -232,7 +225,7 @@ def dense_epr_analysis(sc):
             chains.append(
                 ChainReport(
                     s_value=s_value,
-                    a1_value=a1_value,
+                    a1_value=float(a.eigenvalues[n]),
                     a2_value=float(a.eigenvalues[m]),
                     conditional_probability=cond_prob,
                     a2_predicted=a2_predicted,
@@ -263,7 +256,7 @@ def reference_epr_analysis(sc):
     import math
 
     from eprkit.composite import ZERO_PROB_THRESHOLD, anti_diagonal_index
-    from eprkit.conditional import ConditionalDistribution, PredictionSummary, SumConstraintReport
+    from eprkit.conditional import PredictionSummary, SumConstraintReport
     from eprkit.lab import ChainReport, EprReport, SumBranchReport
     from eprkit.states import OutcomeDistribution, uncertainty_report
 
@@ -326,9 +319,6 @@ def reference_epr_analysis(sc):
             for slot in (1, 2)
         }
         a1_probs, chain_matrices = measured[("a", 1)]
-        cond = ConditionalDistribution(
-            given_sum=s_value, outcomes=tuple((index.factor_eigenvalues[n], a1_probs[n]) for n, _ in index.sets[k])
-        )
         mean1, stdev1 = moments(a_values, a1_probs)
         mean2, stdev2 = moments(a_values, measured[("a", 2)][0])
         branches.append(
@@ -342,12 +332,11 @@ def reference_epr_analysis(sc):
                 ),
                 audit_slot1=audits[1],
                 audit_slot2=audits[2],
-                sum_index=k,
-                conditional=cond,
             )
         )
 
-        for (n, m), (a1_value, cond_prob) in zip(index.sets[k], cond.support):
+        for n, m in index.sets[k]:
+            cond_prob = a1_probs[n]
             if cond_prob < ZERO_PROB_THRESHOLD:
                 continue
             coeff_phi = collapse(chain_matrices[n])
@@ -357,7 +346,7 @@ def reference_epr_analysis(sc):
             chains.append(
                 ChainReport(
                     s_value=s_value,
-                    a1_value=a1_value,
+                    a1_value=float(a_values[n]),
                     a2_value=float(a_values[m]),
                     conditional_probability=cond_prob,
                     a2_predicted=predicted,

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import eprkit
 from eprkit import io as eprio
-from eprkit import cli, composite, conditional, lab, linalg, states
+from eprkit import _kernels, cli, composite, conditional, lab, linalg, states
 from eprkit.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from eprkit.lab import MAX_ENTRY_MAGNITUDE, build_scenario
 from eprkit.states import UncertaintyReport
@@ -66,6 +66,19 @@ class TestVerify:
         assert main(argv) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("epr: parse error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "analyze", "sample"])
+    def test_lone_surrogate_label_is_one_line_parse_error(self, command, tmp_path, capsys):
+        # valid JSON, but no output encoding can hold the label
+        payload = json.loads(scenario_text("pauli_epr.json"))
+        payload["label"] = "\ud800"
+        bad = tmp_path / "surrogate.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        argv = [command, str(bad)] + (["--shots", "10"] if command == "sample" else [])
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("epr: parse error: label") and captured.err.count("\n") == 1
 
     def test_unknown_field_is_parse_error(self, tmp_path, capsys):
         payload = json.loads(scenario_text("pauli_epr.json"))
@@ -351,6 +364,43 @@ class TestSample:
         assert sum(payload["sampling"]["counts"].values()) == 1
         assert len(payload["sampling"]["counts"]) == 1
 
+    @pytest.mark.parametrize(
+        "amplitudes, seed, draw, bits",
+        [
+            # p(s = -2) is about 1e-13, below ZERO_PROB_THRESHOLD, and the first sum draw is 0, inside its cdf step
+            ("0,0,0.894427190999916,0,0.447213595499958,0,3.16227766016838e-07,0", 7046029254386353131, 1, 0),
+            # p(a1 = -1 | s = 0) is 0.9999999999999998, and the first conditional draw is 2^53 - 1, past it
+            ("0,0,0,0,-0.6705492567724737,-0.7797562949869209,0,0", 10604588701194827158, 2, 2**53 - 1),
+        ],
+        ids=["unreported-sum-line", "conditional-cdf-tail"],
+    )
+    def test_draws_land_only_on_reported_chains(self, amplitudes, seed, draw, bits, tmp_path, capsys):
+        # splitmix64 is a bijection, so the seed puts the draw on the chosen 53-bit integer
+        assert _kernels._draw_bits(seed, np.array([draw], dtype=np.uint64)).tolist() == [bits]
+        path = tmp_path / "scenario.json"
+        assert main(["demo-pauli", "--amplitudes", amplitudes, "--out", str(path)]) == EXIT_OK
+        assert main(["sample", str(path), "--shots", "10", "--seed", str(seed)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = eprio.run_report_from_json(captured.out)
+        counts = payload["sampling"]["counts"]
+        assert sum(counts.values()) == 10
+        assert {key.rsplit(",", 1)[0] for key in counts} <= set(payload["analysis"]["chains"])
+        assert payload["sampling"]["comparison"]["within_3sigma"] is True
+
+    def test_path_probability_rounding_above_one_is_compared(self, tmp_path, capsys):
+        # the one path has p(s) p(a1 | s) = 1.0000000000000002, where p (1 - p) has no square root
+        path = tmp_path / "scenario.json"
+        amplitudes = "0,0,0,0,2.6157012565222075,-1.2829694657128676,0,0"
+        assert main(["demo-pauli", "--amplitudes", amplitudes, "--out", str(path)]) == EXIT_OK
+        report = eprio.scenario_from_json(path.read_text(encoding="utf-8")).analysis
+        assert report.per_sum[0].probability * report.chains[0].conditional_probability > 1.0
+        assert main(["sample", str(path), "--shots", "1000", "--seed", "1"]) == EXIT_OK
+        sampling = json.loads(capsys.readouterr().out)["sampling"]
+        assert sampling["counts"] == {"0,-1,1": 1000}
+        assert sampling["comparison"]["within_3sigma"] is True
+        assert sampling["comparison"]["paths"]["0,-1,1"]["analytic"] == 1.0
+
     def test_zero_shots_is_usage_error(self, capsys):
         code = main(["sample", scenario_path("pauli_epr.json"), "--shots", "0"])
         assert code == EXIT_USAGE
@@ -508,7 +558,7 @@ def test_scenario_json_round_trip():
         assert back.alpha == sc.alpha
         assert np.allclose(back.obs_a.matrix, sc.obs_a.matrix)
         assert np.allclose(back.obs_c.matrix, sc.obs_c.matrix)
-        assert back.initial_state.equals_up_to_phase(sc.initial_state, tol=1e-12)
+        assert abs(back.initial_state.overlap(sc.initial_state)) >= 1 - 1e-12
         assert eprio.scenario_to_json(back) == text
 
 

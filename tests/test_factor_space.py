@@ -123,7 +123,7 @@ def test_report_matches_the_dense_projector_route(n, kind):
     got, want = eprio.analysis_to_payload(report), eprio.analysis_to_payload(dense)
     assert list(got["per_sum"]) == list(want["per_sum"])
     assert list(got["chains"]) == list(want["chains"])
-    # every field, the unserialized conditional tables included
+    # every field
     assert_close(dataclasses.asdict(report), dataclasses.asdict(dense))
 
 

@@ -390,24 +390,27 @@ class TestSampleChain:
         # products round differently from the N^2 x N^2 projectors, by a few ulps
         for i, sc in enumerate(bundled_and_random_scenarios()):
             tol = 0.0 if i < len(BUNDLED) else 16 * sc.factor_dim * np.finfo(float).eps
-            spectrum, cond_probs, paths = sc.chain_tables
+            branch_probs, cond_probs, paths = sc.chain_tables
             index = anti_diagonal_index(sc.obs_a)
+            a_values = sc.obs_a.eigenvalues.tolist()
             dense, projected = project_outcomes(sc.initial_state, sum_observable(sc.obs_a))
-            assert spectrum.values.tolist() == dense.values.tolist()
-            assert np.abs(spectrum.probabilities - dense.probabilities).max() <= tol
-            populated = {k for k, _ in paths}
-            assert populated == {k for k, (_, p) in enumerate(dense.outcomes) if p >= lab.ZERO_PROB_THRESHOLD}
-            for k, (_, p) in enumerate(dense.outcomes):
-                if k not in populated:
-                    assert not cond_probs[k].any()
-                    continue
-                a1 = project_outcomes(collapse(sc.initial_state, projected[k], p), lift(sc.obs_a, 1))[0]
-                rows = [n for n, _ in index.sets[k]]
-                support = sorted(n for kk, n in paths if kk == k)
-                assert support == rows
-                assert [paths[k, n][1] for n in support] == a1.values[rows].tolist()
-                assert np.abs(cond_probs[k, support] - a1.probabilities[rows]).max() <= tol
-                assert not np.delete(cond_probs[k], support).any()
+            populated = [k for k, (_, p) in enumerate(dense.outcomes) if p >= lab.ZERO_PROB_THRESHOLD]
+            assert branch_probs.shape == (len(populated),)
+            assert cond_probs.shape == (len(populated), sc.factor_dim)
+            assert np.abs(branch_probs - dense.probabilities[populated]).max() <= tol
+            listed = 0
+            for row, k in enumerate(populated):
+                branch = collapse(sc.initial_state, projected[k], dense.outcomes[k][1])
+                a1 = project_outcomes(branch, lift(sc.obs_a, 1))[0]
+                # the row lists the chains the dense route keeps, in the order of the line's pairs
+                pairs = [(n, m) for n, m in index.sets[k] if a1.probabilities[n] >= lab.ZERO_PROB_THRESHOLD]
+                width = len(pairs)
+                s_value = float(dense.values[k])
+                assert [paths[row, j] for j in range(width)] == [(s_value, a_values[n], a_values[m]) for n, m in pairs]
+                assert np.abs(cond_probs[row, :width] - a1.probabilities[[n for n, _ in pairs]]).max() <= tol
+                assert not cond_probs[row, width:].any()
+                listed += width
+            assert len(paths) == listed
 
     def test_rejects_bad_shots(self):
         sc = build_pauli_scenario(EPR_AMPLITUDES)

@@ -108,7 +108,6 @@ class TestOutcomeDistribution:
         assert small.probability_of(3e-10) == 0.75
         with pytest.raises(SpectrumCoverageError):
             small.probability_of(2e-10)
-        assert small.probability_of(2e-10, tol=1e-9) == 0.75
 
 
 class TestSpectrumFunction:
