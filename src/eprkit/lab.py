@@ -5,11 +5,11 @@ space with an initial state of the two-factor composite. The analysis
 conditions on every reachable sum outcome, audits the uncertainty bound in
 each branch, runs the full measure-S-then-A1 chain, and the sampler draws
 reproducible measurement paths to compare empirical frequencies against the
-analytic distributions. The sampler and the comparison read the report's own
-branches and chains, so they draw and check only the outcomes it lists. The
-analysis reads A's distributions, the Schmidt
-ranks and every chain off the state's N x N amplitudes K in A's product
-eigenbasis, and measures B and C on the stack of N x N branch states with
+analytic distributions. The sampler and the comparison read the report's
+own branches and chains, so they draw and check only the outcomes it lists.
+The analysis reads A's distributions, the Schmidt ranks and every chain off
+the state's N x N amplitudes K in A's product eigenbasis, and measures B
+and C on the stack of N x N branch states with
 ``eprkit.composite.project_slot``; no N^2 x N^2 operator is built for it
 or for sampling.
 """
@@ -320,7 +320,7 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
 
     _require_pinned(index, kept.tolist())
     # C order is branch, then n, then m: each branch's chains in the order of its line's pairs
-    walked, ns, ms = np.nonzero(~(weights < ZERO_PROB_THRESHOLD))
+    branch_pos, ns, ms = np.nonzero(~(weights < ZERO_PROB_THRESHOLD))
     amplitudes = coefficients[ns, ms]
     a2_probs = _chain_a2_probabilities(amplitudes / np.abs(amplitudes), ms, n_dim)
     _require_normalized(a2_probs, "A(2) after the chain")
@@ -347,7 +347,7 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
             resolution=uncertainty_report(a2_stdev[j], b2_stdev[j], chain_rhs[j]),
         )
         for j, (i, n, m, cond_prob) in enumerate(
-            zip(walked.tolist(), ns.tolist(), ms.tolist(), weights[walked, ns, ms].tolist())
+            zip(branch_pos.tolist(), ns.tolist(), ms.tolist(), weights[branch_pos, ns, ms].tolist())
         )
     ]
     return EprReport(
