@@ -128,7 +128,9 @@ def _cmd_verify(args) -> int:
     lines.append(f"  trace residual of C:             {t1.trace_residual:.3e}")
     lines.append(f"  max |<a|C|a>| in A eigenbasis:   {t1.max_diag_residual:.3e}")
     lines.append("all invariants satisfied")
-    sys.stdout.write("\n".join(lines) + "\n")
+    # the label may hold characters stdout cannot encode: write them as backslash escapes
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    sys.stdout.write(("\n".join(lines) + "\n").encode(encoding, "backslashreplace").decode(encoding))
     return EXIT_OK
 
 
@@ -170,6 +172,8 @@ def _cmd_demo_pauli(args) -> int:
         raise _UsageError(f"--amplitudes must be numeric: {exc}") from exc
     amplitudes = [complex(values[i], values[i + 1]) for i in range(0, 8, 2)]
     try:
+        # write no label that scenario_from_json would reject
+        io._require_unicode_label(args.label)
         sc = build_pauli_scenario(amplitudes, label=args.label)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc

@@ -7,7 +7,9 @@ entry point reads that distribution off the N x N joint table W = |K|^2,
 K = V^H psi conj(V): the probability of each product eigenstate |a_n>|a_m>.
 Sum line k keeps orthogonal pairs (n, m), so its branch is a mixture of
 them: p(s_k) adds W over the line, and the A(1) and A(2) distributions in
-the branch are its row and column sums over p(s_k). ``certain_prediction``
+the branch are its row and column sums over p(s_k). ``lab.run_epr_analysis``
+reads the same table (``_joint_table``) with the same arithmetic, so every
+A-side answer here equals the report's bit for bit. ``certain_prediction``
 and ``epr_resolution_check`` measure slot 2 of the caller's post-chain
 state psi: each line's probability adds the squared column norms of
 psi conj(V) over its eigenvectors, and <C(2)> is ``slot_expectation``. None
@@ -123,15 +125,19 @@ class PairSpectrumFunction:
         return self._values[match_value(self._pairs, (a_value, s_value), self._tol)]
 
 
-def _joint_table(state: PureState, a: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """K = V^H psi conj(V) and W, the probability of each pair (n, m) of A's lines.
+def _joint_table(state: PureState, a: Observable) -> tuple[AntiDiagonalIndex, np.ndarray, np.ndarray, np.ndarray]:
+    """A's sum index, K = V^H psi conj(V), W, the probability of each pair (n, m) of A's lines, and p(s_k).
 
     W[n, m] adds |K|^2 over the contiguous eigenvectors of lines n and m, so
-    it is |P_n psi P_m^T|^2 also for a degenerate A.
+    it is |P_n psi P_m^T|^2 also for a degenerate A. p(s_k) adds W over sum
+    line k's pairs in order of n, clamped to [0, 1]: the package's one sum
+    probability, which the analysis reads too.
     """
+    index = anti_diagonal_index(a)
     coefficients = eigenbasis_coefficients(coefficient_matrix(state, a.dim), a)
-    w = line_totals(line_totals(np.abs(coefficients) ** 2, a, axis=0), a, axis=1)
-    return coefficients, w
+    w = line_totals(line_totals(coefficients.real**2 + coefficients.imag**2, a, axis=0), a, axis=1)
+    sum_probabilities = np.bincount(index.labels.ravel(), weights=w.ravel(), minlength=len(index.sums))
+    return index, coefficients, w, np.clip(sum_probabilities, 0.0, 1.0)
 
 
 def _slot2_probabilities(psi: np.ndarray, obs: Observable) -> np.ndarray:
@@ -147,14 +153,13 @@ def _slot2_probabilities(psi: np.ndarray, obs: Observable) -> np.ndarray:
 def _branch(state: PureState, a: Observable, s_value: float) -> tuple[AntiDiagonalIndex, int, np.ndarray, np.ndarray]:
     """A's sum index, the line k matching s_value, K, and the joint table of the state collapsed on line k.
 
-    The collapsed table is W on line k's pairs over p(s_k), 0 off the line.
+    The collapsed table is W on line k's pairs over p(s_k), 0 off the line,
+    the analysis's branch weights bit for bit.
     """
     a.require_nondegenerate()
-    index = anti_diagonal_index(a)
+    index, coefficients, w, sum_probabilities = _joint_table(state, a)
     k = index.sum_index(s_value)
-    coefficients, w = _joint_table(state, a)
-    on_line = index.labels == k
-    return index, k, coefficients, np.where(on_line, w, 0.0) / require_possible(float(w[on_line].sum()))
+    return index, k, coefficients, np.where(index.labels == k, w, 0.0) / require_possible(float(sum_probabilities[k]))
 
 
 def _distribution(obs: Observable, probabilities: np.ndarray) -> OutcomeDistribution:
@@ -281,22 +286,27 @@ def quantum_conditional_expectation(state: PureState, a: Observable, f: Spectrum
     probability, read off the joint table W; a degenerate A is fine.
     """
     fvals = [f(v) for v in a.eigenvalues]
-    return _expectation_table(anti_diagonal_index(a), fvals, _joint_table(state, a)[1])[0]
+    return _expectation_table(_joint_table(state, a), fvals)[0]
 
 
-def _expectation_table(index: AntiDiagonalIndex, fvals, w) -> tuple[ConditionalExpectationTable, np.ndarray]:
-    """``quantum_conditional_expectation`` from f's values on A's lines and W, and the probabilities of its sums.
+def _expectation_table(table, fvals) -> tuple[ConditionalExpectationTable, np.ndarray]:
+    """``quantum_conditional_expectation`` from ``_joint_table`` and f's values on A's lines, and the probabilities of its sums.
 
-    p(s_k) adds W over line k's pairs, and e(s_k) adds f(a_n) W[n, m] over
-    them, divided by p(s_k).
+    e(s_k) adds f(a_n) (W[n, m] / p(s_k)) over line k's pairs one term at a
+    time, in order of n, as ``spectral_moments`` adds the mean of the
+    branch's A(1) distribution: e(s_k) of the identity is the report's
+    ``a1.mean`` bit for bit.
     """
-    lines = index.labels.ravel()
-    probabilities = np.bincount(lines, weights=w.ravel(), minlength=len(index.sums))
-    weighted = np.bincount(lines, weights=(np.asarray(fvals)[:, None] * w).ravel(), minlength=len(index.sums))
-    kept = np.flatnonzero(probabilities >= ZERO_PROB_THRESHOLD)
-    e = weighted[kept] / probabilities[kept]
-    entries = tuple(zip([index.sums[k] for k in kept.tolist()], e.tolist()))
-    return ConditionalExpectationTable(entries=entries, match_tol=index.match_tol), probabilities[kept]
+    index, _, w, sum_probabilities = table
+    labels = index.labels
+    possible = sum_probabilities >= ZERO_PROB_THRESHOLD
+    weights = np.divide(w, sum_probabilities[labels], out=np.zeros_like(w), where=possible[labels])
+    e = np.zeros(len(index.sums))
+    # np.add.at is unbuffered: each line's terms are added one by one, in the flat order of its pairs
+    np.add.at(e, labels.ravel(), (np.asarray(fvals)[:, None] * weights).ravel())
+    kept = np.flatnonzero(possible)
+    entries = tuple(zip([index.sums[k] for k in kept.tolist()], e[kept].tolist()))
+    return ConditionalExpectationTable(entries=entries, match_tol=index.match_tol), sum_probabilities[kept]
 
 
 def oracle_conditional(state: PureState, a: Observable, f: SpectrumFunction) -> ConditionalExpectationTable:
@@ -346,9 +356,10 @@ def verify_tower_property(
     # so merged near-coincident sums cannot drift outside G's match tolerance
     gvals = {s: g(s) for s in index.sums}
     fvals = [f(v) for v in a.eigenvalues]
-    w = _joint_table(state, a)[1]
+    joint = _joint_table(state, a)
     a.require_nondegenerate()
-    table, probabilities = _expectation_table(index, fvals, w)
+    table, probabilities = _expectation_table(joint, fvals)
+    w = joint[2]
     lhs = sum(gvals[s] * e * p for (s, e), p in zip(table.entries, probabilities.tolist()))
     rhs = sum(gvals[s] * sum(fvals[n] * w[n, m] for n, m in members) for s, members in zip(index.sums, index.sets))
     return abs(lhs - float(rhs))

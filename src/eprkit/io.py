@@ -244,6 +244,17 @@ def scenario_to_json(sc: Scenario) -> str:
     return emit_json(scenario_to_payload(sc))
 
 
+def _require_unicode_label(label: str) -> None:
+    """ScenarioFormatError for a label holding a lone surrogate, which no output can encode.
+
+    JSON escapes can spell one, and so can an argv byte that is not UTF-8.
+    """
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ScenarioFormatError(f"label is not valid Unicode text: {exc}") from exc
+
+
 def scenario_from_json(text: str) -> Scenario:
     """Parse and validate a scenario file.
 
@@ -257,11 +268,7 @@ def scenario_from_json(text: str) -> Scenario:
         raise ScenarioFormatError(f"unsupported schema_version {payload['schema_version']!r}")
     if not isinstance(payload["label"], str):
         raise ScenarioFormatError("label must be a string")
-    try:
-        # JSON escapes can spell a lone surrogate, which no output can encode
-        payload["label"].encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ScenarioFormatError(f"label is not valid Unicode text: {exc}") from exc
+    _require_unicode_label(payload["label"])
     n = payload["factor_dim"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ScenarioFormatError("factor_dim must be a positive integer")

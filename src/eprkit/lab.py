@@ -7,11 +7,11 @@ each branch, runs the full measure-S-then-A1 chain, and the sampler draws
 reproducible measurement paths to compare empirical frequencies against the
 analytic distributions. The sampler and the comparison read the report's
 own branches and chains, so they draw and check only the outcomes it lists.
-The analysis reads A's distributions, the Schmidt ranks and every chain off
-the state's N x N amplitudes K in A's product eigenbasis, and measures B
-and C on the stack of N x N branch states with
-``eprkit.composite.project_slot``; no N^2 x N^2 operator is built for it
-or for sampling.
+The analysis reads p(s), A's distributions, the Schmidt ranks and every
+chain off the N x N joint table that ``eprkit.conditional`` conditions, so
+the two agree bit for bit, and measures B and C on the stack of kept
+N x N branch states with ``eprkit.composite.project_slot``; no N^2 x N^2
+operator is built for it or for sampling.
 """
 
 from __future__ import annotations
@@ -23,15 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .composite import (
-    SCHMIDT_TOL,
-    ZERO_PROB_THRESHOLD,
-    anti_diagonal_index,
-    eigenbasis_coefficients,
-    line_totals,
-    project_slot,
-)
-from .conditional import POINT_MASS_TOL, PredictionSummary, SumConstraintReport, _require_pinned
+from .composite import SCHMIDT_TOL, ZERO_PROB_THRESHOLD, line_totals, project_slot
+from .conditional import POINT_MASS_TOL, PredictionSummary, SumConstraintReport, _joint_table, _require_pinned
 from .errors import DimensionMismatchError, ScenarioInvariantError
 from .linalg import MAX_DIM, Observable, default_grouping_tol, extract_c, match_value
 from .states import (
@@ -39,8 +32,6 @@ from .states import (
     OutcomeDistribution,
     PureState,
     UncertaintyReport,
-    normalize,
-    projected_probabilities,
     spectral_moments,
     uncertainty_report,
 )
@@ -234,48 +225,47 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     distributions are indexed by A's eigenvalue position, never matched by
     value.
 
-    Everything is read off K = V^H psi conj(V), the state's amplitudes on
-    the product eigenstates |a_n>|a_m>, computed once. Sum line k keeps K on
-    its pairs (K_k, scattered by the index's ``labels``), and the branch
-    state is V K_k V^T, whose squared norm is p(s_k). A line holds at most
-    one pair per row and column, so once K_k is normalized the A(1) and
-    A(2) distributions are the row and column sums of |K_k|^2, the Schmidt
-    rank counts the entries of |K_k| above ``SCHMIDT_TOL``, and each
-    audit's |<C>| / 2 weighs the diagonal of C' = V^H C V with its slot's
-    distribution. Only B and C are measured on the (branches, N, N) stack
-    of branch states, with ``project_slot``. The chains are one selection
-    of the normalized |K_k|^2 at or above ``ZERO_PROB_THRESHOLD``: its entry
-    on the pair (n, m) is p(a_n | s_k), since a_n has one partner on the
-    line (a line that merged near-coincident sums and gives a_n two
-    partners raises DegenerateSpectrumError first). The chain S, then
-    A(1) = a_n, leaves u |a_n>|a_m> with the unit phase u of K[n, m]: A(2)
-    is the point mass |u|^2 at m, B(2) is row m of the overlap table
-    |V_B^H V_A|^2 added over B's lines, and the bound's right-hand side is
-    |C'_mm| / 2. Only the report objects are built in a loop. A
-    measurement that does not sum to 1, a collapsed state that fails its
-    norm check or a chain that misses its point mass raises
-    ScenarioInvariantError.
+    Everything about A is read off ``eprkit.conditional``'s joint table,
+    computed once: K = V^H psi conj(V), the state's amplitudes on the
+    product eigenstates |a_n>|a_m>, W = |K|^2, and p(s_k), W added over sum
+    line k. A line holds at most one pair per row and column, so branch k
+    is a mixture of its pairs with weights W_k / p(s_k) (W on line k, 0
+    off it): the A(1) and A(2) distributions are their row and column
+    sums, the Schmidt rank counts the weights above ``SCHMIDT_TOL``^2
+    (|K| above ``SCHMIDT_TOL`` sqrt(p(s_k))), and each audit's |<C>| / 2
+    weighs the diagonal of C' = V^H C V with its slot's distribution. The
+    ``eprkit.conditional`` entry points condition the same table with the
+    same arithmetic, so their answers are the report's bit for bit. Only
+    B and C are measured in the standard basis, with ``project_slot`` on
+    the kept branch states V (K_k / sqrt(p(s_k))) V^T; no array spans
+    every sum line. The chains are one selection of the weights at or
+    above ``ZERO_PROB_THRESHOLD``: the weight of the pair (n, m) is
+    p(a_n | s_k), since a_n has one partner on the line (a line that merged
+    near-coincident sums and gives a_n two partners raises
+    DegenerateSpectrumError first). The chain S, then A(1) = a_n, leaves
+    u |a_n>|a_m> with the unit phase u of K[n, m]: A(2) is the point mass
+    |u|^2 at m, B(2) is row m of the overlap table |V_B^H V_A|^2 added over
+    B's lines, and the bound's right-hand side is |C'_mm| / 2. Only the
+    report objects are built in a loop. A measurement that does not sum to
+    1 (for B and C, a branch state off the unit norm) or a chain that
+    misses its point mass raises ScenarioInvariantError.
     """
     a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
     a.require_nondegenerate()
     n_dim = sc.factor_dim
-    index = anti_diagonal_index(a)
+    index, coefficients, w, sum_probs = _joint_table(sc.initial_state, a)
     a_values = a.eigenvalues
     v = a.eigenvectors
-    coefficients = eigenbasis_coefficients(sc.initial_state.amplitudes.reshape(n_dim, n_dim), a)
-    lines = np.zeros((len(index.sums), n_dim * n_dim), dtype=np.complex128)
-    lines[index.labels.ravel(), np.arange(n_dim * n_dim)] = coefficients.ravel()
-    lines = lines.reshape(-1, n_dim, n_dim)
-    projected = v @ lines @ v.T
-    sum_probs = projected_probabilities(projected.reshape(len(lines), -1))
     _require_normalized(sum_probs, "S")
     spectrum = OutcomeDistribution(outcomes=tuple(zip(index.sums, sum_probs.tolist())))
 
     kept = np.flatnonzero(~(sum_probs < ZERO_PROB_THRESHOLD))
-    psi_s, norms = _collapse_all(projected[kept])
-    branch_coefficients = lines[kept] / norms[:, None, None]
-    weights = branch_coefficients.real**2 + branch_coefficients.imag**2
+    on_line = index.labels == kept[:, None, None]
+    branch_probs = sum_probs[kept][:, None, None]
+    weights = np.where(on_line, w, 0.0) / branch_probs
     probabilities = {("a", 1): weights.sum(axis=2), ("a", 2): weights.sum(axis=1)}
+    # B and C are still measured in the standard basis, on the kept branch states
+    psi_s = v @ (np.where(on_line, coefficients, 0.0) / np.sqrt(branch_probs)) @ v.T
     for name, obs in (("b", b), ("c", c)):
         for slot in (1, 2):
             probabilities[name, slot] = project_slot(psi_s, obs, slot)[0]
@@ -291,7 +281,7 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     stdev_gaps = np.abs(stdev1 - stdev2).tolist()
     c_diagonal = np.vecdot(v, c.matrix @ v, axis=0)
     rhs = {slot: _half_modulus(probabilities["a", slot] @ c_diagonal) for slot in (1, 2)}
-    ranks = np.count_nonzero(np.abs(branch_coefficients) > SCHMIDT_TOL, axis=(1, 2)).tolist()
+    ranks = np.count_nonzero(weights > SCHMIDT_TOL**2, axis=(1, 2)).tolist()
     s_values = [index.sums[k] for k in kept.tolist()]
 
     branches = []
@@ -356,15 +346,6 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
         per_sum=tuple(branches),
         chains=tuple(chains),
     )
-
-
-def _collapse_all(projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The states ``P psi / |P psi|`` of a (states, N, N) stack of projected coefficient matrices, and the norms."""
-    try:
-        unit, norms = normalize(projected.reshape(len(projected), -1))
-    except ValueError as exc:
-        raise ScenarioInvariantError(f"collapsed state: {exc}") from exc
-    return unit.reshape(projected.shape), norms
 
 
 def _chain_a2_probabilities(units: np.ndarray, ms: np.ndarray, n_dim: int) -> np.ndarray:

@@ -80,6 +80,22 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("epr: parse error: label") and captured.err.count("\n") == 1
 
+    def test_label_stdout_cannot_encode_is_escaped(self, tmp_path):
+        # analyze and sample write such a label as a JSON escape; verify writes a backslash escape
+        payload = json.loads(scenario_text("pauli_epr.json"))
+        payload["label"] = "\u00e9-label"
+        path = tmp_path / "accented.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        src = str(Path(eprkit.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONIOENCODING": "ascii"}
+        result = subprocess.run(
+            [sys.executable, "-m", "eprkit.cli", "verify", str(path)], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == EXIT_OK
+        assert "Traceback" not in result.stderr
+        assert result.stdout.startswith("scenario: \\xe9-label (factor_dim=2, alpha=2)\n")
+
     def test_unknown_field_is_parse_error(self, tmp_path, capsys):
         payload = json.loads(scenario_text("pauli_epr.json"))
         payload["extra_knob"] = 1
@@ -296,8 +312,8 @@ class TestAnalyze:
         [
             # every measurement of B and C doubled: none sums to 1
             ("project_slot", lambda measured: (2.0 * measured[0], measured[1]), "probabilities sum to"),
-            # every branch norm halved: the A(1) and A(2) rows of |K_k|^2 sum to 4
-            ("_collapse_all", lambda collapsed: (collapsed[0], 0.5 * collapsed[1]), "A(1) probabilities sum to"),
+            # every pair weight doubled with p(s_k) kept: the A(1) and A(2) rows of W_k / p(s_k) sum to 2
+            ("_joint_table", lambda table: (*table[:2], 2.0 * table[2], table[3]), "A(1) probabilities sum to"),
             # the chains' A(2) table shifted by one outcome: still normalized, but the point mass moves off a_m
             ("_chain_a2_probabilities", lambda table: np.roll(table, 1, axis=-1), "point mass"),
         ],
@@ -391,7 +407,7 @@ class TestSample:
     def test_path_probability_rounding_above_one_is_compared(self, tmp_path, capsys):
         # the one path has p(s) p(a1 | s) = 1.0000000000000002, where p (1 - p) has no square root
         path = tmp_path / "scenario.json"
-        amplitudes = "0,0,0,0,2.6157012565222075,-1.2829694657128676,0,0"
+        amplitudes = "0,0,0,0,1.7997073827209,1.14416587203723,0,0"
         assert main(["demo-pauli", "--amplitudes", amplitudes, "--out", str(path)]) == EXIT_OK
         report = eprio.scenario_from_json(path.read_text(encoding="utf-8")).analysis
         assert report.per_sum[0].probability * report.chains[0].conditional_probability > 1.0
@@ -467,6 +483,19 @@ class TestDemoPauli:
 
     def test_zero_vector_rejected(self):
         assert main(["demo-pauli", "--amplitudes", "0,0,0,0,0,0,0,0"]) == EXIT_USAGE
+
+    def test_label_its_reader_rejects_is_usage_error(self, tmp_path, capsys):
+        # a label byte that is not UTF-8 reaches argv as a lone surrogate, which scenario_from_json rejects
+        out = tmp_path / "surrogate.json"
+        argv = ["demo-pauli", "--amplitudes", "1,0,0,0,0,0,0,0", "--label", "\udcff", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "epr: error: label is not valid Unicode text: "
+            "'utf-8' codec can't encode character '\\udcff' in position 0: surrogates not allowed\n"
+        )
+        assert not out.exists()
 
 
 class TestUsage:

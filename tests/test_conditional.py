@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprkit import composite, conditional, linalg, states
+from eprkit import io as eprio
 from eprkit.composite import ZERO_PROB_THRESHOLD, anti_diagonal_index, collapse, lift, sum_observable
 from eprkit.conditional import (
     ConditionalDistribution,
@@ -24,6 +26,7 @@ from eprkit.conditional import (
     verify_tower_property,
 )
 from eprkit.errors import DegenerateSpectrumError, DimensionMismatchError, ImpossibleOutcomeError, SpectrumCoverageError
+from eprkit.lab import build_scenario
 from eprkit.linalg import Observable, extract_c
 from eprkit.states import PureState, SpectrumFunction, audit_uncertainty, best_predictor, project_outcomes
 from helpers import (
@@ -720,6 +723,47 @@ class TestDenseRoute:
         ):
             with pytest.raises(SpectrumCoverageError):
                 call()
+
+
+def report_scenarios():
+    """The bundled scenario files, then 56 random scenarios with a nondegenerate A, N = 2..8, generic and equally spaced."""
+    scenarios = [
+        eprio.scenario_from_json((files("eprkit.scenarios") / name).read_text())
+        for name in ("pauli_epr.json", "pauli_uniform.json", "spin_one.json")
+    ]
+    rng = np.random.default_rng(97)
+    for n in range(2, 9):
+        for spacing in ("random", "equal") * 4:
+            a = factor_observable(rng, n, spacing)
+            psi = random_state_vector(rng, n * n)
+            scenarios.append(build_scenario(f"{spacing}-{n}", a, random_hermitian(rng, n), psi))
+    return scenarios
+
+
+class TestReportAgreement:
+    def test_every_a_side_answer_equals_the_report_bit_for_bit(self):
+        # the analysis and the entry points read one joint table, so each answer is the report's own float
+        disagreements = Counter()
+        branches = 0
+        for sc in report_scenarios():
+            psi, a = sc.initial_state, sc.obs_a
+            report = sc.analysis
+            identity = SpectrumFunction.identity(a.eigenvalues)
+            table = quantum_conditional_expectation(psi, a, identity)
+            for branch in report.per_sum:
+                s = branch.s_value
+                chains = [(c.a1_value, c.conditional_probability) for c in report.chains if c.s_value == s]
+                dist = conditional_distribution(psi, a, s)
+                answers = {
+                    "theorem2": verify_theorem2(psi, a, s) == branch.sum_constraint,
+                    "prediction": conditional_prediction(psi, a, identity, s) == branch.a1,
+                    "expectation": table.value_at(s) == branch.a1.mean,
+                    "distribution": [o for o in dist.outcomes if o[1] >= ZERO_PROB_THRESHOLD] == chains,
+                }
+                disagreements.update(name for name, agrees in answers.items() if not agrees)
+                branches += 1
+        assert branches > 500
+        assert disagreements == Counter()
 
 
 class TestTargetSize:

@@ -385,11 +385,13 @@ class TestSampleChain:
         freq = record.empirical[(0.0, 1.0, -1.0)]
         assert abs(freq - 0.8) < 0.02
 
-    def test_chain_tables_equal_the_projector_route_bit_for_bit(self):
-        # bit for bit on the bundled scenarios; on the random ones the factor-space
-        # products round differently from the N^2 x N^2 projectors, by a few ulps
-        for i, sc in enumerate(bundled_and_random_scenarios()):
-            tol = 0.0 if i < len(BUNDLED) else 16 * sc.factor_dim * np.finfo(float).eps
+    def test_chain_tables_equal_the_projector_route_within_rounding(self):
+        # p(s_k) adds |K|^2 over the line and p(a1 | s_k) divides by it, where the
+        # N^2 x N^2 projectors take squared norms: the two round differently by a few
+        # ulps (1.1e-16 on the bundled pauli_uniform). The analysis's agreement with
+        # eprkit.conditional is pinned bit for bit in test_conditional.py.
+        for sc in bundled_and_random_scenarios():
+            tol = 16 * sc.factor_dim * np.finfo(float).eps
             branch_probs, cond_probs, paths = sc.chain_tables
             index = anti_diagonal_index(sc.obs_a)
             a_values = sc.obs_a.eigenvalues.tolist()
