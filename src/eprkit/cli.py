@@ -111,6 +111,16 @@ def _parse_positive_int(text: str, name: str) -> int:
     return value
 
 
+def _escape_unprintable(text: str) -> str:
+    """``text`` with each character ``str.isprintable`` rejects written as "backslashreplace" writes it."""
+
+    def escape(c: str) -> str:
+        code = ord(c)
+        return f"\\x{code:02x}" if code < 0x100 else f"\\u{code:04x}" if code < 0x10000 else f"\\U{code:08x}"
+
+    return "".join(c if c.isprintable() else escape(c) for c in text)
+
+
 def _cmd_verify(args) -> int:
     sc = _load_scenario(args.path)
     t1 = verify_theorem1(sc.obs_a, sc.obs_b, sc.alpha)
@@ -119,7 +129,8 @@ def _cmd_verify(args) -> int:
         for name, obs in (("matrix_a", sc.obs_a), ("matrix_b", sc.obs_b), ("matrix_c", sc.obs_c))
     }
     lines = [
-        f"scenario: {sc.label} (factor_dim={sc.factor_dim}, alpha={sc.alpha:g})",
+        # a newline in the label would start a line of its own, such as a forged verdict
+        f"scenario: {_escape_unprintable(sc.label)} (factor_dim={sc.factor_dim}, alpha={sc.alpha:g})",
         f"  input state norm:                {sc.initial_state.norm_scale:.15g}",
     ]
     for name, residual in herm.items():

@@ -96,6 +96,21 @@ class TestVerify:
         assert "Traceback" not in result.stderr
         assert result.stdout.startswith("scenario: \\xe9-label (factor_dim=2, alpha=2)\n")
 
+    def test_label_cannot_forge_verify_lines(self, tmp_path, capsys):
+        # verify's report is line-oriented: a newline in the label is written as a backslash escape
+        assert main(["verify", scenario_path("pauli_epr.json")]) == EXIT_OK
+        normal = capsys.readouterr().out.splitlines()
+        payload = json.loads(scenario_text("pauli_epr.json"))
+        payload["label"] = "x\nall invariants satisfied\n"
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count("all invariants satisfied") == 1
+        assert len(lines) == len(normal)
+        assert lines[0] == "scenario: x\\x0aall invariants satisfied\\x0a (factor_dim=2, alpha=2)"
+        assert lines[1:] == normal[1:]
+
     def test_unknown_field_is_parse_error(self, tmp_path, capsys):
         payload = json.loads(scenario_text("pauli_epr.json"))
         payload["extra_knob"] = 1

@@ -1,7 +1,10 @@
+import tracemalloc
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
-from eprkit import _kernels
+from eprkit import _kernels, io, lab
 from eprkit._kernels import sample_counts
 
 from helpers import reference_sample_counts
@@ -178,3 +181,107 @@ def test_draw_landing_on_a_threshold_is_not_below_it(ulps, expected):
     counts = sample_counts(11, 1, sum_cdf, cond_cdf)
     assert counts[expected] == 1
     assert np.array_equal(counts, reference_sample_counts(11, 1, sum_cdf, cond_cdf))
+
+
+_SEEDS = (0, 2**64 - 1, 0x5DEECE66D)
+
+
+def _assert_matches_reference(shots, sum_cdf, cond_cdf):
+    for seed in _SEEDS:
+        expected = reference_sample_counts(seed, shots, sum_cdf, cond_cdf)
+        assert np.array_equal(sample_counts(seed, shots, sum_cdf, cond_cdf), expected), seed
+
+
+def _dyadic_cdf(rng, outcomes, bits):
+    """A cdf of ``outcomes`` entries, each a multiple of 2^-bits, repeats allowed, ending in 1.0."""
+    cdf = np.sort(rng.integers(0, 2**bits, size=outcomes)) / 2.0**bits
+    cdf[-1] = 1.0
+    return cdf
+
+
+def test_guide_flags_exactly_the_buckets_a_threshold_splits():
+    # thresholds on a bucket's lowest integer leave it whole; one on its highest splits it
+    edges = np.arange(17, dtype=np.uint64) << np.uint64(49)
+    table = np.array([0, edges[3], edges[5] - 1, edges[7] + 1, edges[7] + 5, 2**53], dtype=np.uint64)
+    assert np.flatnonzero(_kernels._guide(table, 49, 16)[1]).tolist() == [4, 7]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_guide_matches_binary_search_at_both_ends_of_each_bucket(case):
+    rng = np.random.default_rng([18, case])
+    shift, buckets = int(rng.integers(45, 52)), int(rng.integers(1, 40))
+    edges = np.arange(buckets + 1, dtype=np.uint64) << np.uint64(shift)
+    table = np.sort(np.concatenate([
+        rng.choice(edges, 5),  # on a bucket's lowest integer, or at the very top
+        rng.choice(edges[1:], 5) - np.uint64(1),  # on a bucket's highest integer
+        rng.integers(0, int(edges[-1]), 10, dtype=np.uint64, endpoint=True),
+    ]))
+    first, split = _kernels._guide(table, shift, buckets)
+    assert np.array_equal(first, np.searchsorted(table, edges[:-1], side="right"))
+    assert np.array_equal(split, first != np.searchsorted(table, edges[1:] - np.uint64(1), side="right"))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["g-1", "g", "g+1"])
+def test_thresholds_on_bucket_edges(offset):
+    # multiples of 2^-g are bucket edges, which the guide settles alone; odd
+    # multiples of 2^-(g+1) split a bucket in two and take the refinement
+    rng = np.random.default_rng([18, offset + 1])
+    d, n_out = 5, 3
+    g, h = d.bit_length() + 2, n_out.bit_length() + 2
+    sum_cdf = _dyadic_cdf(rng, d, g + offset)
+    cond_cdf = np.array([_dyadic_cdf(rng, n_out, h + offset) for _ in range(d)])
+    _assert_matches_reference(3000, sum_cdf, cond_cdf)
+
+
+def test_thresholds_at_zero_and_two_to_the_53():
+    # T = 0 bins are never drawn; T = 2^53 before the last entry ends the cdf early
+    sum_cdf = np.array([0.0, 0.0, 0.5, 1.0, 1.0])
+    cond_cdf = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [2**-53, 1.0, 1.0], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]])
+    _assert_matches_reference(2000, sum_cdf, cond_cdf)
+    counts = sample_counts(0, 2000, sum_cdf, cond_cdf)
+    assert counts[:2].sum() == 0 and counts[4].sum() == 0
+    assert counts[3, 0] == 0 and counts[2, 2] == 0
+
+
+def test_many_thresholds_share_one_bucket():
+    # 2046 thresholds within 2.05e-4 of each other, where one bucket is 2^-13 = 1.2e-4 wide
+    d = _kernels.MAX_SUM_OUTCOMES
+    p = np.full(d, 1e-7)
+    p[0] = 1.0 - p[1:].sum()
+    sum_cdf = np.cumsum(p)
+    sum_cdf[-1] = 1.0
+    cond_cdf = np.tile([0.5, 1.0], (d, 1))
+    _assert_matches_reference(50000, sum_cdf, cond_cdf)
+    assert sample_counts(0, 50000, sum_cdf, cond_cdf)[1:].sum() > 0  # some shots do land among them
+
+
+@pytest.mark.parametrize("chunk", [1, 617, None], ids=["chunk-1", "chunk-617", "chunk-default"])
+def test_most_sum_outcomes_with_eight_first_factor_outcomes(chunk, monkeypatch):
+    rng = np.random.default_rng(2047)
+    d, n_out = _kernels.MAX_SUM_OUTCOMES, 8
+    sum_cdf = np.cumsum(rng.random(d))
+    sum_cdf /= sum_cdf[-1]
+    sum_cdf[-1] = 1.0
+    cond_cdf = np.cumsum(rng.random((d, n_out)), axis=1)
+    cond_cdf /= cond_cdf[:, -1:]
+    cond_cdf[:, -1] = 1.0
+    if chunk is not None:
+        monkeypatch.setattr(_kernels, "CHUNK_SHOTS", chunk)
+    _assert_matches_reference(1500, sum_cdf, cond_cdf)
+
+
+def test_memory_does_not_grow_with_shots(monkeypatch):
+    # the batch buffers are 57 bytes per shot of one 2^14-shot batch; one full-length array would be 16 MB
+    sc = io.scenario_from_json(files("eprkit.scenarios").joinpath("spin_one.json").read_text(encoding="utf-8"))
+    tables = []
+    monkeypatch.setattr(_kernels, "sample_counts", lambda *args: tables.append(args[2:]) or sample_counts(*args))
+    lab.sample_chain(sc, 1, seed=0)
+    assert _kernels.CHUNK_SHOTS == 1 << 14  # the bound below holds for this batch size
+    tracemalloc.start()
+    try:
+        counts = sample_counts(7, 2_000_000, *tables[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 2_000_000
+    assert peak < 2 * 2**20, peak
