@@ -75,9 +75,9 @@ def _draw_bits(
     return x
 
 
-def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Draw numbers offset+1 .. offset+count of the seed's stream, in [0, 1)."""
-    draws = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+def uniforms(seed: int, count: int) -> np.ndarray:
+    """Draw numbers 1 .. count of the seed's stream, in [0, 1)."""
+    draws = np.arange(1, count + 1, dtype=np.uint64)
     return _draw_bits(seed, draws, out=draws).astype(np.float64) * _U53
 
 

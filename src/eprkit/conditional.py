@@ -14,7 +14,9 @@ and ``epr_resolution_check`` measure slot 2 of the caller's post-chain
 state psi: each line's probability adds the squared column norms of
 psi conj(V) over its eigenvectors, and <C(2)> is ``slot_expectation``. None
 builds an N^2 x N^2 operator or a stack of projected states.
-``oracle_conditional`` conditions the same table by brute force.
+``oracle_conditional`` conditions the same table by brute force. The
+functions f, g and H are ``states.SpectrumFunction`` tables;
+``PairSpectrumFunction`` is one over the (a, s) pairs.
 """
 
 from __future__ import annotations
@@ -46,14 +48,10 @@ class ConditionalDistribution(OutcomeDistribution):
     """Distribution of first-factor outcomes given an observed sum.
 
     The outcomes are exactly the first-factor eigenvalues compatible with
-    ``given_sum``; ``support`` is a read-only alias of them.
+    ``given_sum``.
     """
 
     given_sum: float
-
-    @property
-    def support(self) -> tuple[tuple[float, float], ...]:
-        return self.outcomes
 
 
 @dataclass(frozen=True)
@@ -100,16 +98,13 @@ class ConditionalExpectationTable:
 class PairSpectrumFunction:
     """A real function of (first-factor outcome, sum outcome) pairs as a table.
 
-    A lookup returns the nearest entry, within a tolerance scaled to the
-    table's largest value, as ``EprReport.chain_for`` does.
+    The table is a ``SpectrumFunction`` over the (a, s) pairs: a lookup
+    returns the nearest pair's value, within 1e-9 times the largest |a| or
+    |s| in the table, as ``EprReport.chain_for`` finds the nearest chain.
     """
 
     def __init__(self, entries: dict[tuple[float, float], float]):
-        if not entries:
-            raise ValueError("pair function table is empty")
-        self._pairs = np.array([(float(a), float(s)) for a, s in entries])
-        self._values = [float(v) for v in entries.values()]
-        self._tol = default_grouping_tol(self._pairs)
+        self._table = SpectrumFunction(entries)
 
     @classmethod
     def from_callable(cls, index: AntiDiagonalIndex, fn) -> "PairSpectrumFunction":
@@ -122,7 +117,7 @@ class PairSpectrumFunction:
         return cls(entries)
 
     def __call__(self, a_value: float, s_value: float) -> float:
-        return self._values[match_value(self._pairs, (a_value, s_value), self._tol)]
+        return self._table((a_value, s_value))
 
 
 def _joint_table(state: PureState, a: Observable) -> tuple[AntiDiagonalIndex, np.ndarray, np.ndarray, np.ndarray]:

@@ -12,7 +12,10 @@ the payload with every float rounded to 15 significant digits. A float's
 text is ``f"{v:.15g}"`` itself, which for a finite value already is the
 shortest repr of the rounded double; only an integral text (given ``.0``),
 the exponent +15 and exponents of magnitude 308 or more (written by
-``repr`` after the round trip) differ.
+``repr`` after the round trip) differ. Every dict key must be a str, as
+every payload key is; any other key raises TypeError, like any other
+value JSON cannot hold (``json.dumps`` would write a number, bool or None
+key as its text).
 """
 
 from __future__ import annotations
@@ -68,15 +71,6 @@ def _float_text(value: float) -> str:
     return repr(rounded)
 
 
-def _key_text(key) -> str:
-    """A dict key as json.dumps quotes it: str as is, bool, int, float and None by their JSON text."""
-    if isinstance(key, str):
-        return _quote(key)
-    if isinstance(key, (int, float)) or key is None:
-        return _quote(json.dumps(key, allow_nan=False))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _scalar_text(value) -> str:
     """The JSON text of a non-container value, checked in json.dumps' order (bool before int).
 
@@ -111,7 +105,7 @@ def _encode(value, newline: str, append) -> None:
         opener = "{" + inner
         separator = "," + inner
         for key, item in value.items():
-            head = opener + (_quote(key) if type(key) is str else _key_text(key)) + ": "
+            head = opener + _quote(key) + ": "
             opener = separator
             if type(item) is float:
                 append(head + _float_text(item))

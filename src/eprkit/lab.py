@@ -55,7 +55,6 @@ class Scenario:
     """One commutation triple plus an initial composite state."""
 
     label: str
-    factor_dim: int
     obs_a: Observable
     obs_b: Observable
     obs_c: Observable
@@ -64,8 +63,8 @@ class Scenario:
 
     def __post_init__(self):
         n = self.factor_dim
-        if not (self.obs_a.dim == self.obs_b.dim == self.obs_c.dim == n):
-            raise DimensionMismatchError("A, B, C must all act on the factor space")
+        if not (self.obs_b.dim == self.obs_c.dim == n):
+            raise DimensionMismatchError("B and C must act on A's factor space")
         if n * n > MAX_DIM:
             raise DimensionMismatchError(
                 f"factor dim {n} gives composite dim {n * n}, beyond the envelope of {MAX_DIM}"
@@ -78,6 +77,11 @@ class Scenario:
             raise ValueError(
                 f"matrix_c is inconsistent with [A, B]/(i*alpha): residual {residual:.3e}"
             )
+
+    @property
+    def factor_dim(self) -> int:
+        """N, the dimension of each factor: A's."""
+        return self.obs_a.dim
 
     @cached_property
     def commutation_residual(self) -> float:
@@ -123,7 +127,6 @@ def build_scenario(label, matrix_a, matrix_b, state, alpha: float = 1.0, matrix_
     psi = state if isinstance(state, PureState) else PureState(state, factor_dims=(a.dim, a.dim))
     return Scenario(
         label=str(label),
-        factor_dim=a.dim,
         obs_a=a,
         obs_b=b,
         obs_c=c,
@@ -379,7 +382,12 @@ def path_key(s_value: float, a1_value: float, a2_value: float) -> str:
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Tally of sampled measurement paths (s, a1, a2 = s - a1)."""
+    """Tally of sampled measurement paths (s, a1, a2 = s - a1).
+
+    ``shots`` is a positive integer, each path is listed once (as
+    ``path_key`` writes it) with a nonnegative integer count, and the counts
+    add up to ``shots``.
+    """
 
     scenario_label: str
     seed: int
@@ -387,6 +395,13 @@ class ShotRecord:
     counts: tuple[tuple[tuple[float, float, float], int], ...]
 
     def __post_init__(self):
+        if not isinstance(self.shots, (int, np.integer)) or self.shots < 1:
+            raise ValueError(f"shots must be a positive integer, got {self.shots!r}")
+        if not all(isinstance(count, (int, np.integer)) and count >= 0 for _, count in self.counts):
+            raise ValueError("counts must be nonnegative integers")
+        # compare_empirical and the report key each path by its path_key text
+        if len({path_key(*path) for path, _ in self.counts}) < len(self.counts):
+            raise ValueError("a path is listed more than once")
         total = sum(count for _, count in self.counts)
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")

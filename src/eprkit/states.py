@@ -3,7 +3,10 @@
 Covers outcome probabilities, the best predictor of a function of an
 observable, its prediction error, the Heisenberg audit for a commutation
 triple, and the vanishing-trace/vanishing-diagonal check that dissolves the
-EPR objection in finite dimensions.
+EPR objection in finite dimensions. ``SpectrumFunction`` is the package's
+one function table: f on A's spectrum, e on the sum spectrum, and, through
+``conditional.PairSpectrumFunction``, H on the jointly observable (a, s)
+pairs. Its keys and values are finite, so no lookup returns a NaN.
 """
 
 from __future__ import annotations
@@ -173,21 +176,26 @@ def spectral_moments(fvals: np.ndarray, probabilities: np.ndarray) -> tuple[np.n
 
 
 class SpectrumFunction:
-    """A real function given as a table over an observable's eigenvalues.
+    """A real function given as a table over an observable's eigenvalues, or over tuples of them.
 
-    Lookups match keys within a tolerance, since spectrum values arrive as
-    floats from an eigensolver while tables are often written as decimal
-    literals. The default tolerance scales with the table's largest key, as
-    the spectral grouping does.
+    This is the package's one function table. Keys are numbers, or
+    equal-length tuples of numbers such as ``PairSpectrumFunction``'s
+    (a, s) pairs, and keys and values must be finite. Lookups match keys
+    within a tolerance, since spectrum values arrive as floats from an
+    eigensolver while tables are often written as decimal literals: the
+    tolerance, ``match_tol``, is 1e-9 times the largest |key coordinate|,
+    as the spectral grouping's is.
     """
 
-    def __init__(self, table: dict[float, float], match_tol: float | None = None):
+    def __init__(self, table: dict[float | tuple[float, ...], float]):
         if not table:
             raise ValueError("spectrum function table is empty")
-        items = sorted((float(k), float(v)) for k, v in table.items())
-        self._keys = np.array([k for k, _ in items])
-        self._values = np.array([v for _, v in items])
-        self.match_tol = default_grouping_tol(self._keys) if match_tol is None else match_tol
+        self._table = dict(sorted(table.items()))
+        self._keys = np.array(list(self._table), dtype=float)
+        self._values = np.array(list(self._table.values()), dtype=float)
+        if not (np.isfinite(self._keys).all() and np.isfinite(self._values).all()):
+            raise ValueError("spectrum function keys and values must be finite")
+        self.match_tol = default_grouping_tol(self._keys)
 
     @classmethod
     def identity(cls, spectrum) -> "SpectrumFunction":
@@ -201,7 +209,7 @@ class SpectrumFunction:
     def from_callable(cls, spectrum, fn) -> "SpectrumFunction":
         return cls({float(a): float(fn(a)) for a in spectrum})
 
-    def __call__(self, value: float) -> float:
+    def __call__(self, value: float | tuple[float, ...]) -> float:
         idx = match_value(self._keys, value, self.match_tol)
         return float(self._values[idx])
 
@@ -214,10 +222,7 @@ class SpectrumFunction:
         return True
 
     def squared(self) -> "SpectrumFunction":
-        return SpectrumFunction(
-            {float(k): float(v) ** 2 for k, v in zip(self._keys, self._values)},
-            match_tol=self.match_tol,
-        )
+        return SpectrumFunction({k: float(v) ** 2 for k, v in self._table.items()})
 
 
 @dataclass(frozen=True)

@@ -388,6 +388,8 @@ def reference_emit_json(payload) -> str:
 
     The writer must reproduce these bytes, and raise the same exception type
     (ValueError for NaN and infinities, TypeError for anything else JSON
-    cannot hold) where this raises.
+    cannot hold) where this raises. Only dict keys differ: the writer takes
+    str keys alone and raises TypeError where this writes a number, bool or
+    None key as its text.
     """
     return json.dumps(_quantize(payload), indent=2, allow_nan=False) + "\n"

@@ -137,6 +137,13 @@ class TestConditionalPrediction:
         assert summary.mean == pytest.approx(3.5, abs=1e-12)
         assert summary.stdev <= 1e-10
 
+    def test_nan_function_value_cannot_reach_the_mean(self):
+        # it used to come back as mean=nan
+        with pytest.raises(ValueError, match="finite"):
+            conditional_prediction(
+                two_branch_state(), Observable(PAULI_Z), SpectrumFunction({1.0: math.nan, -1.0: 0.0}), 0.0
+            )
+
 
 class TestVerifyTheorem2:
     def test_pauli_branch(self):
@@ -425,7 +432,7 @@ class TestTowerProperty:
         assert verify_tower_property(psi, obs, f, g) <= 1e-10
         merged_sum = float(s.eigenvalues[2])
         dist = conditional_distribution(psi, obs, merged_sum)
-        assert len(dist.support) == 3
+        assert len(dist.outcomes) == 3
 
     def test_unconditional_consistency(self):
         # averaging e(s) over p(s) recovers the unconditional prediction
@@ -471,6 +478,28 @@ class TestPinningIdentity:
         h = PairSpectrumFunction({(1.0, 0.0): 2.0})
         with pytest.raises(SpectrumCoverageError):
             h(1.0, 2.0)
+
+    def test_pair_lookups_are_spectrum_function_lookups_over_the_pairs(self):
+        entries = {(1.0, 0.0): 2.0, (-1.0, 0.0): 5.0, (1.0, 2.0): -3.0}
+        pairs, table = PairSpectrumFunction(entries), SpectrumFunction(entries)
+        tol = table.match_tol
+        assert tol == 2e-9
+        for (a, s), value in entries.items():
+            for query in ((a, s), (a + 0.5 * tol, s - 0.5 * tol)):
+                assert pairs(*query) == table(query) == value
+        for miss in ((1.0 + 2 * tol, 0.0), (0.0, 1.0), (math.nan, 0.0)):
+            with pytest.raises(SpectrumCoverageError):
+                pairs(*miss)
+            with pytest.raises(SpectrumCoverageError):
+                table(miss)
+        for kind in (PairSpectrumFunction, SpectrumFunction):
+            with pytest.raises(ValueError, match="spectrum function table is empty"):
+                kind({})
+
+    def test_pair_table_rejects_non_finite_keys(self):
+        # an infinite a made the tolerance infinite, so (-7, 42) read 3.0
+        with pytest.raises(ValueError, match="finite"):
+            PairSpectrumFunction({(math.inf, 0.0): 1.0, (1.0, 0.0): 3.0})
 
     def test_pair_lookup_is_nearest_at_any_scale(self):
         # at a spectral radius of 1e-12 every pair lies within 1e-9 of every other

@@ -180,3 +180,10 @@ def test_non_finite_floats_raise_value_error(payload):
 def test_unsupported_values_raise_type_error(payload):
     assert outcome(reference_emit_json, payload) is TypeError
     assert outcome(eprio.emit_json, payload) is TypeError
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, b"k"], ids=["int", "float", "bool", "none", "bytes"])
+def test_non_str_keys_raise_type_error(key):
+    # json.dumps writes a number, bool or None key as its text; no payload has one
+    with pytest.raises(TypeError):
+        eprio.emit_json({"outer": {key: 1.0}})

@@ -429,6 +429,30 @@ class TestSampleChain:
         with pytest.raises(ValueError):
             ShotRecord(scenario_label="x", seed=0, shots=5, counts=(((0.0, 1.0, -1.0), 4),))
 
+    @pytest.mark.parametrize(
+        "shots, counts",
+        [
+            (0, ()),
+            (100.0, (((0.0, 1.0, -1.0), 100),)),
+            (100, (((0.0, 1.0, -1.0), 150), ((0.0, -1.0, 1.0), -50))),
+            (100, (((0.0, 1.0, -1.0), 99.5), ((0.0, -1.0, 1.0), 0.5))),
+            (100, (((0.0, 1.0, -1.0), 50), ((0.0, 1.0, -1.0), 50))),
+            (100, (((0.0, 1.0, -1.0), 80), ((0.0, 1.0 + 1e-14, -1.0), 0), ((0.0, -1.0, 1.0), 20))),
+        ],
+        ids=["zero-shots", "float-shots", "negative-count", "fractional-count", "repeated-path", "same-path-key"],
+    )
+    def test_rejects_records_that_misstate_their_shots(self, shots, counts):
+        # each gave a wrong comparison: an infinite 3-sigma band from dividing by zero shots,
+        # an empirical frequency of -0.5, or a path read at half (or none) of its frequency
+        with pytest.raises(ValueError):
+            ShotRecord(scenario_label="pauli-pair", seed=0, shots=shots, counts=counts)
+
+    def test_accepts_numpy_integer_counts(self):
+        record = ShotRecord(
+            scenario_label="pauli-pair", seed=0, shots=np.int64(100), counts=(((0.0, 1.0, -1.0), np.int64(100)),)
+        )
+        assert record.empirical == {(0.0, 1.0, -1.0): 1.0}
+
 
 class TestCompareEmpirical:
     def test_deterministic_scenario_zero_deviation(self):

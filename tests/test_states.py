@@ -121,8 +121,29 @@ class TestSpectrumFunction:
         with pytest.raises(SpectrumCoverageError):
             small(2e-10)
         assert not small.covers([1e-10, 2e-10])
-        # an explicit tolerance still wins, and squaring keeps it
-        assert SpectrumFunction({1e-10: 1.0, 3e-10: 2.0}, match_tol=1e-9).squared()(2e-10) == 4.0
+        # squaring keeps the keys, so it keeps the default tolerance
+        squared = small.squared()
+        assert squared.match_tol == small.match_tol
+        assert (squared(1e-10), squared(3e-10)) == (1.0, 4.0)
+        with pytest.raises(SpectrumCoverageError):
+            squared(2e-10)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {math.inf: 1.0, 1.0: 2.0},
+            {-math.inf: 1.0, 1.0: 2.0},
+            {math.nan: 1.0, 1.0: 2.0},
+            {1.0: math.nan, -1.0: 0.0},
+            {1.0: math.inf, -1.0: 0.0},
+        ],
+        ids=["inf-key", "minus-inf-key", "nan-key", "nan-value", "inf-value"],
+    )
+    def test_rejects_non_finite_keys_and_values(self, table):
+        # an infinite key made the tolerance infinite, so every lookup matched,
+        # and a NaN value flowed into every mean taken over the table
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumFunction(table)
 
 
 class TestOutcomeProbabilities:
