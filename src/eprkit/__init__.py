@@ -53,12 +53,9 @@ from .lab import (
 )
 from .linalg import (
     Observable,
-    SpectralDecomposition,
-    SpectralLine,
     commutator,
     extract_c,
     is_hermitian,
-    spectral_decompose,
     tensor_product,
 )
 from .states import (

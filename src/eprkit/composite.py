@@ -24,10 +24,12 @@ adds weights given per eigenvector over each line of an observable.
 Python's ``abs`` on ``tolist()`` entries where the bits matter, since
 ``np.abs`` of a complex can differ in the last bit. ``eprkit.conditional``
 reads its sum-conditioned answers off the joint table |K|^2 too. The dense
-form (``lift``, ``sum_observable``) assembles a new N^2 x N^2 operator
-and its projectors on each call. Neither the analysis nor any
-``eprkit.conditional`` entry point runs it; it stays public as the
-independent route the tests check the factor-space form against.
+form (``lift``, ``sum_observable``) assembles a new N^2 x N^2 operator on
+each call, with its eigenvalues, multiplicities and projector stack built
+from the factor's ``projectors`` and ``multiplicities``. Neither the
+analysis nor any ``eprkit.conditional`` entry point runs it; it stays
+public as the independent route the tests check the factor-space form
+against.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ import numpy as np
 from .errors import DimensionMismatchError, ImpossibleOutcomeError, SpectrumCoverageError
 from .linalg import (
     Observable,
-    SpectralDecomposition,
-    SpectralLine,
     as_complex_matrix,
     default_grouping_tol,
     hermiticity_tolerance,
@@ -157,9 +157,9 @@ def project_slot(psi: np.ndarray, obs: Observable, slot: int) -> tuple[np.ndarra
     Returns the (..., lines) outcome probabilities, in the order of the
     observable's lines, and the (..., lines, N, N) projected matrices
     ``P_k psi`` (slot 1) or ``psi P_k^T`` (slot 2), taken in one batched
-    product with the factor's projector stack.
+    product with the factor's projector stack ``obs.projectors``.
     """
-    stack = obs.projector_stack
+    stack = obs.projectors
     psi = psi[..., None, :, :]
     if slot == 1:
         projected = stack @ psi
@@ -188,24 +188,21 @@ def slot_expectation(psi: np.ndarray, c: Observable, slot: int) -> np.ndarray:
     return np.vecdot(psi.reshape(*lead, -1), applied.reshape(*lead, -1))
 
 
-def _assemble_lines(matrix: np.ndarray, lines) -> Observable:
+def _assemble_lines(matrix: np.ndarray, eigenvalues, sets, left, right) -> Observable:
     """Observable(matrix) with its lines assembled from factor lines, so reading them runs no eigensolver.
 
-    Each entry of ``lines`` is (eigenvalue, pairs of factor lines (L, R)); the
-    line's projector is the sum of ``P_L x P_R`` over its pairs, and its
-    multiplicity the sum of the products of their multiplicities.
+    ``left`` and ``right`` are the (projectors, multiplicities) of the two
+    factors. Line k has eigenvalue ``eigenvalues[k]``; its projector is the
+    sum of ``P_L x Q_R`` over the factor line pairs (L, R) in ``sets[k]``,
+    and its multiplicity the sum of the products of their multiplicities.
     """
     obs = Observable(matrix)
-    assembled = []
-    for eigenvalue, pairs in lines:
-        projector = np.zeros((obs.dim, obs.dim), dtype=np.complex128)
-        multiplicity = 0
-        for left, right in pairs:
-            projector += tensor_product(left.projector, right.projector)
-            multiplicity += left.multiplicity * right.multiplicity
-        projector.setflags(write=False)
-        assembled.append(SpectralLine(eigenvalue=eigenvalue, multiplicity=multiplicity, projector=projector))
-    obs._decomposition = SpectralDecomposition(lines=tuple(assembled), source_dim=obs.dim)
+    (p, p_mult), (q, q_mult) = left, right
+    projectors = np.zeros((len(sets), obs.dim, obs.dim), dtype=np.complex128)
+    for projector, pairs in zip(projectors, sets):
+        for n, m in pairs:
+            projector += tensor_product(p[n], q[m])
+    obs._set_lines(eigenvalues, tuple(sum(p_mult[n] * q_mult[m] for n, m in pairs) for pairs in sets), projectors)
     return obs
 
 
@@ -218,16 +215,13 @@ def lift(obs: Observable, slot: int) -> Observable:
     """
     if slot not in (1, 2):
         raise ValueError(f"slot must be 1 or 2, got {slot!r}")
-    # the identity's one line: eigenvalue 1 on the whole factor
-    eye = SpectralLine(eigenvalue=1.0, multiplicity=obs.dim, projector=np.eye(obs.dim))
-    lines = obs.decomposition.lines
+    eye = np.eye(obs.dim)
+    # the identity's one line covers the whole factor
+    factor, identity = (obs.projectors, obs.multiplicities), (eye[None], (obs.dim,))
+    lines = range(len(obs.multiplicities))
     if slot == 1:
-        return _assemble_lines(
-            tensor_product(obs.matrix, eye.projector), [(line.eigenvalue, [(line, eye)]) for line in lines]
-        )
-    return _assemble_lines(
-        tensor_product(eye.projector, obs.matrix), [(line.eigenvalue, [(eye, line)]) for line in lines]
-    )
+        return _assemble_lines(tensor_product(obs.matrix, eye), obs.eigenvalues, [[(k, 0)] for k in lines], factor, identity)
+    return _assemble_lines(tensor_product(eye, obs.matrix), obs.eigenvalues, [[(0, k)] for k in lines], identity, factor)
 
 
 def sum_observable(a1: Observable) -> Observable:
@@ -241,10 +235,9 @@ def sum_observable(a1: Observable) -> Observable:
     """
     eye = np.eye(a1.dim)
     index = anti_diagonal_index(a1)
-    lines = a1.decomposition.lines
+    factor = (a1.projectors, a1.multiplicities)
     return _assemble_lines(
-        tensor_product(a1.matrix, eye) + tensor_product(eye, a1.matrix),
-        [(s, [(lines[n], lines[m]) for n, m in members]) for s, members in zip(index.sums, index.sets)],
+        tensor_product(a1.matrix, eye) + tensor_product(eye, a1.matrix), index.sums, index.sets, factor, factor
     )
 
 

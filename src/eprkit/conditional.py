@@ -21,6 +21,7 @@ functions f, g and H are ``states.SpectrumFunction`` tables;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ class ConditionalDistribution(OutcomeDistribution):
     """
 
     given_sum: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not math.isfinite(self.given_sum):
+            raise ValueError(f"given sum {self.given_sum!r} is not finite")
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,14 @@
 """Dense complex matrix algebra for finite-level systems.
 
 Everything downstream builds on the four primitives here: Kronecker products,
-commutators, Hermitian spectral decompositions with degeneracy grouping, and
-the ``Observable`` wrapper that caches a decomposition next to its matrix.
+commutators, degeneracy grouping of Hermitian spectra, and the ``Observable``
+wrapper that caches one spectral record next to its matrix: distinct
+eigenvalues, multiplicities, eigenvectors and one stack of line projectors.
 All matrices are dense, row-major ``complex128``; the supported envelope is
 dimension <= 64.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,44 +93,6 @@ def extract_c(a, b, alpha: float) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
-class SpectralLine:
-    """One distinct eigenvalue with its multiplicity and eigenprojector."""
-
-    eigenvalue: float
-    multiplicity: int
-    projector: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Distinct eigenvalues of a Hermitian matrix, ascending, with projectors."""
-
-    lines: tuple[SpectralLine, ...]
-    source_dim: int
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([line.eigenvalue for line in self.lines])
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(line.multiplicity for line in self.lines)
-
-    def reconstruct(self) -> np.ndarray:
-        """Reassemble ``sum_k s_k * P_k``."""
-        out = np.zeros((self.source_dim, self.source_dim), dtype=np.complex128)
-        for line in self.lines:
-            out += line.eigenvalue * line.projector
-        return out
-
-    def projector_sum(self) -> np.ndarray:
-        out = np.zeros((self.source_dim, self.source_dim), dtype=np.complex128)
-        for line in self.lines:
-            out += line.projector
-        return out
-
-
 def default_grouping_tol(eigenvalues: np.ndarray) -> float:
     """Gap threshold under which raw eigenvalues are merged into one line; scales with the spectrum."""
     radius = float(np.abs(eigenvalues).max()) if eigenvalues.size else 0.0
@@ -153,12 +114,16 @@ def match_value(values, x: float | tuple[float, ...], tol: float) -> int:
     """Index of the entry of ``values`` nearest x, within tol; raises if none matches.
 
     Entries are numbers, or equal-length tuples matched to a tuple x by
-    their largest coordinate gap. The first of equally near entries wins.
+    their largest coordinate gap; an x of another shape matches none. The
+    first of equally near entries wins.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise SpectrumCoverageError("empty spectrum")
-    distance = np.abs(values - np.asarray(x, dtype=float)).reshape(len(values), -1).max(axis=1)
+    point = np.asarray(x, dtype=float)
+    if point.shape != values.shape[1:]:
+        raise SpectrumCoverageError(f"value {x!r} does not have the shape of a spectrum entry")
+    distance = np.abs(values - point).reshape(len(values), -1).max(axis=1)
     idx = int(np.argmin(distance))
     if not (distance[idx] <= tol):
         raise SpectrumCoverageError(f"value {x!r} does not match any spectrum entry within {tol!r}")
@@ -181,33 +146,16 @@ def phase_fix(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decomposition(w: np.ndarray, v: np.ndarray, groups: list[list[int]]) -> SpectralDecomposition:
-    """One line per group: the mean eigenvalue and the projector onto the group's eigenvectors."""
-    lines = []
-    for group in groups:
-        block = v[:, group]
-        projector = block @ block.conj().T
-        projector.setflags(write=False)
-        lines.append(
-            SpectralLine(
-                eigenvalue=float(np.mean(w[group])),
-                multiplicity=len(group),
-                projector=projector,
-            )
-        )
-    return SpectralDecomposition(lines=tuple(lines), source_dim=v.shape[0])
-
-
 class Observable:
-    """A Hermitian matrix together with its cached spectral decomposition.
+    """A Hermitian matrix together with its cached spectral record.
 
-    The decomposition (and the phase-fixed eigenvector matrix) is computed
+    The record is the distinct eigenvalues (ascending), their
+    multiplicities, the phase-fixed eigenvectors and ``projectors``, the
+    line projectors as one (lines, dim, dim) array. Each part is computed
     lazily on first access and then shared; instances are immutable. The
     lifted and sum observables that ``eprkit.composite`` builds from a factor
-    observable come with their decomposition already assembled from the
-    factor's lines, so reading it runs no eigensolver.
-    ``projector_stack`` holds the line projectors as one array, which the
-    factor-space measurements of ``eprkit.composite`` apply in one batch.
+    observable come with their lines already assembled from the factor's,
+    so reading them runs no eigensolver.
     """
 
     def __init__(self, matrix):
@@ -216,9 +164,10 @@ class Observable:
             raise DimensionMismatchError(f"dimension {m.shape[0]} exceeds the supported envelope of {MAX_DIM}")
         m.setflags(write=False)
         self._matrix = m
-        self._decomposition: SpectralDecomposition | None = None
+        self._eigenvalues: np.ndarray | None = None
+        self._multiplicities: tuple[int, ...] | None = None
         self._eigenvectors: np.ndarray | None = None
-        self._projector_stack: np.ndarray | None = None
+        self._projectors: np.ndarray | None = None
         # the sum index of ``eprkit.composite.anti_diagonal_index``, built on first use
         self._anti_diagonals = None
 
@@ -234,42 +183,40 @@ class Observable:
     def grouping_tol(self) -> float:
         return default_grouping_tol(self.eigenvalues)
 
+    def _set_lines(self, eigenvalues, multiplicities: tuple[int, ...], projectors: np.ndarray | None = None) -> None:
+        """Record the lines: their eigenvalues, multiplicities and, when already built, projectors."""
+        self._eigenvalues = np.array(eigenvalues, dtype=float)
+        self._eigenvalues.setflags(write=False)
+        self._multiplicities = multiplicities
+        if projectors is not None:
+            projectors.setflags(write=False)
+        self._projectors = projectors
+
     def _solve(self) -> None:
-        """Run the eigensolver: fills the eigenvectors, and the decomposition unless it was given."""
+        """Run the eigensolver: fills the eigenvectors, and the lines unless they were given.
+
+        Each line's eigenvalue is the mean of its group of raw eigenvalues.
+        """
         w, v = np.linalg.eigh(self._matrix)
         v = phase_fix(v)
-        if self._decomposition is None:
-            self._decomposition = _decomposition(w, v, group_close_values(w, default_grouping_tol(w)))
         v.setflags(write=False)
         self._eigenvectors = v
-
-    @property
-    def decomposition(self) -> SpectralDecomposition:
-        if self._decomposition is None:
-            self._solve()
-        return self._decomposition
+        if self._eigenvalues is None:
+            groups = group_close_values(w, default_grouping_tol(w))
+            self._set_lines([float(np.mean(w[group])) for group in groups], tuple(len(group) for group in groups))
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Distinct eigenvalues, strictly increasing."""
-        return self.decomposition.eigenvalues
+        """Distinct eigenvalues, strictly increasing, as one read-only array."""
+        if self._eigenvalues is None:
+            self._solve()
+        return self._eigenvalues
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        return self.decomposition.multiplicities
-
-    @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(line.projector for line in self.decomposition.lines)
-
-    @property
-    def projector_stack(self) -> np.ndarray:
-        """The line projectors as one read-only (lines, dim, dim) array, stacked once."""
-        if self._projector_stack is None:
-            stack = np.stack(self.projectors)
-            stack.setflags(write=False)
-            self._projector_stack = stack
-        return self._projector_stack
+        if self._multiplicities is None:
+            self._solve()
+        return self._multiplicities
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -281,6 +228,20 @@ class Observable:
         if self._eigenvectors is None:
             self._solve()
         return self._eigenvectors
+
+    @property
+    def projectors(self) -> np.ndarray:
+        """The line projectors as one read-only (lines, dim, dim) array, built once.
+
+        Line k projects onto its group of eigenvector columns V_k as
+        ``V_k V_k^H``.
+        """
+        if self._projectors is None:
+            v = self.eigenvectors
+            blocks = [v[:, group] for group in np.split(np.arange(self.dim), np.cumsum(self.multiplicities)[:-1])]
+            self._projectors = np.stack([block @ block.conj().T for block in blocks])
+            self._projectors.setflags(write=False)
+        return self._projectors
 
     @property
     def is_nondegenerate(self) -> bool:
@@ -298,14 +259,3 @@ class Observable:
 
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim})"
-
-
-def spectral_decompose(h) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix, merging near-degenerate eigenvalues.
-
-    Floating-point eigensolvers split exact degeneracies by a few ulps; raw
-    eigenvalues whose pairwise gaps stay below ``1e-9 * spectral radius``
-    are clustered into one line whose projector is the sum of outer
-    products of the group's eigenvectors. This is ``Observable(h).decomposition``.
-    """
-    return Observable(h).decomposition

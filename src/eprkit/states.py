@@ -118,6 +118,8 @@ class OutcomeDistribution:
     outcomes: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        if not all(math.isfinite(v) and math.isfinite(p) and p >= 0 for v, p in self.outcomes):
+            raise ValueError("outcome values and probabilities must be finite, and probabilities nonnegative")
         values = [v for v, _ in self.outcomes]
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("outcome values must be strictly increasing")
@@ -222,7 +224,11 @@ class SpectrumFunction:
         return True
 
     def squared(self) -> "SpectrumFunction":
-        return SpectrumFunction({k: float(v) ** 2 for k, v in self._table.items()})
+        """The table of f^2, squared with Python's ``**``; a square beyond the float range raises ValueError."""
+        try:
+            return SpectrumFunction({k: float(v) ** 2 for k, v in self._table.items()})
+        except OverflowError:
+            raise ValueError("spectrum function values must be finite, and a square overflows") from None
 
 
 @dataclass(frozen=True)
@@ -263,10 +269,9 @@ def project_outcomes(state: PureState, obs: Observable) -> tuple[OutcomeDistribu
     """``outcome_probabilities`` with each line's ``P_k psi``, the unnormalized state outcome k leaves."""
     if state.dim != obs.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != observable dim {obs.dim}")
-    lines = obs.decomposition.lines
-    projected = [line.projector @ state.amplitudes for line in lines]
+    projected = [projector @ state.amplitudes for projector in obs.projectors]
     probabilities = projected_probabilities(np.array(projected))
-    return OutcomeDistribution(tuple(zip([line.eigenvalue for line in lines], probabilities.tolist()))), projected
+    return OutcomeDistribution(tuple(zip(obs.eigenvalues.tolist(), probabilities.tolist()))), projected
 
 
 def outcome_probabilities(state: PureState, obs: Observable) -> OutcomeDistribution:

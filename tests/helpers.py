@@ -29,8 +29,8 @@ def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 def function_matrix(obs, f) -> np.ndarray:
     """The matrix ``f(A) = sum_k f(a_k) P_k`` from the observable's lines, for checks against a quadratic form."""
     out = np.zeros((obs.dim, obs.dim), dtype=np.complex128)
-    for line in obs.decomposition.lines:
-        out += f(line.eigenvalue) * line.projector
+    for eigenvalue, projector in zip(obs.eigenvalues.tolist(), obs.projectors):
+        out += f(eigenvalue) * projector
     return out
 
 
@@ -117,7 +117,7 @@ def project_sum(psi: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
     from eprkit.states import projected_probabilities
 
     index = anti_diagonal_index(a)
-    stack = a.projector_stack
+    stack = a.projectors
     terms = (stack @ psi[..., None, :, :])[..., :, None, :, :] @ stack.transpose(0, 2, 1)
     projected = np.empty((*psi.shape[:-2], len(index.sets), *psi.shape[-2:]), dtype=np.complex128)
     for k, pairs in enumerate(index.sets):
@@ -269,7 +269,7 @@ def reference_epr_analysis(sc):
         return (vec / float(np.linalg.norm(vec))).reshape(projected.shape)
 
     def project_slot(psi, obs, slot):
-        stack = obs.projector_stack
+        stack = obs.projectors
         projected = stack @ psi if slot == 1 else psi @ stack.transpose(0, 2, 1)
         return norms(projected), projected
 
@@ -290,7 +290,7 @@ def reference_epr_analysis(sc):
     n_dim = sc.factor_dim
     index = anti_diagonal_index(a)
     psi = sc.initial_state.amplitudes.reshape(n_dim, n_dim)
-    stack = a.projector_stack
+    stack = a.projectors
     terms = (stack @ psi)[:, None] @ stack.transpose(0, 2, 1)[None]
     branch_matrices = [terms[[n for n, _ in pairs], [m for _, m in pairs]].sum(axis=0) for pairs in index.sets]
     spectrum = OutcomeDistribution(outcomes=tuple(zip(index.sums, norms(branch_matrices))))

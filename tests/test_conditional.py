@@ -99,6 +99,11 @@ class TestConditionalDistribution:
         with pytest.raises(ValueError):
             ConditionalDistribution(given_sum=0.0, outcomes=((0.0, math.nan),))
 
+    @pytest.mark.parametrize("given_sum", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_sum(self, given_sum):
+        with pytest.raises(ValueError, match="finite"):
+            ConditionalDistribution(given_sum=given_sum, outcomes=((0.0, 1.0),))
+
     def test_matches_classical_conditioning(self):
         rng = np.random.default_rng(70)
         for _ in range(25):
@@ -106,7 +111,7 @@ class TestConditionalDistribution:
             obs = Observable(random_hermitian(rng, n))
             psi = PureState(random_state_vector(rng, n * n), factor_dims=(n, n))
             s = sum_observable(obs)
-            for s_value, p in zip(s.eigenvalues, [line.eigenvalue for line in s.decomposition.lines]):
+            for s_value in s.eigenvalues:
                 dist_s = conditional_distribution(psi, obs, s_value)
                 mean = float(np.dot(dist_s.values, dist_s.probabilities))
                 brute = brute_conditional_mean(psi.amplitudes, obs.matrix, lambda a: a, s_value)

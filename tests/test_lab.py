@@ -279,14 +279,14 @@ class TestRunEprAnalysis:
         # only the factors A, B and C are diagonalised, each once; B and C stack their projectors once, A never
         assert eigh_dims == Counter({n: 3})
         assert stacks == [n, n]
-        assert sc.obs_a._projector_stack is None
-        cached = [obs.projector_stack for obs in (sc.obs_b, sc.obs_c)]
+        assert sc.obs_a._projectors is None
+        cached = [obs.projectors for obs in (sc.obs_b, sc.obs_c)]
 
         # a second analysis of the same scenario reuses the index, the stacks and the decompositions
         run_epr_analysis(sc)
         assert calls == Counter({"anti_diagonals": 1})
         assert eigh_dims == Counter({n: 3}) and stacks == [n, n] and built == []
-        assert all(obs.projector_stack is stack for obs, stack in zip((sc.obs_b, sc.obs_c), cached))
+        assert all(obs.projectors is stack for obs, stack in zip((sc.obs_b, sc.obs_c), cached))
 
         # a degenerate B stacks its two lines: B and C stack one projector per line, and no N^2-size work runs
         u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
@@ -300,8 +300,8 @@ class TestRunEprAnalysis:
         assert calls == Counter({"anti_diagonals": 2})
         assert built == [] and eigh_dims == Counter({n: 3})
         factors = (degenerate.obs_b, degenerate.obs_c)
-        assert sorted(stacks) == sorted(len(obs.decomposition.lines) for obs in factors)
-        assert len(degenerate.obs_b.decomposition.lines) == 2
+        assert sorted(stacks) == sorted(len(obs.multiplicities) for obs in factors)
+        assert len(degenerate.obs_b.multiplicities) == 2
 
         # N=3 walks a handful of branches and chains, N=8 dozens, with the same measurement calls
         small = build_scenario("guard-3", random_hermitian(rng, 3), random_hermitian(rng, 3), random_state_vector(rng, 9))
@@ -352,7 +352,7 @@ class TestRunEprAnalysis:
         run_epr_analysis(sc)
         compare_empirical(sample_chain(sc, 100, seed=1), sc)
         refs = [weakref.ref(sc), weakref.ref(anti_diagonal_index(sc.obs_a))]
-        refs += [weakref.ref(obs.projector_stack) for obs in (sc.obs_a, sc.obs_b, sc.obs_c)]
+        refs += [weakref.ref(obs.projectors) for obs in (sc.obs_a, sc.obs_b, sc.obs_c)]
         # with the cycle collector off, only reference counting can free them
         gc.disable()
         try:

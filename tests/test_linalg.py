@@ -14,7 +14,6 @@ from eprkit.linalg import (
     is_hermitian,
     match_value,
     phase_fix,
-    spectral_decompose,
     tensor_product,
 )
 from helpers import PAULI_X, PAULI_Y, PAULI_Z, random_hermitian
@@ -138,63 +137,65 @@ class TestIsHermitian:
 
 class TestSpectralDecompose:
     def test_sigma_z(self):
-        dec = spectral_decompose(PAULI_Z)
-        assert [line.eigenvalue for line in dec.lines] == [-1.0, 1.0]
-        assert dec.multiplicities == (1, 1)
+        obs = Observable(PAULI_Z)
+        assert obs.eigenvalues.tolist() == [-1.0, 1.0]
+        assert obs.multiplicities == (1, 1)
 
     def test_identity_is_one_line(self):
-        dec = spectral_decompose(np.eye(5))
-        assert len(dec.lines) == 1
-        assert dec.lines[0].eigenvalue == pytest.approx(1.0)
-        assert dec.lines[0].multiplicity == 5
-        assert np.allclose(dec.lines[0].projector, np.eye(5))
+        obs = Observable(np.eye(5))
+        assert len(obs.eigenvalues) == 1
+        assert obs.eigenvalues[0] == pytest.approx(1.0)
+        assert obs.multiplicities == (5,)
+        assert obs.projectors.shape == (1, 5, 5)
+        assert np.allclose(obs.projectors[0], np.eye(5))
 
     def test_two_qubit_sum_degeneracy(self):
         total = np.diag([2.0, 0.0, 0.0, -2.0])
-        dec = spectral_decompose(total)
-        assert list(dec.eigenvalues) == [-2.0, 0.0, 2.0]
-        assert dec.multiplicities == (1, 2, 1)
+        obs = Observable(total)
+        assert list(obs.eigenvalues) == [-2.0, 0.0, 2.0]
+        assert obs.multiplicities == (1, 2, 1)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
-            spectral_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
+            Observable(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_rejects_beyond_envelope(self):
         with pytest.raises(DimensionMismatchError):
-            spectral_decompose(np.eye(65))
+            Observable(np.eye(65))
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_projector_invariants_random(self, n):
         rng = np.random.default_rng(100 + n)
         h = random_hermitian(rng, n)
-        dec = spectral_decompose(h)
-        assert sum(dec.multiplicities) == n
-        assert np.all(np.diff(dec.eigenvalues) > 0)
-        for i, line in enumerate(dec.lines):
-            p = line.projector
+        obs = Observable(h)
+        assert sum(obs.multiplicities) == n
+        assert np.all(np.diff(obs.eigenvalues) > 0)
+        assert obs.projectors.shape == (len(obs.eigenvalues), n, n)
+        lines = list(zip(obs.eigenvalues, obs.multiplicities, obs.projectors))
+        for i, (eigenvalue, multiplicity, p) in enumerate(lines):
             assert np.abs(p - p.conj().T).max() <= 1e-10
             assert np.abs(p @ p - p).max() <= 1e-10
-            assert np.trace(p).real == pytest.approx(line.multiplicity, abs=1e-10)
-            assert np.abs(p @ h @ p - line.eigenvalue * p).max() <= 1e-9
-            for other in dec.lines[i + 1 :]:
-                assert np.abs(p @ other.projector).max() <= 1e-10
+            assert np.trace(p).real == pytest.approx(multiplicity, abs=1e-10)
+            assert np.abs(p @ h @ p - eigenvalue * p).max() <= 1e-9
+            for _, _, other in lines[i + 1 :]:
+                assert np.abs(p @ other).max() <= 1e-10
 
     def test_reconstruction_and_completeness(self):
         rng = np.random.default_rng(11)
         for n in range(2, 9):
             h = random_hermitian(rng, n)
-            dec = spectral_decompose(h)
+            obs = Observable(h)
             scale = np.linalg.norm(h)
-            assert np.abs(dec.reconstruct() - h).max() <= 1e-10 * scale
-            assert np.abs(dec.projector_sum() - np.eye(n)).max() <= 1e-10
+            assert np.abs(np.einsum("k,kij->ij", obs.eigenvalues, obs.projectors) - h).max() <= 1e-10 * scale
+            assert np.abs(obs.projectors.sum(0) - np.eye(n)).max() <= 1e-10
 
     def test_exact_degeneracy_grouped(self):
         # eigh splits exact degeneracies by ulps; the grouping must merge them
         rng = np.random.default_rng(12)
         u = np.linalg.qr(random_hermitian(rng, 4) + 1j * np.eye(4))[0]
         h = u @ np.diag([1.0, 1.0, 2.0, 3.0]) @ u.conj().T
-        dec = spectral_decompose((h + h.conj().T) / 2)
-        assert dec.multiplicities == (2, 1, 1)
+        obs = Observable((h + h.conj().T) / 2)
+        assert obs.multiplicities == (2, 1, 1)
 
 
 class TestObservable:
@@ -223,6 +224,14 @@ class TestObservable:
         obs = Observable(PAULI_Z)
         with pytest.raises(ValueError):
             obs.matrix[0, 0] = 7.0
+
+    def test_spectral_record_is_read_only_and_built_once(self):
+        obs = Observable(np.diag([1.0, 1.0, 2.0]))
+        for name in ("eigenvalues", "eigenvectors", "projectors"):
+            first = getattr(obs, name)
+            assert getattr(obs, name) is first
+            with pytest.raises(ValueError):
+                first[0] = 0.0
 
 
 def test_match_value_picks_nearest():

@@ -74,6 +74,23 @@ class TestOutcomeDistribution:
         with pytest.raises(ValueError):
             OutcomeDistribution(outcomes=((0.0, math.nan),))
 
+    @pytest.mark.parametrize(
+        "outcomes",
+        [
+            ((math.nan, 0.5), (1.0, 0.5)),
+            ((0.0, 0.5), (math.inf, 0.5)),
+            ((-math.inf, 0.5), (1.0, 0.5)),
+            ((0.0, -0.5), (1.0, 1.5)),
+            ((0.0, math.inf), (1.0, -math.inf)),
+        ],
+        ids=["nan-value", "inf-value", "minus-inf-value", "negative-probability", "infinite-probabilities"],
+    )
+    def test_rejects_non_finite_values_and_negative_probabilities(self, outcomes):
+        # a NaN value passed the ordering check and turned every moment into NaN,
+        # and a negative probability balanced by one above 1 passed the unit-total check
+        with pytest.raises(ValueError, match="finite"):
+            OutcomeDistribution(outcomes=outcomes)
+
     def test_arrays_are_built_once_and_read_only(self):
         dist = OutcomeDistribution(outcomes=((-1.0, 0.25), (1.0, 0.75)))
         for name in ("values", "probabilities"):
@@ -144,6 +161,20 @@ class TestSpectrumFunction:
         # and a NaN value flowed into every mean taken over the table
         with pytest.raises(ValueError, match="finite"):
             SpectrumFunction(table)
+
+    def test_squared_overflow_raises_value_error(self):
+        # float ** 2 beyond the float range raised OverflowError, not the table's ValueError
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumFunction({1.0: 1e200, 2.0: 1.0}).squared()
+        assert SpectrumFunction({1.0: -1e154}).squared()(1.0) == (-1e154) ** 2
+
+    def test_lookup_of_another_shape_matches_no_key(self):
+        # x was broadcast against the keys, so a pair matched a number key and a number a pair key
+        for table, x in [({1.0: 2.0}, (1.0, 1.0)), ({(1.0, 1.0): 3.0}, 1.0), ({(1.0, 1.0): 3.0}, (1.0, 1.0, 1.0))]:
+            with pytest.raises(SpectrumCoverageError, match="shape"):
+                SpectrumFunction(table)(x)
+        assert not SpectrumFunction({1.0: 2.0}).covers([(1.0, 1.0)])
+        assert SpectrumFunction({(1.0, 1.0): 3.0}).covers([(1.0, 1.0)])
 
 
 class TestOutcomeProbabilities:
