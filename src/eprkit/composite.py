@@ -11,8 +11,9 @@ Measurements come in two equivalent forms. The factor-space form works on
 a state's N x N coefficient matrix psi (first factor as rows):
 (P x I) vec(psi) is vec(P psi), (I x P) vec(psi) is vec(psi P^T), and sum
 line k keeps the amplitudes K[n, m] of K = V^H psi conj(V)
-(``eigenbasis_coefficients``) on its pairs (n, m), which the index's
-``labels`` name; ``coefficient_matrix`` gives a state's psi.
+(``eigenbasis_coefficients``) on its pairs (n, m), which the index lists
+line by line, as tuples in ``sets`` and as one flat (k, n, m) array in
+``pairs``; ``coefficient_matrix`` gives a state's psi.
 ``project_slot`` and ``slot_expectation`` take this form on a
 (..., N, N) stack: leading axes index states, and each state's result has
 the bits it would have alone, since a batched product runs the same BLAS
@@ -23,7 +24,7 @@ adds weights given per eigenvector over each line of an observable.
 ``slot_expectation`` returns numpy complex values: take their modulus with
 Python's ``abs`` on ``tolist()`` entries where the bits matter, since
 ``np.abs`` of a complex can differ in the last bit. ``eprkit.conditional``
-reads its sum-conditioned answers off the joint table |K|^2 too. The dense
+builds its branch table from K and the index's ``pairs``. The dense
 form (``lift``, ``sum_observable``) assembles a new N^2 x N^2 operator on
 each call, with its eigenvalues, multiplicities and projector stack built
 from the factor's ``projectors`` and ``multiplicities``. Neither the
@@ -64,24 +65,22 @@ class AntiDiagonalIndex:
 
     ``sets[k]`` lists the 0-based index pairs (n, m) with
     ``a_n + a_m == sums[k]`` (within ``match_tol``); its length is the
-    degeneracy of the k-th sum eigenvalue. ``labels[n, m]`` is the line k
-    of the pair (n, m), as one read-only N x N array derived from ``sets``
-    (-1 for a pair no line lists).
+    degeneracy of the k-th sum eigenvalue. ``pairs`` is the same listing
+    flattened, derived from ``sets``: one read-only (3, pairs) array whose
+    columns are (k, n, m), line by line in the order of ``sets``.
     """
 
     factor_eigenvalues: tuple[float, ...]
     sums: tuple[float, ...]
     sets: tuple[tuple[tuple[int, int], ...], ...]
     match_tol: float
-    labels: np.ndarray = field(init=False, repr=False, compare=False)
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.factor_eigenvalues)
-        labels = np.full((n, n), -1, dtype=np.intp)
-        pairs = np.array([pair for line in self.sets for pair in line], dtype=np.intp).reshape(-1, 2)
-        labels[pairs[:, 0], pairs[:, 1]] = np.repeat(np.arange(len(self.sets)), self.degeneracies)
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        members = np.array([pair for line in self.sets for pair in line], dtype=np.intp).reshape(-1, 2)
+        pairs = np.vstack((np.repeat(np.arange(len(self.sets)), self.degeneracies), members.T))
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def degeneracies(self) -> tuple[int, ...]:

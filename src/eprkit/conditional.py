@@ -3,12 +3,15 @@
 Once S = A(1) + A(2) has been measured, predictions about either factor are
 made in the collapsed state, and they coincide with classically conditioning
 the joint outcome distribution on the observed sum. Every sum-conditioned
-entry point reads that distribution off the N x N joint table W = |K|^2,
-K = V^H psi conj(V): the probability of each product eigenstate |a_n>|a_m>.
-Sum line k keeps orthogonal pairs (n, m), so its branch is a mixture of
-them: p(s_k) adds W over the line, and the A(1) and A(2) distributions in
-the branch are its row and column sums over p(s_k). ``lab.run_epr_analysis``
-reads the same table (``_joint_table``) with the same arithmetic, so every
+entry point reads that distribution off one ``BranchTable``, built from
+K = V^H psi conj(V): the joint table W = |K|^2, the probability of each
+product eigenstate |a_n>|a_m>; p(s_k), W added over sum line k; and the
+pairs (n, m) of every line at or above the zero-probability threshold,
+each with its weight W[n, m] / p(s_k) in the collapsed branch. Sum line k
+keeps orthogonal pairs, at most one per row and column, so its branch is
+a short list of them: an entry point reads line k's contiguous slice, and
+the A(1) and A(2) distributions add its weights per n and per m.
+``lab.run_epr_analysis`` and the sampler read the same table, so every
 A-side answer here equals the report's bit for bit. ``certain_prediction``
 and ``epr_resolution_check`` measure slot 2 of the caller's post-chain
 state psi: each line's probability adds the squared column norms of
@@ -22,11 +25,13 @@ functions f, g and H are ``states.SpectrumFunction`` tables;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .composite import (
+    SCHMIDT_TOL,
     ZERO_PROB_THRESHOLD,
     AntiDiagonalIndex,
     anti_diagonal_index,
@@ -38,7 +43,7 @@ from .composite import (
 )
 from .errors import DegenerateSpectrumError, DimensionMismatchError, SpectrumCoverageError
 from .linalg import Observable, default_grouping_tol, group_close_values, match_value
-from .states import OutcomeDistribution, PureState, SpectrumFunction, UncertaintyReport, uncertainty_report
+from .states import OutcomeDistribution, PureState, SpectrumFunction, UncertaintyReport, read_only_column, uncertainty_report
 
 # Slack below 1 allowed for the point mass of A(2) after the full chain.
 POINT_MASS_TOL = 1e-10
@@ -92,9 +97,9 @@ class ConditionalExpectationTable:
     entries: tuple[tuple[float, float], ...]
     match_tol: float
 
-    @property
+    @cached_property
     def sums(self) -> np.ndarray:
-        return np.array([s for s, _ in self.entries])
+        return read_only_column(self.entries, 0)
 
     def value_at(self, s_value: float) -> float:
         idx = match_value(self.sums, s_value, self.match_tol)
@@ -126,19 +131,60 @@ class PairSpectrumFunction:
         return self._table((a_value, s_value))
 
 
-def _joint_table(state: PureState, a: Observable) -> tuple[AntiDiagonalIndex, np.ndarray, np.ndarray, np.ndarray]:
-    """A's sum index, K = V^H psi conj(V), W, the probability of each pair (n, m) of A's lines, and p(s_k).
+@dataclass(frozen=True)
+class BranchTable:
+    """A state's sum branches as arrays: the one table the analysis, the sampler and every entry point read.
+
+    ``coefficients`` is K = V^H psi conj(V), the state's amplitudes on A's
+    product eigenstates |a_n>|a_m>, and ``joint`` is W, the probability of
+    each pair (n, m) of A's lines. ``sum_probabilities`` holds p(s_k) of
+    every sum line and ``kept`` the lines at or above
+    ``ZERO_PROB_THRESHOLD``, ascending. ``pairs`` lists the kept lines'
+    pairs as ``index.pairs`` does, line by line in the order of n, with
+    each line's position in ``kept`` in place of k: a (3, pairs) array whose
+    columns are (branch, n, m). ``weights`` holds each pair's weight
+    W[n, m] / p(s_k) in the collapsed branch. ``schmidt_ranks`` counts each
+    kept branch's weights above ``SCHMIDT_TOL``^2 (|K| above ``SCHMIDT_TOL``
+    sqrt(p(s_k))), and ``chains`` lists the pairs whose weight is at or
+    above ``ZERO_PROB_THRESHOLD``. Every array is read-only.
+    """
+
+    index: AntiDiagonalIndex
+    coefficients: np.ndarray
+    joint: np.ndarray
+    sum_probabilities: np.ndarray
+    kept: np.ndarray
+    pairs: np.ndarray
+    weights: np.ndarray
+    schmidt_ranks: np.ndarray
+    chains: np.ndarray
+
+    def __post_init__(self):
+        for item in fields(self)[1:]:
+            getattr(self, item.name).setflags(write=False)
+
+
+def _branch_table(state: PureState, a: Observable) -> BranchTable:
+    """The ``BranchTable`` of a state on two factors of A, built from one K.
 
     W[n, m] adds |K|^2 over the contiguous eigenvectors of lines n and m, so
     it is |P_n psi P_m^T|^2 also for a degenerate A. p(s_k) adds W over sum
-    line k's pairs in order of n, clamped to [0, 1]: the package's one sum
-    probability, which the analysis reads too.
+    line k's pairs one term at a time, in order of n, clamped to [0, 1]:
+    the package's one sum probability.
     """
     index = anti_diagonal_index(a)
     coefficients = eigenbasis_coefficients(coefficient_matrix(state, a.dim), a)
     w = line_totals(line_totals(coefficients.real**2 + coefficients.imag**2, a, axis=0), a, axis=1)
-    sum_probabilities = np.bincount(index.labels.ravel(), weights=w.ravel(), minlength=len(index.sums))
-    return index, coefficients, w, np.clip(sum_probabilities, 0.0, 1.0)
+    lines, rows, cols = index.pairs
+    pair_weights = w[rows, cols]
+    sum_probabilities = np.clip(np.bincount(lines, weights=pair_weights, minlength=len(index.sums)), 0.0, 1.0)
+    possible = ~(sum_probabilities < ZERO_PROB_THRESHOLD)
+    kept, on_kept = np.flatnonzero(possible), possible[lines]
+    pairs = np.vstack(((np.cumsum(possible) - 1)[lines], rows, cols)).compress(on_kept, axis=1)
+    weights = pair_weights[on_kept] / sum_probabilities[lines[on_kept]]
+    ranks = np.bincount(pairs[0][weights > SCHMIDT_TOL**2], minlength=kept.size)
+    chains = np.flatnonzero(~(weights < ZERO_PROB_THRESHOLD))
+    return BranchTable(index, coefficients, w, sum_probabilities, kept, pairs, weights, ranks, chains)
 
 
 def _slot2_probabilities(psi: np.ndarray, obs: Observable) -> np.ndarray:
@@ -151,21 +197,29 @@ def _slot2_probabilities(psi: np.ndarray, obs: Observable) -> np.ndarray:
     return line_totals(np.sum(columns.real**2 + columns.imag**2, axis=0), obs)
 
 
-def _branch(state: PureState, a: Observable, s_value: float) -> tuple[AntiDiagonalIndex, int, np.ndarray, np.ndarray]:
-    """A's sum index, the line k matching s_value, K, and the joint table of the state collapsed on line k.
+def _branch_pairs(state: PureState, a: Observable, s_value: float) -> tuple[BranchTable, int, np.ndarray, np.ndarray]:
+    """The state's ``BranchTable``, the line k matching s_value, and the pairs and weights of its branch.
 
-    The collapsed table is W on line k's pairs over p(s_k), 0 off the line,
-    the analysis's branch weights bit for bit.
+    Line k's pairs are one contiguous slice of the table's, found by its
+    position among the kept lines. Raises ImpossibleOutcomeError when p(s_k)
+    is below the zero-probability threshold, where line k is not kept.
     """
     a.require_nondegenerate()
-    index, coefficients, w, sum_probabilities = _joint_table(state, a)
-    k = index.sum_index(s_value)
-    return index, k, coefficients, np.where(index.labels == k, w, 0.0) / require_possible(float(sum_probabilities[k]))
+    table = _branch_table(state, a)
+    k = table.index.sum_index(s_value)
+    require_possible(float(table.sum_probabilities[k]))
+    line = slice(*np.searchsorted(table.pairs[0], np.searchsorted(table.kept, k) + np.arange(2)).tolist())
+    return table, k, table.pairs[:, line], table.weights[line]
 
 
 def _distribution(obs: Observable, probabilities: np.ndarray) -> OutcomeDistribution:
     """The outcome distribution of a factor observable from its probabilities, in the order of its lines."""
     return OutcomeDistribution(tuple(zip(obs.eigenvalues.tolist(), probabilities.tolist())))
+
+
+def _branch_distribution(a: Observable, outcomes: np.ndarray, weights: np.ndarray) -> OutcomeDistribution:
+    """A(1) or A(2) in one branch: its pairs' weights added per n (or m), given as ``outcomes``."""
+    return _distribution(a, np.bincount(outcomes, weights, len(a.eigenvalues)))
 
 
 def conditional_distribution(state: PureState, a: Observable, s_value: float) -> ConditionalDistribution:
@@ -174,11 +228,10 @@ def conditional_distribution(state: PureState, a: Observable, s_value: float) ->
     The outcomes are exactly the first-factor eigenvalues compatible with
     the observed sum.
     """
-    index, k, _, branch = _branch(state, a, s_value)
-    _require_pinned(index, [k])
-    a1_probabilities = branch.sum(axis=1).tolist()
-    outcomes = tuple((index.factor_eigenvalues[n], a1_probabilities[n]) for n, _ in index.sets[k])
-    return ConditionalDistribution(outcomes=outcomes, given_sum=index.sums[k])
+    table, k, pairs, weights = _branch_pairs(state, a, s_value)
+    _require_pinned(table.index, [k])
+    outcomes = tuple(zip(a.eigenvalues[pairs[1]].tolist(), weights.tolist()))
+    return ConditionalDistribution(outcomes=outcomes, given_sum=table.index.sums[k])
 
 
 def _require_pinned(index: AntiDiagonalIndex, lines) -> None:
@@ -196,18 +249,18 @@ def _require_pinned(index: AntiDiagonalIndex, lines) -> None:
 def conditional_prediction(state: PureState, a: Observable, f: SpectrumFunction, s_value: float) -> PredictionSummary:
     """Mean and error of f(A(1)) predicted after the sum was observed as s_value."""
     fvals = [f(v) for v in a.eigenvalues]
-    _, _, _, branch = _branch(state, a, s_value)
-    mean, stdev = _distribution(a, branch.sum(axis=1)).moments(fvals)
+    _, _, pairs, weights = _branch_pairs(state, a, s_value)
+    mean, stdev = _branch_distribution(a, pairs[1], weights).moments(fvals)
     return PredictionSummary(mean=mean, stdev=stdev)
 
 
 def verify_theorem2(state: PureState, a: Observable, s_value: float) -> SumConstraintReport:
     """Residuals of the post-measurement identities m(A2) = s - m(A1), D(A1) = D(A2)."""
-    index, k, _, branch = _branch(state, a, s_value)
-    mean1, stdev1 = _distribution(a, branch.sum(axis=1)).moments()
-    mean2, stdev2 = _distribution(a, branch.sum(axis=0)).moments()
+    table, k, pairs, weights = _branch_pairs(state, a, s_value)
+    mean1, stdev1 = _branch_distribution(a, pairs[1], weights).moments()
+    mean2, stdev2 = _branch_distribution(a, pairs[2], weights).moments()
     return SumConstraintReport(
-        mean_identity_residual=abs(mean2 - (index.sums[k] - mean1)),
+        mean_identity_residual=abs(mean2 - (table.index.sums[k] - mean1)),
         stdev_gap=abs(stdev1 - stdev2),
     )
 
@@ -220,12 +273,12 @@ def sequential_measure(state: PureState, a: Observable, s_value: float, a1_value
     ImpossibleOutcomeError when its outcome has (numerically) zero
     probability in the current state.
     """
-    index, k, coefficients, branch = _branch(state, a, s_value)
+    table, _, (_, rows, cols), weights = _branch_pairs(state, a, s_value)
     n = a.line_index(a1_value)
-    require_possible(float(branch[n].sum()))
+    require_possible(float(weights[rows == n].sum()))
     # a line that merged near-coincident sums can give a_n several partners, kept in proportion
-    partners = [m for row, m in index.sets[k] if row == n]
-    row = coefficients[n, partners]
+    partners = cols[rows == n]
+    row = table.coefficients[n, partners]
     v = a.eigenvectors
     return PureState(np.kron(v[:, n], v[:, partners] @ (row / np.abs(row).max())), factor_dims=state.factor_dims)
 
@@ -251,8 +304,9 @@ def certain_prediction(
     index = anti_diagonal_index(a)
     k = index.sum_index(s_value)
     n = a.line_index(a1_value)
-    partners = [m for row, m in index.sets[k] if row == n]
-    if len(partners) != 1:
+    lines, rows, cols = index.pairs
+    partners = cols[(lines == k) & (rows == n)]
+    if partners.size != 1:
         raise SpectrumCoverageError(f"a1 = {a1_value!r} pins no single A(2) outcome on sum {index.sums[k]!r}")
     probabilities = _slot2_probabilities(coefficient_matrix(phi, a.dim), a)
     if not (probabilities[partners[0]] >= 1.0 - POINT_MASS_TOL):
@@ -277,6 +331,7 @@ def epr_resolution_check(phi: PureState, a: Observable, b: Observable, c: Observ
         _distribution(a, _slot2_probabilities(psi, a)).moments()[1],
         _distribution(b, _slot2_probabilities(psi, b)).moments()[1],
         0.5 * abs(complex(slot_expectation(psi, c, 2))),
+        float(np.abs(c.matrix).max()),
     )
 
 
@@ -284,30 +339,23 @@ def quantum_conditional_expectation(state: PureState, a: Observable, f: Spectrum
     """The function e on the sum spectrum with E[e(S) G(S)] = E[f(A1) G(S)] for all G.
 
     e(s_k) = <psi_k| f(A1) |psi_k> in each collapsed branch of positive
-    probability, read off the joint table W; a degenerate A is fine.
+    probability, read off the branch table; a degenerate A is fine.
     """
     fvals = [f(v) for v in a.eigenvalues]
-    return _expectation_table(_joint_table(state, a), fvals)[0]
+    table = _branch_table(state, a)
+    entries = tuple(zip([table.index.sums[k] for k in table.kept.tolist()], _conditional_means(table, fvals).tolist()))
+    return ConditionalExpectationTable(entries=entries, match_tol=table.index.match_tol)
 
 
-def _expectation_table(table, fvals) -> tuple[ConditionalExpectationTable, np.ndarray]:
-    """``quantum_conditional_expectation`` from ``_joint_table`` and f's values on A's lines, and the probabilities of its sums.
+def _conditional_means(table: BranchTable, fvals) -> np.ndarray:
+    """e(s_k) of every kept line, from f's values on A's lines.
 
-    e(s_k) adds f(a_n) (W[n, m] / p(s_k)) over line k's pairs one term at a
-    time, in order of n, as ``spectral_moments`` adds the mean of the
+    ``bincount`` adds f(a_n) (W[n, m] / p(s_k)) over line k's pairs one term
+    at a time, in order of n, as ``spectral_moments`` adds the mean of the
     branch's A(1) distribution: e(s_k) of the identity is the report's
     ``a1.mean`` bit for bit.
     """
-    index, _, w, sum_probabilities = table
-    labels = index.labels
-    possible = sum_probabilities >= ZERO_PROB_THRESHOLD
-    weights = np.divide(w, sum_probabilities[labels], out=np.zeros_like(w), where=possible[labels])
-    e = np.zeros(len(index.sums))
-    # np.add.at is unbuffered: each line's terms are added one by one, in the flat order of its pairs
-    np.add.at(e, labels.ravel(), (np.asarray(fvals)[:, None] * weights).ravel())
-    kept = np.flatnonzero(possible)
-    entries = tuple(zip([index.sums[k] for k in kept.tolist()], e[kept].tolist()))
-    return ConditionalExpectationTable(entries=entries, match_tol=index.match_tol), sum_probabilities[kept]
+    return np.bincount(table.pairs[0], weights=np.asarray(fvals)[table.pairs[1]] * table.weights, minlength=table.kept.size)
 
 
 def oracle_conditional(state: PureState, a: Observable, f: SpectrumFunction) -> ConditionalExpectationTable:
@@ -357,11 +405,12 @@ def verify_tower_property(
     # so merged near-coincident sums cannot drift outside G's match tolerance
     gvals = {s: g(s) for s in index.sums}
     fvals = [f(v) for v in a.eigenvalues]
-    joint = _joint_table(state, a)
+    table = _branch_table(state, a)
     a.require_nondegenerate()
-    table, probabilities = _expectation_table(joint, fvals)
-    w = joint[2]
-    lhs = sum(gvals[s] * e * p for (s, e), p in zip(table.entries, probabilities.tolist()))
+    kept = table.kept.tolist()
+    means = _conditional_means(table, fvals).tolist()
+    lhs = sum(gvals[index.sums[k]] * e * p for k, e, p in zip(kept, means, table.sum_probabilities[kept].tolist()))
+    w = table.joint
     rhs = sum(gvals[s] * sum(fvals[n] * w[n, m] for n, m in members) for s, members in zip(index.sums, index.sets))
     return abs(lhs - float(rhs))
 
@@ -379,8 +428,9 @@ def verify_ce2(
     a1's pairs (n, m) on sum line k, each a joint eigenstate of A1 and S
     with value H(a_n, s_k).
     """
-    index, k, _, branch = _branch(state, a, s_value)
+    table, k, pairs, weights = _branch_pairs(state, a, s_value)
     n = a.line_index(a1_value)
-    chain = branch[n] / require_possible(float(branch[n].sum()))
-    pinned = h(index.factor_eigenvalues[n], index.sums[k])
+    row = weights[pairs[1] == n]
+    chain = row / require_possible(float(row.sum()))
+    pinned = h(table.index.factor_eigenvalues[n], table.index.sums[k])
     return abs(sum(pinned * p for p in chain.tolist()) - pinned)

@@ -5,13 +5,17 @@ space with an initial state of the two-factor composite. The analysis
 conditions on every reachable sum outcome, audits the uncertainty bound in
 each branch, runs the full measure-S-then-A1 chain, and the sampler draws
 reproducible measurement paths to compare empirical frequencies against the
-analytic distributions. The sampler and the comparison read the report's
-own branches and chains, so they draw and check only the outcomes it lists.
-The analysis reads p(s), A's distributions, the Schmidt ranks and every
-chain off the N x N joint table that ``eprkit.conditional`` conditions, so
-the two agree bit for bit, and measures B and C on the stack of kept
-N x N branch states with ``eprkit.composite.project_slot``; no N^2 x N^2
-operator is built for it or for sampling.
+analytic distributions. Each scenario builds one branch table
+(``eprkit.conditional.BranchTable``, cached as ``Scenario.branch_table``):
+p(s) of every sum line and the kept lines' pairs (n, m) with their weights
+in the collapsed branch. The analysis reads p(s), A's distributions, the
+Schmidt ranks and every chain off it, as the ``eprkit.conditional`` entry
+points do, so the two agree bit for bit, and measures B and C on the stack
+of kept N x N branch states with ``eprkit.composite.project_slot``. The
+sampler and the comparison take p(s), p(a1 | s) and the paths from the
+same table's kept and chain rows, so they draw and check only the outcomes
+the report lists. No N^2 x N^2 operator is built for the analysis or for
+sampling.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .composite import SCHMIDT_TOL, ZERO_PROB_THRESHOLD, line_totals, project_slot
-from .conditional import POINT_MASS_TOL, PredictionSummary, SumConstraintReport, _joint_table, _require_pinned
+from .composite import line_totals, project_slot
+from .conditional import POINT_MASS_TOL, BranchTable, PredictionSummary, SumConstraintReport, _branch_table, _require_pinned
 from .errors import DimensionMismatchError, ScenarioInvariantError
 from .linalg import MAX_DIM, Observable, default_grouping_tol, extract_c, match_value
 from .states import (
@@ -87,6 +91,11 @@ class Scenario:
     def commutation_residual(self) -> float:
         derived = extract_c(self.obs_a.matrix, self.obs_b.matrix, self.alpha)
         return float(np.abs(derived - self.obs_c.matrix).max())
+
+    @cached_property
+    def branch_table(self) -> BranchTable:
+        """The branch table of the initial state, built once for the analysis and the sampling tables."""
+        return _branch_table(self.initial_state, self.obs_a)
 
     @cached_property
     def analysis(self) -> "EprReport":
@@ -228,24 +237,25 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     distributions are indexed by A's eigenvalue position, never matched by
     value.
 
-    Everything about A is read off ``eprkit.conditional``'s joint table,
-    computed once: K = V^H psi conj(V), the state's amplitudes on the
-    product eigenstates |a_n>|a_m>, W = |K|^2, and p(s_k), W added over sum
-    line k. A line holds at most one pair per row and column, so branch k
-    is a mixture of its pairs with weights W_k / p(s_k) (W on line k, 0
-    off it): the A(1) and A(2) distributions are their row and column
-    sums, the Schmidt rank counts the weights above ``SCHMIDT_TOL``^2
-    (|K| above ``SCHMIDT_TOL`` sqrt(p(s_k))), and each audit's |<C>| / 2
-    weighs the diagonal of C' = V^H C V with its slot's distribution. The
-    ``eprkit.conditional`` entry points condition the same table with the
-    same arithmetic, so their answers are the report's bit for bit. Only
-    B and C are measured in the standard basis, with ``project_slot`` on
-    the kept branch states V (K_k / sqrt(p(s_k))) V^T; no array spans
-    every sum line. The chains are one selection of the weights at or
-    above ``ZERO_PROB_THRESHOLD``: the weight of the pair (n, m) is
-    p(a_n | s_k), since a_n has one partner on the line (a line that merged
-    near-coincident sums and gives a_n two partners raises
-    DegenerateSpectrumError first). The chain S, then A(1) = a_n, leaves
+    Everything about A is read off the scenario's branch table, built once
+    from K = V^H psi conj(V), the state's amplitudes on the product
+    eigenstates |a_n>|a_m>: p(s_k), W = |K|^2 added over sum line k, and
+    the kept lines' pairs (branch, n, m) with weights W[n, m] / p(s_k). A
+    line that merged near-coincident sums and gives a_n two partners raises
+    DegenerateSpectrumError first. Otherwise a line holds at most one pair
+    per row and column, so branch k is a mixture of its pairs: the A(1) and
+    A(2) distributions are their weights scattered into (branches, N)
+    tables by n and by m, the Schmidt rank counts the weights above
+    ``SCHMIDT_TOL``^2 (|K| above ``SCHMIDT_TOL`` sqrt(p(s_k))), and each
+    audit's |<C>| / 2 weighs the diagonal of C' = V^H C V with its slot's
+    distribution. The ``eprkit.conditional`` entry points read the same
+    table with the same arithmetic, so their answers are the report's bit
+    for bit. Only B and C are measured in the standard basis, with
+    ``project_slot`` on the kept branch states V (K_k / sqrt(p(s_k))) V^T,
+    scattered from the pairs; no array spans every sum line. The chains are
+    the table's pairs of weight at or above ``ZERO_PROB_THRESHOLD``: the
+    weight of the pair (n, m) is p(a_n | s_k), since a_n has one partner on
+    the line. The chain S, then A(1) = a_n, leaves
     u |a_n>|a_m> with the unit phase u of K[n, m]: A(2) is the point mass
     |u|^2 at m, B(2) is row m of the overlap table |V_B^H V_A|^2 added over
     B's lines, and the bound's right-hand side is |C'_mm| / 2. Only the
@@ -256,19 +266,22 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
     a.require_nondegenerate()
     n_dim = sc.factor_dim
-    index, coefficients, w, sum_probs = _joint_table(sc.initial_state, a)
+    table = sc.branch_table
+    index, sum_probs, kept, weights = table.index, table.sum_probabilities, table.kept, table.weights
+    branch, rows, cols = table.pairs
     a_values = a.eigenvalues
     v = a.eigenvectors
     _require_normalized(sum_probs, "S")
     spectrum = OutcomeDistribution(outcomes=tuple(zip(index.sums, sum_probs.tolist())))
 
-    kept = np.flatnonzero(~(sum_probs < ZERO_PROB_THRESHOLD))
-    on_line = index.labels == kept[:, None, None]
-    branch_probs = sum_probs[kept][:, None, None]
-    weights = np.where(on_line, w, 0.0) / branch_probs
-    probabilities = {("a", 1): weights.sum(axis=2), ("a", 2): weights.sum(axis=1)}
+    # before the tables, where a merged line would add a_n's two partners into one cell
+    _require_pinned(index, kept.tolist())
+    scattered = (np.bincount(branch * n_dim + x, weights, kept.size * n_dim).reshape(-1, n_dim) for x in (rows, cols))
+    probabilities = dict(zip([("a", 1), ("a", 2)], scattered))
     # B and C are still measured in the standard basis, on the kept branch states
-    psi_s = v @ (np.where(on_line, coefficients, 0.0) / np.sqrt(branch_probs)) @ v.T
+    branch_coefficients = np.zeros((kept.size, n_dim, n_dim), dtype=complex)
+    branch_coefficients[branch, rows, cols] = table.coefficients[rows, cols] / np.sqrt(sum_probs[kept])[branch]
+    psi_s = v @ branch_coefficients @ v.T
     for name, obs in (("b", b), ("c", c)):
         for slot in (1, 2):
             probabilities[name, slot] = project_slot(psi_s, obs, slot)[0]
@@ -283,20 +296,20 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     mean_residuals = np.abs(mean2 - (np.asarray(index.sums)[kept] - mean1)).tolist()
     stdev_gaps = np.abs(stdev1 - stdev2).tolist()
     c_diagonal = np.vecdot(v, c.matrix @ v, axis=0)
+    c_max = float(np.abs(c.matrix).max())
     rhs = {slot: _half_modulus(probabilities["a", slot] @ c_diagonal) for slot in (1, 2)}
-    ranks = np.count_nonzero(weights > SCHMIDT_TOL**2, axis=(1, 2)).tolist()
-    s_values = [index.sums[k] for k in kept.tolist()]
+    ranks = table.schmidt_ranks.tolist()
 
     branches = []
     for i, k in enumerate(kept.tolist()):
-        summary = {key: rows[i] for key, rows in summaries.items()}
+        summary = {key: per_branch[i] for key, per_branch in summaries.items()}
         audits = {
-            slot: uncertainty_report(summary[("a", slot)].stdev, summary[("b", slot)].stdev, rhs[slot][i])
+            slot: uncertainty_report(summary["a", slot].stdev, summary["b", slot].stdev, rhs[slot][i], c_max)
             for slot in (1, 2)
         }
         branches.append(
             SumBranchReport(
-                s_value=s_values[i],
+                s_value=index.sums[k],
                 probability=spectrum.outcomes[k][1],
                 schmidt_rank=ranks[i],
                 a1=summary[("a", 1)],
@@ -311,10 +324,9 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
             )
         )
 
-    _require_pinned(index, kept.tolist())
-    # C order is branch, then n, then m: each branch's chains in the order of its line's pairs
-    branch_pos, ns, ms = np.nonzero(~(weights < ZERO_PROB_THRESHOLD))
-    amplitudes = coefficients[ns, ms]
+    # the table lists each branch's chains in the order of its line's pairs
+    chain_branch, ns, ms = table.pairs[:, table.chains]
+    amplitudes = table.coefficients[ns, ms]
     a2_probs = _chain_a2_probabilities(amplitudes / np.abs(amplitudes), ms, n_dim)
     _require_normalized(a2_probs, "A(2) after the chain")
     point_mass = a2_probs[np.arange(len(ms)), ms]
@@ -330,17 +342,17 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
 
     chains = [
         ChainReport(
-            s_value=s_values[i],
+            s_value=index.sums[k],
             a1_value=index.factor_eigenvalues[n],
             a2_value=index.factor_eigenvalues[m],
             conditional_probability=cond_prob,
             a2_predicted=a2_predicted[j],
             a2_stdev=a2_stdev[j],
             point_mass_residual=residuals[j],
-            resolution=uncertainty_report(a2_stdev[j], b2_stdev[j], chain_rhs[j]),
+            resolution=uncertainty_report(a2_stdev[j], b2_stdev[j], chain_rhs[j], c_max),
         )
-        for j, (i, n, m, cond_prob) in enumerate(
-            zip(branch_pos.tolist(), ns.tolist(), ms.tolist(), weights[branch_pos, ns, ms].tolist())
+        for j, (k, n, m, cond_prob) in enumerate(
+            zip(kept[chain_branch].tolist(), ns.tolist(), ms.tolist(), weights[table.chains].tolist())
         )
     ]
     return EprReport(
@@ -412,26 +424,25 @@ class ShotRecord:
 
 
 def _chain_distributions(sc: Scenario):
-    """The sampling tables, read off the report's branches and chains alone.
+    """The sampling tables, read off the kept and chain rows of the branch table the report was built from.
 
     ``branch_probs[i]`` is p(s) of the report's branch i. Row i of
     ``cond_probs`` lists p(a1 | s) of branch i's chains in report order,
     then zeros; ``paths[i, j]`` is the path (s, a1, a2) of the chain in
-    column j. The sampler and the comparison see exactly the outcomes the
-    report lists.
+    column j. The analysis runs first, with every check it makes, and the
+    sampler and the comparison see exactly the outcomes the report lists.
     """
-    report = sc.analysis
-    position = {branch.s_value: i for i, branch in enumerate(report.per_sum)}
-    rows = np.array([position[chain.s_value] for chain in report.chains], dtype=np.intp)
-    # a branch's chains are consecutive in the report, so a chain's column is its rank among them
-    columns = np.arange(rows.size) - np.searchsorted(rows, rows)
-    cond_probs = np.zeros((len(report.per_sum), sc.factor_dim))
-    cond_probs[rows, columns] = [chain.conditional_probability for chain in report.chains]
-    paths = {
-        (i, j): (chain.s_value, chain.a1_value, chain.a2_value)
-        for i, j, chain in zip(rows.tolist(), columns.tolist(), report.chains)
-    }
-    return np.array([branch.probability for branch in report.per_sum]), cond_probs, paths
+    sc.analysis  # sampling meets every check of the analysis first
+    table = sc.branch_table
+    branch, rows, cols = table.pairs[:, table.chains]
+    # the chains come branch by branch: in row-major order, each row's first columns take them
+    listed = np.arange(sc.factor_dim) < np.bincount(branch, minlength=table.kept.size)[:, None]
+    cond_probs = np.zeros(listed.shape)
+    cond_probs[listed] = table.weights[table.chains]
+    sums, values = table.index.sums, table.index.factor_eigenvalues
+    chains = zip(*(x.tolist() for x in (*np.nonzero(listed), table.kept[branch], rows, cols)))
+    paths = {(i, j): (sums[k], values[n], values[m]) for i, j, k, n, m in chains}
+    return table.sum_probabilities[table.kept], cond_probs, paths
 
 
 def sample_chain(sc: Scenario, shots: int, seed: int = 0) -> ShotRecord:

@@ -23,7 +23,7 @@ from .linalg import Observable, as_complex_matrix, default_grouping_tol, extract
 # Input vectors shorter than this are rejected rather than silently normalized.
 MIN_STATE_NORM = 1e-8
 
-# Slack allowed when flagging an uncertainty product as satisfying its bound.
+# Slack allowed when flagging an uncertainty product as satisfying its bound, relative to max(1, max |C|).
 HUP_SLACK = 1e-10
 
 PHASE_EQUAL_TOL = 1e-10
@@ -307,17 +307,25 @@ def audit_uncertainty(state: PureState, a: Observable, b: Observable, c: Observa
     if not (a.dim == b.dim == c.dim == state.dim):
         raise DimensionMismatchError("audit requires all operands on one space")
     return uncertainty_report(
-        prediction_error(state, a), prediction_error(state, b), 0.5 * abs(state.expectation(c.matrix))
+        prediction_error(state, a),
+        prediction_error(state, b),
+        0.5 * abs(state.expectation(c.matrix)),
+        float(np.abs(c.matrix).max()),
     )
 
 
-def uncertainty_report(delta_a: float, delta_b: float, rhs: float) -> UncertaintyReport:
-    """Judge ``delta_a * delta_b >= rhs``, the bound's right-hand side ``|<C>| / 2`` already evaluated."""
+def uncertainty_report(delta_a: float, delta_b: float, rhs: float, c_magnitude: float) -> UncertaintyReport:
+    """Judge ``delta_a * delta_b >= rhs``, the bound's right-hand side ``|<C>| / 2`` already evaluated.
+
+    ``c_magnitude`` is C's largest |entry|. Where the bound vanishes, as on a
+    product eigenstate of A, rhs still rounds to about eps * |C|, so the
+    slack is ``HUP_SLACK`` times max(1, c_magnitude).
+    """
     return UncertaintyReport(
         delta_a=delta_a,
         delta_b=delta_b,
         rhs=rhs,
-        satisfied=delta_a * delta_b >= rhs - HUP_SLACK,
+        satisfied=delta_a * delta_b >= rhs - HUP_SLACK * max(1.0, c_magnitude),
     )
 
 

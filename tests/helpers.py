@@ -182,6 +182,8 @@ def dense_epr_analysis(sc):
     spectrum, branch_vectors = project_outcomes(sc.initial_state, s_obs)
     factors = {"a": a, "b": sc.obs_b, "c": sc.obs_c}
     lifted = {(name, slot): lift(obs, slot) for name, obs in factors.items() for slot in (1, 2)}
+    # the audits' slack scales with C's largest |entry|, which lifting keeps
+    c_magnitude = float(np.abs(sc.obs_c.matrix).max())
     branches, chains = [], []
     for k, (s_value, prob) in enumerate(spectrum.outcomes):
         if prob < ZERO_PROB_THRESHOLD:
@@ -195,6 +197,7 @@ def dense_epr_analysis(sc):
                 summaries[("a", slot)].stdev,
                 summaries[("b", slot)].stdev,
                 0.5 * abs(psi_s.expectation(lifted[("c", slot)].matrix)),
+                c_magnitude,
             )
             for slot in (1, 2)
         }
@@ -235,6 +238,7 @@ def dense_epr_analysis(sc):
                         a2_dist.moments()[1],
                         prediction_error(phi, lifted[("b", 2)]),
                         0.5 * abs(phi.expectation(lifted[("c", 2)].matrix)),
+                        c_magnitude,
                     ),
                 )
             )
@@ -288,6 +292,7 @@ def reference_epr_analysis(sc):
     a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
     a.require_nondegenerate()
     n_dim = sc.factor_dim
+    c_magnitude = float(np.abs(c.matrix).max())
     index = anti_diagonal_index(a)
     psi = sc.initial_state.amplitudes.reshape(n_dim, n_dim)
     stack = a.projectors
@@ -315,6 +320,7 @@ def reference_epr_analysis(sc):
                 summaries[("a", slot)].stdev,
                 summaries[("b", slot)].stdev,
                 0.5 * abs(slot_expectation(coeff_s, c, slot)),
+                c_magnitude,
             )
             for slot in (1, 2)
         }
@@ -356,6 +362,7 @@ def reference_epr_analysis(sc):
                         stdev,
                         moments(b.eigenvalues, project_slot(coeff_phi, b, 2)[0])[1],
                         0.5 * abs(slot_expectation(coeff_phi, c, 2)),
+                        c_magnitude,
                     ),
                 )
             )

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
 
@@ -265,6 +266,29 @@ class TestVerify:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["analysis"]["per_sum"]["0"]["a1"]["mean"] == pytest.approx(0.6 * x)
 
+    @pytest.mark.parametrize("command", ["verify", "analyze", "sample"])
+    def test_factor_dim_beyond_the_envelope_is_invariant_error(self, command, tmp_path, capsys):
+        # N = 9 is the smallest factor whose composite, 81, exceeds the envelope of 64
+        n = 9
+        rng = np.random.default_rng(9)
+        pairs = lambda values: [[float(z.real), float(z.imag)] for z in values]  # noqa: E731
+        payload = {
+            "schema_version": 1,
+            "label": "n9",
+            "factor_dim": n,
+            "matrix_a": [pairs(row) for row in np.diag(np.arange(n, dtype=complex))],
+            "matrix_b": [pairs(row) for row in random_hermitian(rng, n)],
+            "alpha": 1.0,
+            "state": pairs(random_state_vector(rng, n * n)),
+        }
+        path = tmp_path / "n9.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        extra = ["--shots", "100"] if command == "sample" else []
+        assert main([command, str(path), *extra]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "epr: invariant violation: factor dim 9 gives composite dim 81, beyond the envelope of 64\n"
+
 
 class TestAnalyze:
     @pytest.mark.parametrize("name", BUNDLED)
@@ -322,13 +346,24 @@ class TestAnalyze:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    def test_scenario_with_large_c_passes_its_audits(self, tmp_path, capsys):
+        # A and B of order 1e3 give |C| ~ 1e6, where a vanishing bound rounds to about 1e-10: verify
+        # passed and analyze exited 3 with "uncertainty audit failed" while the slack was absolute
+        rng = np.random.default_rng(0)
+        a, b = random_hermitian(rng, 3) * 1e3, random_hermitian(rng, 3) * 1e3
+        path = tmp_path / "scaled.json"
+        path.write_text(eprio.scenario_to_json(build_scenario("scaled", a, b, random_state_vector(rng, 9))))
+        assert main(["verify", str(path)]) == EXIT_OK
+        assert main(["analyze", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "seam, distort, message",
         [
             # every measurement of B and C doubled: none sums to 1
             ("project_slot", lambda measured: (2.0 * measured[0], measured[1]), "probabilities sum to"),
-            # every pair weight doubled with p(s_k) kept: the A(1) and A(2) rows of W_k / p(s_k) sum to 2
-            ("_joint_table", lambda table: (*table[:2], 2.0 * table[2], table[3]), "A(1) probabilities sum to"),
+            # every kept pair's weight W[n, m] / p(s_k) doubled with p(s_k) kept: the A(1) and A(2) rows sum to 2
+            ("_branch_table", lambda table: replace(table, weights=2.0 * table.weights), "A(1) probabilities sum to"),
             # the chains' A(2) table shifted by one outcome: still normalized, but the point mass moves off a_m
             ("_chain_a2_probabilities", lambda table: np.roll(table, 1, axis=-1), "point mass"),
         ],

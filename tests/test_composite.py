@@ -121,12 +121,9 @@ class TestAntiDiagonals:
         assert idx.sets == want.sets
         assert idx.match_tol == want.match_tol
         assert idx.factor_eigenvalues == want.factor_eigenvalues
-        # labels name each pair's line, and cannot be changed through the shared index
-        assert idx.labels.shape == (spectrum.size, spectrum.size)
-        for k, members in enumerate(want.sets):
-            for n, m in members:
-                assert idx.labels[n, m] == k
-        assert not idx.labels.flags.writeable
+        # pairs lists each pair with its line, in the order of sets, and cannot be changed through the shared index
+        assert idx.pairs.T.tolist() == [[k, n, m] for k, members in enumerate(want.sets) for n, m in members]
+        assert not idx.pairs.flags.writeable
 
     def test_counting_predicate(self):
         idx = anti_diagonals([-1.0, 1.0])

@@ -28,7 +28,7 @@ from eprkit.conditional import (
 from eprkit.errors import DegenerateSpectrumError, DimensionMismatchError, ImpossibleOutcomeError, SpectrumCoverageError
 from eprkit.lab import build_scenario
 from eprkit.linalg import Observable, extract_c
-from eprkit.states import PureState, SpectrumFunction, audit_uncertainty, best_predictor, project_outcomes
+from eprkit.states import OutcomeDistribution, PureState, SpectrumFunction, audit_uncertainty, best_predictor, project_outcomes
 from helpers import (
     PAULI_X,
     PAULI_Y,
@@ -318,6 +318,14 @@ class TestQuantumConditionalExpectation:
         assert table.value_at(0.0) == pytest.approx(0.0, abs=1e-12)
         assert table.value_at(2.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_sums_are_built_once_and_read_only(self):
+        # value_at reads the sums on every call, so they are one array kept with the table
+        psi = PureState(np.full(4, 0.5), factor_dims=(2, 2))
+        table = quantum_conditional_expectation(psi, Observable(PAULI_Z), SpectrumFunction.identity([-1.0, 1.0]))
+        assert table.sums is table.sums
+        assert table.sums.tolist() == [s for s, _ in table.entries]
+        assert not table.sums.flags.writeable
+
 
 class TestOracleEquivalence:
     @given(seed=st.integers(0, 2**32 - 1))
@@ -405,15 +413,15 @@ class TestTowerProperty:
                 assert partial == pytest.approx(q_route * dist.outcomes[k][1], abs=1e-10)
 
     def test_projects_onto_the_sum_lines_once(self, monkeypatch):
-        # both sides of the residual read one joint table W; the sum lines are summed off it, not re-projected
+        # both sides of the residual read one branch table; the sum lines are summed off it, not re-projected
         calls = []
-        joint_table = conditional._joint_table
+        branch_table = conditional._branch_table
 
         def counting(psi, obs):
             calls.append(obs)
-            return joint_table(psi, obs)
+            return branch_table(psi, obs)
 
-        monkeypatch.setattr(conditional, "_joint_table", counting)
+        monkeypatch.setattr(conditional, "_branch_table", counting)
         rng = np.random.default_rng(75)
         obs = Observable(random_hermitian(rng, 4))
         psi = PureState(random_state_vector(rng, 16), factor_dims=(4, 4))
@@ -798,6 +806,107 @@ class TestReportAgreement:
                 branches += 1
         assert branches > 500
         assert disagreements == Counter()
+
+    def test_sampling_tables_equal_the_report_bit_for_bit(self):
+        # the sampler reads the branch table the report was built from: p(s), p(a1 | s) and every path are its floats
+        disagreements = Counter()
+        for sc in report_scenarios():
+            report = sc.analysis
+            branch_probs, cond_probs, paths = sc.chain_tables
+            per_branch = [[c for c in report.chains if c.s_value == b.s_value] for b in report.per_sum]
+            cells = [(i, j) for i, branch_chains in enumerate(per_branch) for j in range(len(branch_chains))]
+            listed = np.zeros(cond_probs.shape, dtype=bool)
+            listed[tuple(np.array(cells).T)] = True
+            answers = {
+                "probability": branch_probs.tolist() == [b.probability for b in report.per_sum],
+                "cells": list(paths) == cells,
+                "conditional": cond_probs[listed].tolist() == [c.conditional_probability for c in report.chains],
+                "zeros": not cond_probs[~listed].any(),
+                "paths": list(paths.values()) == [(c.s_value, c.a1_value, c.a2_value) for c in report.chains],
+            }
+            disagreements.update(name for name, agrees in answers.items() if not agrees)
+        assert disagreements == Counter()
+
+    def test_chain_entry_points_agree_with_the_report_chains(self):
+        # sequential_measure and verify_ce2 accept exactly the report's chains, and each leaves its product eigenstate
+        disagreements = Counter()
+        chains = 0
+        scenarios = report_scenarios()[:30]
+        for sc in scenarios:
+            psi, a = sc.initial_state, sc.obs_a
+            report = sc.analysis
+            v = a.eigenvectors
+            h = PairSpectrumFunction.from_callable(anti_diagonal_index(a), lambda x, s: 3.0 * x - s)
+            listed = {(c.s_value, c.a1_value): c for c in report.chains}
+            for branch in report.per_sum:
+                for n, a1 in enumerate(a.eigenvalues.tolist()):
+                    chain = listed.get((branch.s_value, a1))
+                    if chain is None:
+                        with pytest.raises(ImpossibleOutcomeError):
+                            sequential_measure(psi, a, branch.s_value, a1)
+                        with pytest.raises(ImpossibleOutcomeError):
+                            verify_ce2(psi, a, h, branch.s_value, a1)
+                        continue
+                    m = a.line_index(chain.a2_value)
+                    phi = sequential_measure(psi, a, branch.s_value, a1)
+                    answers = {
+                        "state": abs(np.vdot(np.kron(v[:, n], v[:, m]), phi.amplitudes)) == pytest.approx(1.0, abs=1e-12),
+                        "ce2": verify_ce2(psi, a, h, branch.s_value, a1) == 0.0,
+                    }
+                    disagreements.update(name for name, agrees in answers.items() if not agrees)
+                    chains += 1
+        assert chains == sum(len(sc.analysis.chains) for sc in scenarios)
+        assert chains > 300
+        assert disagreements == Counter()
+
+    @pytest.mark.parametrize(
+        "spectrum, merged",
+        [
+            pytest.param([0.0, 1.0, 2.0 + 3e-9], ((0, 2), (1, 1), (2, 0)), id="merged-lines"),
+            pytest.param([-1.0, 0.0, 1.5e-9], ((0, 1), (0, 2), (1, 0), (2, 0)), id="two-pairs-per-row"),
+        ],
+    )
+    def test_merged_lines_keep_the_masked_table_bits(self, spectrum, merged):
+        # a merged line adds every pair of a row, as the masked N x N table the branch table replaced did
+        a = Observable(np.diag(spectrum))
+        index = anti_diagonal_index(a)
+        assert merged in index.sets
+        f = SpectrumFunction.from_callable(a.eigenvalues, lambda x: x**3 - 2.0 * x)
+        fvals = [f(x) for x in a.eigenvalues]
+        rng = np.random.default_rng(74)
+        for _ in range(5):
+            psi = PureState(random_state_vector(rng, 9), factor_dims=(3, 3))
+            e, branches = masked_branch_reference(psi, a, fvals)
+            assert quantum_conditional_expectation(psi, a, f).entries == tuple(e)
+            for k, branch in branches.items():
+                want = OutcomeDistribution(tuple(zip(a.eigenvalues.tolist(), branch.sum(axis=1).tolist()))).moments(fvals)
+                got = conditional_prediction(psi, a, f, index.sums[k])
+                assert (got.mean, got.stdev) == want
+
+
+def masked_branch_reference(psi: PureState, a: Observable, fvals):
+    """e(s_k) entries and each populated line's collapsed N x N table, by the masked-table arithmetic the record replaced.
+
+    W = |K|^2 is scattered onto an N x N array of line labels; p(s_k) is
+    ``bincount`` over it, branch k is ``np.where(labels == k, W, 0) / p(s_k)``
+    and e(s_k) adds f(a_n) W[n, m] / p(s_k) over every cell with ``np.add.at``.
+    """
+    index = anti_diagonal_index(a)
+    n = a.dim
+    labels = np.full((n, n), -1)
+    for k, pairs in enumerate(index.sets):
+        for row, col in pairs:
+            labels[row, col] = k
+    v = a.eigenvectors
+    coefficients = v.conj().T @ psi.amplitudes.reshape(n, n) @ v.conj()
+    w = coefficients.real**2 + coefficients.imag**2
+    p = np.clip(np.bincount(labels.ravel(), weights=w.ravel(), minlength=len(index.sums)), 0.0, 1.0)
+    possible = p >= ZERO_PROB_THRESHOLD
+    weights = np.divide(w, p[labels], out=np.zeros_like(w), where=possible[labels])
+    e = np.zeros(len(index.sums))
+    np.add.at(e, labels.ravel(), (np.asarray(fvals)[:, None] * weights).ravel())
+    kept = np.flatnonzero(possible).tolist()
+    return [(index.sums[k], e[k].item()) for k in kept], {k: np.where(labels == k, w, 0.0) / p[k] for k in kept}
 
 
 class TestTargetSize:

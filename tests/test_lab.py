@@ -156,6 +156,24 @@ class TestRunEprAnalysis:
                 assert chain.resolution.rhs <= 1e-10
                 assert chain.resolution.satisfied
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    def test_audits_hold_along_a_scale_axis(self, scale):
+        # A and B scaled by s scale C by s^2. On a branch with one pair delta A is 0 and the bound's
+        # |C'_nn| / 2 rounds to about eps * |C|: with an absolute slack of 1e-10, every one of these
+        # scenarios raised ScenarioInvariantError at s = 1e3 and 1e6
+        rng = np.random.default_rng(81)
+        for trial in range(15):
+            n = int(rng.integers(2, 9))
+            a, b = random_hermitian(rng, n) * scale, random_hermitian(rng, n) * scale
+            sc = build_scenario(f"scaled-{trial}", a, b, random_state_vector(rng, n * n))
+            report = run_epr_analysis(sc)
+            c_max = max(1.0, float(np.abs(sc.obs_c.matrix).max()))
+            for branch in report.per_sum:
+                assert branch.audit_slot1.satisfied and branch.audit_slot2.satisfied
+            for chain in report.chains:
+                assert chain.resolution.rhs <= 1e-12 * c_max
+                assert chain.resolution.satisfied
+
     def test_sum_constraint_is_taken_from_the_printed_moments(self):
         # each residual is recomputed from the means and stdevs the report prints, bit for bit
         rng = np.random.default_rng(1)
@@ -396,7 +414,7 @@ class TestSampleChain:
             index = anti_diagonal_index(sc.obs_a)
             a_values = sc.obs_a.eigenvalues.tolist()
             dense, projected = project_outcomes(sc.initial_state, sum_observable(sc.obs_a))
-            populated = [k for k, (_, p) in enumerate(dense.outcomes) if p >= lab.ZERO_PROB_THRESHOLD]
+            populated = [k for k, (_, p) in enumerate(dense.outcomes) if p >= composite.ZERO_PROB_THRESHOLD]
             assert branch_probs.shape == (len(populated),)
             assert cond_probs.shape == (len(populated), sc.factor_dim)
             assert np.abs(branch_probs - dense.probabilities[populated]).max() <= tol
@@ -405,7 +423,7 @@ class TestSampleChain:
                 branch = collapse(sc.initial_state, projected[k], dense.outcomes[k][1])
                 a1 = project_outcomes(branch, lift(sc.obs_a, 1))[0]
                 # the row lists the chains the dense route keeps, in the order of the line's pairs
-                pairs = [(n, m) for n, m in index.sets[k] if a1.probabilities[n] >= lab.ZERO_PROB_THRESHOLD]
+                pairs = [(n, m) for n, m in index.sets[k] if a1.probabilities[n] >= composite.ZERO_PROB_THRESHOLD]
                 width = len(pairs)
                 s_value = float(dense.values[k])
                 assert [paths[row, j] for j in range(width)] == [(s_value, a_values[n], a_values[m]) for n, m in pairs]

@@ -16,6 +16,7 @@ from eprkit.states import (
     best_predictor,
     outcome_probabilities,
     prediction_error,
+    uncertainty_report,
     verify_theorem1,
 )
 from helpers import (
@@ -338,6 +339,14 @@ class TestAuditUncertainty:
         c = Observable(extract_c(a.matrix, b.matrix, 1.0))
         psi = PureState(random_state_vector(rng, n))
         assert audit_uncertainty(psi, a, b, c).satisfied
+
+    def test_slack_scales_with_the_largest_entry_of_c(self):
+        # a vanishing bound's right-hand side rounds to about eps * |C|: 1e-10 absolute rejects it once |C| ~ 1e6
+        assert uncertainty_report(0.0, 1e3, 1e-8, 1e6).satisfied
+        assert not uncertainty_report(0.0, 1e3, 1e-8, 1.0).satisfied
+        # below |C| = 1 the slack stays the absolute 1e-10
+        assert uncertainty_report(0.0, 1.0, 0.9e-10, 1e-6).satisfied
+        assert not uncertainty_report(0.0, 1.0, 1.1e-10, 1e-6).satisfied
 
 
 class TestVerifyTheorem1:
