@@ -1,7 +1,7 @@
 """Measurement-chain sampling kernel: one vectorized numpy implementation.
 
-The random stream is counter-based (splitmix64): draw number n under seed g
-is ``mix64(g + n * PHI)`` with all arithmetic mod 2^64, so any draw can be
+The random stream is counter-based (splitmix64): draw number n of a seed
+is ``mix64(seed + n * PHI)`` with all arithmetic mod 2^64, so any draw can be
 produced independently of the others. Its top 53 bits are the draw's
 integer m, and its uniform is exactly u = m * 2^-53, in [0, 1). Shot i
 consumes draws 2i+1 and 2i+2, one for the sum outcome and one for the
@@ -17,25 +17,41 @@ when m < T(c) with T(c) = ceil(c * 2^53) clamped to [0, 2^53], so each cdf
 becomes a table of integer thresholds. Row k of the conditional table,
 offset by k * 2^53, makes one sorted joint table; a shot's key
 (sum index << 53) | m_cond has its flat (sum, first-factor) index at
-``searchsorted(joint, key, side="right")``, which ``bincount`` tallies.
+``searchsorted(joint, key, side="right")``.
 
-Both lookups go through guide tables (Chen & Asau 1974; Devroye 1986,
-III.2.4). The top g = D.bit_length() + 2 bits of m pick one of 2^g buckets
-of the sum table; a joint key's sum index and the top h = N.bit_length() + 2
-bits of its m pick one of 2^h buckets of that row. Each bucket stores
-the ``searchsorted`` index of its lowest integer and whether a threshold
-falls inside it, above that integer; both are counted off the thresholds,
-with no search. A shot whose bucket holds no threshold takes its index in
-one gather; the others, a fraction of at most D / 2^g and N / 2^h, are
-refined by ``searchsorted`` on the compressed subset. Either way the index
-is the binary search's, for every m.
+That index comes from guide tables (Chen & Asau 1974; Devroye 1986,
+III.2.4), and one table over both draws settles most shots at once. The
+top g bits of m pick one of 2^g buckets of the sum table; a sum index and
+the top h bits of the second draw pick one of 2^h buckets of that
+joint-table row. Each bucket stores the ``searchsorted`` index of its
+lowest integer and whether a threshold falls inside it, above that
+integer; both are counted off the thresholds, with no search. A shot's
+cell is its sum bucket b next to its first-factor bucket c, (b << h) | c.
+The cell is exact when neither b nor bucket c of joint row ``sum_first[b]``
+holds a threshold inside it: every shot in it then has the same
+(sum, first-factor) index. Each batch tallies its cells with one
+``bincount``, and after the last batch each exact cell's tally goes to its
+one index, in integers. Only shots in split cells are resolved one by
+one, through both guides and ``searchsorted`` on the compressed subset;
+they are held until a quarter batch's worth has gathered. Either way
+every shot's index is the binary search's, for every m.
+
+g and h come from D, N and the shot count (``_cell_bits``): at most
+(D - 1) / 2^g + (N - 1) / 2^h of the shots land in split cells, and the
+table has at most 2^14 cells and about one per 8 shots, since building and
+reading back a cell costs about as much as drawing a shot. The cells are
+read before splitmix64's last step, x ^ (x >> 31), which leaves the top 31
+bits as they are; only held shots take that step.
 
 Shots run in batches of ``CHUNK_SHOTS``, small enough that a batch's
-buffers stay in a core's L2 cache: the draw numbers of one batch, a copy
-that splitmix64 turns into their bits in place, one scratch buffer, and the
-index and flag arrays, 57 bytes per shot. They are allocated once per call
-and reused, so no array of full shot length is built and memory does not
-grow with ``shots``.
+buffers stay in a core's L2 cache: a ramp of seed + i * 2 PHI, the two
+draws of each shot (the batch's sum draws, then its first-factor draws,
+each half the ramp plus one offset) that splitmix64 turns into bits in
+place, one scratch buffer, the flags, and the held draws of up to a
+quarter batch of split-cell shots, 45 bytes per shot; the cell table adds
+at most 25 bytes per cell.
+They are allocated once per call and reused, so no array of full shot
+length is built and memory does not grow with ``shots``.
 
 ``ACTIVE_BACKEND`` and ``backends()`` name the kernel for benchmark and
 trace output.
@@ -45,7 +61,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_PHI = np.uint64(0x9E3779B97F4A7C15)
+_PHI_INT = 0x9E3779B97F4A7C15
+_PHI = np.uint64(_PHI_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _BITS = np.uint64(53)
@@ -53,6 +70,26 @@ _SCALE = 9007199254740992.0  # 2^53
 _U53 = 1.0 / _SCALE  # 2^-53
 # Joint keys are (sum index << 53) | m, so sum indices must fit in 64 - 53 bits.
 MAX_SUM_OUTCOMES = (1 << 11) - 1
+
+
+def _mix_head(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64's first two xor-shift-multiply steps, in place on the uint64 array x.
+
+    ``scratch`` is the one work buffer. The output function's last step,
+    x ^ (x >> 31), leaves the top 31 bits of x as they are.
+    """
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(x, shift, out=scratch)
+        x ^= scratch
+        x *= mix
+    return x
+
+
+def _mix_tail(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64's last step and the shift to 53 bits, in place: m = (x ^ (x >> 31)) >> 11."""
+    x ^= np.right_shift(x, 31, out=scratch)
+    x >>= 11
+    return x
 
 
 def _draw_bits(
@@ -66,13 +103,7 @@ def _draw_bits(
     x = np.multiply(draws, _PHI, out=out)
     x += np.uint64(seed)
     scratch = np.empty_like(x) if scratch is None else scratch
-    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
-        np.right_shift(x, np.uint64(shift), out=scratch)
-        x ^= scratch
-        if mix is not None:
-            x *= mix
-    x >>= np.uint64(11)
-    return x
+    return _mix_tail(_mix_head(x, scratch), scratch)
 
 
 def uniforms(seed: int, count: int) -> np.ndarray:
@@ -88,7 +119,9 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
     exactly when m < ceil(x). Every m is below 2^53, so the clamp changes no
     comparison; the running maximum then changes no first index with m < T.
     """
-    t = np.clip(np.ceil(cdf * _SCALE), 0.0, _SCALE).astype(np.uint64)
+    t = np.ceil(cdf * _SCALE)
+    np.minimum(np.maximum(t, 0.0, out=t), _SCALE, out=t)
+    t = t.astype(np.uint64)
     return np.maximum.accumulate(t, axis=-1)
 
 
@@ -114,6 +147,58 @@ def _guide(table: np.ndarray, shift: int, buckets: int) -> tuple[np.ndarray, np.
 # core's L2 cache, and counts stay bit-identical (the stream is counter-based,
 # so slicing it into batches changes nothing).
 CHUNK_SHOTS = 1 << 14
+
+# The cell table has at most 2^14 cells and about one per 8 shots; bits stop
+# being added once at most 2^-10 of the shots can land in split cells.
+_MAX_CELL_BITS = 14
+_SHOTS_PER_CELL = 8
+_SPLIT_BITS = 10
+
+
+def _cell_bits(d: int, n_out: int, shots: int) -> tuple[int, int]:
+    """Bits g of the sum draw and h of the first-factor draw that make a shot's cell.
+
+    At most D - 1 of the 2^g sum buckets hold a threshold inside them, and
+    at most N - 1 of a joint row's 2^h buckets, so at most
+    (D - 1) / 2^g + (N - 1) / 2^h of the shots land in split cells. From one
+    bit each, a bit goes to the level with the larger share until that bound
+    is at most 2^-10 or the table has reached its size limit.
+    """
+    g = h = 1
+    limit = min(_MAX_CELL_BITS, max(2, (shots // _SHOTS_PER_CELL).bit_length()))
+    while g + h < limit and (((d - 1) << h) + ((n_out - 1) << g)) << _SPLIT_BITS > 1 << (g + h):
+        if (d - 1) << h >= (n_out - 1) << g:
+            g += 1
+        else:
+            h += 1
+    return g, h
+
+
+def _resolve(held: np.ndarray, scratch: np.ndarray, tables: tuple, g: int, h: int) -> np.ndarray:
+    """Flat (sum, first-factor) index of each held shot; ``held`` is (2, shots) of mix heads.
+
+    ``tables`` holds the sum and joint thresholds and their guides. The sum
+    index comes from the sum guide, refined by ``searchsorted`` in split
+    buckets; the index of the joint key (k << 53) | m_cond from the joint
+    guide, refined the same way. Works in ``held`` and ``scratch`` (at least
+    ``held.size`` long) and returns a view of ``held``.
+    """
+    t_sum, t_joint, sum_first, sum_split, joint_first, joint_split = tables
+    m_sum, m_cond = _mix_tail(held, scratch[: held.size].reshape(held.shape))
+    bucket, k = scratch[: held.size].view(np.int64).reshape(held.shape)
+    # Every bucket is in range, so mode="wrap" only skips the bounds check.
+    np.right_shift(m_sum, 53 - g, out=bucket.view(np.uint64))
+    np.take(sum_first, bucket, out=k, mode="wrap")
+    refine = sum_split[bucket].nonzero()[0]
+    k[refine] = np.searchsorted(t_sum, m_sum[refine], side="right")
+    # The joint key (k << 53) | m_cond has bucket (k << h) | (m_cond >> (53 - h)).
+    np.left_shift(k, h, out=bucket)
+    bucket |= np.right_shift(m_cond, 53 - h, out=m_sum).view(np.int64)
+    index = np.take(joint_first, bucket, out=m_sum.view(np.int64), mode="wrap")
+    refine = joint_split[bucket].nonzero()[0]
+    key = k[refine].view(np.uint64) << _BITS | m_cond[refine]
+    index[refine] = np.searchsorted(t_joint, key, side="right")
+    return index
 
 
 def sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf: np.ndarray) -> np.ndarray:
@@ -145,46 +230,69 @@ def sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf: np.ndarr
     # Row k spans [k * 2^53, (k + 1) * 2^53], so the flattened table is sorted.
     rows = np.arange(d, dtype=np.uint64)[:, None] << _BITS
     t_joint = (rows + _thresholds(cond_cdf)).ravel()
-    # A key's bucket is its top bits: 2^g per sum table, 2^h per joint row.
-    g = d.bit_length() + 2
-    h = n_out.bit_length() + 2
-    sum_first, sum_split = _guide(t_sum, 53 - g, 1 << g)
-    joint_first, joint_split = _guide(t_joint, 53 - h, d << h)
+    g, h = _cell_bits(d, n_out, shots)
+    tables = (t_sum, t_joint, *_guide(t_sum, 53 - g, 1 << g), *_guide(t_joint, 53 - h, d << h))
+    sum_first, sum_split, joint_first, joint_split = tables[2:]
+    # Cell (b << h) | c pairs sum bucket b with bucket c of joint row sum_first[b].
+    cell_split = (joint_split.reshape(d, 1 << h)[sum_first] | sum_split[:, None]).ravel()
+    any_split = cell_split.any()
 
+    tally = np.zeros(1 << (g + h), dtype=np.int64)
     flat = np.zeros(d * n_out, dtype=np.int64)
     chunk = max(1, min(CHUNK_SHOTS, shots))
-    # One set of batch buffers, reused: the first batch's interleaved draw
-    # numbers, a copy offset to the current batch that splitmix64 turns into
-    # their bits in place, one scratch buffer that then holds the buckets and
-    # cells, and the index and flag arrays.
-    steps = np.arange(1, 2 * chunk + 1, dtype=np.uint64)
+    # Shot i of the batch from ``start`` draws n = 2 (start + i) + 1 for its
+    # sum outcome and n + 1 for its first-factor outcome, so its two
+    # seed + n * PHI are the ramp seed + i * 2 PHI plus one offset per half.
+    ramp = np.arange(chunk, dtype=np.uint64)
+    ramp *= 2 * _PHI_INT % (1 << 64)
+    ramp += np.uint64(seed)
+    # One set of batch buffers, reused: both draws of each shot (sum draws,
+    # then first-factor draws), one scratch buffer that then holds the cells,
+    # the flags, and the held mix heads of up to a quarter batch of split-cell shots.
     bits = np.empty(2 * chunk, dtype=np.uint64)
-    scratch = np.empty(2 * chunk, dtype=np.int64)
-    index = np.empty(chunk, dtype=np.int64)
+    scratch = np.empty(2 * chunk, dtype=np.uint64)
     flagged = np.empty(chunk, dtype=bool)
+    held = np.empty((2, max(1, chunk // 4)), dtype=np.uint64)
+    n_held = 0
+
+    def counts_of(pairs: np.ndarray) -> np.ndarray:
+        """Counts of the flat indices of the (2, shots) mix heads ``pairs``."""
+        return np.bincount(_resolve(pairs, scratch, tables, g, h), minlength=d * n_out)
+
     for start in range(0, shots, chunk):
         batch = min(chunk, shots - start)
-        # Shot i draws 2i+1 for its sum outcome and 2i+2 for its first-factor outcome.
-        x = np.add(steps[: 2 * batch], np.uint64(2 * start), out=bits[: 2 * batch])
-        _draw_bits(seed, x, out=x, scratch=scratch[: 2 * batch].view(np.uint64))
-        # Every m is below 2^53, so the int64 view holds the same integers and
-        # indexes without a cast; the thresholds are compared in uint64.
-        m_sum, m_cond = x.view(np.int64)[0::2], x.view(np.int64)[1::2]
-        bucket, k, flags = scratch[:batch], index[:batch], flagged[:batch]
-
-        # Every bucket and cell is in range, so mode="wrap" only skips the bounds check.
-        np.right_shift(m_sum, 53 - g, out=bucket)
-        np.take(sum_first, bucket, out=k, mode="wrap")
-        refine = np.flatnonzero(np.take(sum_split, bucket, out=flags, mode="wrap"))
-        k[refine] = np.searchsorted(t_sum, x[0::2][refine], side="right")
-        # The joint key (k << 53) | m_cond has bucket (k << h) | (m_cond >> (53 - h)).
-        k <<= h
-        k |= np.right_shift(m_cond, 53 - h, out=bucket)
-        cell = np.take(joint_first, k, out=bucket, mode="wrap")
-        refine = np.flatnonzero(np.take(joint_split, k, out=flags, mode="wrap"))
-        key = (k[refine] >> h).view(np.uint64) << _BITS | x[1::2][refine]
-        cell[refine] = np.searchsorted(t_joint, key, side="right")
-        flat += np.bincount(cell, minlength=d * n_out)
+        # Python ints, so the offsets wrap mod 2^64 without a numpy overflow warning.
+        offset = (2 * start + 1) * _PHI_INT
+        x = bits[: 2 * batch]
+        np.add(ramp[:batch], offset % (1 << 64), out=x[:batch])
+        np.add(ramp[:batch], (offset + _PHI_INT) % (1 << 64), out=x[batch:])
+        _mix_head(x, scratch[: 2 * batch])
+        x_sum, x_cond = x[:batch], x[batch:]
+        # The cell is the top g bits of the sum draw next to the top h bits of
+        # the first-factor draw; the mix tail leaves those bits as they are.
+        cell = np.right_shift(x_sum, 64 - g, out=scratch[:batch])
+        cell <<= h
+        cell |= np.right_shift(x_cond, 64 - h, out=scratch[batch : 2 * batch])
+        cell = cell.view(np.int64)
+        tally += np.bincount(cell, minlength=len(tally))
+        if not any_split:
+            continue  # every shot's cell is exact, so the tally holds all of them
+        # Every cell is in range, so mode="wrap" only skips the bounds check.
+        split = np.take(cell_split, cell, out=flagged[:batch], mode="wrap").nonzero()[0]
+        if len(split) > held.shape[1]:  # more than the held buffer takes: resolve them now
+            flat += counts_of(x.reshape(2, batch)[:, split])
+            continue
+        if n_held + len(split) > held.shape[1]:
+            flat += counts_of(held[:, :n_held])
+            n_held = 0
+        np.take(x_sum, split, out=held[0, n_held : n_held + len(split)])
+        np.take(x_cond, split, out=held[1, n_held : n_held + len(split)])
+        n_held += len(split)
+    if n_held:
+        flat += counts_of(held[:, :n_held])
+    # Split cells' shots are counted already; every exact cell's go to its one index.
+    tally[cell_split] = 0
+    np.add.at(flat, joint_first.reshape(d, 1 << h)[sum_first].ravel(), tally)
     return flat.reshape(d, n_out)
 
 

@@ -146,7 +146,13 @@ def eigenbasis_coefficients(psi: np.ndarray, a: Observable) -> np.ndarray:
 
 
 def line_totals(weights: np.ndarray, obs: Observable, axis: int = -1) -> np.ndarray:
-    """Add weights given per eigenvector of obs (its columns, ascending) over each of its lines, along axis."""
+    """Add weights given per eigenvector of obs (its columns, ascending) over each of its lines, along axis.
+
+    When every line holds one eigenvector the totals are the weights
+    themselves, and ``weights`` is returned as it is, not copied.
+    """
+    if len(obs.multiplicities) == obs.dim:
+        return weights
     return np.add.reduceat(weights, np.cumsum((0, *obs.multiplicities[:-1])), axis=axis)
 
 

@@ -170,12 +170,27 @@ def _finite_int(text: str) -> int:
     return value
 
 
+# A JSON number beyond the float range (about 1.8e308) has an exponent of
+# three or more digits after "e" or "e+", or at least 210 digits before its
+# point. With every digit written as 0 and E as e, its text then holds one of
+# these; a text that holds none has no such number.
+_NUMBER_SHAPE = str.maketrans("123456789E", "000000000e")
+_BEYOND_FLOAT_RANGE = ("e000", "e+000", "0" * 200)
+
+
 def _load_json(text: str):
-    """Parse JSON whose every number is a finite float; NaN and Infinity are rejected."""
+    """Parse JSON whose every number is a finite float; NaN and Infinity are rejected.
+
+    Numbers parse natively unless the text could hold one beyond the float
+    range; only then does every number go through ``_finite_float`` and
+    ``_finite_int``, which name the first such literal.
+    """
+    shape = text.translate(_NUMBER_SHAPE)
+    hooks = {}
+    if any(pattern in shape for pattern in _BEYOND_FLOAT_RANGE):
+        hooks = {"parse_float": _finite_float, "parse_int": _finite_int}
     try:
-        return json.loads(
-            text, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_finite_int
-        )
+        return json.loads(text, parse_constant=_reject_constant, **hooks)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, the hooks, int() digits, nesting depth
         raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
 

@@ -170,6 +170,40 @@ class TestVerify:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "literal",
+        ["1e308", "1.8e308", "1E+309", "1e+0000400", "-1e400", "1e-400", "9" * 209, "9" * 210 + "e98",
+         "1" + "0" * 250 + "e60", "NaN"],
+        ids=["1e308", "1.8e308", "1E+309", "1e+0000400", "-1e400", "1e-400", "209-digits", "210-digits-e98",
+             "251-digits-e60", "NaN"],
+    )
+    @pytest.mark.parametrize("field", ["alpha", "label", "unknown"])
+    def test_json_load_matches_a_parse_through_the_number_hooks(self, literal, field):
+        # numbers parse natively only in text that cannot hold one beyond the float range
+        payload = json.loads(scenario_text("pauli_epr.json"))
+        marker = 12345.5
+        if field == "unknown":
+            payload["extra"] = [marker]
+        else:
+            payload[field] = marker
+        text = json.dumps(payload).replace(str(marker), literal)
+
+        def outcome(load):
+            try:
+                return repr(load(text))
+            except eprio.ScenarioFormatError as exc:
+                return str(exc)
+
+        def hooked(text):
+            try:
+                return json.loads(
+                    text, parse_constant=eprio._reject_constant, parse_float=eprio._finite_float, parse_int=eprio._finite_int
+                )
+            except ValueError as exc:
+                raise eprio.ScenarioFormatError(f"invalid JSON: {exc}") from exc
+
+        assert outcome(eprio._load_json) == outcome(hooked)
+
+    @pytest.mark.parametrize(
         "field, edit, message",
         [
             ("matrix_a", lambda m: m[0].__setitem__(1, [True, 0.0]), "matrix_a[0][1] must be a [re, im] pair of numbers"),

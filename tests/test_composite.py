@@ -9,6 +9,7 @@ from eprkit.composite import (
     anti_diagonal_index,
     anti_diagonals,
     lift,
+    line_totals,
     post_measurement_state,
     project_slot,
     schmidt_rank,
@@ -430,3 +431,19 @@ class TestSchmidtRank:
     def test_collapsed_branch_is_entangled(self):
         psi = PureState([0.0, np.sqrt(0.8), np.sqrt(0.2), 0.0], factor_dims=(2, 2))
         assert schmidt_rank(psi) == 2
+
+
+class TestLineTotals:
+    @pytest.mark.parametrize("eigenvalues", [[-1.0, 0.5, 2.0, 3.0], [-1.0, 2.0, 2.0, 3.0]], ids=["distinct", "repeated"])
+    def test_equals_the_sum_over_each_line(self, eigenvalues):
+        # one eigenvector per line returns the weights themselves; a repeated eigenvalue adds its two
+        rng = np.random.default_rng(60)
+        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        obs = Observable(u @ np.diag(eigenvalues) @ u.conj().T)
+        weights = rng.random((4, 4))
+        starts = np.cumsum((0, *obs.multiplicities[:-1]))
+        for axis in (0, 1):
+            totals = line_totals(weights, obs, axis=axis)
+            assert np.array_equal(totals, np.add.reduceat(weights, starts, axis=axis))
+        assert (line_totals(weights, obs) is weights) == (len(obs.multiplicities) == 4)
+

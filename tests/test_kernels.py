@@ -223,14 +223,94 @@ def test_guide_matches_binary_search_at_both_ends_of_each_bucket(case):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["g-1", "g", "g+1"])
 def test_thresholds_on_bucket_edges(offset):
-    # multiples of 2^-g are bucket edges, which the guide settles alone; odd
-    # multiples of 2^-(g+1) split a bucket in two and take the refinement
+    # multiples of 2^-g and 2^-h are cell edges, which leave every cell exact;
+    # odd multiples of 2^-(g+1) or 2^-(h+1) split a cell in two
     rng = np.random.default_rng([18, offset + 1])
-    d, n_out = 5, 3
-    g, h = d.bit_length() + 2, n_out.bit_length() + 2
+    d, n_out, shots = 5, 3, 3000
+    g, h = _kernels._cell_bits(d, n_out, shots)
     sum_cdf = _dyadic_cdf(rng, d, g + offset)
     cond_cdf = np.array([_dyadic_cdf(rng, n_out, h + offset) for _ in range(d)])
-    _assert_matches_reference(3000, sum_cdf, cond_cdf)
+    _assert_matches_reference(shots, sum_cdf, cond_cdf)
+
+
+def _draws_of_shot(seed, shot):
+    """The 53-bit integers m of shot ``shot``'s sum and first-factor draws."""
+    return (int(m) for m in _kernels._draw_bits(seed, np.array([2 * shot + 1, 2 * shot + 2], dtype=np.uint64)))
+
+
+@pytest.mark.parametrize("level", ["sum", "first-factor"])
+@pytest.mark.parametrize("where", ["on-cell-floor", "on-draw", "above-draw"])
+def test_threshold_on_a_cells_lowest_integer_or_inside_it(level, where):
+    # a threshold on the lowest integer of shot 0's cell leaves the cell
+    # exact; one on the draw itself, or one above it, splits the cell
+    seed, shots, d, n_out = 0x5DEECE66D, 5000, 4, 3
+    g, h = _kernels._cell_bits(d, n_out, shots)
+    m_sum, m_cond = _draws_of_shot(seed, 0)
+    m, bits = (m_sum, g) if level == "sum" else (m_cond, h)
+    floor = m >> (53 - bits) << (53 - bits)
+    t = {"on-cell-floor": floor, "on-draw": m, "above-draw": m + 1}[where]
+    assert (t == floor) == (where == "on-cell-floor")  # shot 0 does not sit on its cell's floor
+    c = t * 2.0**-53  # T(c) = t exactly
+    sum_cdf, cond_cdf = np.array([0.25, 0.5, 0.75, 1.0]), np.tile([0.25, 0.5, 1.0], (d, 1))
+    if level == "sum":
+        sum_cdf = np.array([c / 2, c, (1.0 + c) / 2, 1.0])
+    else:
+        cond_cdf = np.tile([c / 2, c, 1.0], (d, 1))
+    _assert_matches_reference(shots, sum_cdf, cond_cdf)
+    # shot 0 alone lands below t exactly when m < t
+    index = 1 if m < t else 2
+    counts = sample_counts(seed, 1, sum_cdf, cond_cdf)
+    assert counts.sum() == 1
+    assert (counts[index].sum() if level == "sum" else counts[:, index].sum()) == 1
+
+
+@pytest.mark.parametrize("d, n_out", [(36, 8), (15, 8), (3, 3), (1, 2)])
+def test_tables_at_the_largest_cell_resolution(d, n_out):
+    # 70,000 shots let the cell table reach its 2^14 cells unless the split
+    # bound is met sooner; every table is checked at the resolution picked
+    shots = 70_000
+    g, h = _kernels._cell_bits(d, n_out, shots)
+    bound = (d - 1) / 2**g + (n_out - 1) / 2**h
+    assert g + h == 14 or bound <= 2**-10
+    assert g + h <= 14
+    rng = np.random.default_rng([d, n_out])
+    sum_cdf = np.cumsum(rng.random(d))
+    sum_cdf /= sum_cdf[-1]
+    sum_cdf[-1] = 1.0
+    cond_cdf = np.cumsum(rng.random((d, n_out)), axis=1)
+    cond_cdf /= cond_cdf[:, -1:]
+    cond_cdf[:, -1] = 1.0
+    _assert_matches_reference(shots, sum_cdf, cond_cdf)
+
+
+@pytest.mark.parametrize(
+    "shots, chunk",
+    [(1, None), (1, 1), (1, 617), (3 * 617 + 5, 1), (3 * 617 + 5, 617), ((1 << 14) + 7, 617), ((1 << 14) + 7, None)],
+    ids=["one-shot", "one-shot-chunk-1", "one-shot-chunk-617", "ragged-chunk-1", "ragged-chunk-617",
+         "ragged-default-chunk-617", "ragged-default"],
+)
+def test_shot_counts_across_batch_sizes(shots, chunk, monkeypatch):
+    # D = 36, N = 8 tables leave many shots in split cells, so the held
+    # shots fill up and are resolved between batches as well as at the end
+    if chunk is not None:
+        monkeypatch.setattr(_kernels, "CHUNK_SHOTS", chunk)
+    rng = np.random.default_rng(3600 + shots)
+    sum_cdf = np.cumsum(rng.random(36))
+    sum_cdf /= sum_cdf[-1]
+    sum_cdf[-1] = 1.0
+    cond_cdf = np.cumsum(rng.random((36, 8)), axis=1)
+    cond_cdf /= cond_cdf[:, -1:]
+    cond_cdf[:, -1] = 1.0
+    _assert_matches_reference(shots, sum_cdf, cond_cdf)
+
+
+def test_cell_bits_stay_within_the_table_limits():
+    for d in (1, 2, 5, 36, 2047):
+        for n_out in (1, 2, 8, 64):
+            for shots in (1, 100, 10_000, 10**6, 10**9):
+                g, h = _kernels._cell_bits(d, n_out, shots)
+                assert g >= 1 and h >= 1
+                assert g + h <= 14 and 1 << (g + h) <= max(4, shots // 4), (d, n_out, shots)
 
 
 def test_thresholds_at_zero_and_two_to_the_53():
@@ -271,7 +351,8 @@ def test_most_sum_outcomes_with_eight_first_factor_outcomes(chunk, monkeypatch):
 
 
 def test_memory_does_not_grow_with_shots(monkeypatch):
-    # the batch buffers are 57 bytes per shot of one 2^14-shot batch; one full-length array would be 16 MB
+    # the batch buffers are 45 bytes per shot of one 2^14-shot batch, and the cell table at most 25 bytes
+    # per cell of 2^14; one full-length array would be 16 MB
     sc = io.scenario_from_json(files("eprkit.scenarios").joinpath("spin_one.json").read_text(encoding="utf-8"))
     tables = []
     monkeypatch.setattr(_kernels, "sample_counts", lambda *args: tables.append(args[2:]) or sample_counts(*args))
