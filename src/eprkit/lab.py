@@ -12,10 +12,12 @@ in the collapsed branch. The analysis reads p(s), A's distributions, the
 Schmidt ranks and every chain off it, as the ``eprkit.conditional`` entry
 points do, so the two agree bit for bit, and measures B and C on the stack
 of kept N x N branch states with ``eprkit.composite.project_slot``. The
-sampler and the comparison take p(s), p(a1 | s) and the paths from the
-same table's kept and chain rows, so they draw and check only the outcomes
-the report lists. No N^2 x N^2 operator is built for the analysis or for
-sampling.
+sampler and the comparison walk one list of the report's chains, built
+once per scenario off the same table's chain rows (cached as
+``Scenario.chain_tables``): the CDFs the kernel draws from, each chain's
+p(s) p(a1 | s) and each chain's path. They draw and check only the chains
+the report lists, in its order, which ascends in (s, a1), so neither sorts.
+No N^2 x N^2 operator is built for the analysis or for sampling.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class Scenario:
 
     @cached_property
     def chain_tables(self):
-        """``_chain_distributions`` of this scenario, computed once for sampling and comparison."""
+        """``_chain_distributions`` of this scenario: its one chain list, built once for sampling and comparison."""
         return _chain_distributions(self)
 
 
@@ -392,13 +394,21 @@ def path_key(s_value: float, a1_value: float, a2_value: float) -> str:
     return f"{s_value:.12g},{a1_value:.12g},{a2_value:.12g}"
 
 
+def _require_integer(value, name: str, low: int, high: float = math.inf) -> int:
+    """``value`` as an int if it is a Python or numpy integer in [low, high]; else ValueError (bool, float, str too)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ShotRecord:
     """Tally of sampled measurement paths (s, a1, a2 = s - a1).
 
-    ``shots`` is a positive integer, each path is listed once (as
-    ``path_key`` writes it) with a nonnegative integer count, and the counts
-    add up to ``shots``.
+    ``seed`` is an integer in [0, ``MAX_SEED``] and ``shots`` a positive
+    integer, each path is listed once (as ``path_key`` writes it) with a
+    nonnegative integer count, and the counts add up to ``shots``. An
+    integer is a Python or numpy integer, never a bool, float or str.
     """
 
     scenario_label: str
@@ -407,10 +417,10 @@ class ShotRecord:
     counts: tuple[tuple[tuple[float, float, float], int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.shots, (int, np.integer)) or self.shots < 1:
-            raise ValueError(f"shots must be a positive integer, got {self.shots!r}")
-        if not all(isinstance(count, (int, np.integer)) and count >= 0 for _, count in self.counts):
-            raise ValueError("counts must be nonnegative integers")
+        _require_integer(self.seed, "seed", 0, MAX_SEED)
+        _require_integer(self.shots, "shots", 1)
+        for _, count in self.counts:
+            _require_integer(count, "count", 0)
         # compare_empirical and the report key each path by its path_key text
         if len({path_key(*path) for path, _ in self.counts}) < len(self.counts):
             raise ValueError("a path is listed more than once")
@@ -424,25 +434,36 @@ class ShotRecord:
 
 
 def _chain_distributions(sc: Scenario):
-    """The sampling tables, read off the kept and chain rows of the branch table the report was built from.
+    """The report's chains as one list, read off the branch table the report was built from.
 
-    ``branch_probs[i]`` is p(s) of the report's branch i. Row i of
-    ``cond_probs`` lists p(a1 | s) of branch i's chains in report order,
-    then zeros; ``paths[i, j]`` is the path (s, a1, a2) of the chain in
-    column j. The analysis runs first, with every check it makes, and the
-    sampler and the comparison see exactly the outcomes the report lists.
+    Returns ``(sum_cdf, cond_cdf, listed, analytic, paths)``. ``sum_cdf``
+    adds p(s) over the report's branches. Row i of ``cond_cdf`` adds
+    p(a1 | s) over branch i's chains in report order, as wide as the branch
+    with the most chains, and is exactly 1.0 from the row's last chain on.
+    ``listed`` marks the cells that hold a chain; their row-major order is
+    the report's chain order. ``analytic`` is each chain's p(s) p(a1 | s),
+    clamped at 1, and ``paths`` its path (s, a1, a2). The analysis runs
+    first, with every check it makes, and the sampler and the comparison
+    see exactly the chains the report lists.
     """
     sc.analysis  # sampling meets every check of the analysis first
     table = sc.branch_table
     branch, rows, cols = table.pairs[:, table.chains]
-    # the chains come branch by branch: in row-major order, each row's first columns take them
-    listed = np.arange(sc.factor_dim) < np.bincount(branch, minlength=table.kept.size)[:, None]
-    cond_probs = np.zeros(listed.shape)
-    cond_probs[listed] = table.weights[table.chains]
+    branch_probs, cond_probs = table.sum_probabilities[table.kept], table.weights[table.chains]
+    sum_cdf = np.append(np.cumsum(np.clip(branch_probs, 0.0, 1.0))[:-1], 1.0)
+    # the chains come branch by branch: in row-major order, each row's first cells take them
+    per_branch = np.bincount(branch, minlength=table.kept.size)[:, None]
+    column = np.arange(per_branch.max())
+    listed = column < per_branch
+    cond_cdf = np.zeros(listed.shape)
+    cond_cdf[listed] = np.clip(cond_probs, 0.0, 1.0)
+    cond_cdf = np.where(column < per_branch - 1, np.cumsum(cond_cdf, axis=1), 1.0)
+    # p(s) p(a1 | s) can round above 1, where p (1 - p) would have no square root
+    analytic = tuple(np.minimum(branch_probs[branch] * cond_probs, 1.0).tolist())
     sums, values = table.index.sums, table.index.factor_eigenvalues
-    chains = zip(*(x.tolist() for x in (*np.nonzero(listed), table.kept[branch], rows, cols)))
-    paths = {(i, j): (sums[k], values[n], values[m]) for i, j, k, n, m in chains}
-    return table.sum_probabilities[table.kept], cond_probs, paths
+    chains = zip(*(x.tolist() for x in (table.kept[branch], rows, cols)))
+    paths = tuple((sums[k], values[n], values[m]) for k, n, m in chains)
+    return sum_cdf, cond_cdf, listed, analytic, paths
 
 
 def sample_chain(sc: Scenario, shots: int, seed: int = 0) -> ShotRecord:
@@ -451,27 +472,16 @@ def sample_chain(sc: Scenario, shots: int, seed: int = 0) -> ShotRecord:
     Each shot draws a branch of the report from p(s), then one of its
     chains from p(a1 | s), and records the chain's path (s, a1, a2). Each
     CDF ends at exactly 1.0 on its last listed entry, so every draw lands
-    on an outcome the report lists. The stream is counter-based, so
+    on a chain the report lists; the drawn paths come in the report's
+    chain order, which is ascending. The stream is counter-based, so
     identical (scenario, shots, seed) yields identical counts regardless of
     backend or evaluation order.
     """
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    if not 0 <= int(seed) <= MAX_SEED:
-        raise ValueError("seed must fit in 64 bits")
-
-    branch_probs, cond_probs, paths = sc.chain_tables
-    sum_cdf = np.cumsum(np.clip(branch_probs, 0.0, 1.0))
-    sum_cdf[-1] = 1.0
-    cond_cdf = np.cumsum(np.clip(cond_probs, 0.0, 1.0), axis=1)
-    # a row's chains fill its first columns: its cdf is exactly 1.0 from its last chain on
-    chain_counts = np.count_nonzero(cond_probs, axis=1)
-    cond_cdf[np.arange(cond_probs.shape[1]) >= chain_counts[:, None] - 1] = 1.0
-
-    counts_matrix = _kernels.sample_counts(int(seed), int(shots), sum_cdf, cond_cdf)
-    drawn = zip(*(x.tolist() for x in np.nonzero(counts_matrix)))
-    counts = sorted((paths[i, j], int(counts_matrix[i, j])) for i, j in drawn)
-    return ShotRecord(scenario_label=sc.label, seed=int(seed), shots=int(shots), counts=tuple(counts))
+    shots, seed = _require_integer(shots, "shots", 1), _require_integer(seed, "seed", 0, MAX_SEED)
+    sum_cdf, cond_cdf, listed, _, paths = sc.chain_tables
+    counts = _kernels.sample_counts(seed, shots, sum_cdf, cond_cdf)[listed].tolist()
+    drawn = tuple((path, count) for path, count in zip(paths, counts) if count)
+    return ShotRecord(scenario_label=sc.label, seed=seed, shots=shots, counts=drawn)
 
 
 @dataclass(frozen=True)
@@ -502,19 +512,15 @@ def compare_empirical(record: ShotRecord, sc: Scenario) -> EmpiricalComparison:
         raise ValueError(
             f"record was sampled from {record.scenario_label!r}, not {sc.label!r}"
         )
-    branch_probs, cond_probs, paths = sc.chain_tables
-    # p(s) p(a1 | s) can round above 1, where p (1 - p) would have no square root
-    analytic = {
-        path_key(*path): (path, min(branch_probs[i] * cond_probs[i, j], 1.0)) for (i, j), path in paths.items()
-    }
-
+    _, _, _, analytic, paths = sc.chain_tables
+    keys = [path_key(*path) for path in paths]
     empirical = {path_key(*path): freq for path, freq in record.empirical.items()}
-    unknown = set(empirical) - set(analytic)
+    unknown = set(empirical) - set(keys)
     if unknown:
         raise ValueError(f"record contains paths impossible under the scenario: {sorted(unknown)}")
 
     rows = []
-    for key, (path, p) in sorted(analytic.items(), key=lambda item: item[1][0]):
+    for key, path, p in zip(keys, paths, analytic):
         freq = empirical.get(key, 0.0)
         deviation = abs(freq - p)
         bound = 3.0 * math.sqrt(p * (1.0 - p) / record.shots)

@@ -65,6 +65,8 @@ class PureState:
         if factor_dims is None:
             factor_dims = (vec.size,)
         factor_dims = tuple(int(d) for d in factor_dims)
+        if not all(d >= 1 for d in factor_dims):
+            raise DimensionMismatchError(f"factor dims {factor_dims} must each be at least 1")
         if math.prod(factor_dims) != vec.size:
             raise DimensionMismatchError(
                 f"factor dims {factor_dims} do not multiply to vector length {vec.size}"

@@ -808,24 +808,43 @@ class TestReportAgreement:
         assert disagreements == Counter()
 
     def test_sampling_tables_equal_the_report_bit_for_bit(self):
-        # the sampler reads the branch table the report was built from: p(s), p(a1 | s) and every path are its floats
+        # the sampler reads the branch table the report was built from: its cdfs add the report's p(s) and
+        # p(a1 | s), and its p(s) p(a1 | s) and paths are the report's floats, chain by chain in report order
         disagreements = Counter()
         for sc in report_scenarios():
             report = sc.analysis
-            branch_probs, cond_probs, paths = sc.chain_tables
+            sum_cdf, cond_cdf, listed, analytic, paths = sc.chain_tables
             per_branch = [[c for c in report.chains if c.s_value == b.s_value] for b in report.per_sum]
-            cells = [(i, j) for i, branch_chains in enumerate(per_branch) for j in range(len(branch_chains))]
-            listed = np.zeros(cond_probs.shape, dtype=bool)
-            listed[tuple(np.array(cells).T)] = True
+            width = max(map(len, per_branch))
+            cells = [[j < len(branch_chains) for j in range(width)] for branch_chains in per_branch]
+            # exactly 1.0 from each row's last chain on, and nothing listed past it
+            expected_cdf = np.ones((len(per_branch), width))
+            for i, branch_chains in enumerate(per_branch):
+                cond = [c.conditional_probability for c in branch_chains[:-1]]
+                expected_cdf[i, : len(cond)] = np.cumsum(np.clip(cond, 0.0, 1.0))
+            sum_probs = [b.probability for b in report.per_sum]
             answers = {
-                "probability": branch_probs.tolist() == [b.probability for b in report.per_sum],
-                "cells": list(paths) == cells,
-                "conditional": cond_probs[listed].tolist() == [c.conditional_probability for c in report.chains],
-                "zeros": not cond_probs[~listed].any(),
-                "paths": list(paths.values()) == [(c.s_value, c.a1_value, c.a2_value) for c in report.chains],
+                "order": [c for branch_chains in per_branch for c in branch_chains] == list(report.chains),
+                "probability": sum_cdf[:-1].tolist() == np.cumsum(sum_probs)[:-1].tolist() and sum_cdf[-1] == 1.0,
+                "cells": listed.tolist() == cells,
+                "conditional": cond_cdf.tolist() == expected_cdf.tolist(),
+                "analytic": list(analytic)
+                == [
+                    min(b.probability * c.conditional_probability, 1.0)
+                    for b, branch_chains in zip(report.per_sum, per_branch)
+                    for c in branch_chains
+                ],
+                "paths": list(paths) == [(c.s_value, c.a1_value, c.a2_value) for c in report.chains],
             }
             disagreements.update(name for name, agrees in answers.items() if not agrees)
         assert disagreements == Counter()
+
+    def test_report_chains_are_strictly_ascending(self):
+        # sample_chain and compare_empirical list paths in chain order, unsorted: that is sorted order
+        # because the chains ascend in (s, a1), branch by branch and by n within a branch
+        for sc in report_scenarios():
+            keys = [(c.s_value, c.a1_value) for c in sc.analysis.chains]
+            assert all(x < y for x, y in zip(keys, keys[1:])), sc.label
 
     def test_chain_entry_points_agree_with_the_report_chains(self):
         # sequential_measure and verify_ce2 accept exactly the report's chains, and each leaves its product eigenstate

@@ -7,7 +7,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from eprkit import cli, composite, conditional, lab, linalg, states
+from eprkit import _kernels, cli, composite, conditional, lab, linalg, states
 from eprkit import io as eprio
 from eprkit.composite import anti_diagonal_index, collapse, lift, sum_observable
 from eprkit.conditional import oracle_conditional
@@ -30,6 +30,7 @@ from helpers import (
     brute_sum_distribution,
     random_hermitian,
     random_state_vector,
+    reference_sample_counts,
 )
 
 EPR_AMPLITUDES = [0.0, math.sqrt(0.8), math.sqrt(0.2), 0.0]
@@ -44,6 +45,12 @@ def bundled_and_random_scenarios():
         psi = random_state_vector(rng, n * n)
         scenarios.append(build_scenario(f"random-{n}", random_hermitian(rng, n), random_hermitian(rng, n), psi))
     return scenarios
+
+
+def generic_scenario(rng, n: int):
+    """A random scenario whose A has N distinct eigenvalues and no coincident pair sums."""
+    a, b, psi = random_hermitian(rng, n), random_hermitian(rng, n), random_state_vector(rng, n * n)
+    return build_scenario(f"generic-{n}", a, b, psi)
 
 
 class TestScenarioConstruction:
@@ -410,38 +417,91 @@ class TestSampleChain:
         # eprkit.conditional is pinned bit for bit in test_conditional.py.
         for sc in bundled_and_random_scenarios():
             tol = 16 * sc.factor_dim * np.finfo(float).eps
-            branch_probs, cond_probs, paths = sc.chain_tables
+            sum_cdf, cond_cdf, listed, analytic, paths = sc.chain_tables
             index = anti_diagonal_index(sc.obs_a)
             a_values = sc.obs_a.eigenvalues.tolist()
             dense, projected = project_outcomes(sc.initial_state, sum_observable(sc.obs_a))
             populated = [k for k, (_, p) in enumerate(dense.outcomes) if p >= composite.ZERO_PROB_THRESHOLD]
-            assert branch_probs.shape == (len(populated),)
-            assert cond_probs.shape == (len(populated), sc.factor_dim)
-            assert np.abs(branch_probs - dense.probabilities[populated]).max() <= tol
-            listed = 0
+            assert sum_cdf.shape == (len(populated),)
+            assert listed.shape == cond_cdf.shape and cond_cdf.shape[0] == len(populated)
+            assert np.abs(sum_cdf - np.cumsum(dense.probabilities[populated])).max() <= tol
+            dense_paths, dense_analytic = [], []
             for row, k in enumerate(populated):
                 branch = collapse(sc.initial_state, projected[k], dense.outcomes[k][1])
                 a1 = project_outcomes(branch, lift(sc.obs_a, 1))[0]
                 # the row lists the chains the dense route keeps, in the order of the line's pairs
                 pairs = [(n, m) for n, m in index.sets[k] if a1.probabilities[n] >= composite.ZERO_PROB_THRESHOLD]
                 width = len(pairs)
+                cond = a1.probabilities[[n for n, _ in pairs]]
                 s_value = float(dense.values[k])
-                assert [paths[row, j] for j in range(width)] == [(s_value, a_values[n], a_values[m]) for n, m in pairs]
-                assert np.abs(cond_probs[row, :width] - a1.probabilities[[n for n, _ in pairs]]).max() <= tol
-                assert not cond_probs[row, width:].any()
-                listed += width
-            assert len(paths) == listed
+                dense_paths += [(s_value, a_values[n], a_values[m]) for n, m in pairs]
+                dense_analytic += (dense.probabilities[k] * cond).tolist()
+                assert np.abs(cond_cdf[row, :width] - np.cumsum(cond)).max() <= tol
+                # nothing past the row's chains: no cell listed, and the cdf stays at 1.0 from its last chain on
+                assert listed[row].tolist() == [j < width for j in range(listed.shape[1])]
+                assert (cond_cdf[row, width - 1 :] == 1.0).all()
+            assert list(paths) == dense_paths
+            assert np.abs(np.array(analytic) - dense_analytic).max() <= tol
+            assert cond_cdf.shape[1] == max(listed.sum(axis=1))
+
+    def test_counts_equal_the_reference_on_the_n_wide_table(self):
+        # a generic A's branches hold at most two chains, so the sampler's table is 2 wide, not N;
+        # padding each row to N columns (the table it replaced) moves no draw
+        rng = np.random.default_rng(61)
+        for n, shots, seed in ((3, 20_000, 9), (5, 9_973, 2**64 - 1), (8, 20_000, 12345)):
+            sc = generic_scenario(rng, n)
+            assert sc.chain_tables[1].shape[1] == 2 < n
+            table = sc.branch_table
+            chains = np.bincount(table.pairs[0, table.chains], minlength=table.kept.size)[:, None]
+            listed = np.arange(n) < chains
+            cond = np.zeros(listed.shape)
+            cond[listed] = table.weights[table.chains]
+            cond_cdf = np.cumsum(np.clip(cond, 0.0, 1.0), axis=1)
+            cond_cdf[np.arange(n) >= chains - 1] = 1.0
+            sum_cdf = np.cumsum(np.clip(table.sum_probabilities[table.kept], 0.0, 1.0))
+            sum_cdf[-1] = 1.0
+            expected = reference_sample_counts(seed, shots, sum_cdf, cond_cdf)[listed].tolist()
+            paths = [(c.s_value, c.a1_value, c.a2_value) for c in sc.analysis.chains]
+            record = sample_chain(sc, shots, seed)
+            assert record.counts == tuple((path, count) for path, count in zip(paths, expected) if count)
+
+    def test_generic_n8_is_sampled_from_a_two_wide_table(self, monkeypatch):
+        # at width N = 8 the kernel spent bits on the first-factor level that the sum level needs:
+        # (g, h) = (8, 6) left 14.5% of 2,000,000 shots in split cells on one such table, (10, 4) 8.7%
+        widths = []
+        original = _kernels.sample_counts
+
+        def spy(seed, shots, sum_cdf, cond_cdf):
+            widths.append(cond_cdf.shape)
+            return original(seed, shots, sum_cdf, cond_cdf)
+
+        monkeypatch.setattr(_kernels, "sample_counts", spy)
+        rng = np.random.default_rng(62)
+        sc = generic_scenario(rng, 8)
+        sample_chain(sc, 1000, seed=1)
+        assert widths == [(36, 2)]
+        assert _kernels._cell_bits(36, 2, 2_000_000) == (10, 4)
+        assert _kernels._cell_bits(36, 8, 2_000_000) == (8, 6)
 
     def test_rejects_bad_shots(self):
         sc = build_pauli_scenario(EPR_AMPLITUDES)
-        for bad in (0, -5, 2.5):
+        # shots=True sampled one shot
+        for bad in (0, -5, 2.5, 1000.0, "1000", True):
             with pytest.raises(ValueError):
                 sample_chain(sc, bad)
 
     def test_rejects_bad_seed(self):
         sc = build_pauli_scenario(EPR_AMPLITUDES)
-        with pytest.raises(ValueError):
-            sample_chain(sc, 10, seed=2**64)
+        # a seed of 2.7 sampled seed 2, and "12" seed 12
+        for bad in (2**64, -1, 2.7, 2.0, "12", True):
+            with pytest.raises(ValueError):
+                sample_chain(sc, 10, seed=bad)
+
+    def test_accepts_numpy_integer_shots_and_seeds(self):
+        sc = build_pauli_scenario(EPR_AMPLITUDES)
+        record = sample_chain(sc, np.int32(500), seed=np.uint64(2**64 - 1))
+        assert record == sample_chain(sc, 500, seed=2**64 - 1)
+        assert type(record.shots) is int and type(record.seed) is int
 
     def test_counts_must_sum_to_shots(self):
         with pytest.raises(ValueError):
@@ -456,14 +516,24 @@ class TestSampleChain:
             (100, (((0.0, 1.0, -1.0), 99.5), ((0.0, -1.0, 1.0), 0.5))),
             (100, (((0.0, 1.0, -1.0), 50), ((0.0, 1.0, -1.0), 50))),
             (100, (((0.0, 1.0, -1.0), 80), ((0.0, 1.0 + 1e-14, -1.0), 0), ((0.0, -1.0, 1.0), 20))),
+            (True, (((0.0, 1.0, -1.0), 1),)),
+            (2, (((0.0, 1.0, -1.0), True), ((0.0, -1.0, 1.0), True))),
         ],
-        ids=["zero-shots", "float-shots", "negative-count", "fractional-count", "repeated-path", "same-path-key"],
+        ids=["zero-shots", "float-shots", "negative-count", "fractional-count", "repeated-path", "same-path-key",
+             "bool-shots", "bool-counts"],
     )
     def test_rejects_records_that_misstate_their_shots(self, shots, counts):
         # each gave a wrong comparison: an infinite 3-sigma band from dividing by zero shots,
         # an empirical frequency of -0.5, or a path read at half (or none) of its frequency
         with pytest.raises(ValueError):
             ShotRecord(scenario_label="pauli-pair", seed=0, shots=shots, counts=counts)
+
+    @pytest.mark.parametrize(
+        "seed", [-5, 2**64, 2.0, "0", False], ids=["negative", "beyond-64-bits", "float", "str", "bool"]
+    )
+    def test_rejects_records_whose_seed_no_sampler_takes(self, seed):
+        with pytest.raises(ValueError):
+            ShotRecord(scenario_label="pauli-pair", seed=seed, shots=100, counts=(((0.0, 1.0, -1.0), 100),))
 
     def test_accepts_numpy_integer_counts(self):
         record = ShotRecord(

@@ -44,6 +44,12 @@ class TestPureState:
         with pytest.raises(DimensionMismatchError):
             PureState([1, 0, 0], factor_dims=(2, 2))
 
+    @pytest.mark.parametrize("factor_dims", [(-2, -2), (-1, -4)])
+    def test_rejects_factor_dims_below_one(self, factor_dims):
+        # each multiplies to the vector's length; (-2, -2) made schmidt_rank raise numpy's reshape error
+        with pytest.raises(DimensionMismatchError):
+            PureState([1, 0, 0, 1], factor_dims=factor_dims)
+
     def test_phase_preserved_by_normalization(self):
         phase = np.exp(0.7j)
         psi = PureState(phase * np.array([2.0, 0.0]))
