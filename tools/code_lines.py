@@ -9,19 +9,20 @@ multi-line string that is not a docstring, counts each of its lines.
 
 Run from the repository root::
 
-    python3 tools/code_lines.py [PATH ...]
+    python3 tools/code_lines.py
 
-Each PATH is a module or a directory of modules; the default is
-``src/eprkit``. It prints one row per module (its code lines and all its
-lines) and a total row, and checks nothing.
+It prints the code lines of each ``src/eprkit`` module and their total, and
+checks nothing.
 """
 
 from __future__ import annotations
 
 import ast
-import sys
+import io
 import tokenize
 from pathlib import Path
+
+PACKAGE = Path("src/eprkit")
 
 NOT_CODE = {
     tokenize.COMMENT,
@@ -46,32 +47,26 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def code_lines(path: Path) -> tuple[int, int]:
-    """(code lines, all lines) of the module at ``path``."""
+def code_lines(path: Path) -> int:
+    """The code lines of the module at ``path``."""
     source = path.read_bytes()
     docstrings = docstring_lines(ast.parse(source))
     lines = set()
-    with path.open("rb") as f:
-        for token in tokenize.tokenize(f.readline):
-            if token.type in NOT_CODE or (token.type == tokenize.STRING and token.start[0] in docstrings):
-                continue
-            lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines), len(source.splitlines())
+    for token in tokenize.tokenize(io.BytesIO(source).readline):
+        if token.type in NOT_CODE or (token.type == tokenize.STRING and token.start[0] in docstrings):
+            continue
+        lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    paths = [Path(arg) for arg in argv] or [Path("src/eprkit")]
-    modules = [m for p in paths for m in (sorted(p.glob("*.py")) if p.is_dir() else [p])]
-    print(f"{'code':>6} {'lines':>6}  module")
-    totals = [0, 0]
-    for module in modules:
-        code, lines = code_lines(module)
-        totals[0] += code
-        totals[1] += lines
-        print(f"{code:>6} {lines:>6}  {module}")
-    print(f"{totals[0]:>6} {totals[1]:>6}  total")
-    return 0
+def main() -> None:
+    total = 0
+    for module in sorted(PACKAGE.glob("*.py")):
+        code = code_lines(module)
+        total += code
+        print(f"{code:>6}  {module}")
+    print(f"{total:>6}  total")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
