@@ -25,7 +25,7 @@ from .errors import (
     ScenarioInvariantError,
 )
 from .lab import MAX_SEED, Scenario, build_pauli_scenario, compare_empirical, sample_chain
-from .states import verify_theorem1
+from .states import _require_integer, verify_theorem1
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,14 +101,14 @@ def _load_scenario(path: str) -> Scenario:
     return io.scenario_from_json(_read_text(path))
 
 
-def _parse_positive_int(text: str, name: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise _UsageError(f"{name} must be an integer, got {text!r}") from exc
-    if value < 1:
-        raise _UsageError(f"{name} out of range: {value}")
-    return value
+def _decimal(text: str) -> int | str:
+    """The int ``text`` spells in canonical decimal, else ``text`` itself for ``_require_integer`` to refuse.
+
+    Canonical means ASCII digits with no sign and no leading zero (``0``
+    itself aside), so a report prints the very text given; ``int`` alone also
+    reads ``1_0``, `` 10 ``, ``+5``, ``007`` and non-ASCII digits.
+    """
+    return int(text) if text.isascii() and text.isdigit() and (text == "0" or text[0] != "0") else text
 
 
 def _escape_unprintable(text: str) -> str:
@@ -153,13 +153,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    shots = _parse_positive_int(args.shots, "--shots")
+    # both before the scenario file is read
     try:
-        seed = int(args.seed)
-    except ValueError as exc:
-        raise _UsageError(f"--seed must be an integer, got {args.seed!r}") from exc
-    if not 0 <= seed <= MAX_SEED:
-        raise _UsageError(f"--seed must fit in 64 bits, got {seed}")
+        shots = _require_integer(_decimal(args.shots), "--shots", 1)
+        seed = _require_integer(_decimal(args.seed), "--seed", 0, MAX_SEED)
+    except ValueError as exc:  # int() refuses past its digit limit too
+        raise _UsageError(str(exc)) from None
     sc = _load_scenario(args.path)
     record = sample_chain(sc, shots, seed)
     comparison = compare_empirical(record, sc)

@@ -37,6 +37,7 @@ from .lab import (
     path_key,
 )
 from .linalg import is_hermitian
+from .states import _require_integer
 
 SCHEMA_VERSION = 1
 
@@ -278,9 +279,10 @@ def scenario_from_json(text: str) -> Scenario:
     if not isinstance(payload["label"], str):
         raise ScenarioFormatError("label must be a string")
     _require_unicode_label(payload["label"])
-    n = payload["factor_dim"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ScenarioFormatError("factor_dim must be a positive integer")
+    try:
+        n = _require_integer(payload["factor_dim"], "factor_dim", 1)
+    except ValueError as exc:
+        raise ScenarioFormatError(str(exc)) from None
     alpha = payload["alpha"]
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or alpha == 0:
         raise ScenarioFormatError("alpha must be a nonzero number")

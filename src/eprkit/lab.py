@@ -23,6 +23,7 @@ No N^2 x N^2 operator is built for the analysis or for sampling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,6 +39,7 @@ from .states import (
     OutcomeDistribution,
     PureState,
     UncertaintyReport,
+    _require_integer,
     spectral_moments,
     uncertainty_report,
 )
@@ -125,14 +127,22 @@ def build_scenario(label, matrix_a, matrix_b, state, alpha: float = 1.0, matrix_
     """Assemble a scenario, deriving C from the commutator when not supplied.
 
     ``alpha`` defaults to 1, the generic unit convention; the Pauli builder
-    uses 2 to match the spin-matrix commutation relations.
+    uses 2 to match the spin-matrix commutation relations. It must be a
+    finite nonzero Python or numpy int or float, not a bool, or ValueError
+    names it.
     """
+    if isinstance(alpha, np.generic):
+        alpha = alpha.item()  # a Python number, which the float range below bounds without a cast
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < abs(alpha) <= sys.float_info.max:
+        raise ValueError(f"alpha must be a finite nonzero real number, got {alpha!r}")
     a = matrix_a if isinstance(matrix_a, Observable) else Observable(matrix_a)
     b = matrix_b if isinstance(matrix_b, Observable) else Observable(matrix_b)
     if matrix_c is None:
         # checked before the commutator, which would overflow beyond the envelope
         _check_envelope(matrix_a=a, matrix_b=b)
         c = Observable(extract_c(a.matrix, b.matrix, alpha))
+        # named as derived: the caller gave no matrix_c
+        _check_envelope(**{"C = [A, B]/(i*alpha)": c})
     else:
         c = matrix_c if isinstance(matrix_c, Observable) else Observable(matrix_c)
     psi = state if isinstance(state, PureState) else PureState(state, factor_dims=(a.dim, a.dim))
@@ -392,13 +402,6 @@ def _half_modulus(expectations: np.ndarray) -> list[float]:
 def path_key(s_value: float, a1_value: float, a2_value: float) -> str:
     """Canonical serialized form of one outcome path."""
     return f"{s_value:.12g},{a1_value:.12g},{a2_value:.12g}"
-
-
-def _require_integer(value, name: str, low: int, high: float = math.inf) -> int:
-    """``value`` as an int if it is a Python or numpy integer in [low, high]; else ValueError (bool, float, str too)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value <= high:
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

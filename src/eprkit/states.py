@@ -51,22 +51,35 @@ def normalize(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vectors / norms[..., None], norms
 
 
+def _require_integer(value, name: str, low: int, high: float = math.inf) -> int:
+    """``value`` as an int if it is a Python or numpy integer in [low, high]; else ValueError (bool, float, str too).
+
+    This is the package's one integer check: factor dims, a scenario file's
+    ``factor_dim``, shots, seeds and shot counts all go through it.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
 class PureState:
     """A normalized complex vector on a (possibly composite) Hilbert space.
 
     ``factor_dims`` records the tensor factorization, e.g. ``(2, 2)`` for two
     qubits; the flat amplitude order is lexicographic with the first factor as
-    the slow index. Construction normalizes the input (preserving its phase)
-    and records the applied scale.
+    the slow index. Each factor dim passes ``_require_integer`` at 1 or more.
+    Construction normalizes the input (preserving its phase) and records the
+    applied scale.
     """
 
     def __init__(self, amplitudes, factor_dims=None):
         vec, norm = normalize(np.ascontiguousarray(amplitudes, dtype=np.complex128).reshape(-1))
         if factor_dims is None:
             factor_dims = (vec.size,)
-        factor_dims = tuple(int(d) for d in factor_dims)
-        if not all(d >= 1 for d in factor_dims):
-            raise DimensionMismatchError(f"factor dims {factor_dims} must each be at least 1")
+        try:
+            factor_dims = tuple(_require_integer(d, "factor dim", 1) for d in factor_dims)
+        except ValueError as exc:
+            raise DimensionMismatchError(str(exc)) from None
         if math.prod(factor_dims) != vec.size:
             raise DimensionMismatchError(
                 f"factor dims {factor_dims} do not multiply to vector length {vec.size}"
@@ -226,11 +239,11 @@ class SpectrumFunction:
         return True
 
     def squared(self) -> "SpectrumFunction":
-        """The table of f^2, squared with Python's ``**``; a square beyond the float range raises ValueError."""
-        try:
-            return SpectrumFunction({k: float(v) ** 2 for k, v in self._table.items()})
-        except OverflowError:
-            raise ValueError("spectrum function values must be finite, and a square overflows") from None
+        """The table of f^2, each value squared as ``v * v``, which is correctly rounded.
+
+        A square beyond the float range is inf, which the table rejects with ValueError.
+        """
+        return SpectrumFunction({k: v * v for k, v in zip(self._table, self._values.tolist())})
 
 
 @dataclass(frozen=True)

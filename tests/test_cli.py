@@ -24,6 +24,7 @@ from eprkit.states import UncertaintyReport
 from helpers import random_hermitian, random_state_vector
 
 BUNDLED = ["pauli_epr.json", "pauli_uniform.json", "spin_one.json"]
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 
 
 def scenario_path(name: str) -> str:
@@ -230,6 +231,17 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"epr: parse error: {message}\n"
 
+    @pytest.mark.parametrize("factor_dim", [2.5, 2.0, True, "2", None, 0, -2])
+    def test_factor_dim_that_is_no_positive_integer_is_parse_error(self, factor_dim, tmp_path, capsys):
+        payload = json.loads(scenario_text("pauli_epr.json"))
+        payload["factor_dim"] = factor_dim
+        bad = tmp_path / "factor_dim.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify", str(bad)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"epr: parse error: factor_dim must be an integer in [1, inf], got {factor_dim!r}\n"
+
     @staticmethod
     def _scaled_pauli(tmp_path, xa: float, xb: float, keep_c: bool) -> str:
         # A = diag(xa, -xa), B = xb * Pauli X; the derived C is xa * xb * Pauli Y
@@ -251,6 +263,26 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "envelope" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "keep_c, named",
+        [(False, "C = [A, B]/(i*alpha) has an entry"), (True, "matrix_c has an entry")],
+    )
+    def test_commutator_beyond_the_envelope_names_its_source(self, keep_c, named, tmp_path, capsys):
+        # A = diag(1e150, -1e150) and B = X sit at the envelope, C = 2e150 Y beyond it; a file
+        # without matrix_c was told "matrix_c has an entry", naming a field it does not have
+        path = Path(self._scaled_pauli(tmp_path, MAX_ENTRY_MAGNITUDE, 1.0, keep_c))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["alpha"] = 1.0
+        if keep_c:
+            payload["matrix_c"] = [[[0.0, 0.0], [0.0, -2e150]], [[0.0, 2e150], [0.0, 0.0]]]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify", str(path)]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"epr: invariant violation: {named} of magnitude 2.000e+150, beyond the envelope of 1e+150\n"
+        )
 
     @pytest.mark.parametrize("command", ["verify", "analyze", "sample"])
     @pytest.mark.parametrize("keep_c", [True, False])
@@ -507,6 +539,52 @@ class TestSample:
 
     def test_non_numeric_shots_is_usage_error(self):
         assert main(["sample", scenario_path("pauli_epr.json"), "--shots", "many"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("option", ["--shots", "--seed"])
+    @pytest.mark.parametrize("text", ["1_0", " 10 ", "\u0661\u0660", "+5", "007", "-0", "1e3"])
+    def test_integer_not_in_canonical_decimal_is_usage_error(self, option, text, capsys):
+        # int() read the first six as 10, 10, 10, 5, 7 and 0, so a report could name a seed spelt
+        # differently from the one given; the file is not read, so it need not exist
+        argv = {"--shots": "10", "--seed": "3"} | {option: text}
+        assert main(["sample", "missing.json", *(x for pair in argv.items() for x in pair)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"epr: error: {option} must be an integer in [")
+        assert captured.err.endswith(f"], got {text!r}\n") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", ["--shots", "--seed"])
+    def test_integer_past_the_digit_limit_is_usage_error(self, option, capsys):
+        argv = {"--shots": "10", "--seed": "3"} | {option: "1" * 5000}
+        assert main(["sample", "missing.json", *(x for pair in argv.items() for x in pair)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("epr: error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("shots, seed", [("1", "0"), ("10", "7"), ("997", "10"), ("1000", str(lab.MAX_SEED))])
+    def test_report_prints_the_integer_text_given(self, shots, seed, capsys):
+        assert main(["sample", scenario_path("pauli_epr.json"), "--shots", shots, "--seed", seed]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f'\n    "seed": {seed},\n    "shots": {shots},\n' in out
+
+    @given(
+        option=st.sampled_from(["--shots", "--seed"]),
+        n=st.integers(0, 10**6),
+        spell=st.sampled_from(
+            [str, "+{}".format, "0{}".format, " {} ".format, "{:_}".format, lambda n: str(n).translate(_ARABIC_INDIC)]
+        ),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_an_accepted_integer_text_is_the_one_reported(self, option, n, spell):
+        # "+5", "007", " 10 ", "1_000" and Arabic-Indic digits were read by int() and reported respelt
+        text = spell(n)
+        argv = {"--shots": "10", "--seed": "3"} | {option: text}
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sample", scenario_path("pauli_epr.json"), *(x for pair in argv.items() for x in pair)])
+        if code == EXIT_OK:
+            assert f'\n    "{option[2:]}": {text},\n' in out.getvalue()
+        else:
+            assert code == EXIT_USAGE and out.getvalue() == "" and err.getvalue().count("\n") == 1
 
     def test_oversized_seed_is_usage_error(self):
         code = main(

@@ -70,6 +70,23 @@ class TestScenarioConstruction:
         sc = build_scenario("derived", PAULI_Z, PAULI_X, np.full(4, 0.5), alpha=2.0)
         assert np.allclose(sc.obs_c.matrix, PAULI_Y)
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [True, np.True_, "2", 2 + 0j, np.complex128(2), math.nan, math.inf, -math.inf, np.float32("inf"), 0]
+        + [pytest.param(10**400, id="10**400")],
+    )
+    @pytest.mark.parametrize("matrix_c", [None, PAULI_Y])
+    def test_rejects_alpha_that_is_no_finite_nonzero_real(self, alpha, matrix_c):
+        # True was read as 1.0, "2" and 2 + 0j escaped as TypeError, and nan and inf were
+        # reported as an overflowing commutator
+        with pytest.raises(ValueError, match="alpha must be a finite nonzero real number"):
+            build_scenario("alpha", PAULI_Z, PAULI_X, np.full(4, 0.5), alpha=alpha, matrix_c=matrix_c)
+
+    @pytest.mark.parametrize("alpha", [2, 2.0, np.int64(2), np.float64(2.0), np.float32(2.0), np.uint8(2)])
+    def test_accepts_any_real_alpha_as_a_float(self, alpha):
+        sc = build_scenario("alpha", PAULI_Z, PAULI_X, np.full(4, 0.5), alpha=alpha, matrix_c=PAULI_Y)
+        assert type(sc.alpha) is float and sc.alpha == 2.0
+
     def test_rejects_zero_amplitudes(self):
         with pytest.raises(ValueError):
             build_pauli_scenario([0.0, 0.0, 0.0, 0.0])

@@ -1,10 +1,13 @@
-"""The README's Python API example runs against the package and its comments state true values."""
+"""The README's Python API example and command lines run against the package; its comments state true values."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from eprkit.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +45,16 @@ def test_python_api_block_runs_and_its_comments_hold():
     assert dist.probability_of(-1.0) == pytest.approx(0.2, abs=1e-12)
     assert comments["compare_empirical(record, sc).within_3sigma"] == "True"
     assert shown["compare_empirical(record, sc).within_3sigma"] is True
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    match = re.search(r"## Command line\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert match, "README has no Command line block"
+    commands = [shlex.split(line, comments=True) for line in match.group(1).splitlines() if line.startswith("epr ")]
+    assert [argv[1] for argv in commands] == ["demo-pauli", "verify", "analyze", "sample"]
+    monkeypatch.chdir(tmp_path)  # each --out lands in a fresh directory, and verify reads demo-pauli's file there
+    for argv in commands:
+        assert main(argv[1:]) == EXIT_OK, shlex.join(argv)
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0, shlex.join(argv)
+    assert capsys.readouterr().out.endswith("all invariants satisfied\n")

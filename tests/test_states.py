@@ -50,6 +50,16 @@ class TestPureState:
         with pytest.raises(DimensionMismatchError):
             PureState([1, 0, 0, 1], factor_dims=factor_dims)
 
+    @pytest.mark.parametrize("factor_dims", [(2.9, 2), (True, 4), ("2", "2"), (2, 2.0)])
+    def test_rejects_factor_dims_that_are_not_integers(self, factor_dims):
+        # int(d) read these as (2, 2), (1, 4), (2, 2) and (2, 2)
+        with pytest.raises(DimensionMismatchError, match="factor dim must be an integer"):
+            PureState([1, 0, 0, 1], factor_dims=factor_dims)
+
+    def test_numpy_integer_factor_dims_become_ints(self):
+        dims = PureState([1, 0, 0, 1], factor_dims=np.array([2, 2])).factor_dims
+        assert dims == (2, 2) and all(type(d) is int for d in dims)
+
     def test_phase_preserved_by_normalization(self):
         phase = np.exp(0.7j)
         psi = PureState(phase * np.array([2.0, 0.0]))
@@ -174,6 +184,11 @@ class TestSpectrumFunction:
         with pytest.raises(ValueError, match="finite"):
             SpectrumFunction({1.0: 1e200, 2.0: 1.0}).squared()
         assert SpectrumFunction({1.0: -1e154}).squared()(1.0) == (-1e154) ** 2
+
+    def test_squared_is_the_correctly_rounded_product(self):
+        # float ** 2 is C pow, which (glibc's) rounds this square up a last bit: 2.6710183769648842e+48
+        x = 1.6343250524191581e24
+        assert SpectrumFunction({1.0: x}).squared()(1.0) == x * x
 
     def test_lookup_of_another_shape_matches_no_key(self):
         # x was broadcast against the keys, so a pair matched a number key and a number a pair key
