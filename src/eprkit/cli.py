@@ -24,7 +24,7 @@ from .errors import (
     ScenarioFormatError,
     ScenarioInvariantError,
 )
-from .lab import MAX_SEED, Scenario, build_pauli_scenario, compare_empirical, sample_chain
+from .lab import MAX_SEED, MAX_SHOTS, Scenario, build_pauli_scenario, compare_empirical, sample_chain
 from .states import _require_integer, verify_theorem1
 
 EXIT_OK = 0
@@ -101,14 +101,17 @@ def _load_scenario(path: str) -> Scenario:
     return io.scenario_from_json(_read_text(path))
 
 
-def _decimal(text: str) -> int | str:
-    """The int ``text`` spells in canonical decimal, else ``text`` itself for ``_require_integer`` to refuse.
+def _decimal(text: str, name: str, low: int, high: int) -> int:
+    """The int in [low, high] that ``text`` spells in canonical decimal, checked by ``_require_integer``.
 
     Canonical means ASCII digits with no sign and no leading zero (``0``
     itself aside), so a report prints the very text given; ``int`` alone also
-    reads ``1_0``, `` 10 ``, ``+5``, ``007`` and non-ASCII digits.
+    reads ``1_0``, `` 10 ``, ``+5``, ``007`` and non-ASCII digits. Any other
+    text, and one with more digits than ``high``, which ``int`` might refuse
+    past its digit limit, goes to the check as it is, which refuses it.
     """
-    return int(text) if text.isascii() and text.isdigit() and (text == "0" or text[0] != "0") else text
+    canonical = text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
+    return _require_integer(int(text) if canonical and len(text) <= len(str(high)) else text, name, low, high)
 
 
 def _escape_unprintable(text: str) -> str:
@@ -155,9 +158,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_sample(args) -> int:
     # both before the scenario file is read
     try:
-        shots = _require_integer(_decimal(args.shots), "--shots", 1)
-        seed = _require_integer(_decimal(args.seed), "--seed", 0, MAX_SEED)
-    except ValueError as exc:  # int() refuses past its digit limit too
+        shots = _decimal(args.shots, "--shots", 1, MAX_SHOTS)
+        seed = _decimal(args.seed, "--seed", 0, MAX_SEED)
+    except ValueError as exc:
         raise _UsageError(str(exc)) from None
     sc = _load_scenario(args.path)
     record = sample_chain(sc, shots, seed)

@@ -403,15 +403,15 @@ def verify_tower_property(
     index = anti_diagonal_index(a)
     # G is read at each line's grouped sum, not the raw a_n + a_m,
     # so merged near-coincident sums cannot drift outside G's match tolerance
-    gvals = {s: g(s) for s in index.sums}
+    gvals = g.values_at(index.sums)
     fvals = [f(v) for v in a.eigenvalues]
     table = _branch_table(state, a)
     a.require_nondegenerate()
     kept = table.kept.tolist()
     means = _conditional_means(table, fvals).tolist()
-    lhs = sum(gvals[index.sums[k]] * e * p for k, e, p in zip(kept, means, table.sum_probabilities[kept].tolist()))
+    lhs = sum(gvals[k] * e * p for k, e, p in zip(kept, means, table.sum_probabilities[kept].tolist()))
     w = table.joint
-    rhs = sum(gvals[s] * sum(fvals[n] * w[n, m] for n, m in members) for s, members in zip(index.sums, index.sets))
+    rhs = sum(gv * sum(fvals[n] * w[n, m] for n, m in members) for gv, members in zip(gvals, index.sets))
     return abs(lhs - float(rhs))
 
 

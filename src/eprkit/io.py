@@ -6,7 +6,8 @@ representation that survives a parse/emit round trip unchanged). Parsing is
 strict: unknown fields are rejected so that typos fail loudly instead of
 being silently ignored.
 
-``emit_json`` is one recursive pass that appends text pieces and joins them;
+``emit_json`` is one recursive pass that appends text pieces and joins them,
+formatting each distinct nonzero float once;
 its bytes are those of ``json.dumps(indent=2, allow_nan=False)`` applied to
 the payload with every float rounded to 15 significant digits. A float's
 text is ``f"{v:.15g}"`` itself, which for a finite value already is the
@@ -92,11 +93,27 @@ def _scalar_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _encode(value, newline: str, append) -> None:
+def _new_float_text(value: float, texts: dict) -> str:
+    """``_float_text(value)``, kept in ``texts`` under its value for the rest of one emit.
+
+    A report repeats many values: an audit's deltas are its stdevs, and a
+    Hermitian matrix repeats its real parts. Zeros are not kept, since 0.0
+    and -0.0 are equal keys with different texts; NaN and the infinities
+    never are, since formatting them raises.
+    """
+    text = _float_text(value)
+    if value:
+        texts[value] = text
+    return text
+
+
+def _encode(value, newline: str, append, texts: dict) -> None:
     """Append the text of value, laid out as ``json.dumps(indent=2)`` lays it out.
 
     newline is the line break plus the indent of the line value starts on.
-    Floats, the bulk of a report, are written inline in the loops.
+    Floats, the bulk of a report, are written inline in the loops, each
+    distinct one formatted once (``texts``), and so are the [re, im] pairs
+    of two floats that matrices and states hold.
     """
     if isinstance(value, dict):
         if not value:
@@ -109,10 +126,10 @@ def _encode(value, newline: str, append) -> None:
             head = opener + _quote(key) + ": "
             opener = separator
             if type(item) is float:
-                append(head + _float_text(item))
+                append(head + (texts.get(item) or _new_float_text(item, texts)))
             elif isinstance(item, (dict, list, tuple)):
                 append(head)
-                _encode(item, inner, append)
+                _encode(item, inner, append, texts)
             else:
                 append(head + _scalar_text(item))
         append(newline + "}")
@@ -121,14 +138,20 @@ def _encode(value, newline: str, append) -> None:
             append("[]")
             return
         inner = newline + "  "
+        cell = inner + "  "
         opener = "[" + inner
         separator = "," + inner
         for item in value:
             if type(item) is float:
-                append(opener + _float_text(item))
+                append(opener + (texts.get(item) or _new_float_text(item, texts)))
+            elif type(item) is list and len(item) == 2 and type(item[0]) is float and type(item[1]) is float:
+                real, imag = item
+                real = texts.get(real) or _new_float_text(real, texts)
+                imag = texts.get(imag) or _new_float_text(imag, texts)
+                append(opener + "[" + cell + real + "," + cell + imag + inner + "]")
             elif isinstance(item, (dict, list, tuple)):
                 append(opener)
-                _encode(item, inner, append)
+                _encode(item, inner, append, texts)
             else:
                 append(opener + _scalar_text(item))
             opener = separator
@@ -140,7 +163,7 @@ def _encode(value, newline: str, append) -> None:
 def emit_json(payload: dict) -> str:
     """``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline, every float rounded to 15 digits."""
     pieces: list[str] = []
-    _encode(payload, "\n", pieces.append)
+    _encode(payload, "\n", pieces.append, {})
     pieces.append("\n")
     return "".join(pieces)
 
@@ -310,52 +333,53 @@ def scenario_from_json(text: str) -> Scenario:
         raise ScenarioInvariantError(str(exc)) from exc
 
 
-def _summary_payload(summary) -> dict:
-    return {"mean": summary.mean, "stdev": summary.stdev}
-
-
-def _audit_payload(audit) -> dict:
-    return {
-        "delta_a": audit.delta_a,
-        "delta_b": audit.delta_b,
-        "rhs": audit.rhs,
-        "satisfied": audit.satisfied,
-    }
-
-
 def _distribution_payload(dist) -> list:
     return [{"value": v, "probability": p} for v, p in dist.outcomes]
 
 
 def analysis_to_payload(report: EprReport) -> dict:
-    per_sum = {}
-    for branch in report.per_sum:
-        per_sum[f"{branch.s_value:.12g}"] = {
-            "probability": branch.probability,
-            "schmidt_rank": branch.schmidt_rank,
-            "a1": _summary_payload(branch.a1),
-            "a2": _summary_payload(branch.a2),
-            "b1": _summary_payload(branch.b1),
-            "b2": _summary_payload(branch.b2),
-            "c1": _summary_payload(branch.c1),
-            "c2": _summary_payload(branch.c2),
-            "sum_constraint": {
-                "mean_identity_residual": branch.sum_constraint.mean_identity_residual,
-                "stdev_gap": branch.sum_constraint.stdev_gap,
-            },
-            "audit_slot1": _audit_payload(branch.audit_slot1),
-            "audit_slot2": _audit_payload(branch.audit_slot2),
+    """The report's analysis section, zipped from its branch and chain columns."""
+    b = report.branch_columns
+    per_sum = {
+        f"{s_value:.12g}": {
+            "probability": probability,
+            "schmidt_rank": rank,
+            "a1": {"mean": mean_a1, "stdev": stdev_a1},
+            "a2": {"mean": mean_a2, "stdev": stdev_a2},
+            "b1": {"mean": mean_b1, "stdev": stdev_b1},
+            "b2": {"mean": mean_b2, "stdev": stdev_b2},
+            "c1": {"mean": mean_c1, "stdev": stdev_c1},
+            "c2": {"mean": mean_c2, "stdev": stdev_c2},
+            "sum_constraint": {"mean_identity_residual": residual, "stdev_gap": gap},
+            "audit_slot1": {"delta_a": delta_a1, "delta_b": delta_b1, "rhs": rhs1, "satisfied": satisfied1},
+            "audit_slot2": {"delta_a": delta_a2, "delta_b": delta_b2, "rhs": rhs2, "satisfied": satisfied2},
         }
-    chains = {}
-    for chain in report.chains:
-        chains[f"{chain.s_value:.12g},{chain.a1_value:.12g}"] = {
-            "a2_value": chain.a2_value,
-            "conditional_probability": chain.conditional_probability,
-            "a2_predicted": chain.a2_predicted,
-            "a2_stdev": chain.a2_stdev,
-            "point_mass_residual": chain.point_mass_residual,
-            "resolution": _audit_payload(chain.resolution),
+        for (
+            s_value, probability, rank,
+            mean_a1, stdev_a1, mean_a2, stdev_a2, mean_b1, stdev_b1, mean_b2, stdev_b2, mean_c1, stdev_c1, mean_c2, stdev_c2,
+            residual, gap,
+            delta_a1, delta_b1, rhs1, satisfied1, delta_a2, delta_b2, rhs2, satisfied2,
+        ) in zip(
+            b.s_value, b.probability, b.schmidt_rank,
+            *b.a1, *b.a2, *b.b1, *b.b2, *b.c1, *b.c2,
+            *b.sum_constraint,
+            *b.audit_slot1, *b.audit_slot2,
+        )
+    }
+    c = report.chain_columns
+    chains = {
+        f"{s_value:.12g},{a1_value:.12g}": {
+            "a2_value": a2_value,
+            "conditional_probability": probability,
+            "a2_predicted": predicted,
+            "a2_stdev": stdev,
+            "point_mass_residual": residual,
+            "resolution": {"delta_a": delta_a, "delta_b": delta_b, "rhs": rhs, "satisfied": satisfied},
         }
+        for s_value, a1_value, a2_value, probability, predicted, stdev, residual, delta_a, delta_b, rhs, satisfied in zip(
+            *c[:-1], *c.resolution
+        )
+    }
     return {
         "sum_spectrum": _distribution_payload(report.sum_spectrum),
         "per_sum": per_sum,

@@ -26,6 +26,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .states import (
     UncertaintyReport,
     _require_integer,
     spectral_moments,
-    uncertainty_report,
+    uncertainty_satisfied,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,6 +57,11 @@ COMMUTATION_TOL = 1e-8
 MAX_ENTRY_MAGNITUDE = 1e150
 
 MAX_SEED = 2**64 - 1
+
+# Largest shot count of one sample. At some 17 ns per shot a call of this
+# size already runs for hours; a larger count is refused rather than left
+# running.
+MAX_SHOTS = 2**40
 
 
 @dataclass(frozen=True)
@@ -208,35 +214,100 @@ class ChainReport:
     resolution: UncertaintyReport
 
 
+class BranchColumns(NamedTuple):
+    """The report's branches as ``SumBranchReport``'s fields, one list per field and one entry per branch.
+
+    A nested report's field holds its own fields' lists, in their order:
+    each of ``a1`` .. ``c2`` is (means, stdevs), ``sum_constraint`` is
+    (mean identity residuals, stdev gaps) and each audit is (delta_a,
+    delta_b, rhs, satisfied).
+    """
+
+    s_value: list[float]
+    probability: list[float]
+    schmidt_rank: list[int]
+    a1: tuple[list[float], list[float]]
+    a2: tuple[list[float], list[float]]
+    b1: tuple[list[float], list[float]]
+    b2: tuple[list[float], list[float]]
+    c1: tuple[list[float], list[float]]
+    c2: tuple[list[float], list[float]]
+    sum_constraint: tuple[list[float], list[float]]
+    audit_slot1: tuple[list[float], list[float], list[float], list[bool]]
+    audit_slot2: tuple[list[float], list[float], list[float], list[bool]]
+
+
+class ChainColumns(NamedTuple):
+    """The report's chains as ``ChainReport``'s fields, one list per field and one entry per chain.
+
+    ``resolution`` holds the audit's lists (delta_a, delta_b, rhs, satisfied).
+    """
+
+    s_value: list[float]
+    a1_value: list[float]
+    a2_value: list[float]
+    conditional_probability: list[float]
+    a2_predicted: list[float]
+    a2_stdev: list[float]
+    point_mass_residual: list[float]
+    resolution: tuple[list[float], list[float], list[float], list[bool]]
+
+
+def _records(cls, columns) -> list:
+    """One ``cls`` per row of the parallel lists ``columns``, given in ``cls``'s field order."""
+    return [cls(*row) for row in zip(*columns)]
+
+
 @dataclass(frozen=True)
 class EprReport:
-    """Complete analysis of one scenario."""
+    """Complete analysis of one scenario, its branches and chains held as columns.
+
+    The JSON report is written from the columns; ``per_sum`` and ``chains``
+    build the branch and chain objects from them on first access.
+    """
 
     scenario_label: str
     sum_spectrum: OutcomeDistribution
-    per_sum: tuple[SumBranchReport, ...]
-    chains: tuple[ChainReport, ...]
+    branch_columns: BranchColumns
+    chain_columns: ChainColumns
 
     def __post_init__(self):
         # The uncertainty bound is a theorem; a violated audit is a bug, not a result.
-        for branch in self.per_sum:
-            if not (branch.audit_slot1.satisfied and branch.audit_slot2.satisfied):
-                raise ScenarioInvariantError(f"uncertainty audit failed in branch s={branch.s_value!r}")
-        for chain in self.chains:
-            if not chain.resolution.satisfied:
+        branches, chains = self.branch_columns, self.chain_columns
+        for s_value, slot1, slot2 in zip(branches.s_value, branches.audit_slot1[3], branches.audit_slot2[3]):
+            if not (slot1 and slot2):
+                raise ScenarioInvariantError(f"uncertainty audit failed in branch s={s_value!r}")
+        for s_value, a1_value, satisfied in zip(chains.s_value, chains.a1_value, chains.resolution[3]):
+            if not satisfied:
                 raise ScenarioInvariantError(
-                    f"uncertainty audit failed after chain (s={chain.s_value!r}, a1={chain.a1_value!r})"
+                    f"uncertainty audit failed after chain (s={s_value!r}, a1={a1_value!r})"
                 )
+
+    @cached_property
+    def per_sum(self) -> tuple[SumBranchReport, ...]:
+        """The branches as ``SumBranchReport`` objects, in report order."""
+        b = self.branch_columns
+        nested = [_records(PredictionSummary, part) for part in (b.a1, b.a2, b.b1, b.b2, b.c1, b.c2)]
+        nested.append(_records(SumConstraintReport, b.sum_constraint))
+        nested += [_records(UncertaintyReport, audit) for audit in (b.audit_slot1, b.audit_slot2)]
+        return tuple(_records(SumBranchReport, (b.s_value, b.probability, b.schmidt_rank, *nested)))
+
+    @cached_property
+    def chains(self) -> tuple[ChainReport, ...]:
+        """The chains as ``ChainReport`` objects, in report order."""
+        c = self.chain_columns
+        return tuple(_records(ChainReport, (*c[:-1], _records(UncertaintyReport, c.resolution))))
 
     def branch_for(self, s_value: float) -> SumBranchReport:
         """The branch whose sum value is nearest s_value, within the sum spectrum's grouping tolerance."""
         tol = default_grouping_tol(self.sum_spectrum.values)
-        return self.per_sum[match_value([b.s_value for b in self.per_sum], s_value, tol)]
+        return self.per_sum[match_value(self.branch_columns.s_value, s_value, tol)]
 
     def chain_for(self, s_value: float, a1_value: float) -> ChainReport:
         """The chain nearest (s_value, a1_value), within ``branch_for``'s tolerance in each."""
         tol = default_grouping_tol(self.sum_spectrum.values)
-        return self.chains[match_value([(c.s_value, c.a1_value) for c in self.chains], (s_value, a1_value), tol)]
+        chains = self.chain_columns
+        return self.chains[match_value(list(zip(chains.s_value, chains.a1_value)), (s_value, a1_value), tol)]
 
 
 def run_epr_analysis(sc: Scenario) -> EprReport:
@@ -270,10 +341,12 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     the line. The chain S, then A(1) = a_n, leaves
     u |a_n>|a_m> with the unit phase u of K[n, m]: A(2) is the point mass
     |u|^2 at m, B(2) is row m of the overlap table |V_B^H V_A|^2 added over
-    B's lines, and the bound's right-hand side is |C'_mm| / 2. Only the
-    report objects are built in a loop. A measurement that does not sum to
-    1 (for B and C, a branch state off the unit norm) or a chain that
-    misses its point mass raises ScenarioInvariantError.
+    B's lines, and the bound's right-hand side is |C'_mm| / 2. No object
+    is built per branch or chain: the report holds its branches and chains
+    as the columns these arrays give (``BranchColumns``, ``ChainColumns``).
+    A measurement that does not sum to 1 (for B and C, a branch state off
+    the unit norm) or a chain that misses its point mass raises
+    ScenarioInvariantError.
     """
     a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
     a.require_nondegenerate()
@@ -302,39 +375,28 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     for (name, slot), probs in probabilities.items():
         _require_normalized(probs, f"{name.upper()}({slot})")
         moments[name, slot] = spectral_moments(factors[name].eigenvalues, probs)
-        means, stdevs = (x.tolist() for x in moments[name, slot])
-        summaries[name, slot] = [PredictionSummary(mean=mean, stdev=stdev) for mean, stdev in zip(means, stdevs)]
+        summaries[name, slot] = tuple(x.tolist() for x in moments[name, slot])
     (mean1, stdev1), (mean2, stdev2) = moments["a", 1], moments["a", 2]
-    mean_residuals = np.abs(mean2 - (np.asarray(index.sums)[kept] - mean1)).tolist()
-    stdev_gaps = np.abs(stdev1 - stdev2).tolist()
+    sums = np.asarray(index.sums)
     c_diagonal = np.vecdot(v, c.matrix @ v, axis=0)
     c_max = float(np.abs(c.matrix).max())
-    rhs = {slot: _half_modulus(probabilities["a", slot] @ c_diagonal) for slot in (1, 2)}
-    ranks = table.schmidt_ranks.tolist()
-
-    branches = []
-    for i, k in enumerate(kept.tolist()):
-        summary = {key: per_branch[i] for key, per_branch in summaries.items()}
-        audits = {
-            slot: uncertainty_report(summary["a", slot].stdev, summary["b", slot].stdev, rhs[slot][i], c_max)
-            for slot in (1, 2)
-        }
-        branches.append(
-            SumBranchReport(
-                s_value=index.sums[k],
-                probability=spectrum.outcomes[k][1],
-                schmidt_rank=ranks[i],
-                a1=summary[("a", 1)],
-                a2=summary[("a", 2)],
-                b1=summary[("b", 1)],
-                b2=summary[("b", 2)],
-                c1=summary[("c", 1)],
-                c2=summary[("c", 2)],
-                sum_constraint=SumConstraintReport(mean_identity_residual=mean_residuals[i], stdev_gap=stdev_gaps[i]),
-                audit_slot1=audits[1],
-                audit_slot2=audits[2],
-            )
+    audits = [
+        _audit_columns(
+            summaries["a", slot][1],
+            summaries["b", slot][1],
+            _half_modulus(probabilities["a", slot] @ c_diagonal),
+            c_max,
         )
+        for slot in (1, 2)
+    ]
+    branches = BranchColumns(
+        sums[kept].tolist(),
+        sum_probs[kept].tolist(),
+        table.schmidt_ranks.tolist(),
+        *(summaries[name, slot] for name in "abc" for slot in (1, 2)),
+        (np.abs(mean2 - (sums[kept] - mean1)).tolist(), np.abs(stdev1 - stdev2).tolist()),
+        *audits,
+    )
 
     # the table lists each branch's chains in the order of its line's pairs
     chain_branch, ns, ms = table.pairs[:, table.chains]
@@ -345,34 +407,27 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     if not np.all(point_mass >= 1.0 - POINT_MASS_TOL):
         raise ScenarioInvariantError("a state left by the measurement chain misses its A(2) point mass")
     a2_predicted, a2_stdev = (x.tolist() for x in spectral_moments(a_values, a2_probs))
-    residuals = np.abs(1.0 - point_mass).tolist()
     overlaps = np.abs(b.eigenvectors.conj().T @ v) ** 2
     b2_probs = line_totals(overlaps.T, b)[ms]
     _require_normalized(b2_probs, "B(2) after the chain")
     b2_stdev = spectral_moments(b.eigenvalues, b2_probs)[1].tolist()
-    chain_rhs = _half_modulus(c_diagonal[ms])
-
-    chains = [
-        ChainReport(
-            s_value=index.sums[k],
-            a1_value=index.factor_eigenvalues[n],
-            a2_value=index.factor_eigenvalues[m],
-            conditional_probability=cond_prob,
-            a2_predicted=a2_predicted[j],
-            a2_stdev=a2_stdev[j],
-            point_mass_residual=residuals[j],
-            resolution=uncertainty_report(a2_stdev[j], b2_stdev[j], chain_rhs[j], c_max),
-        )
-        for j, (k, n, m, cond_prob) in enumerate(
-            zip(kept[chain_branch].tolist(), ns.tolist(), ms.tolist(), weights[table.chains].tolist())
-        )
-    ]
-    return EprReport(
-        scenario_label=sc.label,
-        sum_spectrum=spectrum,
-        per_sum=tuple(branches),
-        chains=tuple(chains),
+    chains = ChainColumns(
+        sums[kept[chain_branch]].tolist(),
+        a_values[ns].tolist(),
+        a_values[ms].tolist(),
+        weights[table.chains].tolist(),
+        a2_predicted,
+        a2_stdev,
+        np.abs(1.0 - point_mass).tolist(),
+        _audit_columns(a2_stdev, b2_stdev, _half_modulus(c_diagonal[ms]), c_max),
     )
+    return EprReport(scenario_label=sc.label, sum_spectrum=spectrum, branch_columns=branches, chain_columns=chains)
+
+
+def _audit_columns(delta_a: list[float], delta_b: list[float], rhs: list[float], c_magnitude: float) -> tuple:
+    """The audit of each entry as the columns (delta_a, delta_b, rhs, satisfied), judged by ``uncertainty_satisfied``."""
+    satisfied = uncertainty_satisfied(np.array(delta_a), np.array(delta_b), np.array(rhs), c_magnitude)
+    return delta_a, delta_b, rhs, satisfied.tolist()
 
 
 def _chain_a2_probabilities(units: np.ndarray, ms: np.ndarray, n_dim: int) -> np.ndarray:
@@ -408,9 +463,9 @@ def path_key(s_value: float, a1_value: float, a2_value: float) -> str:
 class ShotRecord:
     """Tally of sampled measurement paths (s, a1, a2 = s - a1).
 
-    ``seed`` is an integer in [0, ``MAX_SEED``] and ``shots`` a positive
-    integer, each path is listed once (as ``path_key`` writes it) with a
-    nonnegative integer count, and the counts add up to ``shots``. An
+    ``seed`` is an integer in [0, ``MAX_SEED``] and ``shots`` one in [1,
+    ``MAX_SHOTS``], each path is listed once (as ``path_key`` writes it)
+    with a nonnegative integer count, and the counts add up to ``shots``. An
     integer is a Python or numpy integer, never a bool, float or str.
     """
 
@@ -421,7 +476,7 @@ class ShotRecord:
 
     def __post_init__(self):
         _require_integer(self.seed, "seed", 0, MAX_SEED)
-        _require_integer(self.shots, "shots", 1)
+        _require_integer(self.shots, "shots", 1, MAX_SHOTS)
         for _, count in self.counts:
             _require_integer(count, "count", 0)
         # compare_empirical and the report key each path by its path_key text
@@ -480,7 +535,7 @@ def sample_chain(sc: Scenario, shots: int, seed: int = 0) -> ShotRecord:
     identical (scenario, shots, seed) yields identical counts regardless of
     backend or evaluation order.
     """
-    shots, seed = _require_integer(shots, "shots", 1), _require_integer(seed, "seed", 0, MAX_SEED)
+    shots, seed = _require_integer(shots, "shots", 1, MAX_SHOTS), _require_integer(seed, "seed", 0, MAX_SEED)
     sum_cdf, cond_cdf, listed, _, paths = sc.chain_tables
     counts = _kernels.sample_counts(seed, shots, sum_cdf, cond_cdf)[listed].tolist()
     drawn = tuple((path, count) for path, count in zip(paths, counts) if count)

@@ -55,11 +55,28 @@ def _require_integer(value, name: str, low: int, high: float = math.inf) -> int:
     """``value`` as an int if it is a Python or numpy integer in [low, high]; else ValueError (bool, float, str too).
 
     This is the package's one integer check: factor dims, a scenario file's
-    ``factor_dim``, shots, seeds and shot counts all go through it.
+    ``factor_dim``, shots, seeds and shot counts all go through it. Its
+    message shows at most ``_SHOWN_CHARS`` characters of the value.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value <= high:
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {_shown(value)}")
     return int(value)
+
+
+# Characters of a refused value that an error message shows.
+_SHOWN_CHARS = 40
+
+
+def _shown(value) -> str:
+    """``repr(value)`` cut to ``_SHOWN_CHARS`` characters, ending in "..." where cut.
+
+    An int too long to show is named by its bit length instead: ``repr``
+    of one past 4,300 digits raises Python's digit-limit error.
+    """
+    if isinstance(value, int) and value.bit_length() > 4 * _SHOWN_CHARS:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
 
 
 class PureState:
@@ -230,6 +247,30 @@ class SpectrumFunction:
         idx = match_value(self._keys, value, self.match_tol)
         return float(self._values[idx])
 
+    def values_at(self, points) -> list[float]:
+        """``[self(x) for x in points]`` for numbers x, in one sorted lookup over the keys.
+
+        The keys are sorted and distinct, so the nearest key to x is one of
+        its two neighbours in key order, found by ``searchsorted``; rounding
+        can leave keys further left exactly as near, and as in
+        ``match_value`` the first of equally near keys wins. A point that
+        matches no key raises ``match_value``'s error for the first such point.
+        """
+        if self._keys.ndim > 1:  # a number has the shape of no tuple key: match_value names the first point
+            return [self(x) for x in points]
+        x = np.asarray(points, dtype=float)
+        keys = self._keys
+        right = np.minimum(np.searchsorted(keys, x), keys.size - 1)
+        left = np.maximum(right - 1, 0)
+        idx = np.where(np.abs(keys[left] - x) <= np.abs(keys[right] - x), left, right)
+        distance = np.abs(keys[idx] - x)
+        while (tied := (idx > 0) & (np.abs(keys[idx - 1] - x) == distance)).any():
+            idx[tied] -= 1
+        missed = np.flatnonzero(~(distance <= self.match_tol))
+        if missed.size:
+            self(points[missed[0]])
+        return self._values[idx].tolist()
+
     def covers(self, spectrum) -> bool:
         try:
             for a in spectrum:
@@ -329,18 +370,24 @@ def audit_uncertainty(state: PureState, a: Observable, b: Observable, c: Observa
     )
 
 
-def uncertainty_report(delta_a: float, delta_b: float, rhs: float, c_magnitude: float) -> UncertaintyReport:
+def uncertainty_satisfied(delta_a, delta_b, rhs, c_magnitude: float):
     """Judge ``delta_a * delta_b >= rhs``, the bound's right-hand side ``|<C>| / 2`` already evaluated.
 
-    ``c_magnitude`` is C's largest |entry|. Where the bound vanishes, as on a
-    product eigenstate of A, rhs still rounds to about eps * |C|, so the
-    slack is ``HUP_SLACK`` times max(1, c_magnitude).
+    Takes floats, or float arrays judged entry by entry with the same
+    arithmetic. ``c_magnitude`` is C's largest |entry|. Where the bound
+    vanishes, as on a product eigenstate of A, rhs still rounds to about
+    eps * |C|, so the slack is ``HUP_SLACK`` times max(1, c_magnitude).
     """
+    return delta_a * delta_b >= rhs - HUP_SLACK * max(1.0, c_magnitude)
+
+
+def uncertainty_report(delta_a: float, delta_b: float, rhs: float, c_magnitude: float) -> UncertaintyReport:
+    """One audit, judged by ``uncertainty_satisfied``."""
     return UncertaintyReport(
         delta_a=delta_a,
         delta_b=delta_b,
         rhs=rhs,
-        satisfied=delta_a * delta_b >= rhs - HUP_SLACK * max(1.0, c_magnitude),
+        satisfied=uncertainty_satisfied(delta_a, delta_b, rhs, c_magnitude),
     )
 
 

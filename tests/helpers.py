@@ -7,7 +7,9 @@ loops) so that agreement between the two is a real cross-check.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 
 import numpy as np
 
@@ -172,7 +174,7 @@ def dense_epr_analysis(sc):
         sum_observable,
     )
     from eprkit.conditional import POINT_MASS_TOL, PredictionSummary, SumConstraintReport
-    from eprkit.lab import ChainReport, EprReport, SumBranchReport
+    from eprkit.lab import ChainReport, SumBranchReport
     from eprkit.states import outcome_probabilities, prediction_error, project_outcomes, uncertainty_report
 
     a = sc.obs_a
@@ -242,7 +244,7 @@ def dense_epr_analysis(sc):
                     ),
                 )
             )
-    return EprReport(scenario_label=sc.label, sum_spectrum=spectrum, per_sum=tuple(branches), chains=tuple(chains))
+    return packed_report(sc.label, spectrum, branches, chains)
 
 
 def reference_epr_analysis(sc):
@@ -261,7 +263,7 @@ def reference_epr_analysis(sc):
 
     from eprkit.composite import ZERO_PROB_THRESHOLD, anti_diagonal_index
     from eprkit.conditional import PredictionSummary, SumConstraintReport
-    from eprkit.lab import ChainReport, EprReport, SumBranchReport
+    from eprkit.lab import ChainReport, SumBranchReport
     from eprkit.states import OutcomeDistribution, uncertainty_report
 
     def norms(projected):
@@ -367,11 +369,33 @@ def reference_epr_analysis(sc):
                 )
             )
 
+    return packed_report(sc.label, spectrum, branches, chains)
+
+
+def _columns(cls, records) -> tuple:
+    """The dataclass ``records`` as one list per field of ``cls``; a nested dataclass field as its own fields' lists."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        _columns(hints[f.name], [getattr(r, f.name) for r in records])
+        if dataclasses.is_dataclass(hints[f.name])
+        else [getattr(r, f.name) for r in records]
+        for f in dataclasses.fields(cls)
+    )
+
+
+def packed_report(label, spectrum, branches, chains):
+    """The ``EprReport`` of these ``SumBranchReport`` and ``ChainReport`` objects, packed into its columns.
+
+    The oracles above build one object per branch and chain, with their own
+    arithmetic; only this packing is shared with the report's layout.
+    """
+    from eprkit.lab import BranchColumns, ChainColumns, ChainReport, EprReport, SumBranchReport
+
     return EprReport(
-        scenario_label=sc.label,
+        scenario_label=label,
         sum_spectrum=spectrum,
-        per_sum=tuple(branches),
-        chains=tuple(chains),
+        branch_columns=BranchColumns(*_columns(SumBranchReport, branches)),
+        chain_columns=ChainColumns(*_columns(ChainReport, chains)),
     )
 
 
@@ -400,3 +424,45 @@ def reference_emit_json(payload) -> str:
     None key as its text.
     """
     return json.dumps(_quantize(payload), indent=2, allow_nan=False) + "\n"
+
+
+def reference_analysis_payload(report) -> dict:
+    """``io.analysis_to_payload`` as it was before the report kept columns: a walk over ``per_sum`` and ``chains``.
+
+    The columnar payload must equal this dict, key order included.
+    """
+
+    def summary(s):
+        return {"mean": s.mean, "stdev": s.stdev}
+
+    def audit(a):
+        return {"delta_a": a.delta_a, "delta_b": a.delta_b, "rhs": a.rhs, "satisfied": a.satisfied}
+
+    per_sum = {}
+    for branch in report.per_sum:
+        per_sum[f"{branch.s_value:.12g}"] = {
+            "probability": branch.probability,
+            "schmidt_rank": branch.schmidt_rank,
+            **{name: summary(getattr(branch, name)) for name in ("a1", "a2", "b1", "b2", "c1", "c2")},
+            "sum_constraint": {
+                "mean_identity_residual": branch.sum_constraint.mean_identity_residual,
+                "stdev_gap": branch.sum_constraint.stdev_gap,
+            },
+            "audit_slot1": audit(branch.audit_slot1),
+            "audit_slot2": audit(branch.audit_slot2),
+        }
+    chains = {}
+    for chain in report.chains:
+        chains[f"{chain.s_value:.12g},{chain.a1_value:.12g}"] = {
+            "a2_value": chain.a2_value,
+            "conditional_probability": chain.conditional_probability,
+            "a2_predicted": chain.a2_predicted,
+            "a2_stdev": chain.a2_stdev,
+            "point_mass_residual": chain.point_mass_residual,
+            "resolution": audit(chain.resolution),
+        }
+    return {
+        "sum_spectrum": [{"value": v, "probability": p} for v, p in report.sum_spectrum.outcomes],
+        "per_sum": per_sum,
+        "chains": chains,
+    }

@@ -20,7 +20,6 @@ from eprkit import io as eprio
 from eprkit import _kernels, cli, composite, conditional, lab, linalg, states
 from eprkit.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from eprkit.lab import MAX_ENTRY_MAGNITUDE, build_scenario
-from eprkit.states import UncertaintyReport
 from helpers import random_hermitian, random_state_vector
 
 BUNDLED = ["pauli_epr.json", "pauli_uniform.json", "spin_one.json"]
@@ -403,8 +402,7 @@ class TestAnalyze:
 
     def test_failed_uncertainty_audit_is_invariant_error(self, monkeypatch, capsys):
         # the bound is a theorem, so a failed audit is a defect to report, not a crash
-        failed = UncertaintyReport(delta_a=0.0, delta_b=0.0, rhs=1.0, satisfied=False)
-        monkeypatch.setattr(lab, "uncertainty_report", lambda *args: failed)
+        monkeypatch.setattr(lab, "uncertainty_satisfied", lambda delta_a, *args: np.zeros(len(delta_a), dtype=bool))
         assert main(["analyze", scenario_path("pauli_epr.json")]) == EXIT_INVARIANT
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -554,11 +552,20 @@ class TestSample:
 
     @pytest.mark.parametrize("option", ["--shots", "--seed"])
     def test_integer_past_the_digit_limit_is_usage_error(self, option, capsys):
+        # int() refused the text with its own "Exceeds the limit (4300 digits)" message
         argv = {"--shots": "10", "--seed": "3"} | {option: "1" * 5000}
         assert main(["sample", "missing.json", *(x for pair in argv.items() for x in pair)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("epr: error: ") and captured.err.count("\n") == 1
+        bounds = {"--shots": f"[1, {lab.MAX_SHOTS}]", "--seed": f"[0, {lab.MAX_SEED}]"}[option]
+        assert captured.err == f"epr: error: {option} must be an integer in {bounds}, got '{'1' * 36}...\n"
+
+    def test_shots_beyond_max_shots_is_usage_error(self, capsys):
+        # the kernel would walk the shots for hours; the file is not read, so it need not exist
+        assert main(["sample", "missing.json", "--shots", str(lab.MAX_SHOTS + 1)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"epr: error: --shots must be an integer in [1, {lab.MAX_SHOTS}], got {lab.MAX_SHOTS + 1}\n"
 
     @pytest.mark.parametrize("shots, seed", [("1", "0"), ("10", "7"), ("997", "10"), ("1000", str(lab.MAX_SEED))])
     def test_report_prints_the_integer_text_given(self, shots, seed, capsys):
@@ -616,6 +623,26 @@ def test_no_command_runs_the_dense_route(name, monkeypatch, capsys):
     for argv in (["verify", path], ["analyze", path], ["sample", path, "--shots", "1000"]):
         assert main(argv) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_analyze_and_sample_build_no_per_record_report_object(name, monkeypatch, capsys):
+    # the report is written from its columns; per_sum and chains build their objects only when read
+    built = []
+    for cls in (lab.SumBranchReport, lab.ChainReport, conditional.PredictionSummary, conditional.SumConstraintReport,
+                states.UncertaintyReport):
+        def spy(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built.append(_cls.__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    path = scenario_path(name)
+    for argv in (["analyze", path], ["sample", path, "--shots", "1000"]):
+        assert main(argv) == EXIT_OK
+    assert built == []
+    report = eprio.scenario_from_json(scenario_text(name)).analysis
+    assert len(report.per_sum) and len(report.chains)
+    assert {"SumBranchReport", "ChainReport", "PredictionSummary", "UncertaintyReport"} <= set(built)
 
 
 class TestDemoPauli:

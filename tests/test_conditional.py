@@ -447,6 +447,32 @@ class TestTowerProperty:
         dist = conditional_distribution(psi, obs, merged_sum)
         assert len(dist.outcomes) == 3
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_sorted_lookup_keeps_the_per_line_residual(self, seed):
+        # G was read with one SpectrumFunction call per sum line, each a scan of its whole table;
+        # the one sorted lookup over every line must leave the residual bit for bit as it was
+        rng = np.random.default_rng([seed, 77])
+        observables = [Observable(random_hermitian(rng, n)) for n in range(2, 9)]
+        observables += [Observable(np.diag(np.arange(n) * rng.uniform(0.5, 1.5))) for n in (3, 6)]
+        # merged near-coincident sums: three pairs on one line, and two pairs in one row
+        observables += [Observable(np.diag([0.0, 1.0, 2.0 + 3e-9])), Observable(np.diag([-1.0, 0.0, 1.5e-9]))]
+        for a in observables:
+            n = a.dim
+            psi = PureState(random_state_vector(rng, n * n), factor_dims=(n, n))
+            sums = anti_diagonal_index(a).sums
+            jitter = 3e-10 * max(abs(x) for x in sums)  # each key off its line's sum, well inside the tolerance
+            g = SpectrumFunction({x + jitter * rng.uniform(-1, 1): v for x, v in zip(sums, rng.standard_normal(len(sums)))})
+            f = SpectrumFunction({x: v for x, v in zip(a.eigenvalues, rng.standard_normal(n))})
+            assert verify_tower_property(psi, a, f, g) == per_line_tower_reference(psi, a, f, g)
+            # a G that misses a line names the first line it misses, as the per-line calls did
+            partial = SpectrumFunction({x: 1.0 for x in sums[: len(sums) // 2]})
+            messages = []
+            for tower in (verify_tower_property, per_line_tower_reference):
+                with pytest.raises(SpectrumCoverageError) as missed:
+                    tower(psi, a, f, partial)
+                messages.append(str(missed.value))
+            assert messages[0] == messages[1]
+
     def test_unconditional_consistency(self):
         # averaging e(s) over p(s) recovers the unconditional prediction
         rng = np.random.default_rng(73)
@@ -464,6 +490,20 @@ class TestTowerProperty:
             f_lifted = SpectrumFunction.from_callable(obs.eigenvalues, lambda a: a**3 - a)
             direct = best_predictor(psi, lift(obs, 1), f_lifted)
             assert total == pytest.approx(direct, abs=1e-10)
+
+
+def per_line_tower_reference(state, a, f, g):
+    """``verify_tower_property`` as it read G before the sorted lookup: one ``g(s)`` call per sum line."""
+    index = anti_diagonal_index(a)
+    gvals = {s: g(s) for s in index.sums}
+    fvals = [f(v) for v in a.eigenvalues]
+    table = conditional._branch_table(state, a)
+    kept = table.kept.tolist()
+    means = conditional._conditional_means(table, fvals).tolist()
+    lhs = sum(gvals[index.sums[k]] * e * p for k, e, p in zip(kept, means, table.sum_probabilities[kept].tolist()))
+    w = table.joint
+    rhs = sum(gvals[s] * sum(fvals[n] * w[n, m] for n, m in members) for s, members in zip(index.sums, index.sets))
+    return abs(lhs - float(rhs))
 
 
 class TestPinningIdentity:

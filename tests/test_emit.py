@@ -3,12 +3,15 @@
 Reports are compared as the CLI writes them (bundled scenarios, the
 benchmark's generated workloads) and as the golden files hold them; a
 hypothesis fuzz covers payload shapes and floats that no report reaches.
+The analysis payload, zipped from the report's columns, is compared with
+the walk over its branch and chain objects that it replaced.
 perfbench/ is only read: its golden files and its workload generator.
 """
 
 import functools
 import gc
 import importlib.util
+import json
 import math
 import sys
 from importlib.resources import files
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 from eprkit import io as eprio
 from eprkit.cli import EXIT_OK, main
 from eprkit.lab import build_scenario
-from helpers import random_hermitian, random_state_vector, reference_emit_json
+from helpers import random_hermitian, random_state_vector, reference_analysis_payload, reference_emit_json
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BUNDLED = ["pauli_epr", "pauli_uniform", "spin_one"]
@@ -82,6 +85,28 @@ def test_workload_reports_match_the_reference(workload, seed, tmp_path, monkeypa
     assert ops
     for op in ops:
         assert_cli_matches_reference(op.argv, monkeypatch, capsys)
+
+
+def analyzed_scenarios():
+    """The bundled scenarios, and the benchmark's generated ones at N = 2..8, equally spaced and generic, seeds 0-5."""
+    yield from (eprio.scenario_from_json((files("eprkit.scenarios") / f"{stem}.json").read_text()) for stem in BUNDLED)
+    workloads = load_workloads()
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for n in range(2, 9):
+            for equal in (True, False):
+                payload = workloads.scenario_payload(rng, n, equal, f"n{n}-{seed}")
+                yield eprio.scenario_from_json(json.dumps(payload))
+
+
+def test_analysis_payload_from_columns_equals_the_object_walk():
+    # repr pins key order, value types and every float's bits
+    scenarios = 0
+    for sc in analyzed_scenarios():
+        report = sc.analysis
+        assert repr(eprio.analysis_to_payload(report)) == repr(reference_analysis_payload(report))
+        scenarios += 1
+    assert scenarios == 3 + 6 * 7 * 2
 
 
 def test_emitting_a_report_leaves_no_reference_cycle():
@@ -166,6 +191,45 @@ def payload_holding(draw, leaves):
 # siblings hold only valid values, since a payload with two faults may raise either
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 1.7976931348623157e308, -1.7976931348623157e308])
 UNSUPPORTED = st.sampled_from([object(), {1, 2}, 1 + 2j, np.int64(3), np.bool_(True), b"bytes"])
+
+
+# a few values drawn again and again, as a report repeats its stdevs and a matrix its real parts
+REPEATED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-17, -2.5e-300, 1e15, 123456.789012345, 5e-324])
+REPEATED_PAYLOADS = st.recursive(
+    st.one_of(REPEATED, st.lists(REPEATED, min_size=2, max_size=2)),  # [re, im] pairs of floats
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.sampled_from(["re", "im", "mean"]), children, max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPEATED_PAYLOADS)
+@example([[0.0, -0.0], [-0.0, 0.0], {"re": -0.0, "im": 0.0}, [0.0, [-0.0, -0.0]]])
+@example({"re": [[1.0, 1.0], [1.0, -1.0]], "im": (1e-17, [1e-17, 1e15])})
+def test_repeated_values_and_signed_zeros_match_the_reference(payload):
+    # each distinct float is formatted once per emit, and 0.0 and -0.0, equal as keys, keep their own texts
+    assert eprio.emit_json(payload) == reference_emit_json(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1.0, math.nan],
+        [[0.5, 0.5], [0.5, math.inf]],
+        {"a": -0.0, "b": 0.0, "c": [math.nan, 0.0]},
+        {"x": 1.79769313486231e308, "y": [1.79769313486231e308, 1.7976931348623157e308]},
+        [-1e308, [-1e308, -math.inf]],
+    ],
+    ids=["nan-after-its-list", "inf-in-a-pair", "nan-after-zeros", "rounds-to-inf-after-the-largest", "minus-inf"],
+)
+def test_non_finite_after_an_emitted_value_raises_value_error(payload):
+    # a non-finite float never reads a text kept for a finite one
+    assert outcome(reference_emit_json, payload) is ValueError
+    assert outcome(eprio.emit_json, payload) is ValueError
 
 
 @settings(max_examples=150, deadline=None)

@@ -502,10 +502,22 @@ class TestSampleChain:
 
     def test_rejects_bad_shots(self):
         sc = build_pauli_scenario(EPR_AMPLITUDES)
-        # shots=True sampled one shot
-        for bad in (0, -5, 2.5, 1000.0, "1000", True):
-            with pytest.raises(ValueError):
+        # shots=True sampled one shot, and a count past MAX_SHOTS ran for longer than any run can wait
+        for bad in (0, -5, 2.5, 1000.0, "1000", True, lab.MAX_SHOTS + 1, 10**5000):
+            with pytest.raises(ValueError, match=rf"^shots must be an integer in \[1, {lab.MAX_SHOTS}\], got "):
                 sample_chain(sc, bad)
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(10**5000, "an integer of 16610 bits"), (-(2**200), "a negative integer of 201 bits"), (2**64, str(2**64))],
+        ids=["past-the-digit-limit", "negative", "65-bits"],
+    )
+    def test_refusal_shows_a_short_value(self, value, shown):
+        # repr of an int past 4,300 digits raises Python's digit-limit error in place of the check's own
+        sc = build_pauli_scenario(EPR_AMPLITUDES)
+        with pytest.raises(ValueError) as refused:
+            sample_chain(sc, 10, seed=value)
+        assert str(refused.value) == f"seed must be an integer in [0, {lab.MAX_SEED}], got {shown}"
 
     def test_rejects_bad_seed(self):
         sc = build_pauli_scenario(EPR_AMPLITUDES)
@@ -535,9 +547,10 @@ class TestSampleChain:
             (100, (((0.0, 1.0, -1.0), 80), ((0.0, 1.0 + 1e-14, -1.0), 0), ((0.0, -1.0, 1.0), 20))),
             (True, (((0.0, 1.0, -1.0), 1),)),
             (2, (((0.0, 1.0, -1.0), True), ((0.0, -1.0, 1.0), True))),
+            (lab.MAX_SHOTS + 1, (((0.0, 1.0, -1.0), lab.MAX_SHOTS + 1),)),
         ],
         ids=["zero-shots", "float-shots", "negative-count", "fractional-count", "repeated-path", "same-path-key",
-             "bool-shots", "bool-counts"],
+             "bool-shots", "bool-counts", "beyond-max-shots"],
     )
     def test_rejects_records_that_misstate_their_shots(self, shots, counts):
         # each gave a wrong comparison: an infinite 3-sigma band from dividing by zero shots,
@@ -551,6 +564,10 @@ class TestSampleChain:
     def test_rejects_records_whose_seed_no_sampler_takes(self, seed):
         with pytest.raises(ValueError):
             ShotRecord(scenario_label="pauli-pair", seed=seed, shots=100, counts=(((0.0, 1.0, -1.0), 100),))
+
+    def test_accepts_max_shots(self):
+        record = ShotRecord(scenario_label="x", seed=0, shots=lab.MAX_SHOTS, counts=(((0.0, 1.0, -1.0), lab.MAX_SHOTS),))
+        assert record.empirical == {(0.0, 1.0, -1.0): 1.0}
 
     def test_accepts_numpy_integer_counts(self):
         record = ShotRecord(

@@ -197,6 +197,37 @@ class TestSpectrumFunction:
                 SpectrumFunction(table)(x)
         assert not SpectrumFunction({1.0: 2.0}).covers([(1.0, 1.0)])
         assert SpectrumFunction({(1.0, 1.0): 3.0}).covers([(1.0, 1.0)])
+        with pytest.raises(SpectrumCoverageError, match="shape"):
+            SpectrumFunction({(1.0, 1.0): 3.0}).values_at([1.0])
+
+    @given(
+        base=st.floats(-1e3, 1e3),
+        steps=st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True),
+        spacing=st.sampled_from([1e-9, 1e-6, 1.0]),
+        offsets=st.lists(st.tuples(st.integers(0, 7), st.floats(-3.0, 3.0)), max_size=8),
+        extra=st.lists(st.sampled_from([math.nan, 0.0, -1e-30, 1e4]), max_size=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_values_at_is_one_call_per_point(self, base, steps, spacing, offsets, extra):
+        # one sorted lookup must pick the key that one match_value call per point picks, ties and misses included
+        keys = sorted({base + step * spacing for step in steps})
+        fn = SpectrumFunction({key: float(i) for i, key in enumerate(keys)})
+        points = [keys[i % len(keys)] + offset * fn.match_tol for i, offset in offsets]  # up to 3 tolerances off
+        points += [(lo + hi) / 2 for lo, hi in zip(keys, keys[1:])] + extra  # midpoints tie
+        assert outcome(lambda: fn.values_at(points)) == outcome(lambda: [fn(x) for x in points])
+
+    def test_values_at_first_of_equally_near_keys_wins(self):
+        # 1e-9 - (-1e-30) and 1e-9 - (-5e-31) round to one distance: the first key wins, as in match_value
+        fn = SpectrumFunction({-1e-30: 1.0, -5e-31: 2.0, 5.0: 3.0})
+        assert fn.values_at([1e-9]) == [fn(1e-9)] == [1.0]
+
+
+def outcome(call):
+    """What call returns, or the type and message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestOutcomeProbabilities:
