@@ -337,9 +337,22 @@ def _distribution_payload(dist) -> list:
     return [{"value": v, "probability": p} for v, p in dist.outcomes]
 
 
+def _leaves(record) -> list:
+    """The leaf lists of a record of lists in field order, a nested record's leaves in place of it."""
+    leaves = []
+    for value in vars(record).values():
+        leaves += [value] if type(value) is list else _leaves(value)
+    return leaves
+
+
 def analysis_to_payload(report: EprReport) -> dict:
-    """The report's analysis section, zipped from its branch and chain columns."""
-    b = report.branch_columns
+    """The report's analysis section, one dict per branch and chain.
+
+    ``report.branch_columns`` and ``chain_columns`` hold one list per leaf,
+    one entry per branch or chain. Each row unpacks from ``_leaves`` in
+    field order, and the dict keys are written out rather than read off the
+    field names, which would cost a ``dict(zip(...))`` per record.
+    """
     per_sum = {
         f"{s_value:.12g}": {
             "probability": probability,
@@ -359,14 +372,8 @@ def analysis_to_payload(report: EprReport) -> dict:
             mean_a1, stdev_a1, mean_a2, stdev_a2, mean_b1, stdev_b1, mean_b2, stdev_b2, mean_c1, stdev_c1, mean_c2, stdev_c2,
             residual, gap,
             delta_a1, delta_b1, rhs1, satisfied1, delta_a2, delta_b2, rhs2, satisfied2,
-        ) in zip(
-            b.s_value, b.probability, b.schmidt_rank,
-            *b.a1, *b.a2, *b.b1, *b.b2, *b.c1, *b.c2,
-            *b.sum_constraint,
-            *b.audit_slot1, *b.audit_slot2,
-        )
+        ) in zip(*_leaves(report.branch_columns))
     }
-    c = report.chain_columns
     chains = {
         f"{s_value:.12g},{a1_value:.12g}": {
             "a2_value": a2_value,
@@ -377,7 +384,7 @@ def analysis_to_payload(report: EprReport) -> dict:
             "resolution": {"delta_a": delta_a, "delta_b": delta_b, "rhs": rhs, "satisfied": satisfied},
         }
         for s_value, a1_value, a2_value, probability, predicted, stdev, residual, delta_a, delta_b, rhs, satisfied in zip(
-            *c[:-1], *c.resolution
+            *_leaves(report.chain_columns)
         )
     }
     return {

@@ -11,13 +11,17 @@ p(s) of every sum line and the kept lines' pairs (n, m) with their weights
 in the collapsed branch. The analysis reads p(s), A's distributions, the
 Schmidt ranks and every chain off it, as the ``eprkit.conditional`` entry
 points do, so the two agree bit for bit, and measures B and C on the stack
-of kept N x N branch states with ``eprkit.composite.project_slot``. The
-sampler and the comparison walk one list of the report's chains, built
-once per scenario off the same table's chain rows (cached as
-``Scenario.chain_tables``): the CDFs the kernel draws from, each chain's
-p(s) p(a1 | s) and each chain's path. They draw and check only the chains
-the report lists, in its order, which ascends in (s, a1), so neither sorts.
-No N^2 x N^2 operator is built for the analysis or for sampling.
+of kept N x N branch states with ``eprkit.composite.project_slot``. A
+``SumBranchReport`` or ``ChainReport`` is one branch or chain, or, in the
+report, every branch or chain at once with a list in each leaf; no record
+is built per branch or chain until ``EprReport.per_sum`` or ``chains`` is
+read. The sampler and the comparison walk one list of the report's chains,
+built once per scenario (cached as ``Scenario.chain_tables``): the CDFs the
+kernel draws from and each chain's p(s) p(a1 | s), off the same table's
+chain rows, and each chain's path, off the report's chains. They draw and
+check only the chains the report lists, in its order, which ascends in
+(s, a1), so neither sorts. No N^2 x N^2 operator is built for the analysis
+or for sampling.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -184,7 +187,12 @@ def build_pauli_scenario(amplitudes, label: str = "pauli-pair") -> Scenario:
 
 @dataclass(frozen=True)
 class SumBranchReport:
-    """Predictions and audits in the post-measurement state of one sum outcome."""
+    """Predictions and audits in the post-measurement state of one sum outcome.
+
+    A record is either one branch, with a number in each leaf, or the
+    report's branches (``EprReport.branch_columns``), with a list in each
+    leaf that holds one entry per branch.
+    """
 
     s_value: float
     probability: float
@@ -202,7 +210,12 @@ class SumBranchReport:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Outcome of the full chain: S observed, then A(1) observed."""
+    """Outcome of the full chain: S observed, then A(1) observed.
+
+    A record is either one chain, with a number in each leaf, or the
+    report's chains (``EprReport.chain_columns``), with a list in each leaf
+    that holds one entry per chain.
+    """
 
     s_value: float
     a1_value: float
@@ -214,70 +227,34 @@ class ChainReport:
     resolution: UncertaintyReport
 
 
-class BranchColumns(NamedTuple):
-    """The report's branches as ``SumBranchReport``'s fields, one list per field and one entry per branch.
-
-    A nested report's field holds its own fields' lists, in their order:
-    each of ``a1`` .. ``c2`` is (means, stdevs), ``sum_constraint`` is
-    (mean identity residuals, stdev gaps) and each audit is (delta_a,
-    delta_b, rhs, satisfied).
-    """
-
-    s_value: list[float]
-    probability: list[float]
-    schmidt_rank: list[int]
-    a1: tuple[list[float], list[float]]
-    a2: tuple[list[float], list[float]]
-    b1: tuple[list[float], list[float]]
-    b2: tuple[list[float], list[float]]
-    c1: tuple[list[float], list[float]]
-    c2: tuple[list[float], list[float]]
-    sum_constraint: tuple[list[float], list[float]]
-    audit_slot1: tuple[list[float], list[float], list[float], list[bool]]
-    audit_slot2: tuple[list[float], list[float], list[float], list[bool]]
-
-
-class ChainColumns(NamedTuple):
-    """The report's chains as ``ChainReport``'s fields, one list per field and one entry per chain.
-
-    ``resolution`` holds the audit's lists (delta_a, delta_b, rhs, satisfied).
-    """
-
-    s_value: list[float]
-    a1_value: list[float]
-    a2_value: list[float]
-    conditional_probability: list[float]
-    a2_predicted: list[float]
-    a2_stdev: list[float]
-    point_mass_residual: list[float]
-    resolution: tuple[list[float], list[float], list[float], list[bool]]
-
-
-def _records(cls, columns) -> list:
-    """One ``cls`` per row of the parallel lists ``columns``, given in ``cls``'s field order."""
-    return [cls(*row) for row in zip(*columns)]
+def _rows(columns) -> tuple:
+    """One record of ``columns``' class per entry of its leaf lists, a nested record's rows in its field."""
+    fields = [value if type(value) is list else _rows(value) for value in vars(columns).values()]
+    return tuple(type(columns)(*row) for row in zip(*fields))
 
 
 @dataclass(frozen=True)
 class EprReport:
-    """Complete analysis of one scenario, its branches and chains held as columns.
+    """Complete analysis of one scenario, its branches and chains each held as one record of lists.
 
-    The JSON report is written from the columns; ``per_sum`` and ``chains``
-    build the branch and chain objects from them on first access.
+    ``branch_columns`` is a ``SumBranchReport`` and ``chain_columns`` a
+    ``ChainReport`` whose every leaf lists one entry per branch or chain, in
+    report order. The JSON report is written from them; ``per_sum`` and
+    ``chains`` build the one-row records from them on first access.
     """
 
     scenario_label: str
     sum_spectrum: OutcomeDistribution
-    branch_columns: BranchColumns
-    chain_columns: ChainColumns
+    branch_columns: SumBranchReport
+    chain_columns: ChainReport
 
     def __post_init__(self):
         # The uncertainty bound is a theorem; a violated audit is a bug, not a result.
         branches, chains = self.branch_columns, self.chain_columns
-        for s_value, slot1, slot2 in zip(branches.s_value, branches.audit_slot1[3], branches.audit_slot2[3]):
+        for s_value, slot1, slot2 in zip(branches.s_value, branches.audit_slot1.satisfied, branches.audit_slot2.satisfied):
             if not (slot1 and slot2):
                 raise ScenarioInvariantError(f"uncertainty audit failed in branch s={s_value!r}")
-        for s_value, a1_value, satisfied in zip(chains.s_value, chains.a1_value, chains.resolution[3]):
+        for s_value, a1_value, satisfied in zip(chains.s_value, chains.a1_value, chains.resolution.satisfied):
             if not satisfied:
                 raise ScenarioInvariantError(
                     f"uncertainty audit failed after chain (s={s_value!r}, a1={a1_value!r})"
@@ -285,18 +262,13 @@ class EprReport:
 
     @cached_property
     def per_sum(self) -> tuple[SumBranchReport, ...]:
-        """The branches as ``SumBranchReport`` objects, in report order."""
-        b = self.branch_columns
-        nested = [_records(PredictionSummary, part) for part in (b.a1, b.a2, b.b1, b.b2, b.c1, b.c2)]
-        nested.append(_records(SumConstraintReport, b.sum_constraint))
-        nested += [_records(UncertaintyReport, audit) for audit in (b.audit_slot1, b.audit_slot2)]
-        return tuple(_records(SumBranchReport, (b.s_value, b.probability, b.schmidt_rank, *nested)))
+        """The branches as one-row ``SumBranchReport`` records, in report order."""
+        return _rows(self.branch_columns)
 
     @cached_property
     def chains(self) -> tuple[ChainReport, ...]:
-        """The chains as ``ChainReport`` objects, in report order."""
-        c = self.chain_columns
-        return tuple(_records(ChainReport, (*c[:-1], _records(UncertaintyReport, c.resolution))))
+        """The chains as one-row ``ChainReport`` records, in report order."""
+        return _rows(self.chain_columns)
 
     def branch_for(self, s_value: float) -> SumBranchReport:
         """The branch whose sum value is nearest s_value, within the sum spectrum's grouping tolerance."""
@@ -342,8 +314,9 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     u |a_n>|a_m> with the unit phase u of K[n, m]: A(2) is the point mass
     |u|^2 at m, B(2) is row m of the overlap table |V_B^H V_A|^2 added over
     B's lines, and the bound's right-hand side is |C'_mm| / 2. No object
-    is built per branch or chain: the report holds its branches and chains
-    as the columns these arrays give (``BranchColumns``, ``ChainColumns``).
+    is built per branch or chain: the report holds its branches in one
+    ``SumBranchReport`` and its chains in one ``ChainReport``, each leaf the
+    list these arrays give.
     A measurement that does not sum to 1 (for B and C, a branch state off
     the unit norm) or a chain that misses its point mass raises
     ScenarioInvariantError.
@@ -375,26 +348,26 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     for (name, slot), probs in probabilities.items():
         _require_normalized(probs, f"{name.upper()}({slot})")
         moments[name, slot] = spectral_moments(factors[name].eigenvalues, probs)
-        summaries[name, slot] = tuple(x.tolist() for x in moments[name, slot])
+        summaries[name, slot] = PredictionSummary(*(x.tolist() for x in moments[name, slot]))
     (mean1, stdev1), (mean2, stdev2) = moments["a", 1], moments["a", 2]
     sums = np.asarray(index.sums)
     c_diagonal = np.vecdot(v, c.matrix @ v, axis=0)
     c_max = float(np.abs(c.matrix).max())
     audits = [
         _audit_columns(
-            summaries["a", slot][1],
-            summaries["b", slot][1],
+            summaries["a", slot].stdev,
+            summaries["b", slot].stdev,
             _half_modulus(probabilities["a", slot] @ c_diagonal),
             c_max,
         )
         for slot in (1, 2)
     ]
-    branches = BranchColumns(
+    branches = SumBranchReport(
         sums[kept].tolist(),
         sum_probs[kept].tolist(),
         table.schmidt_ranks.tolist(),
         *(summaries[name, slot] for name in "abc" for slot in (1, 2)),
-        (np.abs(mean2 - (sums[kept] - mean1)).tolist(), np.abs(stdev1 - stdev2).tolist()),
+        SumConstraintReport(np.abs(mean2 - (sums[kept] - mean1)).tolist(), np.abs(stdev1 - stdev2).tolist()),
         *audits,
     )
 
@@ -411,7 +384,7 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     b2_probs = line_totals(overlaps.T, b)[ms]
     _require_normalized(b2_probs, "B(2) after the chain")
     b2_stdev = spectral_moments(b.eigenvalues, b2_probs)[1].tolist()
-    chains = ChainColumns(
+    chains = ChainReport(
         sums[kept[chain_branch]].tolist(),
         a_values[ns].tolist(),
         a_values[ms].tolist(),
@@ -424,10 +397,10 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     return EprReport(scenario_label=sc.label, sum_spectrum=spectrum, branch_columns=branches, chain_columns=chains)
 
 
-def _audit_columns(delta_a: list[float], delta_b: list[float], rhs: list[float], c_magnitude: float) -> tuple:
-    """The audit of each entry as the columns (delta_a, delta_b, rhs, satisfied), judged by ``uncertainty_satisfied``."""
+def _audit_columns(delta_a: list[float], delta_b: list[float], rhs: list[float], c_magnitude: float) -> UncertaintyReport:
+    """The audit of each entry, as one ``UncertaintyReport`` of lists judged by ``uncertainty_satisfied``."""
     satisfied = uncertainty_satisfied(np.array(delta_a), np.array(delta_b), np.array(rhs), c_magnitude)
-    return delta_a, delta_b, rhs, satisfied.tolist()
+    return UncertaintyReport(delta_a, delta_b, rhs, satisfied.tolist())
 
 
 def _chain_a2_probabilities(units: np.ndarray, ms: np.ndarray, n_dim: int) -> np.ndarray:
@@ -500,13 +473,14 @@ def _chain_distributions(sc: Scenario):
     with the most chains, and is exactly 1.0 from the row's last chain on.
     ``listed`` marks the cells that hold a chain; their row-major order is
     the report's chain order. ``analytic`` is each chain's p(s) p(a1 | s),
-    clamped at 1, and ``paths`` its path (s, a1, a2). The analysis runs
-    first, with every check it makes, and the sampler and the comparison
-    see exactly the chains the report lists.
+    clamped at 1, and ``paths`` its path (s, a1, a2), read off the report's
+    ``chain_columns``. The analysis runs first, with every check it makes,
+    and the sampler and the comparison see exactly the chains the report
+    lists.
     """
-    sc.analysis  # sampling meets every check of the analysis first
+    chains = sc.analysis.chain_columns  # sampling meets every check of the analysis first
     table = sc.branch_table
-    branch, rows, cols = table.pairs[:, table.chains]
+    branch = table.pairs[0, table.chains]
     branch_probs, cond_probs = table.sum_probabilities[table.kept], table.weights[table.chains]
     sum_cdf = np.append(np.cumsum(np.clip(branch_probs, 0.0, 1.0))[:-1], 1.0)
     # the chains come branch by branch: in row-major order, each row's first cells take them
@@ -518,9 +492,7 @@ def _chain_distributions(sc: Scenario):
     cond_cdf = np.where(column < per_branch - 1, np.cumsum(cond_cdf, axis=1), 1.0)
     # p(s) p(a1 | s) can round above 1, where p (1 - p) would have no square root
     analytic = tuple(np.minimum(branch_probs[branch] * cond_probs, 1.0).tolist())
-    sums, values = table.index.sums, table.index.factor_eigenvalues
-    chains = zip(*(x.tolist() for x in (table.kept[branch], rows, cols)))
-    paths = tuple((sums[k], values[n], values[m]) for k, n, m in chains)
+    paths = tuple(zip(chains.s_value, chains.a1_value, chains.a2_value))
     return sum_cdf, cond_cdf, listed, analytic, paths
 
 

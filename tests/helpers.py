@@ -158,12 +158,19 @@ def reference_anti_diagonals(spectrum):
 
 
 def dense_epr_analysis(sc):
-    """``run_epr_analysis`` along the dense route: N^2 x N^2 lifted and sum projectors applied to the state vector.
+    """``run_epr_analysis`` along the dense route, ``dense_epr_entries`` packed into a report."""
+    return packed_report(sc.label, *dense_epr_entries(sc))
 
-    Every measurement is ``project_outcomes`` with the package's ``lift`` and
-    ``sum_observable``, every collapse a ``collapse`` of the projected vector,
-    and every audit's right-hand side the expectation of the lifted C, so it
-    runs none of the factor-space measurements it cross-checks.
+
+def dense_epr_entries(sc):
+    """The dense route's ``(spectrum, branches, chains)``: N^2 x N^2 lifted and sum projectors applied to the state vector.
+
+    It builds one ``SumBranchReport`` per branch and one ``ChainReport`` per
+    chain. Every measurement is ``project_outcomes`` with the package's
+    ``lift`` and ``sum_observable``, every collapse a ``collapse`` of the
+    projected vector, and every audit's right-hand side the expectation of
+    the lifted C, so it runs none of the factor-space measurements it
+    cross-checks.
     """
     from eprkit.composite import (
         ZERO_PROB_THRESHOLD,
@@ -244,11 +251,16 @@ def dense_epr_analysis(sc):
                     ),
                 )
             )
-    return packed_report(sc.label, spectrum, branches, chains)
+    return spectrum, branches, chains
 
 
 def reference_epr_analysis(sc):
-    """``run_epr_analysis`` as the state-by-state loop the stacked pass replaced, with that loop's arithmetic.
+    """``run_epr_analysis`` as the state-by-state loop, ``reference_epr_entries`` packed into a report."""
+    return packed_report(sc.label, *reference_epr_entries(sc))
+
+
+def reference_epr_entries(sc):
+    """``run_epr_analysis``'s ``(spectrum, branches, chains)`` from the state-by-state loop the stacked pass replaced, with that loop's arithmetic.
 
     One branch, then one chain, at a time: each collapse divides by
     ``np.linalg.norm``, each measurement is one batched product of the
@@ -369,33 +381,35 @@ def reference_epr_analysis(sc):
                 )
             )
 
-    return packed_report(sc.label, spectrum, branches, chains)
+    return spectrum, branches, chains
 
 
-def _columns(cls, records) -> tuple:
-    """The dataclass ``records`` as one list per field of ``cls``; a nested dataclass field as its own fields' lists."""
+def _columns(cls, records):
+    """The dataclass ``records`` as one ``cls`` whose every leaf lists their values; a nested dataclass field as its own ``_columns``."""
     hints = typing.get_type_hints(cls)
-    return tuple(
-        _columns(hints[f.name], [getattr(r, f.name) for r in records])
-        if dataclasses.is_dataclass(hints[f.name])
-        else [getattr(r, f.name) for r in records]
-        for f in dataclasses.fields(cls)
+    return cls(
+        *(
+            _columns(hints[f.name], [getattr(r, f.name) for r in records])
+            if dataclasses.is_dataclass(hints[f.name])
+            else [getattr(r, f.name) for r in records]
+            for f in dataclasses.fields(cls)
+        )
     )
 
 
 def packed_report(label, spectrum, branches, chains):
-    """The ``EprReport`` of these ``SumBranchReport`` and ``ChainReport`` objects, packed into its columns.
+    """The ``EprReport`` of these ``SumBranchReport`` and ``ChainReport`` records, packed into one record of lists each.
 
-    The oracles above build one object per branch and chain, with their own
+    The oracles above build one record per branch and chain, with their own
     arithmetic; only this packing is shared with the report's layout.
     """
-    from eprkit.lab import BranchColumns, ChainColumns, ChainReport, EprReport, SumBranchReport
+    from eprkit.lab import ChainReport, EprReport, SumBranchReport
 
     return EprReport(
         scenario_label=label,
         sum_spectrum=spectrum,
-        branch_columns=BranchColumns(*_columns(SumBranchReport, branches)),
-        chain_columns=ChainColumns(*_columns(ChainReport, chains)),
+        branch_columns=_columns(SumBranchReport, branches),
+        chain_columns=_columns(ChainReport, chains),
     )
 
 

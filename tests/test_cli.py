@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
@@ -625,24 +626,35 @@ def test_no_command_runs_the_dense_route(name, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("name", BUNDLED)
-def test_analyze_and_sample_build_no_per_record_report_object(name, monkeypatch, capsys):
-    # the report is written from its columns; per_sum and chains build their objects only when read
-    built = []
+@pytest.mark.parametrize("name", [*BUNDLED, "generic-8"])
+def test_analyze_and_sample_build_no_per_record_report_object(name, tmp_path, monkeypatch, capsys):
+    # the report holds its branches and its chains in one record each, a list in every leaf;
+    # per_sum and chains build one record per row only when read
+    if name in BUNDLED:
+        path = scenario_path(name)
+    else:
+        rng = np.random.default_rng(8)
+        sc = build_scenario(name, random_hermitian(rng, 8), random_hermitian(rng, 8), random_state_vector(rng, 64))
+        path = str(tmp_path / f"{name}.json")
+        Path(path).write_text(eprio.scenario_to_json(sc), encoding="utf-8")
+    built = Counter()
     for cls in (lab.SumBranchReport, lab.ChainReport, conditional.PredictionSummary, conditional.SumConstraintReport,
                 states.UncertaintyReport):
         def spy(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
-            built.append(_cls.__name__)
+            built[_cls.__name__] += 1
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", spy)
-    path = scenario_path(name)
+    once = Counter(SumBranchReport=1, ChainReport=1, PredictionSummary=6, SumConstraintReport=1, UncertaintyReport=3)
     for argv in (["analyze", path], ["sample", path, "--shots", "1000"]):
+        built.clear()
         assert main(argv) == EXIT_OK
-    assert built == []
-    report = eprio.scenario_from_json(scenario_text(name)).analysis
-    assert len(report.per_sum) and len(report.chains)
-    assert {"SumBranchReport", "ChainReport", "PredictionSummary", "UncertaintyReport"} <= set(built)
+        assert built == once, argv
+    capsys.readouterr()
+    report = eprio.scenario_from_json(Path(path).read_text(encoding="utf-8")).analysis
+    built.clear()
+    assert len(report.per_sum) and len(report.chains) > 1
+    assert built["SumBranchReport"] == len(report.per_sum) and built["ChainReport"] == len(report.chains)
 
 
 class TestDemoPauli:

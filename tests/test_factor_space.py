@@ -11,7 +11,16 @@ from eprkit.composite import anti_diagonal_index, lift, project_slot, slot_expec
 from eprkit.lab import build_scenario, run_epr_analysis
 from eprkit.linalg import Observable, extract_c
 from eprkit.states import PureState, project_outcomes
-from helpers import dense_epr_analysis, project_sum, random_hermitian, random_state_vector, reference_epr_analysis
+from helpers import (
+    dense_epr_analysis,
+    dense_epr_entries,
+    packed_report,
+    project_sum,
+    random_hermitian,
+    random_state_vector,
+    reference_epr_analysis,
+    reference_epr_entries,
+)
 
 # Largest move allowed between the two routes, relative to max(1, |x|).
 ROUTE_TOL = 1e-12
@@ -178,6 +187,23 @@ def test_stacked_walk_is_bit_identical_to_the_state_by_state_loop(make):
     got = run_epr_analysis(sc)
     radius = max(float(np.abs(obs.eigenvalues).max()) for obs in (sc.obs_a, sc.obs_b, sc.obs_c))
     assert_within(dataclasses.asdict(got), dataclasses.asdict(want), radius)
+
+
+ROW_CASES = IDENTITY_CASES[: len(BUNDLED)] + [
+    pytest.param(lambda n=n, kind=kind: generated(n, kind), id=f"{kind}-{n}")
+    for n, kind in ((3, "random"), (5, "equal"), (6, "degenerate-b"))
+]
+
+
+@pytest.mark.parametrize("entries", [dense_epr_entries, reference_epr_entries])
+@pytest.mark.parametrize("make", ROW_CASES)
+def test_report_rows_equal_the_branches_and_chains_it_was_packed_from(make, entries):
+    # the oracles build one record per branch and chain, never through the report's record of lists
+    sc = make()
+    spectrum, branches, chains = entries(sc)
+    report = packed_report(sc.label, spectrum, branches, chains)
+    assert report.per_sum == tuple(branches)
+    assert report.chains == tuple(chains)
 
 
 def test_audits_weigh_the_diagonal_of_c_in_each_slot():
