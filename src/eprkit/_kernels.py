@@ -13,28 +13,32 @@ the first k with u < cdf[k]. Callers must pass cdf arrays whose final entry
 is exactly 1.0; uniforms are 53-bit and therefore strictly below 1.0.
 
 The kernel selects on the integers, never on floats. u < c holds exactly
-when m < T(c) with T(c) = ceil(c * 2^53) clamped to [0, 2^53], so each cdf
-becomes a table of integer thresholds. Row k of the conditional table,
-offset by k * 2^53, makes one sorted joint table; a shot's key
-(sum index << 53) | m_cond has its flat (sum, first-factor) index at
-``searchsorted(joint, key, side="right")``.
+when m < T(c) with T(c) = ceil(c * 2^53) clamped to [0, 2^53], so the sum
+cdf becomes a (D,) table of integer thresholds and the conditional cdfs a
+(D, N) table, one row per sum outcome. A shot's sum index k is
+``searchsorted(t_sum, m_sum, side="right")``, its first-factor index the
+first column of row k whose threshold is above m_cond, and its flat
+(sum, first-factor) index k * N plus that column.
 
-That index comes from guide tables (Chen & Asau 1974; Devroye 1986,
-III.2.4), and one table over both draws settles most shots at once. The
-top g bits of m pick one of 2^g buckets of the sum table; a sum index and
-the top h bits of the second draw pick one of 2^h buckets of that
-joint-table row. Each bucket stores the ``searchsorted`` index of its
-lowest integer and whether a threshold falls inside it, above that
+Both come from guide tables (Chen & Asau 1974; Devroye 1986, III.2.4),
+which ``_guide`` builds for a (rows, width) table with 2^bits buckets per
+row, and one table over both draws settles most shots at once. The top g
+bits of m pick one of 2^g buckets of the sum table, a one-row table; a sum
+index k and the top h bits of the second draw pick bucket (k << h) | c of
+the conditional table. Each bucket stores the flat index of its lowest
+integer and whether a threshold of its row falls inside it, above that
 integer; both are counted off the thresholds, with no search. A shot's
 cell is its sum bucket b next to its first-factor bucket c, (b << h) | c.
-The cell is exact when neither b nor bucket c of joint row ``sum_first[b]``
+The cell is exact when neither b nor bucket c of row ``sum_first[b]``
 holds a threshold inside it: every shot in it then has the same
 (sum, first-factor) index. Each batch tallies its cells with one
 ``bincount``, and after the last batch each exact cell's tally goes to its
 one index, in integers. Only shots in split cells are resolved one by
-one, through both guides and ``searchsorted`` on the compressed subset;
-they are held until a quarter batch's worth has gathered. Either way
-every shot's index is the binary search's, for every m.
+one, on the compressed subset: k by ``searchsorted``, the flat index by
+the conditional guide, and in a split bucket by stepping from the
+bucket's index past every threshold at or below m_cond. They are held
+until a quarter batch's worth has gathered. Either way every shot's index
+is that of the first threshold above its draw, for every m.
 
 g and h come from D, N and the shot count (``_cell_bits``): at most
 (D - 1) / 2^g + (N - 1) / 2^h of the shots land in split cells, and the
@@ -65,11 +69,8 @@ _PHI_INT = 0x9E3779B97F4A7C15
 _PHI = np.uint64(_PHI_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_BITS = np.uint64(53)
 _SCALE = 9007199254740992.0  # 2^53
 _U53 = 1.0 / _SCALE  # 2^-53
-# Joint keys are (sum index << 53) | m, so sum indices must fit in 64 - 53 bits.
-MAX_SUM_OUTCOMES = (1 << 11) - 1
 
 
 def _mix_head(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -92,17 +93,15 @@ def _mix_tail(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return x
 
 
-def _draw_bits(
-    seed: int, draws: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def _draw_bits(seed: int, draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The 53-bit integers m of the given uint64 draw numbers of the seed's stream.
 
     splitmix64 runs in place on ``out`` (a new array if None; ``draws``
-    itself may be passed), with ``scratch`` as its one work buffer.
+    itself may be passed), with one new work buffer.
     """
     x = np.multiply(draws, _PHI, out=out)
     x += np.uint64(seed)
-    scratch = np.empty_like(x) if scratch is None else scratch
+    scratch = np.empty_like(x)
     return _mix_tail(_mix_head(x, scratch), scratch)
 
 
@@ -125,20 +124,23 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(t, axis=-1)
 
 
-def _guide(table: np.ndarray, shift: int, buckets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Guide table of a uint64 ``table`` over buckets [b << shift, (b + 1) << shift).
+def _guide(table: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Guide table of a (rows, width) uint64 threshold table, 2^bits buckets per row.
 
-    Returns, per bucket, ``searchsorted(table, b << shift, side="right")``
-    and whether a threshold falls inside the bucket above its lowest
-    integer. Where none does, every key of the bucket has that same index.
-    Every threshold must be at most ``buckets << shift``.
+    Bucket (k << bits) | c holds the integers [c << (53 - bits), (c + 1) << (53 - bits))
+    of row k. Returns, per bucket, the flat index k * width + ``searchsorted(table[k],
+    lowest integer, side="right")`` and whether a threshold of row k falls inside
+    the bucket above its lowest integer. Where none does, every integer of the
+    bucket has that same index. Every threshold must be at most 2^53.
     """
-    bucket = table >> np.uint64(shift)
-    inside = (table & np.uint64((1 << shift) - 1)) != 0
-    # T <= b << shift exactly when b is at least T's bucket, plus one if T is inside it.
-    first = np.bincount((bucket + inside).astype(np.intp), minlength=buckets + 1)[:buckets]
+    rows, shift = table.shape[0], np.uint64(53 - bits)
+    bucket = (table >> shift) + (np.arange(rows, dtype=np.uint64)[:, None] << np.uint64(bits))
+    inside = (table & np.uint64((1 << (53 - bits)) - 1)) != 0
+    # T <= the lowest integer of bucket b of its row exactly when b is at least T's bucket,
+    # plus one if T is inside it; every threshold of an earlier row counts.
+    first = np.bincount((bucket + inside).ravel().astype(np.intp), minlength=(rows << bits) + 1)[: rows << bits]
     np.cumsum(first, out=first)
-    split = np.zeros(buckets, dtype=bool)
+    split = np.zeros(rows << bits, dtype=bool)
     split[bucket[inside].astype(np.intp)] = True
     return first, split
 
@@ -159,7 +161,7 @@ def _cell_bits(d: int, n_out: int, shots: int) -> tuple[int, int]:
     """Bits g of the sum draw and h of the first-factor draw that make a shot's cell.
 
     At most D - 1 of the 2^g sum buckets hold a threshold inside them, and
-    at most N - 1 of a joint row's 2^h buckets, so at most
+    at most N - 1 of a conditional row's 2^h buckets, so at most
     (D - 1) / 2^g + (N - 1) / 2^h of the shots land in split cells. From one
     bit each, a bit goes to the level with the larger share until that bound
     is at most 2^-10 or the table has reached its size limit.
@@ -174,30 +176,28 @@ def _cell_bits(d: int, n_out: int, shots: int) -> tuple[int, int]:
     return g, h
 
 
-def _resolve(held: np.ndarray, scratch: np.ndarray, tables: tuple, g: int, h: int) -> np.ndarray:
+def _resolve(held, scratch, t_sum, t_cond, joint_first, joint_split, h: int) -> np.ndarray:
     """Flat (sum, first-factor) index of each held shot; ``held`` is (2, shots) of mix heads.
 
-    ``tables`` holds the sum and joint thresholds and their guides. The sum
-    index comes from the sum guide, refined by ``searchsorted`` in split
-    buckets; the index of the joint key (k << 53) | m_cond from the joint
-    guide, refined the same way. Works in ``held`` and ``scratch`` (at least
-    ``held.size`` long) and returns a view of ``held``.
+    The sum index k is ``searchsorted(t_sum, m_sum, side="right")``; the flat
+    index comes from bucket (k << h) | (m_cond >> (53 - h)) of the
+    conditional guide ``joint_first``, and in a bucket ``joint_split`` flags
+    it steps past every threshold of row k of ``t_cond`` at or below m_cond.
+    Works in ``held`` and ``scratch`` (at least ``held.size`` long) and
+    returns a view of ``held``.
     """
-    t_sum, t_joint, sum_first, sum_split, joint_first, joint_split = tables
     m_sum, m_cond = _mix_tail(held, scratch[: held.size].reshape(held.shape))
-    bucket, k = scratch[: held.size].view(np.int64).reshape(held.shape)
-    # Every bucket is in range, so mode="wrap" only skips the bounds check.
-    np.right_shift(m_sum, 53 - g, out=bucket.view(np.uint64))
-    np.take(sum_first, bucket, out=k, mode="wrap")
-    refine = sum_split[bucket].nonzero()[0]
-    k[refine] = np.searchsorted(t_sum, m_sum[refine], side="right")
-    # The joint key (k << 53) | m_cond has bucket (k << h) | (m_cond >> (53 - h)).
-    np.left_shift(k, h, out=bucket)
+    bucket = np.searchsorted(t_sum, m_sum, side="right")
+    bucket <<= h
     bucket |= np.right_shift(m_cond, 53 - h, out=m_sum).view(np.int64)
+    # Every bucket is in range, so mode="wrap" only skips the bounds check.
     index = np.take(joint_first, bucket, out=m_sum.view(np.int64), mode="wrap")
     refine = joint_split[bucket].nonzero()[0]
-    key = k[refine].view(np.uint64) << _BITS | m_cond[refine]
-    index[refine] = np.searchsorted(t_joint, key, side="right")
+    at, m, t_flat = index[refine], m_cond[refine], t_cond.ravel()
+    # Every row ends in 2^53, above every m, so no step leaves the shot's row.
+    while (step := m >= t_flat[at]).any():
+        at += step
+    index[refine] = at
     return index
 
 
@@ -206,16 +206,13 @@ def sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf: np.ndarr
 
     ``sum_cdf`` has shape (D,), ``cond_cdf`` has shape (D, N) with one row per
     sum outcome; returns int64 counts of shape (D, N). Raises ``ValueError``
-    unless every cdf is finite and ends in exactly 1.0, and for D above
-    ``MAX_SUM_OUTCOMES``.
+    unless every cdf is finite and ends in exactly 1.0.
     """
     sum_cdf = np.ascontiguousarray(sum_cdf, dtype=np.float64)
     cond_cdf = np.ascontiguousarray(cond_cdf, dtype=np.float64)
     d = sum_cdf.shape[0]
     if sum_cdf.ndim != 1 or cond_cdf.ndim != 2 or cond_cdf.shape[0] != d:
         raise ValueError("cond_cdf must have one row per sum outcome")
-    if d > MAX_SUM_OUTCOMES:
-        raise ValueError(f"at most {MAX_SUM_OUTCOMES} sum outcomes can be sampled, got {d}")
     n_out = cond_cdf.shape[1]
     if (
         d == 0
@@ -226,14 +223,11 @@ def sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf: np.ndarr
     ):
         raise ValueError("every cdf must be finite and end in exactly 1.0")
 
-    t_sum = _thresholds(sum_cdf)
-    # Row k spans [k * 2^53, (k + 1) * 2^53], so the flattened table is sorted.
-    rows = np.arange(d, dtype=np.uint64)[:, None] << _BITS
-    t_joint = (rows + _thresholds(cond_cdf)).ravel()
+    t_sum, t_cond = _thresholds(sum_cdf), _thresholds(cond_cdf)
     g, h = _cell_bits(d, n_out, shots)
-    tables = (t_sum, t_joint, *_guide(t_sum, 53 - g, 1 << g), *_guide(t_joint, 53 - h, d << h))
-    sum_first, sum_split, joint_first, joint_split = tables[2:]
-    # Cell (b << h) | c pairs sum bucket b with bucket c of joint row sum_first[b].
+    sum_first, sum_split = _guide(t_sum[None], g)
+    joint_first, joint_split = _guide(t_cond, h)
+    # Cell (b << h) | c pairs sum bucket b with bucket c of conditional row sum_first[b].
     cell_split = (joint_split.reshape(d, 1 << h)[sum_first] | sum_split[:, None]).ravel()
     any_split = cell_split.any()
 
@@ -257,7 +251,7 @@ def sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf: np.ndarr
 
     def counts_of(pairs: np.ndarray) -> np.ndarray:
         """Counts of the flat indices of the (2, shots) mix heads ``pairs``."""
-        return np.bincount(_resolve(pairs, scratch, tables, g, h), minlength=d * n_out)
+        return np.bincount(_resolve(pairs, scratch, t_sum, t_cond, joint_first, joint_split, h), minlength=d * n_out)
 
     for start in range(0, shots, chunk):
         batch = min(chunk, shots - start)

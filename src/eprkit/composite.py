@@ -21,9 +21,11 @@ call on every matrix. The analysis
 measures B and C on every branch in one ``project_slot`` call per
 observable and slot, and reads everything about A off K; ``line_totals``
 adds weights given per eigenvector over each line of an observable.
-``slot_expectation`` returns numpy complex values: take their modulus with
-Python's ``abs`` on ``tolist()`` entries where the bits matter, since
-``np.abs`` of a complex can differ in the last bit. ``eprkit.conditional``
+``slot_expectation`` returns numpy complex values; its one package caller,
+``conditional.epr_resolution_check``, takes the modulus of one slot-2 value
+with Python's ``abs``, since ``np.abs`` of a complex can differ in the last
+bit. The analysis does not call it: it reads <C> off C's diagonal in A's
+eigenbasis, through ``lab._half_modulus``. ``eprkit.conditional``
 builds its branch table from K and the index's ``pairs``. The dense
 form (``lift``, ``sum_observable``) assembles a new N^2 x N^2 operator on
 each call, with its eigenvalues, multiplicities and projector stack built
@@ -179,9 +181,12 @@ def slot_expectation(psi: np.ndarray, c: Observable, slot: int) -> np.ndarray:
     """``<psi| C x I |psi>`` (slot 1) or ``<psi| I x C |psi>`` (slot 2) of each matrix in the (..., N, N) stack psi.
 
     Each value is the ``vdot`` of psi with C psi (or psi C^T), as ``vecdot``
-    on the flattened matrices. The analysis takes the audit's modulus with
-    Python's ``abs`` on each ``tolist()`` entry: ``np.abs`` of a complex can
-    differ from it in the last bit.
+    on the flattened matrices. Its one package caller,
+    ``conditional.epr_resolution_check``, passes one state and slot 2 and
+    takes the modulus with Python's ``abs``: ``np.abs`` of a complex can
+    differ from it in the last bit. The analysis does not call it: it weights
+    C's diagonal in A's eigenbasis by each branch's A probabilities and takes
+    the modulus through ``lab._half_modulus``.
     """
     if slot == 1:
         applied = c.matrix @ psi

@@ -105,14 +105,15 @@ def test_rejects_cdf_not_ending_in_one(sum_cdf, cond_cdf):
         sample_counts(0, 10, np.array(sum_cdf), np.array(cond_cdf))
 
 
-def test_rejects_sum_outcomes_beyond_joint_keys():
-    # (sum index << 53) | m must fit in 64 bits
-    d = _kernels.MAX_SUM_OUTCOMES
-    sum_cdf = np.linspace(1.0 / d, 1.0, d)
+def test_samples_any_number_of_sum_outcomes():
+    # no bound on D: 2^12 + 1 sum outcomes, each row with its own first-factor split
+    d = (1 << 12) + 1
+    sum_cdf = np.arange(1, d + 1) / d
     sum_cdf[-1] = 1.0
-    assert sample_counts(3, 1000, sum_cdf, np.ones((d, 1))).sum() == 1000
-    with pytest.raises(ValueError):
-        sample_counts(3, 1000, np.append(sum_cdf / 2, 1.0), np.ones((d + 1, 1)))
+    cond_cdf = np.column_stack([np.linspace(0.0, 1.0, d), np.ones(d)])
+    counts = sample_counts(3, 20000, sum_cdf, cond_cdf)
+    assert counts.sum() == 20000 and counts[d - 1].sum() > 0
+    assert np.array_equal(counts, reference_sample_counts(3, 20000, sum_cdf, cond_cdf))
 
 
 @pytest.mark.parametrize(
@@ -202,23 +203,32 @@ def _dyadic_cdf(rng, outcomes, bits):
 def test_guide_flags_exactly_the_buckets_a_threshold_splits():
     # thresholds on a bucket's lowest integer leave it whole; one on its highest splits it
     edges = np.arange(17, dtype=np.uint64) << np.uint64(49)
-    table = np.array([0, edges[3], edges[5] - 1, edges[7] + 1, edges[7] + 5, 2**53], dtype=np.uint64)
-    assert np.flatnonzero(_kernels._guide(table, 49, 16)[1]).tolist() == [4, 7]
+    table = np.array([[0, edges[3], edges[5] - 1, edges[7] + 1, edges[7] + 5, 2**53]], dtype=np.uint64)
+    assert np.flatnonzero(_kernels._guide(table, 4)[1]).tolist() == [4, 7]
+    # row k's buckets follow row k - 1's, and its first index counts every threshold of the rows before it
+    first, split = _kernels._guide(np.vstack([table, table]), 4)
+    assert np.flatnonzero(split).tolist() == [4, 7, 20, 23]
+    assert np.array_equal(first[16:], first[:16] + 6)
 
 
 @pytest.mark.parametrize("case", range(4))
 def test_guide_matches_binary_search_at_both_ends_of_each_bucket(case):
+    # the oracle searches packed keys: row k offset by k * 2^53 makes one sorted table,
+    # where bucket (k << bits) | c is bucket c of row k's span
     rng = np.random.default_rng([18, case])
-    shift, buckets = int(rng.integers(45, 52)), int(rng.integers(1, 40))
-    edges = np.arange(buckets + 1, dtype=np.uint64) << np.uint64(shift)
+    bits, rows, width = int(rng.integers(2, 9)), int(rng.integers(1, 6)), int(rng.integers(1, 30))
+    edges = np.arange((1 << bits) + 1, dtype=np.uint64) << np.uint64(53 - bits)
     table = np.sort(np.concatenate([
-        rng.choice(edges, 5),  # on a bucket's lowest integer, or at the very top
-        rng.choice(edges[1:], 5) - np.uint64(1),  # on a bucket's highest integer
-        rng.integers(0, int(edges[-1]), 10, dtype=np.uint64, endpoint=True),
-    ]))
-    first, split = _kernels._guide(table, shift, buckets)
-    assert np.array_equal(first, np.searchsorted(table, edges[:-1], side="right"))
-    assert np.array_equal(split, first != np.searchsorted(table, edges[1:] - np.uint64(1), side="right"))
+        rng.choice(edges, (rows, width)),  # on a bucket's lowest integer, or at the very top
+        rng.choice(edges[1:], (rows, width)) - np.uint64(1),  # on a bucket's highest integer
+        rng.integers(0, 2**53, (rows, width), dtype=np.uint64, endpoint=True),
+    ], axis=1))
+    span = np.arange(rows, dtype=np.uint64)[:, None] * np.uint64(2**53)
+    keys = (span + table).ravel()
+    lowest, highest = (span + edges[:-1]).ravel(), (span + edges[1:] - np.uint64(1)).ravel()
+    first, split = _kernels._guide(table, bits)
+    assert np.array_equal(first, np.searchsorted(keys, lowest, side="right"))
+    assert np.array_equal(split, first != np.searchsorted(keys, highest, side="right"))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["g-1", "g", "g+1"])
@@ -305,7 +315,7 @@ def test_shot_counts_across_batch_sizes(shots, chunk, monkeypatch):
 
 
 def test_cell_bits_stay_within_the_table_limits():
-    for d in (1, 2, 5, 36, 2047):
+    for d in (1, 2, 5, 36, 2047, 2080):
         for n_out in (1, 2, 8, 64):
             for shots in (1, 100, 10_000, 10**6, 10**9):
                 g, h = _kernels._cell_bits(d, n_out, shots)
@@ -324,8 +334,8 @@ def test_thresholds_at_zero_and_two_to_the_53():
 
 
 def test_many_thresholds_share_one_bucket():
-    # 2046 thresholds within 2.05e-4 of each other, where one bucket is 2^-13 = 1.2e-4 wide
-    d = _kernels.MAX_SUM_OUTCOMES
+    # 2079 thresholds within 2.08e-4 of each other, all in the top bucket, 2^-12 = 2.4e-4 wide
+    d = 2080  # the sum lines of a generic A at N = 64
     p = np.full(d, 1e-7)
     p[0] = 1.0 - p[1:].sum()
     sum_cdf = np.cumsum(p)
@@ -338,7 +348,7 @@ def test_many_thresholds_share_one_bucket():
 @pytest.mark.parametrize("chunk", [1, 617, None], ids=["chunk-1", "chunk-617", "chunk-default"])
 def test_most_sum_outcomes_with_eight_first_factor_outcomes(chunk, monkeypatch):
     rng = np.random.default_rng(2047)
-    d, n_out = _kernels.MAX_SUM_OUTCOMES, 8
+    d, n_out = 2080, 8  # the sum lines of a generic A at N = 64
     sum_cdf = np.cumsum(rng.random(d))
     sum_cdf /= sum_cdf[-1]
     sum_cdf[-1] = 1.0

@@ -1,14 +1,27 @@
-"""Print the median time per operation of each stage of ``epr analyze`` on the benchmark's files.
+"""Print the median time per operation of each stage of ``epr analyze`` and ``epr sample`` on the benchmark's files.
 
 The files are the scenario files that ``perfbench/workloads.py`` writes
-for the ``analyze_large`` workload at seed 0 (N = 5..8, equally spaced and
-generic A), generated into a temporary directory that is removed on exit.
-Each pass runs every file through the four stages ``epr analyze`` runs, in
-process and one after the other:
+at seed 0, generated into a temporary directory that is removed on exit.
+Each pass runs every operation through the stages its command runs, in
+process and one after the other.
+
+``epr analyze`` runs the ``analyze_large`` operations (N = 5..8, equally
+spaced and generic A):
 
 * parse - ``io.scenario_from_json`` of the file's text;
 * analysis - ``lab.run_epr_analysis`` of the parsed scenario;
 * payload - ``io.run_report_payload`` around ``io.analysis_to_payload``;
+* emit - ``io.emit_json`` of that payload.
+
+``epr sample`` runs the ``cli_small`` sample operations (10,000 shots on
+the bundled files and on N = 2..4, equally spaced and generic A), with
+each operation's shots and seed:
+
+* parse - ``io.scenario_from_json`` of the file's text;
+* chain tables - ``sc.chain_tables``, which runs the analysis first;
+* sample - ``lab.sample_chain``;
+* compare - ``lab.compare_empirical`` of the shot record;
+* payload - ``io.run_report_payload`` around the analysis and sampling payloads;
 * emit - ``io.emit_json`` of that payload.
 
 A stage's figure is the median over the passes of its mean time per
@@ -41,44 +54,73 @@ import workloads  # noqa: E402
 
 from eprkit import __version__, io, lab  # noqa: E402
 
-WORKLOAD = "analyze_large"
 SEED = 0
 PASSES = 30
-STAGES = ("parse", "analysis", "payload", "emit")
 
 
-def one_pass(texts: list[str]) -> dict[str, float]:
-    """Seconds each stage took over one run of every text, divided by the number of texts."""
-    spent = dict.fromkeys(STAGES, 0.0)
-    for text in texts:
-        start = time.perf_counter()
-        sc = io.scenario_from_json(text)
-        parsed = time.perf_counter()
-        report = lab.run_epr_analysis(sc)
-        analysed = time.perf_counter()
-        payload = io.run_report_payload(sc, io.analysis_to_payload(report), None, __version__)
-        built = time.perf_counter()
-        io.emit_json(payload)
-        emitted = time.perf_counter()
-        for stage, seconds in zip(STAGES, (parsed - start, analysed - parsed, built - analysed, emitted - built)):
-            spent[stage] += seconds
-    return {stage: seconds / len(texts) for stage, seconds in spent.items()}
+def analyze_stages(text: str, shots: int, seed: int):
+    """Run ``epr analyze``'s stages on ``text``, yielding after each one."""
+    sc = io.scenario_from_json(text)
+    yield
+    report = lab.run_epr_analysis(sc)
+    yield
+    payload = io.run_report_payload(sc, io.analysis_to_payload(report), None, __version__)
+    yield
+    io.emit_json(payload)
+    yield
+
+
+def sample_stages(text: str, shots: int, seed: int):
+    """Run ``epr sample``'s stages on ``text`` with ``shots`` and ``seed``, yielding after each one."""
+    sc = io.scenario_from_json(text)
+    yield
+    sc.chain_tables  # cached on the scenario, where sample_chain and compare_empirical read it
+    yield
+    record = lab.sample_chain(sc, shots, seed)
+    yield
+    comparison = lab.compare_empirical(record, sc)
+    yield
+    sampling = io.sampling_to_payload(record, comparison)
+    payload = io.run_report_payload(sc, io.analysis_to_payload(sc.analysis), sampling, __version__)
+    yield
+    io.emit_json(payload)
+    yield
+
+
+COMMANDS = (
+    ("analyze", "analyze_large", analyze_stages, ("parse", "analysis", "payload", "emit")),
+    ("sample", "cli_small", sample_stages, ("parse", "chain tables", "sample", "compare", "payload", "emit")),
+)
+
+
+def one_pass(stages, ops: list[tuple[str, int, int]]) -> list[float]:
+    """Seconds each stage took over one run of every operation, divided by the number of operations."""
+    spent = []
+    for op in ops:
+        times = [time.perf_counter()]
+        times += [time.perf_counter() for _ in stages(*op)]
+        spent.append([b - a for a, b in zip(times, times[1:])])
+    return [sum(stage) / len(ops) for stage in zip(*spent)]
 
 
 def main() -> None:
     scenario_dir = ROOT / "src" / "eprkit" / "scenarios"
-    with tempfile.TemporaryDirectory() as work:
-        ops = [op for op in workloads.build(WORKLOAD, SEED, Path(work), scenario_dir) if op.kind == "analyze"]
-        texts = [op.scenario.read_text(encoding="utf-8") for op in ops]
-    one_pass(texts)  # warm-up: imports, caches and first-call costs
-    passes = [one_pass(texts) for _ in range(PASSES)]
-    print(f"epr analyze stages, {WORKLOAD} seed {SEED}: {len(texts)} files, median of {PASSES} passes, ms per operation")
-    total = 0.0
-    for stage in STAGES:
-        ms = statistics.median(p[stage] for p in passes) * 1e3
-        total += ms
-        print(f"  {stage:<9}{ms:8.3f}")
-    print(f"  {'sum':<9}{total:8.3f}")
+    for kind, workload, stages, names in COMMANDS:
+        with tempfile.TemporaryDirectory() as work:
+            ops = [
+                (op.scenario.read_text(encoding="utf-8"), op.shots, op.sample_seed)
+                for op in workloads.build(workload, SEED, Path(work), scenario_dir)
+                if op.kind == kind
+            ]
+        one_pass(stages, ops)  # warm-up: imports, caches and first-call costs
+        passes = [one_pass(stages, ops) for _ in range(PASSES)]
+        print(f"epr {kind} stages, {workload} seed {SEED}: {len(ops)} operations, median of {PASSES} passes, ms per operation")
+        total = 0.0
+        for i, name in enumerate(names):
+            ms = statistics.median(p[i] for p in passes) * 1e3
+            total += ms
+            print(f"  {name:<13}{ms:8.3f}")
+        print(f"  {'sum':<13}{total:8.3f}")
 
 
 if __name__ == "__main__":
