@@ -212,14 +212,9 @@ def _branch_pairs(state: PureState, a: Observable, s_value: float) -> tuple[Bran
     return table, k, table.pairs[:, line], table.weights[line]
 
 
-def _distribution(obs: Observable, probabilities: np.ndarray) -> OutcomeDistribution:
-    """The outcome distribution of a factor observable from its probabilities, in the order of its lines."""
-    return OutcomeDistribution(tuple(zip(obs.eigenvalues.tolist(), probabilities.tolist())))
-
-
 def _branch_distribution(a: Observable, outcomes: np.ndarray, weights: np.ndarray) -> OutcomeDistribution:
     """A(1) or A(2) in one branch: its pairs' weights added per n (or m), given as ``outcomes``."""
-    return _distribution(a, np.bincount(outcomes, weights, len(a.eigenvalues)))
+    return OutcomeDistribution.from_lines(a, np.bincount(outcomes, weights, len(a.eigenvalues)))
 
 
 def conditional_distribution(state: PureState, a: Observable, s_value: float) -> ConditionalDistribution:
@@ -311,7 +306,7 @@ def certain_prediction(
     probabilities = _slot2_probabilities(coefficient_matrix(phi, a.dim), a)
     if not (probabilities[partners[0]] >= 1.0 - POINT_MASS_TOL):
         raise ValueError("state was not produced by the measurement chain for (s_value, a1_value)")
-    a2_dist = _distribution(a, probabilities)
+    a2_dist = OutcomeDistribution.from_lines(a, probabilities)
     mean, stdev = a2_dist.moments(gvals)
     return CertainPrediction(value=mean, stdev=stdev, delta_check=a2_dist)
 
@@ -328,8 +323,8 @@ def epr_resolution_check(phi: PureState, a: Observable, b: Observable, c: Observ
         raise DimensionMismatchError("audit requires all operands on one space")
     psi = coefficient_matrix(phi, a.dim)
     return uncertainty_report(
-        _distribution(a, _slot2_probabilities(psi, a)).moments()[1],
-        _distribution(b, _slot2_probabilities(psi, b)).moments()[1],
+        OutcomeDistribution.from_lines(a, _slot2_probabilities(psi, a)).moments()[1],
+        OutcomeDistribution.from_lines(b, _slot2_probabilities(psi, b)).moments()[1],
         0.5 * abs(complex(slot_expectation(psi, c, 2))),
         float(np.abs(c.matrix).max()),
     )

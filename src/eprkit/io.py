@@ -7,16 +7,17 @@ strict: unknown fields are rejected so that typos fail loudly instead of
 being silently ignored.
 
 ``emit_json`` is one recursive pass that appends text pieces and joins them,
-formatting each distinct nonzero float once;
-its bytes are those of ``json.dumps(indent=2, allow_nan=False)`` applied to
-the payload with every float rounded to 15 significant digits. A float's
-text is ``f"{v:.15g}"`` itself, which for a finite value already is the
-shortest repr of the rounded double; only an integral text (given ``.0``),
-the exponent +15 and exponents of magnitude 308 or more (written by
-``repr`` after the round trip) differ. Every dict key must be a str, as
-every payload key is; any other key raises TypeError, like any other
-value JSON cannot hold (``json.dumps`` would write a number, bool or None
-key as its text).
+formatting each distinct nonzero float once; a dict's entries and a list's
+items go through one loop, which writes floats, [re, im] pairs, nested
+containers and scalars the same way in both. Its bytes are those of
+``json.dumps(indent=2, allow_nan=False)`` applied to the payload with every
+float rounded to 15 significant digits. A float's text is ``f"{v:.15g}"``
+itself, which for a finite value already is the shortest repr of the
+rounded double; only an integral text (given ``.0``), the exponent +15 and
+exponents of magnitude 308 or more (written by ``repr`` after the round
+trip) differ. Every dict key must be a str, as every payload key is; any
+other key raises TypeError, like any other value JSON cannot hold
+(``json.dumps`` would write a number, bool or None key as its text).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -107,57 +109,50 @@ def _new_float_text(value: float, texts: dict) -> str:
     return text
 
 
+# The key a list item gets in _encode's entry loop; no payload dict holds it.
+_ITEM = object()
+
+
 def _encode(value, newline: str, append, texts: dict) -> None:
     """Append the text of value, laid out as ``json.dumps(indent=2)`` lays it out.
 
     newline is the line break plus the indent of the line value starts on.
-    Floats, the bulk of a report, are written inline in the loops, each
+    A dict and a list share one loop over their entries: a dict entry's
+    head is its quoted key and ": ", a list item (keyed ``_ITEM``) has none.
+    Floats, the bulk of a report, are written inline in that loop, each
     distinct one formatted once (``texts``), and so are the [re, im] pairs
-    of two floats that matrices and states hold.
+    of two floats that matrices and states hold, with the text a recursion
+    into the pair would give.
     """
     if isinstance(value, dict):
-        if not value:
-            append("{}")
-            return
-        inner = newline + "  "
-        opener = "{" + inner
-        separator = "," + inner
-        for key, item in value.items():
-            head = opener + _quote(key) + ": "
-            opener = separator
-            if type(item) is float:
-                append(head + (texts.get(item) or _new_float_text(item, texts)))
-            elif isinstance(item, (dict, list, tuple)):
-                append(head)
-                _encode(item, inner, append, texts)
-            else:
-                append(head + _scalar_text(item))
-        append(newline + "}")
+        brackets, entries = "{}", value.items()
     elif isinstance(value, (list, tuple)):
-        if not value:
-            append("[]")
-            return
-        inner = newline + "  "
-        cell = inner + "  "
-        opener = "[" + inner
-        separator = "," + inner
-        for item in value:
-            if type(item) is float:
-                append(opener + (texts.get(item) or _new_float_text(item, texts)))
-            elif type(item) is list and len(item) == 2 and type(item[0]) is float and type(item[1]) is float:
-                real, imag = item
-                real = texts.get(real) or _new_float_text(real, texts)
-                imag = texts.get(imag) or _new_float_text(imag, texts)
-                append(opener + "[" + cell + real + "," + cell + imag + inner + "]")
-            elif isinstance(item, (dict, list, tuple)):
-                append(opener)
-                _encode(item, inner, append, texts)
-            else:
-                append(opener + _scalar_text(item))
-            opener = separator
-        append(newline + "]")
+        brackets, entries = "[]", zip(repeat(_ITEM), value)
     else:
         append(_scalar_text(value))
+        return
+    if not value:
+        append(brackets)
+        return
+    inner = newline + "  "
+    opener = brackets[0] + inner
+    separator = "," + inner
+    for key, item in entries:
+        head = opener if key is _ITEM else opener + _quote(key) + ": "
+        opener = separator
+        if type(item) is float:
+            append(head + (texts.get(item) or _new_float_text(item, texts)))
+        elif type(item) is list and len(item) == 2 and type(item[0]) is float and type(item[1]) is float:
+            real = texts.get(item[0]) or _new_float_text(item[0], texts)
+            imag = texts.get(item[1]) or _new_float_text(item[1], texts)
+            cell = inner + "  "
+            append(head + "[" + cell + real + "," + cell + imag + inner + "]")
+        elif isinstance(item, (dict, list, tuple)):
+            append(head)
+            _encode(item, inner, append, texts)
+        else:
+            append(head + _scalar_text(item))
+    append(newline + brackets[1])
 
 
 def emit_json(payload: dict) -> str:

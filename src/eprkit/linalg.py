@@ -10,6 +10,8 @@ dimension <= 64.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import (
@@ -151,11 +153,13 @@ class Observable:
 
     The record is the distinct eigenvalues (ascending), their
     multiplicities, the phase-fixed eigenvectors and ``projectors``, the
-    line projectors as one (lines, dim, dim) array. Each part is computed
-    lazily on first access and then shared; instances are immutable. The
+    line projectors as one (lines, dim, dim) array. Each part is a
+    ``functools.cached_property`` (``_eigh``, ``_lines``, ``projectors``),
+    computed on first access and then shared; instances are immutable. The
     lifted and sum observables that ``eprkit.composite`` builds from a factor
-    observable come with their lines already assembled from the factor's,
-    so reading them runs no eigensolver.
+    observable come with their lines already assembled from the factor's:
+    ``_set_lines`` seeds ``_lines`` and ``projectors`` with them, so reading
+    them runs no eigensolver.
     """
 
     def __init__(self, matrix):
@@ -164,10 +168,6 @@ class Observable:
             raise DimensionMismatchError(f"dimension {m.shape[0]} exceeds the supported envelope of {MAX_DIM}")
         m.setflags(write=False)
         self._matrix = m
-        self._eigenvalues: np.ndarray | None = None
-        self._multiplicities: tuple[int, ...] | None = None
-        self._eigenvectors: np.ndarray | None = None
-        self._projectors: np.ndarray | None = None
         # the sum index of ``eprkit.composite.anti_diagonal_index``, built on first use
         self._anti_diagonals = None
 
@@ -183,40 +183,39 @@ class Observable:
     def grouping_tol(self) -> float:
         return default_grouping_tol(self.eigenvalues)
 
-    def _set_lines(self, eigenvalues, multiplicities: tuple[int, ...], projectors: np.ndarray | None = None) -> None:
-        """Record the lines: their eigenvalues, multiplicities and, when already built, projectors."""
-        self._eigenvalues = np.array(eigenvalues, dtype=float)
-        self._eigenvalues.setflags(write=False)
-        self._multiplicities = multiplicities
-        if projectors is not None:
-            projectors.setflags(write=False)
-        self._projectors = projectors
+    def _set_lines(self, eigenvalues, multiplicities: tuple[int, ...], projectors: np.ndarray) -> None:
+        """Seed the line caches with assembled lines: their eigenvalues, multiplicities and projectors."""
+        eigenvalues = np.array(eigenvalues, dtype=float)
+        eigenvalues.setflags(write=False)
+        projectors.setflags(write=False)
+        self._lines = eigenvalues, multiplicities
+        self.projectors = projectors
 
-    def _solve(self) -> None:
-        """Run the eigensolver: fills the eigenvectors, and the lines unless they were given.
-
-        Each line's eigenvalue is the mean of its group of raw eigenvalues.
-        """
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigensolver's ascending raw eigenvalues and phase-fixed eigenvector columns."""
         w, v = np.linalg.eigh(self._matrix)
         v = phase_fix(v)
         v.setflags(write=False)
-        self._eigenvectors = v
-        if self._eigenvalues is None:
-            groups = group_close_values(w, default_grouping_tol(w))
-            self._set_lines([float(np.mean(w[group])) for group in groups], tuple(len(group) for group in groups))
+        return w, v
+
+    @cached_property
+    def _lines(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The line eigenvalues, each the mean of its group of raw eigenvalues, and their multiplicities."""
+        w = self._eigh[0]
+        groups = group_close_values(w, default_grouping_tol(w))
+        eigenvalues = np.array([float(np.mean(w[group])) for group in groups], dtype=float)
+        eigenvalues.setflags(write=False)
+        return eigenvalues, tuple(len(group) for group in groups)
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Distinct eigenvalues, strictly increasing, as one read-only array."""
-        if self._eigenvalues is None:
-            self._solve()
-        return self._eigenvalues
+        return self._lines[0]
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        if self._multiplicities is None:
-            self._solve()
-        return self._multiplicities
+        return self._lines[1]
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -225,23 +224,20 @@ class Observable:
         Canonical only when the spectrum is nondegenerate; within a degenerate
         block the basis is whatever the eigensolver returned.
         """
-        if self._eigenvectors is None:
-            self._solve()
-        return self._eigenvectors
+        return self._eigh[1]
 
-    @property
+    @cached_property
     def projectors(self) -> np.ndarray:
         """The line projectors as one read-only (lines, dim, dim) array, built once.
 
         Line k projects onto its group of eigenvector columns V_k as
         ``V_k V_k^H``.
         """
-        if self._projectors is None:
-            v = self.eigenvectors
-            blocks = [v[:, group] for group in np.split(np.arange(self.dim), np.cumsum(self.multiplicities)[:-1])]
-            self._projectors = np.stack([block @ block.conj().T for block in blocks])
-            self._projectors.setflags(write=False)
-        return self._projectors
+        v = self.eigenvectors
+        blocks = [v[:, group] for group in np.split(np.arange(self.dim), np.cumsum(self.multiplicities)[:-1])]
+        projectors = np.stack([block @ block.conj().T for block in blocks])
+        projectors.setflags(write=False)
+        return projectors
 
     @property
     def is_nondegenerate(self) -> bool:

@@ -159,6 +159,11 @@ class OutcomeDistribution:
         if not (abs(total - 1.0) <= PROBABILITY_SUM_TOL):
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
+    @classmethod
+    def from_lines(cls, obs: Observable, probabilities: np.ndarray) -> OutcomeDistribution:
+        """The distribution of ``obs`` from one probability per line, in the order of its lines."""
+        return cls(tuple(zip(obs.eigenvalues.tolist(), probabilities.tolist())))
+
     @cached_property
     def values(self) -> np.ndarray:
         return read_only_column(self.outcomes, 0)
@@ -326,8 +331,7 @@ def project_outcomes(state: PureState, obs: Observable) -> tuple[OutcomeDistribu
     if state.dim != obs.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != observable dim {obs.dim}")
     projected = [projector @ state.amplitudes for projector in obs.projectors]
-    probabilities = projected_probabilities(np.array(projected))
-    return OutcomeDistribution(tuple(zip(obs.eigenvalues.tolist(), probabilities.tolist()))), projected
+    return OutcomeDistribution.from_lines(obs, projected_probabilities(np.array(projected))), projected
 
 
 def outcome_probabilities(state: PureState, obs: Observable) -> OutcomeDistribution:

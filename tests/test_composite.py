@@ -175,6 +175,7 @@ class TestLift:
             assert np.abs(lifted.eigenvalues - reference.eigenvalues).max() <= 1e-12 * radius
             assert lifted.projectors.shape == reference.projectors.shape
             assert np.abs(lifted.projectors - reference.projectors).max() <= 1e-10
+            assert "_eigh" not in vars(lifted)  # its lines and projectors were read without an eigensolver
 
     def test_slots_commute(self):
         rng = np.random.default_rng(52)
@@ -211,6 +212,7 @@ class TestSumObservable:
         assert direct.multiplicities == s.multiplicities
         assert s.projectors.shape == direct.projectors.shape
         assert np.abs(s.projectors - direct.projectors).max() <= 1e-9
+        assert "_eigh" not in vars(s)
 
     def test_projector_family_is_complete_and_orthogonal(self):
         # collapses use these lines without re-checking them, so each must be a Hermitian

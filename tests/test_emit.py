@@ -167,6 +167,10 @@ PAYLOADS = st.recursive(
 @example({"é\x00\n\"\\\u2028": [1e15, -0.0, 5e-324, (True, None, 7)]})
 @example([])
 @example({})
+@example({"z": [1.5, -0.0]})  # an [re, im] pair as a dict value
+@example({"t": (1.0, 2.0)})  # a tuple of two floats, which is not written as a pair
+@example({"e": {}, "l": [[], {}]})
+@example({"n": np.float64(0.1), "p": [np.float64(1.0), 2.0]})  # float subclasses
 def test_fuzzed_payloads_match_the_reference(payload):
     assert outcome(eprio.emit_json, payload) == outcome(reference_emit_json, payload)
 

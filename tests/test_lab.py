@@ -321,7 +321,7 @@ class TestRunEprAnalysis:
         # only the factors A, B and C are diagonalised, each once; B and C stack their projectors once, A never
         assert eigh_dims == Counter({n: 3})
         assert stacks == [n, n]
-        assert sc.obs_a._projectors is None
+        assert "projectors" not in vars(sc.obs_a)
         cached = [obs.projectors for obs in (sc.obs_b, sc.obs_c)]
 
         # a second analysis of the same scenario reuses the index, the stacks and the decompositions
