@@ -148,11 +148,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    sc = _load_scenario(args.path)
-    payload = io.run_report_payload(sc, io.analysis_to_payload(sc.analysis), None, __version__)
-    _write_output(io.emit_json(payload), args.out)
+def _write_report(sc: Scenario, sampling: dict | None, out: str | None) -> int:
+    """Write the run report of ``sc``, with its analysis and the sampling section if one is given."""
+    payload = io.run_report_payload(sc, io.analysis_to_payload(sc.analysis), sampling, __version__)
+    _write_output(io.emit_json(payload), out)
     return EXIT_OK
+
+
+def _cmd_analyze(args) -> int:
+    return _write_report(_load_scenario(args.path), None, args.out)
 
 
 def _cmd_sample(args) -> int:
@@ -164,15 +168,7 @@ def _cmd_sample(args) -> int:
         raise _UsageError(str(exc)) from None
     sc = _load_scenario(args.path)
     record = sample_chain(sc, shots, seed)
-    comparison = compare_empirical(record, sc)
-    payload = io.run_report_payload(
-        sc,
-        io.analysis_to_payload(sc.analysis),
-        io.sampling_to_payload(record, comparison),
-        __version__,
-    )
-    _write_output(io.emit_json(payload), args.out)
-    return EXIT_OK
+    return _write_report(sc, io.sampling_to_payload(record, compare_empirical(record, sc)), args.out)
 
 
 def _cmd_demo_pauli(args) -> int:

@@ -3,8 +3,8 @@
 Complex numbers are two-element [re, im] arrays, matrices are row-major
 nested arrays, and every float is emitted with 15 significant digits (a
 representation that survives a parse/emit round trip unchanged). Parsing is
-strict: unknown fields are rejected so that typos fail loudly instead of
-being silently ignored.
+strict: unknown and repeated fields are rejected so that typos fail loudly
+instead of being silently ignored.
 
 ``emit_json`` is one recursive pass that appends text pieces and joins them,
 formatting each distinct nonzero float once; a dict's entries and a list's
@@ -197,19 +197,30 @@ _NUMBER_SHAPE = str.maketrans("123456789E", "000000000e")
 _BEYOND_FLOAT_RANGE = ("e000", "e+000", "0" * 200)
 
 
-def _load_json(text: str):
-    """Parse JSON whose every number is a finite float; NaN and Infinity are rejected.
+def _unique_fields(pairs: list) -> dict:
+    """The dict of one JSON object's fields, refused if a field is given twice (``json`` keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ScenarioFormatError(f"field {repeated!r} is given more than once")
+    return obj
 
-    Numbers parse natively unless the text could hold one beyond the float
-    range; only then does every number go through ``_finite_float`` and
-    ``_finite_int``, which name the first such literal.
+
+def _load_json(text: str):
+    """Parse JSON whose every number is a finite float and whose objects repeat no field.
+
+    NaN and Infinity are rejected. Numbers parse natively unless the text
+    could hold one beyond the float range; only then does every number go
+    through ``_finite_float`` and ``_finite_int``, which name the first such
+    literal.
     """
     shape = text.translate(_NUMBER_SHAPE)
     hooks = {}
     if any(pattern in shape for pattern in _BEYOND_FLOAT_RANGE):
         hooks = {"parse_float": _finite_float, "parse_int": _finite_int}
     try:
-        return json.loads(text, parse_constant=_reject_constant, **hooks)
+        return json.loads(text, object_pairs_hook=_unique_fields, parse_constant=_reject_constant, **hooks)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, the hooks, int() digits, nesting depth
         raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
 
@@ -332,60 +343,36 @@ def _distribution_payload(dist) -> list:
     return [{"value": v, "probability": p} for v, p in dist.outcomes]
 
 
-def _leaves(record) -> list:
-    """The leaf lists of a record of lists in field order, a nested record's leaves in place of it."""
-    leaves = []
-    for value in vars(record).values():
-        leaves += [value] if type(value) is list else _leaves(value)
-    return leaves
+def _row_dicts(record, keys: int = 0) -> list:
+    """One dict per entry of a record of lists, keyed by its field names after the first ``keys``.
+
+    A nested record's field holds that record's dict. The dicts are filled
+    one field at a time, down each column, which costs less than a
+    ``dict(zip(names, row))`` per row.
+    """
+    rows = []
+    for name, values in list(vars(record).items())[keys:]:
+        column = values if type(values) is list else _row_dicts(values)
+        rows = rows or [{} for _ in column]
+        for row, value in zip(rows, column):
+            row[name] = value
+    return rows
 
 
 def analysis_to_payload(report: EprReport) -> dict:
-    """The report's analysis section, one dict per branch and chain.
+    """The report's analysis section: the sum spectrum, one dict per branch and one per chain.
 
     ``report.branch_columns`` and ``chain_columns`` hold one list per leaf,
-    one entry per branch or chain. Each row unpacks from ``_leaves`` in
-    field order, and the dict keys are written out rather than read off the
-    field names, which would cost a ``dict(zip(...))`` per record.
+    one entry per branch or chain. A branch is keyed by its sum value and a
+    chain by its sum and A(1) values; their dicts are keyed by the
+    remaining field names of ``SumBranchReport`` and ``ChainReport``, in
+    field order, a nested record's fields in a dict of their own.
     """
-    per_sum = {
-        f"{s_value:.12g}": {
-            "probability": probability,
-            "schmidt_rank": rank,
-            "a1": {"mean": mean_a1, "stdev": stdev_a1},
-            "a2": {"mean": mean_a2, "stdev": stdev_a2},
-            "b1": {"mean": mean_b1, "stdev": stdev_b1},
-            "b2": {"mean": mean_b2, "stdev": stdev_b2},
-            "c1": {"mean": mean_c1, "stdev": stdev_c1},
-            "c2": {"mean": mean_c2, "stdev": stdev_c2},
-            "sum_constraint": {"mean_identity_residual": residual, "stdev_gap": gap},
-            "audit_slot1": {"delta_a": delta_a1, "delta_b": delta_b1, "rhs": rhs1, "satisfied": satisfied1},
-            "audit_slot2": {"delta_a": delta_a2, "delta_b": delta_b2, "rhs": rhs2, "satisfied": satisfied2},
-        }
-        for (
-            s_value, probability, rank,
-            mean_a1, stdev_a1, mean_a2, stdev_a2, mean_b1, stdev_b1, mean_b2, stdev_b2, mean_c1, stdev_c1, mean_c2, stdev_c2,
-            residual, gap,
-            delta_a1, delta_b1, rhs1, satisfied1, delta_a2, delta_b2, rhs2, satisfied2,
-        ) in zip(*_leaves(report.branch_columns))
-    }
-    chains = {
-        f"{s_value:.12g},{a1_value:.12g}": {
-            "a2_value": a2_value,
-            "conditional_probability": probability,
-            "a2_predicted": predicted,
-            "a2_stdev": stdev,
-            "point_mass_residual": residual,
-            "resolution": {"delta_a": delta_a, "delta_b": delta_b, "rhs": rhs, "satisfied": satisfied},
-        }
-        for s_value, a1_value, a2_value, probability, predicted, stdev, residual, delta_a, delta_b, rhs, satisfied in zip(
-            *_leaves(report.chain_columns)
-        )
-    }
+    branches, chains = report.branch_columns, report.chain_columns
     return {
         "sum_spectrum": _distribution_payload(report.sum_spectrum),
-        "per_sum": per_sum,
-        "chains": chains,
+        "per_sum": dict(zip(map("{:.12g}".format, branches.s_value), _row_dicts(branches, 1))),
+        "chains": dict(zip(map("{:.12g},{:.12g}".format, chains.s_value, chains.a1_value), _row_dicts(chains, 2))),
     }
 
 

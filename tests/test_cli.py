@@ -766,6 +766,40 @@ def test_report_parser_rejects_too_deep_nesting():
         eprio.run_report_from_json("[" * 100000)
 
 
+def _repeating(text: str, field: str) -> str:
+    """A JSON object's text with ``field`` given a second time, last, with the same value."""
+    return text.rstrip().removesuffix("}") + f', "{field}": ' + json.dumps(json.loads(text)[field]) + "}"
+
+
+@pytest.mark.parametrize("field", ["label", "matrix_a"])
+@pytest.mark.parametrize("command", [["verify"], ["analyze"], ["sample", "--shots", "10"]])
+def test_repeated_scenario_field_is_parse_error(field, command, tmp_path, capsys):
+    bad = tmp_path / "repeated.json"
+    bad.write_text(_repeating(scenario_text("pauli_epr.json"), field), encoding="utf-8")
+    assert main([command[0], str(bad), *command[1:]]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"field '{field}' is given more than once" in captured.err
+    assert "Traceback" not in captured.err
+    with pytest.raises(eprio.ScenarioFormatError, match=f"field '{field}' is given more than once"):
+        eprio.run_report_from_json(bad.read_text(encoding="utf-8"))
+
+
+def test_report_parser_rejects_repeated_fields(tmp_path):
+    from eprkit.errors import ScenarioFormatError
+
+    out = tmp_path / "report.json"
+    main(["analyze", scenario_path("pauli_epr.json"), "--out", str(out)])
+    text = out.read_text(encoding="utf-8")
+    with pytest.raises(ScenarioFormatError, match="field 'label' is given more than once"):
+        eprio.run_report_from_json(_repeating(text, "label"))
+    # a repeat inside a nested object is refused too
+    assert '"probability": 1.0' in text
+    with pytest.raises(ScenarioFormatError, match="field 'probability' is given more than once"):
+        eprio.run_report_from_json(text.replace('"probability": 1.0', '"probability": 1.0, "probability": 0.5', 1))
+
+
 def _scaled_scenario(seed: int, scale: float):
     """A = diag(-1, 0, 1) * scale with a random Hermitian B, so the derived C grows with scale."""
     rng = np.random.default_rng(seed)
