@@ -150,8 +150,7 @@ def _cmd_verify(args) -> int:
 
 def _write_report(sc: Scenario, sampling: dict | None, out: str | None) -> int:
     """Write the run report of ``sc``, with its analysis and the sampling section if one is given."""
-    payload = io.run_report_payload(sc, io.analysis_to_payload(sc.analysis), sampling, __version__)
-    _write_output(io.emit_json(payload), out)
+    _write_output(io.emit_json(io.run_report(sc, sampling, __version__)), out)
     return EXIT_OK
 
 

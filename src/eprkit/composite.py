@@ -46,6 +46,7 @@ from .linalg import (
     Observable,
     as_complex_matrix,
     default_grouping_tol,
+    group_means,
     hermiticity_tolerance,
     match_value,
     tensor_product,
@@ -128,7 +129,7 @@ def anti_diagonals(spectrum) -> AntiDiagonalIndex:
     bounds = np.append(starts, ordered.size).tolist()
     return AntiDiagonalIndex(
         factor_eigenvalues=tuple(ev.tolist()),
-        sums=tuple(float(np.mean(ordered[lo:hi])) for lo, hi in zip(bounds, bounds[1:])),
+        sums=tuple(group_means(ordered, bounds)),
         sets=tuple(tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
         match_tol=tol,
     )

@@ -15,13 +15,15 @@ of kept N x N branch states with ``eprkit.composite.project_slot``. A
 ``SumBranchReport`` or ``ChainReport`` is one branch or chain, or, in the
 report, every branch or chain at once with a list in each leaf; no record
 is built per branch or chain until ``EprReport.per_sum`` or ``chains`` is
-read. The sampler and the comparison walk one list of the report's chains,
-built once per scenario (cached as ``Scenario.chain_tables``): the CDFs the
-kernel draws from and each chain's p(s) p(a1 | s), off the same table's
-chain rows, and each chain's path, off the report's chains. They draw and
-check only the chains the report lists, in its order, which ascends in
-(s, a1), so neither sorts. No N^2 x N^2 operator is built for the analysis
-or for sampling.
+read, and ``epr analyze`` and ``epr sample`` write the JSON report from
+the two column records (``eprkit.io.run_report``), building no dict per
+branch or chain either. The sampler and the comparison walk one list of
+the report's chains, built once per scenario (cached as
+``Scenario.chain_tables``): the CDFs the kernel draws from and each
+chain's p(s) p(a1 | s), off the same table's chain rows, and each chain's
+path, off the report's chains. They draw and check only the chains the
+report lists, in its order, which ascends in (s, a1), so neither sorts.
+No N^2 x N^2 operator is built for the analysis or for sampling.
 """
 
 from __future__ import annotations
@@ -239,8 +241,9 @@ class EprReport:
 
     ``branch_columns`` is a ``SumBranchReport`` and ``chain_columns`` a
     ``ChainReport`` whose every leaf lists one entry per branch or chain, in
-    report order. The JSON report is written from them; ``per_sum`` and
-    ``chains`` build the one-row records from them on first access.
+    report order. The JSON report is written from them row by row
+    (``eprkit.io.run_report``); ``per_sum`` and ``chains`` build the
+    one-row records from them on first access.
     """
 
     scenario_label: str

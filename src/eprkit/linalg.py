@@ -112,6 +112,26 @@ def group_close_values(sorted_values: np.ndarray, tol: float) -> list[list[int]]
     return groups
 
 
+def group_means(values: np.ndarray, bounds: list[int]) -> list[float]:
+    """The mean of each group ``values[lo:hi]`` between consecutive ``bounds``, with ``np.mean``'s bits.
+
+    ``np.mean`` adds a slice from +0.0 and divides by its size once, so a
+    group of one is ``0.0 + x`` (the mean of -0.0 is 0.0) and a group of two
+    ``((0.0 + x0) + x1) / 2``; both are read without a numpy call. A larger
+    group takes ``np.mean`` of its slice.
+    """
+    items = values.tolist()
+    means = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo == 1:
+            means.append(0.0 + items[lo])
+        elif hi - lo == 2:
+            means.append(((0.0 + items[lo]) + items[lo + 1]) / 2)
+        else:
+            means.append(float(np.mean(values[lo:hi])))
+    return means
+
+
 def match_value(values, x: float | tuple[float, ...], tol: float) -> int:
     """Index of the entry of ``values`` nearest x, within tol; raises if none matches.
 
@@ -204,7 +224,7 @@ class Observable:
         """The line eigenvalues, each the mean of its group of raw eigenvalues, and their multiplicities."""
         w = self._eigh[0]
         groups = group_close_values(w, default_grouping_tol(w))
-        eigenvalues = np.array([float(np.mean(w[group])) for group in groups], dtype=float)
+        eigenvalues = np.array(group_means(w, [group[0] for group in groups] + [w.size]), dtype=float)
         eigenvalues.setflags(write=False)
         return eigenvalues, tuple(len(group) for group in groups)
 

@@ -440,6 +440,25 @@ def reference_emit_json(payload) -> str:
     return json.dumps(_quantize(payload), indent=2, allow_nan=False) + "\n"
 
 
+def expanded_records(value):
+    """``value`` with each ``io._KeyedRecord`` in it written out as plain dicts, for ``reference_emit_json``.
+
+    A record's rows are its one-row records (``lab._rows``) as ``dataclasses.asdict`` gives them,
+    less the fields that key them, zipped into a dict with its keys.
+    """
+    from eprkit.io import _KeyedRecord
+    from eprkit.lab import _rows
+
+    if type(value) is _KeyedRecord:
+        rows = [dict(list(dataclasses.asdict(row).items())[value.skip :]) for row in _rows(value.record)]
+        return dict(zip(value.keys, rows))
+    if isinstance(value, dict):
+        return {key: expanded_records(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(expanded_records, value))
+    return value
+
+
 def reference_analysis_payload(report) -> dict:
     """``io.analysis_to_payload`` as it was before the report kept columns: a walk over ``per_sum`` and ``chains``.
 

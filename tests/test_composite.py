@@ -98,6 +98,25 @@ class TestAntiDiagonals:
         assert sorted(all_pairs) == [(i, j) for i in range(5) for j in range(5)]
         assert sum(idx.degeneracies) == 25
 
+    def test_line_sums_have_the_bits_of_one_np_mean_per_line(self):
+        # equally spaced spectra give lines of 1 to N pairs, generic ones lines of 1 and 2, 1e-12 jitter
+        # near-coincident pair sums; each line's sum must be np.mean of its sorted pair sums
+        rng = np.random.default_rng(53)
+        sizes = set()
+        for scale in (1.0, 1e-9, 1e150):
+            for n in range(2, 9):
+                for spectrum in (
+                    np.sort(rng.standard_normal(n)),
+                    np.arange(n) * rng.uniform(0.5, 2.0) + rng.uniform(-3, 3),
+                    np.arange(n) + rng.uniform(-1e-12, 1e-12, n),
+                ):
+                    spectrum = spectrum * scale
+                    idx = anti_diagonals(spectrum)
+                    want = reference_anti_diagonals(spectrum)
+                    assert [struct.pack("<d", s) for s in idx.sums] == [struct.pack("<d", s) for s in want.sums]
+                    sizes.update(idx.degeneracies)
+        assert sizes == set(range(1, 9))
+
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             anti_diagonals([1.0, 0.0])

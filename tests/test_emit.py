@@ -3,17 +3,21 @@
 Reports are compared as the CLI writes them (bundled scenarios, the
 benchmark's generated workloads) and as the golden files hold them; a
 hypothesis fuzz covers payload shapes and floats that no report reaches.
-The analysis payload, zipped from the report's columns, is compared with
-the walk over its branch and chain objects that it replaced.
-perfbench/ is only read: its golden files and its workload generator.
+The CLI writes the branches and chains from the report's columns
+(``io._KeyedRecord``); the reference writes them as the plain dicts of
+``analysis_to_payload``, which is compared with the walk over the branch
+and chain objects that it replaced. perfbench/ is only read: its golden
+files and its workload generator.
 """
 
+import dataclasses
 import functools
 import gc
 import importlib.util
 import json
 import math
 import sys
+import typing
 from importlib.resources import files
 from pathlib import Path
 
@@ -24,8 +28,15 @@ from hypothesis import strategies as st
 
 from eprkit import io as eprio
 from eprkit.cli import EXIT_OK, main
-from eprkit.lab import build_scenario
-from helpers import random_hermitian, random_state_vector, reference_analysis_payload, reference_emit_json
+from eprkit.conditional import PredictionSummary
+from eprkit.lab import ChainReport, SumBranchReport, build_scenario
+from helpers import (
+    expanded_records,
+    random_hermitian,
+    random_state_vector,
+    reference_analysis_payload,
+    reference_emit_json,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BUNDLED = ["pauli_epr", "pauli_uniform", "spin_one"]
@@ -41,20 +52,28 @@ def load_workloads():
     return module
 
 
-def emitted_payloads(argv, monkeypatch, capsys) -> tuple[list, str]:
-    """Run one ``epr`` command and return the payloads it emitted with its stdout."""
-    seen = []
-    emit = eprio.emit_json
+def emitted_payloads(argv, monkeypatch, capsys) -> tuple[list, list, str]:
+    """Run one ``epr`` command; return the payloads it emitted, the run reports it composed and its stdout.
+
+    A run report is kept as the (scenario, sampling, version) that ``io.run_report`` was given.
+    """
+    seen, composed = [], []
+    emit, compose = eprio.emit_json, eprio.run_report
     monkeypatch.setattr(eprio, "emit_json", lambda payload: seen.append(payload) or emit(payload))
+    monkeypatch.setattr(eprio, "run_report", lambda *args: composed.append(args) or compose(*args))
     assert main(argv) == EXIT_OK
     monkeypatch.setattr(eprio, "emit_json", emit)
-    return seen, capsys.readouterr().out
+    monkeypatch.setattr(eprio, "run_report", compose)
+    return seen, composed, capsys.readouterr().out
 
 
 def assert_cli_matches_reference(argv, monkeypatch, capsys) -> None:
-    payloads, out = emitted_payloads(argv, monkeypatch, capsys)
+    payloads, composed, out = emitted_payloads(argv, monkeypatch, capsys)
     assert len(payloads) == 1
-    assert out == reference_emit_json(payloads[0])
+    assert out == reference_emit_json(expanded_records(payloads[0]))
+    for sc, sampling, version in composed:  # one for analyze and sample, none for demo-pauli
+        analysis = eprio.analysis_to_payload(sc.analysis)
+        assert out == reference_emit_json(eprio.run_report_payload(sc, analysis, sampling, version))
 
 
 @pytest.mark.parametrize("stem", BUNDLED)
@@ -109,12 +128,19 @@ def test_analysis_payload_from_columns_equals_the_object_walk():
     assert scenarios == 3 + 6 * 7 * 2
 
 
+def test_run_reports_from_columns_match_the_reference():
+    # the report as the CLI composes it, written from the columns, against the object walk's dicts
+    for sc in analyzed_scenarios():
+        want = eprio.run_report_payload(sc, reference_analysis_payload(sc.analysis), None, "test")
+        assert eprio.emit_json(eprio.run_report(sc, None, "test")) == reference_emit_json(want)
+
+
 def test_emitting_a_report_leaves_no_reference_cycle():
     # a walk that keeps itself alive (a closure calling itself) would hold each
     # report's pieces until the collector runs
     rng = np.random.default_rng(8)
     sc = build_scenario("gc", random_hermitian(rng, 8), random_hermitian(rng, 8), random_state_vector(rng, 64))
-    payload = eprio.run_report_payload(sc, eprio.analysis_to_payload(sc.analysis), None, "test")
+    payload = eprio.run_report(sc, None, "test")
     gc.collect()
     gc.disable()
     try:
@@ -255,3 +281,102 @@ def test_non_str_keys_raise_type_error(key):
     # json.dumps writes a number, bool or None key as its text; no payload has one
     with pytest.raises(TypeError):
         eprio.emit_json({"outer": {key: 1.0}})
+
+
+@dataclasses.dataclass(frozen=True)
+class Keyed:
+    s_value: list
+    value: list
+    moments: PredictionSummary
+
+
+def keyed(keys, leaves, nested=None):
+    """A ``_KeyedRecord`` of ``SumBranchReport``-like shape: a key column, one leaf column and a nested record."""
+    rows = len(leaves)
+    nested = nested or PredictionSummary([0.5] * rows, [0.25] * rows)
+    return eprio._KeyedRecord(keys, Keyed(list(map(float, range(rows))), leaves, nested), 1)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        keyed(["a", "b", "a"], [1.0, 2.0, 3.0]),  # "a" keeps its first position and its last row
+        keyed(["a", "a", "a"], [-0.0, 0.0, 1.5]),
+        keyed(["a", "b"], [1.0, 2.0, 3.0]),  # rows past the keys are dropped, as zip drops them
+        keyed(["a", "b", "c"], [1.0]),
+        keyed(["x", "x"], [math.nan, 2.0]),  # a NaN in a row a repeated key replaces is never written
+        keyed([], []),
+        keyed(["a"], []),
+        {"empty": keyed([], []), "nested": [keyed([], [])]},
+        keyed(["z", "e"], [-0.0, 0.0], PredictionSummary([-0.0, 0.0], [0.0, -0.0])),
+        keyed(list("abcdefg"), [1e15, 9.999999999999999e14, 5e-324, -2.2250738585072014e-308, 1e308, -1e-308, 1e16]),
+        keyed(list("abcd"), [1.0, True, 3, np.float64(0.1)], PredictionSummary([False, 2**70], [None, "é\n"])),
+        {"outer": [keyed(["é\x00\"\\"], [0.1])], "again": keyed(["a", "b"], [0.1, 0.2])},  # two indents
+    ],
+    ids=[
+        "colliding-key",
+        "one-key-thrice",
+        "more-rows-than-keys",
+        "more-keys-than-rows",
+        "nan-in-a-replaced-row",
+        "empty",
+        "keys-but-no-rows",
+        "empty-nested",
+        "signed-zeros",
+        "edge-magnitudes",
+        "bool-int-and-subclass-leaves",
+        "quoted-key-and-two-indents",
+    ],
+)
+def test_keyed_records_match_the_reference(payload):
+    assert eprio.emit_json(payload) == reference_emit_json(expanded_records(payload))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        keyed(["a", "b"], [1.0, math.nan]),
+        keyed(["a", "b"], [math.inf, 1.0]),
+        keyed(["a"], [1.0], PredictionSummary([-math.inf], [1.0])),
+        keyed(["a", "b"], [1.79769313486231e308, 1.7976931348623157e308]),  # the second rounds to inf
+        {"first": keyed(["a"], [0.5]), "second": keyed(["b"], [np.float64(math.nan)])},
+    ],
+    ids=["nan", "inf", "minus-inf-nested", "rounds-to-inf", "nan-float64-in-a-second-record"],
+)
+def test_non_finite_leaves_raise_value_error(payload):
+    assert outcome(reference_emit_json, expanded_records(payload)) is ValueError
+    assert outcome(eprio.emit_json, payload) is ValueError
+
+
+def record_of(draw, cls, rows: int, leaves):
+    """A ``cls`` record of ``rows`` drawn leaves per column, a nested record field as a record of its own."""
+    hints = typing.get_type_hints(cls)
+    return cls(
+        *(
+            record_of(draw, hints[f.name], rows, leaves)
+            if dataclasses.is_dataclass(hints[f.name])
+            else draw(st.lists(leaves, min_size=rows, max_size=rows))
+            for f in dataclasses.fields(cls)
+        )
+    )
+
+
+ROW_KEYS = st.one_of(st.sampled_from(["0", "1", "-0.5,1"]), KEYS)  # few keys, so that they collide
+
+
+@st.composite
+def keyed_payloads(draw):
+    """A payload holding a fuzzed ``_KeyedRecord`` of a report record class, at the top or nested."""
+    cls, skip = draw(st.sampled_from([(SumBranchReport, 1), (ChainReport, 2), (Keyed, 1), (PredictionSummary, 0)]))
+    rows = draw(st.integers(0, 4))
+    keys = draw(st.lists(ROW_KEYS, min_size=max(0, rows - 1), max_size=rows + 1))
+    value = eprio._KeyedRecord(keys, record_of(draw, cls, rows, SCALARS), skip)
+    for _ in range(draw(st.integers(0, 2))):
+        value = draw(st.sampled_from([[value, 1.0], {"k": value, "z": [0.5, -0.0]}, (value,)]))
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_payloads())
+def test_fuzzed_keyed_records_match_the_reference(payload):
+    assert outcome(eprio.emit_json, payload) == outcome(reference_emit_json, expanded_records(payload))

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eprkit.errors import (
     DegenerateSpectrumError,
@@ -10,7 +14,10 @@ from eprkit.errors import (
 from eprkit.linalg import (
     Observable,
     commutator,
+    default_grouping_tol,
     extract_c,
+    group_close_values,
+    group_means,
     is_hermitian,
     match_value,
     phase_fix,
@@ -273,3 +280,44 @@ def test_commutator_triple_has_traceless_vanishing_diagonal():
         v = np.linalg.eigh(a)[1]
         diag = np.einsum("ij,jk,ki->i", v.conj().T, c, v)
         assert np.abs(diag).max() <= 1e-10 * scale
+
+
+def bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+def mean_per_group(values: np.ndarray, bounds: list[int]) -> list[float]:
+    return [float(np.mean(values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+
+SIGNED_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and the normal edge
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(SIGNED_FLOATS, min_size=1, max_size=9), max_size=6))
+@example([[-0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0, -0.0]])
+@example([[5e-324], [5e-324, 5e-324], [-5e-324, 5e-324], [1e300, 1e300]])
+def test_group_means_have_the_bits_of_np_mean(groups):
+    values = np.array([x for group in groups for x in group], dtype=float)
+    bounds = np.cumsum([0] + [len(group) for group in groups]).tolist()
+    assert bits(group_means(values, bounds)) == bits(mean_per_group(values, bounds))
+
+
+@pytest.mark.parametrize("multiplicities", [(2, 1, 1), (3, 1), (1, 2, 3), (2, 3, 2, 1), (3, 3, 2)])
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e150])
+def test_degenerate_line_eigenvalues_have_the_bits_of_np_mean(multiplicities, scale):
+    # eigh splits each repeated eigenvalue by a few ulps, so a line of 2 or 3 averages distinct raw values
+    rng = np.random.default_rng(sum(multiplicities) + len(multiplicities))
+    n = sum(multiplicities)
+    diagonal = np.repeat(np.sort(rng.standard_normal(len(multiplicities))) * scale, multiplicities)
+    u = np.linalg.qr(random_hermitian(rng, n) + 1j * np.eye(n))[0]
+    h = u @ np.diag(diagonal) @ u.conj().T
+    obs = Observable((h + h.conj().T) / 2)
+    assert obs.multiplicities == multiplicities
+    w = obs._eigh[0]
+    want = [float(np.mean(w[group])) for group in group_close_values(w, default_grouping_tol(w))]
+    assert bits(obs.eigenvalues) == bits(want)

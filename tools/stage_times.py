@@ -9,8 +9,8 @@ process and one after the other.
 spaced and generic A):
 
 * parse - ``io.scenario_from_json`` of the file's text;
-* analysis - ``lab.run_epr_analysis`` of the parsed scenario;
-* payload - ``io.run_report_payload`` around ``io.analysis_to_payload``;
+* analysis - ``sc.analysis``, the scenario's ``lab.run_epr_analysis``;
+* payload - ``io.run_report``, the report ``epr analyze`` composes;
 * emit - ``io.emit_json`` of that payload.
 
 ``epr sample`` runs the ``cli_small`` sample operations (10,000 shots on
@@ -21,7 +21,7 @@ each operation's shots and seed:
 * chain tables - ``sc.chain_tables``, which runs the analysis first;
 * sample - ``lab.sample_chain``;
 * compare - ``lab.compare_empirical`` of the shot record;
-* payload - ``io.run_report_payload`` around the analysis and sampling payloads;
+* payload - ``io.run_report`` around ``io.sampling_to_payload`` of the record and its comparison;
 * emit - ``io.emit_json`` of that payload.
 
 A stage's figure is the median over the passes of its mean time per
@@ -62,9 +62,9 @@ def analyze_stages(text: str, shots: int, seed: int):
     """Run ``epr analyze``'s stages on ``text``, yielding after each one."""
     sc = io.scenario_from_json(text)
     yield
-    report = lab.run_epr_analysis(sc)
+    sc.analysis  # cached on the scenario, where io.run_report reads it
     yield
-    payload = io.run_report_payload(sc, io.analysis_to_payload(report), None, __version__)
+    payload = io.run_report(sc, None, __version__)
     yield
     io.emit_json(payload)
     yield
@@ -80,8 +80,7 @@ def sample_stages(text: str, shots: int, seed: int):
     yield
     comparison = lab.compare_empirical(record, sc)
     yield
-    sampling = io.sampling_to_payload(record, comparison)
-    payload = io.run_report_payload(sc, io.analysis_to_payload(sc.analysis), sampling, __version__)
+    payload = io.run_report(sc, io.sampling_to_payload(record, comparison), __version__)
     yield
     io.emit_json(payload)
     yield
