@@ -47,13 +47,22 @@ reading back a cell costs about as much as drawing a shot. The cells are
 read before splitmix64's last step, x ^ (x >> 31), which leaves the top 31
 bits as they are; only held shots take that step.
 
+A level whose thresholds are all 0 or 2^53, with no inner threshold
+strictly between them, sends every m to one index. It gets no bits (g or
+h is 0) and no draws: no ramp offset, no splitmix64 and no part of the
+cell. That is the sum level of a sum eigenstate such as the EPR state
+(D = 1), and the first-factor level when every branch has one chain
+(width 1, as for N = 1). No batch writes its row of the held shots, and
+any m there resolves to its one index. When neither level is drawn,
+every shot lands in the one cell and no batch runs.
+
 Shots run in batches of ``CHUNK_SHOTS``, small enough that a batch's
-buffers stay in a core's L2 cache: a ramp of seed + i * 2 PHI, the two
-draws of each shot (the batch's sum draws, then its first-factor draws,
-each half the ramp plus one offset) that splitmix64 turns into bits in
-place, one scratch buffer, the flags, and the held draws of up to a
-quarter batch of split-cell shots, 45 bytes per shot; the cell table adds
-at most 25 bytes per cell.
+buffers stay in a core's L2 cache: a ramp of i * 2 PHI, the draws of each
+drawn level (the batch's sum draws, then its first-factor draws, each the
+ramp plus the level's offset) that splitmix64 turns into bits in place,
+one scratch buffer, the flags, and the held draws of up to a quarter
+batch of split-cell shots: 45 bytes per shot when both levels are drawn,
+37 when one is. The cell table adds at most 25 bytes per cell.
 They are allocated once per call and reused, so no array of full shot
 length is built and memory does not grow with ``shots``.
 
@@ -71,6 +80,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SCALE = 9007199254740992.0  # 2^53
 _U53 = 1.0 / _SCALE  # 2^-53
+_LOW_BITS = np.uint64((1 << 53) - 1)
 
 
 def _mix_head(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -143,6 +153,14 @@ def _guide(table: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
     split = np.zeros(rows << bits, dtype=bool)
     split[bucket[inside].astype(np.intp)] = True
     return first, split
+
+
+def _has_inner(table: np.ndarray) -> bool:
+    """Whether a threshold of the uint64 ``table`` lies strictly between 0 and 2^53.
+
+    Every threshold is at most 2^53, so exactly those have one of the low 53 bits set.
+    """
+    return np.count_nonzero(table & _LOW_BITS) > 0
 
 
 # Shots processed per vectorized batch: a batch's buffers stay within a
@@ -225,6 +243,12 @@ def sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf: np.ndarr
 
     t_sum, t_cond = _thresholds(sum_cdf), _thresholds(cond_cdf)
     g, h = _cell_bits(d, n_out, shots)
+    # A level with no inner threshold, strictly between 0 and 2^53, sends
+    # every m to one index: it gets no bits in the cell and is not drawn.
+    if not _has_inner(t_sum):
+        g = 0
+    if not _has_inner(t_cond):
+        h = 0
     sum_first, sum_split = _guide(t_sum[None], g)
     joint_first, joint_split = _guide(t_cond, h)
     # Cell (b << h) | c pairs sum bucket b with bucket c of conditional row sum_first[b].
@@ -233,40 +257,49 @@ def sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf: np.ndarr
 
     tally = np.zeros(1 << (g + h), dtype=np.int64)
     flat = np.zeros(d * n_out, dtype=np.int64)
+    # The drawn levels, 0 the sum and 1 the first factor, and the shift to the first one's cell bits.
+    levels = [level for level, level_bits in ((0, g), (1, h)) if level_bits]
+    first_shift = 64 - (g or h)
+    if not levels:
+        tally[0] = shots  # every shot lands in the one cell, and no batch runs
     chunk = max(1, min(CHUNK_SHOTS, shots))
     # Shot i of the batch from ``start`` draws n = 2 (start + i) + 1 for its
-    # sum outcome and n + 1 for its first-factor outcome, so its two
-    # seed + n * PHI are the ramp seed + i * 2 PHI plus one offset per half.
+    # sum outcome and n + 1 for its first-factor outcome, so its seed + n * PHI
+    # is the ramp i * 2 PHI plus its level's offset, seed + (1 + level) PHI,
+    # plus the batch's 2 start PHI. Python ints wrap mod 2^64 without a numpy
+    # overflow warning.
     ramp = np.arange(chunk, dtype=np.uint64)
     ramp *= 2 * _PHI_INT % (1 << 64)
-    ramp += np.uint64(seed)
-    # One set of batch buffers, reused: both draws of each shot (sum draws,
-    # then first-factor draws), one scratch buffer that then holds the cells,
-    # the flags, and the held mix heads of up to a quarter batch of split-cell shots.
-    bits = np.empty(2 * chunk, dtype=np.uint64)
+    offsets = [seed + (1 + level) * _PHI_INT for level in levels]
+    # One set of batch buffers, reused: the draws of each drawn level (sum
+    # draws, then first-factor draws), one scratch buffer that then holds the
+    # cells, the flags, and the held mix heads of up to a quarter batch of
+    # split-cell shots. No batch writes the held row of a level that is not
+    # drawn: it starts at 0, and every m there resolves to the level's one index.
+    bits = np.empty(len(levels) * chunk, dtype=np.uint64)
     scratch = np.empty(2 * chunk, dtype=np.uint64)
     flagged = np.empty(chunk, dtype=bool)
-    held = np.empty((2, max(1, chunk // 4)), dtype=np.uint64)
+    held = np.zeros((2, max(1, chunk // 4)), dtype=np.uint64)
+    held_rows = [held[level] for level in levels]
     n_held = 0
 
     def counts_of(pairs: np.ndarray) -> np.ndarray:
         """Counts of the flat indices of the (2, shots) mix heads ``pairs``."""
         return np.bincount(_resolve(pairs, scratch, t_sum, t_cond, joint_first, joint_split, h), minlength=d * n_out)
 
-    for start in range(0, shots, chunk):
+    for start in range(0, shots if levels else 0, chunk):
         batch = min(chunk, shots - start)
-        # Python ints, so the offsets wrap mod 2^64 without a numpy overflow warning.
-        offset = (2 * start + 1) * _PHI_INT
-        x = bits[: 2 * batch]
-        np.add(ramp[:batch], offset % (1 << 64), out=x[:batch])
-        np.add(ramp[:batch], (offset + _PHI_INT) % (1 << 64), out=x[batch:])
-        _mix_head(x, scratch[: 2 * batch])
-        x_sum, x_cond = x[:batch], x[batch:]
+        x = bits[: len(levels) * batch]
+        draws = x.reshape(len(levels), batch)
+        for row, offset in zip(draws, offsets):
+            np.add(ramp[:batch], (2 * start * _PHI_INT + offset) % (1 << 64), out=row)
+        _mix_head(x, scratch[: x.size])
         # The cell is the top g bits of the sum draw next to the top h bits of
         # the first-factor draw; the mix tail leaves those bits as they are.
-        cell = np.right_shift(x_sum, 64 - g, out=scratch[:batch])
-        cell <<= h
-        cell |= np.right_shift(x_cond, 64 - h, out=scratch[batch : 2 * batch])
+        cell = np.right_shift(draws[0], first_shift, out=scratch[:batch])
+        if len(levels) == 2:
+            cell <<= h
+            cell |= np.right_shift(draws[1], 64 - h, out=scratch[batch : 2 * batch])
         cell = cell.view(np.int64)
         tally += np.bincount(cell, minlength=len(tally))
         if not any_split:
@@ -274,13 +307,15 @@ def sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf: np.ndarr
         # Every cell is in range, so mode="wrap" only skips the bounds check.
         split = np.take(cell_split, cell, out=flagged[:batch], mode="wrap").nonzero()[0]
         if len(split) > held.shape[1]:  # more than the held buffer takes: resolve them now
-            flat += counts_of(x.reshape(2, batch)[:, split])
+            pairs = np.zeros((2, len(split)), dtype=np.uint64)
+            pairs[levels] = draws[:, split]
+            flat += counts_of(pairs)
             continue
         if n_held + len(split) > held.shape[1]:
             flat += counts_of(held[:, :n_held])
             n_held = 0
-        np.take(x_sum, split, out=held[0, n_held : n_held + len(split)])
-        np.take(x_cond, split, out=held[1, n_held : n_held + len(split)])
+        for row, level_held in zip(draws, held_rows):
+            np.take(row, split, out=level_held[n_held : n_held + len(split)])
         n_held += len(split)
     if n_held:
         flat += counts_of(held[:, :n_held])

@@ -63,9 +63,9 @@ MAX_ENTRY_MAGNITUDE = 1e150
 
 MAX_SEED = 2**64 - 1
 
-# Largest shot count of one sample. At some 17 ns per shot a call of this
-# size already runs for hours; a larger count is refused rather than left
-# running.
+# Largest shot count of one sample. At some 5 to 10 ns per shot a call of
+# this size already runs for hours; a larger count is refused rather than
+# left running.
 MAX_SHOTS = 2**40
 
 

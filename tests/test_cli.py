@@ -411,6 +411,32 @@ class TestAnalyze:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "failing_call, message",
+        [
+            (0, "uncertainty audit failed in branch s="),  # the first factor's audits
+            (1, "uncertainty audit failed in branch s="),  # the second factor's audits
+            (2, "uncertainty audit failed after chain (s="),  # the chains' audits
+        ],
+        ids=["slot-1", "slot-2", "chains"],
+    )
+    def test_one_failed_uncertainty_audit_is_invariant_error(self, failing_call, message, monkeypatch, capsys):
+        # one failed audit of one slot is enough; the audits run slot 1, then slot 2, then the chains
+        calls = []
+        satisfied = lab.uncertainty_satisfied
+
+        def audit(delta_a, *args):
+            calls.append(None)
+            return satisfied(delta_a, *args) & (len(calls) - 1 != failing_call)
+
+        monkeypatch.setattr(lab, "uncertainty_satisfied", audit)
+        assert main(["analyze", scenario_path("pauli_epr.json")]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"epr: invariant violation: {message}")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_scenario_with_large_c_passes_its_audits(self, tmp_path, capsys):
         # A and B of order 1e3 give |C| ~ 1e6, where a vanishing bound rounds to about 1e-10: verify
         # passed and analyze exited 3 with "uncertainty audit failed" while the slack was absolute
@@ -488,6 +514,30 @@ class TestSample:
         assert sum(sampling["counts"].values()) == 10000
         assert sampling["comparison"]["within_3sigma"] is True
         assert eprio.emit_json(payload) == out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("shots", [1, 10_007])
+    @pytest.mark.parametrize("state", ["n1", "width-1"])
+    def test_scenarios_with_a_certain_level_sample(self, state, shots, tmp_path, capsys):
+        # N = 1 leaves nothing to draw; sum_n c_n |a_n a_n> on a generic A gives every branch one chain,
+        # so only the sum is drawn
+        rng = np.random.default_rng(11)
+        if state == "n1":
+            sc = build_scenario("n1", np.array([[0.7]]), np.array([[-0.2]]), np.array([1.0]))
+        else:
+            a = random_hermitian(rng, 3)
+            v = np.linalg.eigh(a)[1]
+            c = random_state_vector(rng, 3)
+            sc = build_scenario("width-1", a, random_hermitian(rng, 3), sum(c[n] * np.kron(v[:, n], v[:, n]) for n in range(3)))
+        path = tmp_path / "scenario.json"
+        path.write_text(eprio.scenario_to_json(sc), encoding="utf-8")
+        assert main(["sample", str(path), "--shots", str(shots), "--seed", "5"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = eprio.run_report_from_json(captured.out)
+        assert sum(payload["sampling"]["counts"].values()) == shots
+        chains = payload["analysis"]["chains"]
+        assert len(chains) == (1 if state == "n1" else 3)
+        assert {key.rsplit(",", 1)[0] for key in payload["sampling"]["counts"]} <= set(chains)
 
     def test_single_shot_records_one_path(self, capsys):
         assert main(["sample", scenario_path("pauli_epr.json"), "--shots", "1", "--seed", "8"]) == EXIT_OK

@@ -360,19 +360,73 @@ def test_most_sum_outcomes_with_eight_first_factor_outcomes(chunk, monkeypatch):
     _assert_matches_reference(1500, sum_cdf, cond_cdf)
 
 
-def test_memory_does_not_grow_with_shots(monkeypatch):
-    # the batch buffers are 45 bytes per shot of one 2^14-shot batch, and the cell table at most 25 bytes
-    # per cell of 2^14; one full-length array would be 16 MB
-    sc = io.scenario_from_json(files("eprkit.scenarios").joinpath("spin_one.json").read_text(encoding="utf-8"))
+def _bundled_tables(name, monkeypatch):
+    """The (sum_cdf, cond_cdf) tables that ``lab.sample_chain`` passes the kernel for a bundled scenario."""
+    sc = io.scenario_from_json(files("eprkit.scenarios").joinpath(f"{name}.json").read_text(encoding="utf-8"))
     tables = []
-    monkeypatch.setattr(_kernels, "sample_counts", lambda *args: tables.append(args[2:]) or sample_counts(*args))
-    lab.sample_chain(sc, 1, seed=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "sample_counts", lambda *args: tables.append(args[2:]) or sample_counts(*args))
+        lab.sample_chain(sc, 1, seed=0)
+    return tables[0]
+
+
+@pytest.mark.parametrize("name", ["spin_one", "pauli_epr"])
+def test_memory_does_not_grow_with_shots(name, monkeypatch):
+    # the batch buffers are at most 45 bytes per shot of one 2^14-shot batch, and the cell table at most 25 bytes
+    # per cell of 2^14; one full-length array would be 16 MB
+    tables = _bundled_tables(name, monkeypatch)
     assert _kernels.CHUNK_SHOTS == 1 << 14  # the bound below holds for this batch size
     tracemalloc.start()
     try:
-        counts = sample_counts(7, 2_000_000, *tables[0])
+        counts = sample_counts(7, 2_000_000, *tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert counts.sum() == 2_000_000
     assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "sum_cdf, cond_cdf",
+    [
+        ([1.0], [[0.2, 1.0]]),  # pauli_epr's tables: the sum is certain, the first factor is drawn
+        ([1.0], [[0.25, 0.75, 1.0]]),  # a dyadic row, whose thresholds sit on cell edges
+        ([0.3, 0.5, 1.0], [[1.0], [1.0], [1.0]]),  # width 1: the sum is drawn, the first factor is certain
+        ([1.0], [[1.0]]),  # nothing is drawn: every shot lands on the one index
+        ([0.0, 1.0, 1.0], [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]),  # nothing is drawn, among unreachable rows
+        ([0.0, 0.0, 1.0], [[0.5, 1.0], [0.5, 1.0], [0.2, 1.0]]),  # a certain sum after two empty outcomes
+        # a certain sum after 3,000 empty outcomes: about half the shots are held, and resolving them
+        # leaves flat indices above 2^11 in the sum's held row, which any m of a certain sum survives
+        (np.r_[np.zeros(3000), 1.0], np.r_[np.ones((3000, 2)), [[0.3, 1.0]]]),
+    ],
+    ids=["certain-sum", "certain-sum-dyadic-row", "width-1", "nothing-drawn", "nothing-drawn-unreachable-rows",
+         "certain-last-sum", "certain-sum-held-flushes"],
+)
+@pytest.mark.parametrize("shots", [1, 3 * 617 + 5], ids=["one-shot", "ragged"])
+@pytest.mark.parametrize("chunk", [1, 617, None], ids=["chunk-1", "chunk-617", "chunk-default"])
+def test_levels_with_one_reachable_outcome(sum_cdf, cond_cdf, shots, chunk, monkeypatch):
+    # a level whose thresholds are all 0 or 2^53 is not drawn; the other level's draws keep their numbers
+    if chunk is not None:
+        monkeypatch.setattr(_kernels, "CHUNK_SHOTS", chunk)
+    _assert_matches_reference(shots, np.array(sum_cdf), np.array(cond_cdf))
+
+
+@pytest.mark.parametrize(
+    "tables, hashed",
+    [
+        ("pauli_epr", 1),
+        ((np.array([0.0, 1.0]), np.array([[1.0, 1.0], [0.0, 1.0]])), 0),
+        ("spin_one", 2),
+    ],
+    ids=["pauli_epr", "nothing-drawn", "spin_one"],
+)
+def test_only_drawn_levels_are_hashed(tables, hashed, monkeypatch):
+    # splitmix64 runs on one draw per shot for pauli_epr's certain sum, on none when nothing is drawn
+    if isinstance(tables, str):
+        tables = _bundled_tables(tables, monkeypatch)
+    sizes = []
+    mix_head = _kernels._mix_head
+    monkeypatch.setattr(_kernels, "_mix_head", lambda x, scratch: sizes.append(x.size) or mix_head(x, scratch))
+    shots = 3 * _kernels.CHUNK_SHOTS + 5
+    assert sample_counts(3, shots, *tables).sum() == shots
+    assert sum(sizes) == hashed * shots

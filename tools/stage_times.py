@@ -14,8 +14,10 @@ spaced and generic A):
 * emit - ``io.emit_json`` of that payload.
 
 ``epr sample`` runs the ``cli_small`` sample operations (10,000 shots on
-the bundled files and on N = 2..4, equally spaced and generic A), with
-each operation's shots and seed:
+the bundled files and on N = 2..4, equally spaced and generic A), where
+per-call costs show, and then the ``sample_heavy`` operations (2,000,000
+shots, twice on each bundled file), where the sample stage's kernel
+dominates, each with its operation's shots and seed:
 
 * parse - ``io.scenario_from_json`` of the file's text;
 * chain tables - ``sc.chain_tables``, which runs the analysis first;
@@ -86,9 +88,11 @@ def sample_stages(text: str, shots: int, seed: int):
     yield
 
 
+SAMPLE_STAGES = ("parse", "chain tables", "sample", "compare", "payload", "emit")
 COMMANDS = (
     ("analyze", "analyze_large", analyze_stages, ("parse", "analysis", "payload", "emit")),
-    ("sample", "cli_small", sample_stages, ("parse", "chain tables", "sample", "compare", "payload", "emit")),
+    ("sample", "cli_small", sample_stages, SAMPLE_STAGES),
+    ("sample", "sample_heavy", sample_stages, SAMPLE_STAGES),
 )
 
 
