@@ -40,9 +40,15 @@ bucket's index past every threshold at or below m_cond. They are held
 until a quarter batch's worth has gathered. Either way every shot's index
 is that of the first threshold above its draw, for every m.
 
-g and h come from D, N and the shot count (``_cell_bits``): at most
-(D - 1) / 2^g + (N - 1) / 2^h of the shots land in split cells, and the
-table has at most 2^14 cells and about one per 8 shots, since building and
+g and h come from the thresholds and the shot count (``_cell_bits``). A
+threshold splits a bucket only when it is not on a bucket edge: one whose
+lowest set bit is bit 53 - e (its dyadic depth e) sits on an edge at e
+bits or more. With S(g) of the sum thresholds deeper than g bits and C(h)
+of a conditional row's deeper than h (``_split_counts``, at most D - 1 and
+N - 1), at most S(g) / 2^g + C(h) / 2^h of the shots land in split cells.
+A level gets no bits beyond its thresholds' depth, so dyadic tables such
+as ``pauli_uniform``'s get (g, h) = (2, 1) and no split cell. The table
+has at most 2^14 cells and about one per 8 shots, since building and
 reading back a cell costs about as much as drawing a shot. The cells are
 read before splitmix64's last step, x ^ (x >> 31), which leaves the top 31
 bits as they are; only held shots take that step.
@@ -155,14 +161,6 @@ def _guide(table: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
     return first, split
 
 
-def _has_inner(table: np.ndarray) -> bool:
-    """Whether a threshold of the uint64 ``table`` lies strictly between 0 and 2^53.
-
-    Every threshold is at most 2^53, so exactly those have one of the low 53 bits set.
-    """
-    return np.count_nonzero(table & _LOW_BITS) > 0
-
-
 # Shots processed per vectorized batch: a batch's buffers stay within a
 # core's L2 cache, and counts stay bit-identical (the stream is counter-based,
 # so slicing it into batches changes nothing).
@@ -175,19 +173,43 @@ _SHOTS_PER_CELL = 8
 _SPLIT_BITS = 10
 
 
-def _cell_bits(d: int, n_out: int, shots: int) -> tuple[int, int]:
+def _split_counts(table: np.ndarray, most: int) -> list[int]:
+    """Entry b, for b = 0 .. ``_MAX_CELL_BITS``: at most how many of a row's 2^b buckets a threshold splits.
+
+    A threshold of the uint64 ``table`` strictly between 0 and 2^53 with z
+    trailing zero bits (z <= 52) sits on a bucket edge at 53 - z bits or
+    more and splits a bucket below that. Entry b counts the thresholds with
+    fewer than 53 - b trailing zeros, capped at ``most``, the inner
+    thresholds one row can hold.
+    """
+    inner = table & _LOW_BITS
+    # z + 1 for each inner threshold with z trailing zeros, 64 for a threshold of 0 or 2^53
+    through_lowest = np.bitwise_count(inner ^ (inner - np.uint64(1)))
+    at_most = np.cumsum(np.bincount(through_lowest.ravel(), minlength=65))
+    return np.minimum(at_most[53 : 52 - _MAX_CELL_BITS : -1], most).tolist()
+
+
+def _cell_bits(sum_split: list[int], cond_split: list[int], shots: int) -> tuple[int, int]:
     """Bits g of the sum draw and h of the first-factor draw that make a shot's cell.
 
-    At most D - 1 of the 2^g sum buckets hold a threshold inside them, and
-    at most N - 1 of a conditional row's 2^h buckets, so at most
-    (D - 1) / 2^g + (N - 1) / 2^h of the shots land in split cells. From one
-    bit each, a bit goes to the level with the larger share until that bound
-    is at most 2^-10 or the table has reached its size limit.
+    ``sum_split`` and ``cond_split`` are the ``_split_counts`` of the sum
+    and conditional threshold tables: at g bits at most ``sum_split[g]`` of
+    the 2^g sum buckets hold a threshold inside them, and at h bits at most
+    ``cond_split[h]`` of a conditional row's 2^h buckets, so at most
+    sum_split[g] / 2^g + cond_split[h] / 2^h of the shots land in split
+    cells. A level with an inner threshold starts at one bit, a level with
+    none at 0; then a bit goes to the level with the larger share until that
+    bound is at most 2^-10 or the table has reached its size limit. A level
+    whose thresholds all sit on bucket edges has a share of 0 and gets no
+    more bits.
     """
-    g = h = 1
+    g, h = min(1, sum_split[0]), min(1, cond_split[0])
     limit = min(_MAX_CELL_BITS, max(2, (shots // _SHOTS_PER_CELL).bit_length()))
-    while g + h < limit and (((d - 1) << h) + ((n_out - 1) << g)) << _SPLIT_BITS > 1 << (g + h):
-        if (d - 1) << h >= (n_out - 1) << g:
+    while g + h < limit:
+        sum_share, cond_share = sum_split[g] << h, cond_split[h] << g
+        if (sum_share + cond_share) << _SPLIT_BITS <= 1 << (g + h):
+            break
+        if sum_share >= cond_share:
             g += 1
         else:
             h += 1
@@ -242,13 +264,9 @@ def sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf: np.ndarr
         raise ValueError("every cdf must be finite and end in exactly 1.0")
 
     t_sum, t_cond = _thresholds(sum_cdf), _thresholds(cond_cdf)
-    g, h = _cell_bits(d, n_out, shots)
     # A level with no inner threshold, strictly between 0 and 2^53, sends
     # every m to one index: it gets no bits in the cell and is not drawn.
-    if not _has_inner(t_sum):
-        g = 0
-    if not _has_inner(t_cond):
-        h = 0
+    g, h = _cell_bits(_split_counts(t_sum, d - 1), _split_counts(t_cond, n_out - 1), shots)
     sum_first, sum_split = _guide(t_sum[None], g)
     joint_first, joint_split = _guide(t_cond, h)
     # Cell (b << h) | c pairs sum bucket b with bucket c of conditional row sum_first[b].

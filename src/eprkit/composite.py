@@ -16,8 +16,13 @@ line by line, as tuples in ``sets`` and as one flat (k, n, m) array in
 ``pairs``; ``coefficient_matrix`` gives a state's psi.
 ``project_slot`` and ``slot_expectation`` take this form on a
 (..., N, N) stack: leading axes index states, and each state's result has
-the bits it would have alone, since a batched product runs the same BLAS
-call on every matrix. The analysis
+the bits it would have alone. ``project_slot`` and ``from_eigenbasis``
+keep that by stacking rows, never columns: a matrix product computes each
+output row from its own row of the left factor, so one product of rows
+stacked from many matrices gives every row the bits of the matrix's own
+product, where stacking the right factor's columns can move them. The
+tables they hand on are C-contiguous, since ``spectral_moments`` of a
+transposed table can differ in the last bit. The analysis
 measures B and C on every branch in one ``project_slot`` call per
 observable and slot, and reads everything about A off K; ``line_totals``
 adds weights given per eigenvector over each line of an observable.
@@ -148,6 +153,16 @@ def eigenbasis_coefficients(psi: np.ndarray, a: Observable) -> np.ndarray:
     return v.conj().T @ psi @ v.conj()
 
 
+def from_eigenbasis(coefficients: np.ndarray, a: Observable) -> np.ndarray:
+    """psi = V K V^T of each matrix K in the (..., N, N) stack: ``eigenbasis_coefficients`` undone.
+
+    The second product is one row-stacked (states N, N) @ (N, N) product.
+    """
+    v = a.eigenvectors
+    n = v.shape[0]
+    return ((v @ coefficients).reshape(-1, n) @ v.T).reshape(coefficients.shape)
+
+
 def line_totals(weights: np.ndarray, obs: Observable, axis: int = -1) -> np.ndarray:
     """Add weights given per eigenvector of obs (its columns, ascending) over each of its lines, along axis.
 
@@ -162,20 +177,26 @@ def line_totals(weights: np.ndarray, obs: Observable, axis: int = -1) -> np.ndar
 def project_slot(psi: np.ndarray, obs: Observable, slot: int) -> tuple[np.ndarray, np.ndarray]:
     """Measure a factor observable on one slot of each coefficient matrix in the (..., N, N) stack psi.
 
-    Returns the (..., lines) outcome probabilities, in the order of the
-    observable's lines, and the (..., lines, N, N) projected matrices
-    ``P_k psi`` (slot 1) or ``psi P_k^T`` (slot 2), taken in one batched
-    product with the factor's projector stack ``obs.projectors``.
+    Returns the C-contiguous (..., lines) outcome probabilities, in the
+    order of the observable's lines, and the (..., lines, N, N) projected
+    matrices ``P_k psi`` (slot 1) or ``psi P_k^T`` (slot 2), made from the
+    factor's projector stack ``obs.projectors`` by row-stacked products:
+    slot 1 takes one (lines N, N) @ (N, N) product per state, slot 2 one
+    (states N, N) @ (N, N) product per line. Slot 2's projected matrices
+    are a transposed view of its per-line result.
     """
     stack = obs.projectors
-    psi = psi[..., None, :, :]
+    lines, n = stack.shape[0], stack.shape[-1]
+    lead = psi.shape[:-2]
     if slot == 1:
-        projected = stack @ psi
-    elif slot == 2:
-        projected = psi @ stack.transpose(0, 2, 1)
-    else:
-        raise ValueError(f"slot must be 1 or 2, got {slot!r}")
-    return projected_probabilities(projected.reshape(*projected.shape[:-2], -1)), projected
+        projected = (stack.reshape(lines * n, n) @ psi).reshape(*lead, lines, n, n)
+        return projected_probabilities(projected.reshape(*lead, lines, -1)), projected
+    if slot == 2:
+        by_line = (psi.reshape(-1, n) @ stack.transpose(0, 2, 1)).reshape(lines, -1, n, n)
+        probabilities = projected_probabilities(by_line.reshape(*by_line.shape[:2], -1))
+        # one transpose-copy: spectral_moments gives a transposed table other bits
+        return probabilities.T.copy().reshape(*lead, lines), by_line.transpose(1, 0, 2, 3).reshape(*lead, lines, n, n)
+    raise ValueError(f"slot must be 1 or 2, got {slot!r}")
 
 
 def slot_expectation(psi: np.ndarray, c: Observable, slot: int) -> np.ndarray:

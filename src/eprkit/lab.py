@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
-from .composite import line_totals, project_slot
+from .composite import from_eigenbasis, line_totals, project_slot
 from .conditional import POINT_MASS_TOL, BranchTable, PredictionSummary, SumConstraintReport, _branch_table, _require_pinned
 from .errors import DimensionMismatchError, ScenarioInvariantError
 from .linalg import MAX_DIM, Observable, default_grouping_tol, extract_c, match_value
@@ -80,7 +80,10 @@ class Scenario:
     alpha: float
     initial_state: PureState
 
-    def __post_init__(self):
+    # True when C was derived from A and B, so the residual is exactly 0 without a second derivation
+    c_derived: InitVar[bool] = False
+
+    def __post_init__(self, c_derived):
         n = self.factor_dim
         if not (self.obs_b.dim == self.obs_c.dim == n):
             raise DimensionMismatchError("B and C must act on A's factor space")
@@ -91,6 +94,8 @@ class Scenario:
         if self.initial_state.dim != n * n:
             raise DimensionMismatchError("initial state must live on the composite space")
         _check_envelope(matrix_a=self.obs_a, matrix_b=self.obs_b, matrix_c=self.obs_c)
+        if c_derived:
+            self.__dict__["commutation_residual"] = 0.0  # seeds the cached_property
         residual = self.commutation_residual
         if not (residual <= COMMUTATION_TOL * max(1.0, float(np.abs(self.obs_c.matrix).max()))):
             raise ValueError(
@@ -164,6 +169,7 @@ def build_scenario(label, matrix_a, matrix_b, state, alpha: float = 1.0, matrix_
         obs_c=c,
         alpha=float(alpha),
         initial_state=psi,
+        c_derived=matrix_c is None,
     )
 
 
@@ -310,7 +316,10 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     table with the same arithmetic, so their answers are the report's bit
     for bit. Only B and C are measured in the standard basis, with
     ``project_slot`` on the kept branch states V (K_k / sqrt(p(s_k))) V^T,
-    scattered from the pairs; no array spans every sum line. The chains are
+    scattered from the pairs and rotated back by ``from_eigenbasis``; no
+    array spans every sum line. Both take row-stacked products, one per
+    state or per line, which give each branch the bits of its own
+    products. The chains are
     the table's pairs of weight at or above ``ZERO_PROB_THRESHOLD``: the
     weight of the pair (n, m) is p(a_n | s_k), since a_n has one partner on
     the line. The chain S, then A(1) = a_n, leaves
@@ -342,7 +351,7 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     # B and C are still measured in the standard basis, on the kept branch states
     branch_coefficients = np.zeros((kept.size, n_dim, n_dim), dtype=complex)
     branch_coefficients[branch, rows, cols] = table.coefficients[rows, cols] / np.sqrt(sum_probs[kept])[branch]
-    psi_s = v @ branch_coefficients @ v.T
+    psi_s = from_eigenbasis(branch_coefficients, a)
     for name, obs in (("b", b), ("c", c)):
         for slot in (1, 2):
             probabilities[name, slot] = project_slot(psi_s, obs, slot)[0]

@@ -11,6 +11,7 @@ dimension <= 64.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,18 +44,23 @@ def hermiticity_tolerance(m: np.ndarray) -> float:
     return 1e-10 * max(1.0, scale)
 
 
+def _within_hermiticity(a: np.ndarray) -> bool:
+    """True iff ``max |A - A^H|`` of the square complex matrix a is within ``hermiticity_tolerance``."""
+    return float(np.abs(a - a.conj().T).max(initial=0.0)) <= hermiticity_tolerance(a)
+
+
 def is_hermitian(m) -> bool:
     """True iff ``max |M - M^H|`` is within ``hermiticity_tolerance``, scaled to the matrix magnitude."""
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"hermiticity is defined for square matrices, got {a.shape}")
-    return float(np.abs(a - a.conj().T).max(initial=0.0)) <= hermiticity_tolerance(a)
+    return _within_hermiticity(a)
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     """``m`` as a complex matrix; NonHermitianError unless square and Hermitian within ``hermiticity_tolerance``."""
     a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1] or not is_hermitian(a):
+    if a.shape[0] != a.shape[1] or not _within_hermiticity(a):
         raise NonHermitianError(f"{name} is not Hermitian within tolerance")
     return a
 
@@ -150,6 +156,29 @@ def match_value(values, x: float | tuple[float, ...], tol: float) -> int:
     if not (distance[idx] <= tol):
         raise SpectrumCoverageError(f"value {x!r} does not match any spectrum entry within {tol!r}")
     return idx
+
+
+def line_projectors(vectors: np.ndarray, multiplicities: tuple[int, ...]) -> np.ndarray:
+    """The (lines, dim, dim) projectors ``V_k V_k^H`` of consecutive groups of eigenvector columns.
+
+    Line k holds the next ``multiplicities[k]`` columns V_k of ``vectors``.
+    The lines of one multiplicity take one batched product of their column
+    blocks; a batch runs the same BLAS call on every block as ``V_k @
+    V_k.conj().T`` alone, so each projector has those bits. When every line
+    has one multiplicity, as for a nondegenerate spectrum, that product is
+    the stack itself.
+    """
+    dim = vectors.shape[0]
+    firsts = list(accumulate(multiplicities, initial=0))
+    projectors = np.empty((len(multiplicities), dim, dim), dtype=np.complex128)
+    for size in sorted(set(multiplicities)):
+        lines = [k for k, m in enumerate(multiplicities) if m == size]
+        cols = vectors[:, [range(firsts[k], firsts[k] + size) for k in lines]].transpose(1, 0, 2)
+        batch = cols @ cols.conj().transpose(0, 2, 1)
+        if len(lines) == len(multiplicities):
+            return batch
+        projectors[lines] = batch
+    return projectors
 
 
 def phase_fix(vectors: np.ndarray) -> np.ndarray:
@@ -251,11 +280,9 @@ class Observable:
         """The line projectors as one read-only (lines, dim, dim) array, built once.
 
         Line k projects onto its group of eigenvector columns V_k as
-        ``V_k V_k^H``.
+        ``V_k V_k^H`` (``line_projectors``).
         """
-        v = self.eigenvectors
-        blocks = [v[:, group] for group in np.split(np.arange(self.dim), np.cumsum(self.multiplicities)[:-1])]
-        projectors = np.stack([block @ block.conj().T for block in blocks])
+        projectors = line_projectors(self.eigenvectors, self.multiplicities)
         projectors.setflags(write=False)
         return projectors
 

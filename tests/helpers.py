@@ -128,6 +128,51 @@ def project_sum(psi: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
     return projected_probabilities(projected.reshape(*projected.shape[:-2], -1)), projected
 
 
+# Line multiplicities at N = 1..8: every line single, one line of 2, and a line of 3 (with one of 2 from N = 5).
+MULTIPLICITY_PATTERNS = (
+    [(1,) * n for n in range(1, 9)]
+    + [(2,), (1, 2), (1, 2, 1), (1, 2, 1, 1), (1, 1, 2, 1, 1), (1, 2, 1, 1, 1, 1), (1, 1, 1, 2, 1, 1, 1)]
+    + [(3,), (1, 3), (3, 2), (1, 3, 2), (1, 3, 1, 2), (2, 1, 3, 1, 1)]
+)
+
+
+def observable_with_multiplicities(rng: np.random.Generator, multiplicities) -> "Observable":
+    """A random-basis observable U diag(lines) U^H whose line k repeats the value k ``multiplicities[k]`` times."""
+    from eprkit.linalg import Observable
+
+    n = sum(multiplicities)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    values = np.repeat(np.arange(len(multiplicities), dtype=float), multiplicities)
+    return Observable(u @ np.diag(values) @ u.conj().T)
+
+
+def per_matrix_projected(psi: np.ndarray, stack: np.ndarray, slot: int) -> np.ndarray:
+    """The (states, lines, N, N) products ``stack[l] @ psi[j]`` (slot 1) or ``psi[j] @ stack[l].T`` (slot 2).
+
+    Each is its own 2-d product, as a batched product over the (states,
+    lines) grid makes them, with no row stacking.
+    """
+    out = np.empty((len(psi), len(stack), *psi.shape[-2:]), dtype=np.complex128)
+    for j, matrix in enumerate(psi):
+        for l, projector in enumerate(stack):
+            out[j, l] = projector @ matrix if slot == 1 else matrix @ projector.T
+    return out
+
+
+def per_line_projectors(vectors: np.ndarray, multiplicities) -> np.ndarray:
+    """The line projectors as one ``block @ block.conj().T`` per line, block the line's copied columns."""
+    firsts = np.cumsum((0, *multiplicities))
+    return np.array([
+        block @ block.conj().T
+        for block in (vectors[:, np.arange(lo, hi)] for lo, hi in zip(firsts[:-1], firsts[1:]))
+    ])
+
+
+def per_matrix_from_eigenbasis(v: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """``v @ k @ v.T`` of each matrix k of a (states, N, N) stack, as two 2-d products of its own."""
+    return np.array([v @ k @ v.T for k in coefficients]).reshape(coefficients.shape)
+
+
 def reference_anti_diagonals(spectrum):
     """``composite.anti_diagonals`` as the per-pair loop with one ``np.mean`` per line that the array version replaced.
 

@@ -929,6 +929,32 @@ def test_console_script_entry_point():
     assert "all invariants satisfied" in result.stdout
 
 
+# epr analyze and then epr sample in one fresh process, each run as ``python -m eprkit.cli`` runs it
+_COLD_RUNS = """
+import contextlib, io, runpy, sys
+path, codes = sys.argv[1], []
+for args in (["analyze", path], ["sample", path, "--shots", "10000"]):
+    sys.argv = ["epr", *args]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("eprkit.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_cold_analyze_and_sample_import_no_masked_arrays():
+    # numpy 2.4 imports numpy.ma on the first np.unique call, which adds about 15 ms and 0.7 MB to a fresh epr
+    src = str(Path(eprkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_RUNS, scenario_path("spin_one.json")], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0] False\n"
+
+
 _FIELDS = ["schema_version", "label", "factor_dim", "matrix_a", "matrix_b", "matrix_c", "alpha", "state"]
 _JUNK = st.one_of(
     st.none(),

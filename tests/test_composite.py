@@ -8,6 +8,7 @@ from eprkit.composite import (
     ZERO_PROB_THRESHOLD,
     anti_diagonal_index,
     anti_diagonals,
+    from_eigenbasis,
     lift,
     line_totals,
     post_measurement_state,
@@ -21,11 +22,15 @@ from eprkit.errors import (
     ImpossibleOutcomeError,
 )
 from eprkit.linalg import Observable
-from eprkit.states import PureState, SpectrumFunction, outcome_probabilities
+from eprkit.states import PureState, SpectrumFunction, outcome_probabilities, projected_probabilities
 from helpers import (
+    MULTIPLICITY_PATTERNS,
     PAULI_Z,
     brute_joint_probs,
     brute_sum_distribution,
+    observable_with_multiplicities,
+    per_matrix_from_eigenbasis,
+    per_matrix_projected,
     project_sum,
     random_hermitian,
     random_state_vector,
@@ -468,3 +473,53 @@ class TestLineTotals:
             assert np.array_equal(totals, np.add.reduceat(weights, starts, axis=axis))
         assert (line_totals(weights, obs) is weights) == (len(obs.multiplicities) == 4)
 
+
+
+def _random_stack(rng: np.random.Generator, states: int, n: int) -> np.ndarray:
+    return rng.standard_normal((states, n, n)) + 1j * rng.standard_normal((states, n, n))
+
+
+class TestRowStackedProducts:
+    """The row-stacked products carry the bits of the per-matrix products, compared byte for byte."""
+
+    @pytest.mark.parametrize("multiplicities", MULTIPLICITY_PATTERNS, ids=str)
+    def test_project_slot_has_the_bits_of_each_matrix_product(self, multiplicities):
+        # every state count up to N(N+1)/2, the most branches a generic A keeps
+        rng = np.random.default_rng([41, *multiplicities])
+        obs = observable_with_multiplicities(rng, multiplicities)
+        n, lines = obs.dim, len(multiplicities)
+        for states in range(1, n * (n + 1) // 2 + 1):
+            psi = _random_stack(rng, states, n)
+            for slot in (1, 2):
+                probabilities, projected = project_slot(psi, obs, slot)
+                expected = per_matrix_projected(psi, obs.projectors, slot)
+                assert projected.shape == expected.shape
+                assert np.ascontiguousarray(projected).tobytes() == expected.tobytes(), (states, slot)
+                # spectral_moments of a transposed table can move a bit, so the table is C-ordered
+                assert probabilities.shape == (states, lines) and probabilities.flags.c_contiguous
+                assert probabilities.tobytes() == projected_probabilities(expected.reshape(states, lines, -1)).tobytes()
+
+    def test_project_slot_keeps_every_leading_axis(self):
+        # a (2, 3) grid of states measures as the six states in a row
+        rng = np.random.default_rng(42)
+        obs = observable_with_multiplicities(rng, (1, 2, 1))
+        psi = _random_stack(rng, 6, 4).reshape(2, 3, 4, 4)
+        for slot in (1, 2):
+            probabilities, projected = project_slot(psi, obs, slot)
+            flat = project_slot(psi.reshape(6, 4, 4), obs, slot)
+            assert probabilities.shape == (2, 3, 3) and projected.shape == (2, 3, 3, 4, 4)
+            assert probabilities.flags.c_contiguous
+            assert probabilities.tobytes() == flat[0].tobytes()
+            assert np.ascontiguousarray(projected).tobytes() == np.ascontiguousarray(flat[1]).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_from_eigenbasis_has_the_bits_of_each_matrix_product(self, n):
+        rng = np.random.default_rng([43, n])
+        a = Observable(random_hermitian(rng, n))
+        v = a.eigenvectors
+        for states in range(1, n * (n + 1) // 2 + 1):
+            dense = _random_stack(rng, states, n)
+            # the analysis scatters each branch's pairs into an otherwise zero matrix
+            sparse = np.where(rng.random((states, n, n)) < 0.2, dense, 0.0)
+            for coefficients in (dense, sparse):
+                assert from_eigenbasis(coefficients, a).tobytes() == per_matrix_from_eigenbasis(v, coefficients).tobytes()

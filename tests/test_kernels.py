@@ -231,16 +231,70 @@ def test_guide_matches_binary_search_at_both_ends_of_each_bucket(case):
     assert np.array_equal(split, first != np.searchsorted(keys, highest, side="right"))
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["g-1", "g", "g+1"])
-def test_thresholds_on_bucket_edges(offset):
-    # multiples of 2^-g and 2^-h are cell edges, which leave every cell exact;
-    # odd multiples of 2^-(g+1) or 2^-(h+1) split a cell in two
-    rng = np.random.default_rng([18, offset + 1])
+def _table_bits(shots, sum_cdf, cond_cdf):
+    """The (g, h) that ``sample_counts`` gives these tables."""
+    d, n_out = np.shape(cond_cdf)
+    sum_split = _kernels._split_counts(_kernels._thresholds(np.asarray(sum_cdf)), d - 1)
+    cond_split = _kernels._split_counts(_kernels._thresholds(np.asarray(cond_cdf)), n_out - 1)
+    return _kernels._cell_bits(sum_split, cond_split, shots)
+
+
+def _generic_bits(d, n_out, shots):
+    """The (g, h) of (D, N) tables whose every inner threshold lies deeper than the largest cell resolution."""
+    depths = _kernels._MAX_CELL_BITS + 1
+    return _kernels._cell_bits([d - 1] * depths, [n_out - 1] * depths, shots)
+
+
+def _depth_cdf(rng, outcomes, bits):
+    """A ``_dyadic_cdf`` whose entries before the last 1.0 include an odd multiple of 2^-bits when bits > 0."""
+    cdf = _dyadic_cdf(rng, outcomes, bits)
+    if bits and outcomes > 1:
+        cdf[:-1] = np.sort(np.append(cdf[1:-1], 2.0**-bits))
+    return cdf
+
+
+@pytest.mark.parametrize(
+    "sum_bits, cond_bits",
+    [(0, 0), (1, 1), (2, 1), (1, 4), (4, 4), (0, 5), (6, 0), (12, 3), (3, 12), (12, 12)],
+)
+def test_thresholds_on_bucket_edges(sum_bits, cond_bits, monkeypatch):
+    # a multiple of 2^-b sits on a bucket edge at b bits and more, so it buys no bits beyond b:
+    # each level gets at most its thresholds' dyadic depth, and at that depth every cell is exact
+    # and no shot is resolved one by one; deeper thresholds split cells, and both give the float counts
+    rng = np.random.default_rng([18, sum_bits, cond_bits])
     d, n_out, shots = 5, 3, 3000
-    g, h = _kernels._cell_bits(d, n_out, shots)
-    sum_cdf = _dyadic_cdf(rng, d, g + offset)
-    cond_cdf = np.array([_dyadic_cdf(rng, n_out, h + offset) for _ in range(d)])
+    limit = (shots // _kernels._SHOTS_PER_CELL).bit_length()
+    sum_cdf = _depth_cdf(rng, d, sum_bits)
+    cond_cdf = np.array([_depth_cdf(rng, n_out, cond_bits) for _ in range(d)])
+    g, h = _table_bits(shots, sum_cdf, cond_cdf)
+    assert g <= sum_bits and h <= cond_bits and g + h <= limit
+    exact = sum_bits + cond_bits <= limit
+    assert ((g, h) == (sum_bits, cond_bits)) == exact
+    resolved = []
+    resolve = _kernels._resolve
+    monkeypatch.setattr(_kernels, "_resolve", lambda held, *args: resolved.append(held.shape[1]) or resolve(held, *args))
     _assert_matches_reference(shots, sum_cdf, cond_cdf)
+    assert (sum(resolved) == 0) == exact
+
+
+def test_split_counts_count_the_thresholds_deeper_than_each_resolution():
+    # entry b counts the thresholds with a set bit below bit 53 - b, capped at the given most
+    rng = np.random.default_rng(53)
+    for case in range(40):
+        rows, width = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        # an odd multiple of 2^(53 - e) has depth e; depth 0 stands for a threshold of 0 or 2^53
+        depth = rng.integers(0, 54, (rows, width)).tolist()
+        table = np.array(
+            [[(2 * int(rng.integers(0, 2 ** (e - 1))) + 1) << (53 - e) if e else int(rng.integers(0, 2)) << 53 for e in row]
+             for row in depth],
+            dtype=np.uint64,
+        )
+        most = int(rng.integers(0, rows * width + 2))
+        expected = [
+            min(most, int(np.count_nonzero(table & np.uint64((1 << (53 - b)) - 1))))
+            for b in range(_kernels._MAX_CELL_BITS + 1)
+        ]
+        assert _kernels._split_counts(table, most) == expected, case
 
 
 def _draws_of_shot(seed, shot):
@@ -254,7 +308,7 @@ def test_threshold_on_a_cells_lowest_integer_or_inside_it(level, where):
     # a threshold on the lowest integer of shot 0's cell leaves the cell
     # exact; one on the draw itself, or one above it, splits the cell
     seed, shots, d, n_out = 0x5DEECE66D, 5000, 4, 3
-    g, h = _kernels._cell_bits(d, n_out, shots)
+    g, h = _generic_bits(d, n_out, shots)
     m_sum, m_cond = _draws_of_shot(seed, 0)
     m, bits = (m_sum, g) if level == "sum" else (m_cond, h)
     floor = m >> (53 - bits) << (53 - bits)
@@ -266,6 +320,9 @@ def test_threshold_on_a_cells_lowest_integer_or_inside_it(level, where):
         sum_cdf = np.array([c / 2, c, (1.0 + c) / 2, 1.0])
     else:
         cond_cdf = np.tile([c / 2, c, 1.0], (d, 1))
+    # the tables get other bits than generic ones, and t is still a cell edge at them exactly when on the floor
+    table_bits = _table_bits(shots, sum_cdf, cond_cdf)[0 if level == "sum" else 1]
+    assert (t % (1 << (53 - table_bits)) == 0) == (where == "on-cell-floor")
     _assert_matches_reference(shots, sum_cdf, cond_cdf)
     # shot 0 alone lands below t exactly when m < t
     index = 1 if m < t else 2
@@ -279,10 +336,6 @@ def test_tables_at_the_largest_cell_resolution(d, n_out):
     # 70,000 shots let the cell table reach its 2^14 cells unless the split
     # bound is met sooner; every table is checked at the resolution picked
     shots = 70_000
-    g, h = _kernels._cell_bits(d, n_out, shots)
-    bound = (d - 1) / 2**g + (n_out - 1) / 2**h
-    assert g + h == 14 or bound <= 2**-10
-    assert g + h <= 14
     rng = np.random.default_rng([d, n_out])
     sum_cdf = np.cumsum(rng.random(d))
     sum_cdf /= sum_cdf[-1]
@@ -290,6 +343,10 @@ def test_tables_at_the_largest_cell_resolution(d, n_out):
     cond_cdf = np.cumsum(rng.random((d, n_out)), axis=1)
     cond_cdf /= cond_cdf[:, -1:]
     cond_cdf[:, -1] = 1.0
+    g, h = _table_bits(shots, sum_cdf, cond_cdf)
+    bound = (d - 1) / 2**g + (n_out - 1) / 2**h
+    assert g + h == 14 or bound <= 2**-10
+    assert g + h <= 14
     _assert_matches_reference(shots, sum_cdf, cond_cdf)
 
 
@@ -315,12 +372,21 @@ def test_shot_counts_across_batch_sizes(shots, chunk, monkeypatch):
 
 
 def test_cell_bits_stay_within_the_table_limits():
+    # a level's split counts fall to 0 at its thresholds' dyadic depth e, where e = 15 stands for
+    # thresholds deeper than any cell; it gets a bit exactly when it has an inner threshold, and never more than e
+    depths = _kernels._MAX_CELL_BITS + 1
     for d in (1, 2, 5, 36, 2047, 2080):
         for n_out in (1, 2, 8, 64):
-            for shots in (1, 100, 10_000, 10**6, 10**9):
-                g, h = _kernels._cell_bits(d, n_out, shots)
-                assert g >= 1 and h >= 1
-                assert g + h <= 14 and 1 << (g + h) <= max(4, shots // 4), (d, n_out, shots)
+            for sum_depth in (0, 1, 3, depths) if d > 1 else (0,):
+                for cond_depth in (0, 2, 7, depths) if n_out > 1 else (0,):
+                    sum_split = [d - 1] * sum_depth + [0] * (depths - sum_depth)
+                    cond_split = [n_out - 1] * cond_depth + [0] * (depths - cond_depth)
+                    for shots in (1, 100, 10_000, 10**6, 10**9):
+                        g, h = _kernels._cell_bits(sum_split, cond_split, shots)
+                        case = (d, n_out, sum_depth, cond_depth, shots)
+                        assert (g >= 1) == (sum_depth > 0) and (h >= 1) == (cond_depth > 0), case
+                        assert g <= sum_depth and h <= cond_depth, case
+                        assert g + h <= 14 and 1 << (g + h) <= max(4, shots // 4), case
 
 
 def test_thresholds_at_zero_and_two_to_the_53():

@@ -249,6 +249,7 @@ class TestRunEprAnalysis:
             "project_outcomes": states,
             "post_measurement_state": composite,
             "anti_diagonals": composite,
+            "extract_c": linalg,
         }
         for name, home in watched.items():
             original = getattr(home, name)
@@ -275,12 +276,13 @@ class TestRunEprAnalysis:
             eigh_dims[np.shape(h)[0]] += 1
             return original_eigh(h)
 
+        # each projector stack is built by one line_projectors call; record its number of lines
         stacks = []
-        original_stack = np.stack
+        original_line_projectors = linalg.line_projectors
 
-        def counting_stack(arrays, *args, **kwargs):
-            stacks.append(len(arrays))
-            return original_stack(arrays, *args, **kwargs)
+        def counting_line_projectors(vectors, multiplicities):
+            stacks.append(len(multiplicities))
+            return original_line_projectors(vectors, multiplicities)
 
         # the walk reads A's distributions, the Schmidt ranks and the chains off the joint table |K|^2:
         # it measures only B and C on both slots of the stack of branch states, whose calls do not grow
@@ -308,7 +310,7 @@ class TestRunEprAnalysis:
         monkeypatch.setattr(Observable, "__init__", counting_init)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(np, "stack", counting_stack)
+        monkeypatch.setattr(linalg, "line_projectors", counting_line_projectors)
         report = run_epr_analysis(sc)
         per_analysis = measured.copy()
         assert per_analysis == Counter({"project_slot": 4})
@@ -338,8 +340,11 @@ class TestRunEprAnalysis:
         eigh_dims.clear()
         stacks.clear()
         assert not degenerate.obs_b.is_nondegenerate
+        # built without a matrix_c, the scenario derives C once and reads its residual off that
+        assert calls == Counter({"anti_diagonals": 1, "extract_c": 1})
+        assert degenerate.commutation_residual == 0.0
         run_epr_analysis(degenerate)
-        assert calls == Counter({"anti_diagonals": 2})
+        assert calls == Counter({"anti_diagonals": 2, "extract_c": 1})
         assert built == [] and eigh_dims == Counter({n: 3})
         factors = (degenerate.obs_b, degenerate.obs_c)
         assert sorted(stacks) == sorted(len(obs.multiplicities) for obs in factors)
@@ -347,6 +352,10 @@ class TestRunEprAnalysis:
 
         # N=3 walks a handful of branches and chains, N=8 dozens, with the same measurement calls
         small = build_scenario("guard-3", random_hermitian(rng, 3), random_hermitian(rng, 3), random_state_vector(rng, 9))
+        assert calls["extract_c"] == 2
+        # a scenario given its matrix_c derives C once too, for the residual
+        given = build_scenario("guard-c", small.obs_a, small.obs_b, small.initial_state, matrix_c=small.obs_c.matrix)
+        assert calls["extract_c"] == 3 and given.commutation_residual == 0.0
         measured.clear()
         measured_states.clear()
         small_report = run_epr_analysis(small)
@@ -497,8 +506,10 @@ class TestSampleChain:
         sc = generic_scenario(rng, 8)
         sample_chain(sc, 1000, seed=1)
         assert widths == [(36, 2)]
-        assert _kernels._cell_bits(36, 2, 2_000_000) == (10, 4)
-        assert _kernels._cell_bits(36, 8, 2_000_000) == (8, 6)
+        # every inner threshold of such a table lies deeper than the 14 bits a cell can have
+        generic = _kernels._MAX_CELL_BITS + 1
+        assert _kernels._cell_bits([35] * generic, [1] * generic, 2_000_000) == (10, 4)
+        assert _kernels._cell_bits([35] * generic, [7] * generic, 2_000_000) == (8, 6)
 
     def test_rejects_bad_shots(self):
         sc = build_pauli_scenario(EPR_AMPLITUDES)

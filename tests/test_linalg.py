@@ -19,11 +19,20 @@ from eprkit.linalg import (
     group_close_values,
     group_means,
     is_hermitian,
+    line_projectors,
     match_value,
     phase_fix,
     tensor_product,
 )
-from helpers import PAULI_X, PAULI_Y, PAULI_Z, random_hermitian
+from helpers import (
+    MULTIPLICITY_PATTERNS,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    observable_with_multiplicities,
+    per_line_projectors,
+    random_hermitian,
+)
 
 
 class TestTensorProduct:
@@ -321,3 +330,27 @@ def test_degenerate_line_eigenvalues_have_the_bits_of_np_mean(multiplicities, sc
     w = obs._eigh[0]
     want = [float(np.mean(w[group])) for group in group_close_values(w, default_grouping_tol(w))]
     assert bits(obs.eigenvalues) == bits(want)
+
+
+@pytest.mark.parametrize("multiplicities", MULTIPLICITY_PATTERNS, ids=str)
+def test_projectors_have_the_bits_of_each_line_product(multiplicities):
+    # the lines of one multiplicity share a batched product; each projector keeps its own product's bytes
+    rng = np.random.default_rng([44, *multiplicities])
+    obs = observable_with_multiplicities(rng, multiplicities)
+    assert obs.multiplicities == multiplicities
+    expected = per_line_projectors(obs.eigenvectors, multiplicities)
+    assert obs.projectors.shape == expected.shape and obs.projectors.flags.c_contiguous
+    assert obs.projectors.tobytes() == expected.tobytes()
+
+
+def test_line_projectors_group_any_order_of_multiplicities():
+    # any composition of N = 8, each line's columns taken in order, whatever the multiplicities around it
+    rng = np.random.default_rng(45)
+    vectors = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+    for _ in range(30):
+        multiplicities = []
+        while sum(multiplicities) < 8:
+            multiplicities.append(int(rng.integers(1, 9 - sum(multiplicities))))
+        multiplicities = tuple(multiplicities)
+        expected = per_line_projectors(vectors, multiplicities)
+        assert line_projectors(vectors, multiplicities).tobytes() == expected.tobytes(), multiplicities
