@@ -173,20 +173,27 @@ _SHOTS_PER_CELL = 8
 _SPLIT_BITS = 10
 
 
-def _split_counts(table: np.ndarray, most: int) -> list[int]:
+def _split_counts(tables: np.ndarray | tuple, most: int | tuple) -> list:
     """Entry b, for b = 0 .. ``_MAX_CELL_BITS``: at most how many of a row's 2^b buckets a threshold splits.
 
-    A threshold of the uint64 ``table`` strictly between 0 and 2^53 with z
+    A threshold of a uint64 table strictly between 0 and 2^53 with z
     trailing zero bits (z <= 52) sits on a bucket edge at 53 - z bits or
     more and splits a bucket below that. Entry b counts the thresholds with
     fewer than 53 - b trailing zeros, capped at ``most``, the inner
-    thresholds one row can hold.
+    thresholds one row can hold. Given a pair of tables and a pair of caps,
+    it returns the pair of lists, counted in one pass with one ``bincount``.
     """
-    inner = table & _LOW_BITS
-    # z + 1 for each inner threshold with z trailing zeros, 64 for a threshold of 0 or 2^53
-    through_lowest = np.bitwise_count(inner ^ (inner - np.uint64(1)))
-    at_most = np.cumsum(np.bincount(through_lowest.ravel(), minlength=65))
-    return np.minimum(at_most[53 : 52 - _MAX_CELL_BITS : -1], most).tolist()
+    if type(most) is not tuple:
+        return _split_counts((tables,), (most,))[0]
+    inner = np.concatenate([table.ravel() for table in tables])
+    inner &= _LOW_BITS
+    lowest = inner - np.uint64(1)
+    lowest ^= inner
+    # z + 1 for each inner threshold with z trailing zeros, 64 for a threshold of 0 or 2^53, plus 65 in the second table
+    through_lowest = np.bitwise_count(lowest)
+    through_lowest[tables[0].size :] += 65
+    at_most = np.bincount(through_lowest, minlength=65 * len(tables)).reshape(len(tables), 65).cumsum(axis=1)
+    return np.minimum(at_most[:, 53 : 52 - _MAX_CELL_BITS : -1], np.array(most)[:, None]).tolist()
 
 
 def _cell_bits(sum_split: list[int], cond_split: list[int], shots: int) -> tuple[int, int]:
@@ -266,7 +273,7 @@ def sample_counts(seed: int, shots: int, sum_cdf: np.ndarray, cond_cdf: np.ndarr
     t_sum, t_cond = _thresholds(sum_cdf), _thresholds(cond_cdf)
     # A level with no inner threshold, strictly between 0 and 2^53, sends
     # every m to one index: it gets no bits in the cell and is not drawn.
-    g, h = _cell_bits(_split_counts(t_sum, d - 1), _split_counts(t_cond, n_out - 1), shots)
+    g, h = _cell_bits(*_split_counts((t_sum, t_cond), (d - 1, n_out - 1)), shots)
     sum_first, sum_split = _guide(t_sum[None], g)
     joint_first, joint_split = _guide(t_cond, h)
     # Cell (b << h) | c pairs sum bucket b with bucket c of conditional row sum_first[b].

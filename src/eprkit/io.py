@@ -8,8 +8,8 @@ instead of being silently ignored.
 
 ``emit_json`` is one recursive pass that appends text pieces and joins them,
 formatting each distinct nonzero float once; a dict's entries and a list's
-items go through one loop, which writes floats, [re, im] pairs, nested
-containers and scalars the same way in both. Its bytes are those of
+items go through one loop, which writes floats, nested containers and
+scalars the same way in both. Its bytes are those of
 ``json.dumps(indent=2, allow_nan=False)`` applied to the payload with every
 float rounded to 15 significant digits. A float's text is ``f"{v:.15g}"``
 itself, which for a finite value already is the shortest repr of the
@@ -24,23 +24,31 @@ records (``_KeyedRecord``: the row keys, the record and the number of
 leading fields that key it), not as one dict per row. A row is written as
 one ``%`` fill of a template, built once per process for each record
 class, number of key fields and indent from the field names in field
-order; its float texts come from the same memo. ``run_report`` composes
-the report that ``epr analyze`` and ``epr sample`` write this way.
-``analysis_to_payload`` gives the same section as plain dicts for the
-API, and ``emit_json`` writes the same bytes for both.
+order; its float texts come from the same memo. The scenario's three
+matrices and its state reach the writer the same way, as array records
+(``_ArrayRecord``: a complex array standing for its nested list of [re,
+im] pairs), each written as one ``%`` fill of a template built once per
+process for each shape and indent, its float texts those of the array's
+float view in row-major order, through the same memo.
+``run_report`` composes the report that ``epr analyze`` and ``epr sample``
+write this way, and ``scenario_to_json`` the scenario that ``epr
+demo-pauli`` writes. ``analysis_to_payload`` and ``scenario_to_payload``
+give the same sections as plain dicts and lists for the API, and
+``emit_json`` writes the same bytes for both.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .errors import EprError, ScenarioFormatError, ScenarioInvariantError
+from .errors import DimensionMismatchError, EprError, ScenarioFormatError, ScenarioInvariantError
 from .lab import (
     EmpiricalComparison,
     EprReport,
@@ -197,6 +205,35 @@ def _encode_record(value: _KeyedRecord, newline: str, append, texts: dict) -> No
     append(newline + "}")
 
 
+class _ArrayRecord:
+    """A JSON nested array of the C-contiguous complex128 ``array``, each entry its [re, im] pair.
+
+    It stands for ``as_list()``, which ``emit_json`` writes without building
+    the lists, as a ``_KeyedRecord`` stands for its ``as_dict()``.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def as_list(self) -> list:
+        return self.array.view(np.float64).reshape(*self.array.shape, 2).tolist()
+
+
+# An array's %s template per (shape, line break and indent), built on first use.
+_ARRAY_TEMPLATES: dict = {}
+
+
+def _array_template(shape: tuple, newline: str) -> str:
+    """The text of a nested array of ``shape`` starting on ``newline``, with a %s in place of each number."""
+    if not shape:
+        return "%s"
+    inner = newline + "  "
+    items = ("," + inner).join([_array_template(shape[1:], inner)] * shape[0])
+    return "[" + inner + items + newline + "]" if items else "[]"
+
+
 def _encode(value, newline: str, append, texts: dict) -> None:
     """Append the text of value, laid out as ``json.dumps(indent=2)`` lays it out.
 
@@ -204,9 +241,7 @@ def _encode(value, newline: str, append, texts: dict) -> None:
     A dict and a list share one loop over their entries: a dict entry's
     head is its quoted key and ": ", a list item (keyed ``_ITEM``) has none.
     Floats, the bulk of a report, are written inline in that loop, each
-    distinct one formatted once (``texts``), and so are the [re, im] pairs
-    of two floats that matrices and states hold, with the text a recursion
-    into the pair would give.
+    distinct one formatted once (``texts``).
     """
     if isinstance(value, dict):
         brackets, entries = "{}", value.items()
@@ -214,6 +249,13 @@ def _encode(value, newline: str, append, texts: dict) -> None:
         brackets, entries = "[]", zip(repeat(_ITEM), value)
     elif type(value) is _KeyedRecord:
         _encode_record(value, newline, append, texts)
+        return
+    elif type(value) is _ArrayRecord:
+        # one template fill, its float texts row-major off the array's float view
+        key = value.array.shape, newline
+        template = _ARRAY_TEMPLATES.get(key) or _ARRAY_TEMPLATES.setdefault(key, _array_template((*key[0], 2), newline))
+        floats = value.array.view(np.float64).ravel().tolist()
+        append(template % tuple([texts.get(x) or _new_float_text(x, texts) for x in floats]))
         return
     else:
         append(_scalar_text(value))
@@ -229,12 +271,7 @@ def _encode(value, newline: str, append, texts: dict) -> None:
         opener = separator
         if type(item) is float:
             append(head + (texts.get(item) or _new_float_text(item, texts)))
-        elif type(item) is list and len(item) == 2 and type(item[0]) is float and type(item[1]) is float:
-            real = texts.get(item[0]) or _new_float_text(item[0], texts)
-            imag = texts.get(item[1]) or _new_float_text(item[1], texts)
-            cell = inner + "  "
-            append(head + "[" + cell + real + "," + cell + imag + inner + "]")
-        elif isinstance(item, (dict, list, tuple, _KeyedRecord)):
+        elif isinstance(item, (dict, list, tuple, _KeyedRecord, _ArrayRecord)):
             append(head)
             _encode(item, inner, append, texts)
         else:
@@ -248,14 +285,6 @@ def emit_json(payload: dict) -> str:
     _encode(payload, "\n", pieces.append, {})
     pieces.append("\n")
     return "".join(pieces)
-
-
-def _matrix_payload(m: np.ndarray) -> list:
-    return [[[z.real, z.imag] for z in row] for row in m.tolist()]
-
-
-def _vector_payload(v: np.ndarray) -> list:
-    return [[z.real, z.imag] for z in v.tolist()]
 
 
 def _reject_constant(name: str):
@@ -278,10 +307,19 @@ def _finite_int(text: str) -> int:
 
 # A JSON number beyond the float range (about 1.8e308) has an exponent of
 # three or more digits after "e" or "e+", or at least 210 digits before its
-# point. With every digit written as 0 and E as e, its text then holds one of
-# these; a text that holds none has no such number.
-_NUMBER_SHAPE = str.maketrans("123456789E", "000000000e")
-_BEYOND_FLOAT_RANGE = ("e000", "e+000", "0" * 200)
+# point. With every digit written as 0 and E as e, its text then holds "e000",
+# "e+000" or 200 zeros; a text that holds none has no such number. The shape
+# is taken of the UTF-8 bytes, where no byte of a non-ASCII character is
+# ASCII, and the exponents are found with a regex, which scans for each "e";
+# a substring search for "e000" would stall on the text's runs of zeros.
+_NUMBER_SHAPE = bytes.maketrans(b"123456789E", b"000000000e")
+_LONG_EXPONENT = re.compile(rb"e\+?000")
+
+
+def _may_exceed_float_range(text: str) -> bool:
+    """True iff the text holds one of the shapes above, so that it could hold a number beyond the float range."""
+    shape = text.encode("utf-8", "surrogatepass").translate(_NUMBER_SHAPE)
+    return b"0" * 200 in shape or _LONG_EXPONENT.search(shape) is not None
 
 
 def _unique_fields(pairs: list) -> dict:
@@ -302,9 +340,8 @@ def _load_json(text: str):
     through ``_finite_float`` and ``_finite_int``, which name the first such
     literal.
     """
-    shape = text.translate(_NUMBER_SHAPE)
     hooks = {}
-    if any(pattern in shape for pattern in _BEYOND_FLOAT_RANGE):
+    if _may_exceed_float_range(text):
         hooks = {"parse_float": _finite_float, "parse_int": _finite_int}
     try:
         return json.loads(text, object_pairs_hook=_unique_fields, parse_constant=_reject_constant, **hooks)
@@ -352,22 +389,28 @@ def _parse_matrix(entry, n: int, where: str) -> np.ndarray:
     return _complex_array(entry)
 
 
-def scenario_to_payload(sc: Scenario) -> dict:
-    """The resolved scenario (C derived if it was absent, state normalized)."""
+def _scenario_records(sc: Scenario) -> dict:
+    """The resolved scenario, its three matrices and its state each one ``_ArrayRecord``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "label": sc.label,
         "factor_dim": sc.factor_dim,
-        "matrix_a": _matrix_payload(sc.obs_a.matrix),
-        "matrix_b": _matrix_payload(sc.obs_b.matrix),
-        "matrix_c": _matrix_payload(sc.obs_c.matrix),
+        "matrix_a": _ArrayRecord(sc.obs_a.matrix),
+        "matrix_b": _ArrayRecord(sc.obs_b.matrix),
+        "matrix_c": _ArrayRecord(sc.obs_c.matrix),
         "alpha": sc.alpha,
-        "state": _vector_payload(sc.initial_state.amplitudes),
+        "state": _ArrayRecord(sc.initial_state.amplitudes),
     }
 
 
+def scenario_to_payload(sc: Scenario) -> dict:
+    """The resolved scenario (C derived if it was absent, state normalized), matrices and state as nested lists."""
+    records = _scenario_records(sc)
+    return {key: value.as_list() if type(value) is _ArrayRecord else value for key, value in records.items()}
+
+
 def scenario_to_json(sc: Scenario) -> str:
-    return emit_json(scenario_to_payload(sc))
+    return emit_json(_scenario_records(sc))
 
 
 def _require_unicode_label(label: str) -> None:
@@ -414,14 +457,16 @@ def scenario_from_json(text: str) -> Scenario:
     _check_pairs(state_entry, "state")
     state = _complex_array(state_entry)
 
-    for name, matrix in (("matrix_a", matrix_a), ("matrix_b", matrix_b), ("matrix_c", matrix_c)):
-        if matrix is not None and not is_hermitian(matrix):
-            raise ScenarioInvariantError(f"{name} is not Hermitian within tolerance")
-
     try:
         return build_scenario(
             payload["label"], matrix_a, matrix_b, state, alpha=float(alpha), matrix_c=matrix_c
         )
+    except DimensionMismatchError as exc:
+        # beyond MAX_DIM, as below it, a file's first non-Hermitian field is named before its dimension
+        for name, matrix in (("matrix_b", matrix_b), ("matrix_c", matrix_c)):
+            if matrix is not None and not is_hermitian(matrix):
+                raise ScenarioInvariantError(f"{name} is not Hermitian within tolerance") from None
+        raise ScenarioInvariantError(str(exc)) from exc
     except (EprError, ValueError) as exc:
         raise ScenarioInvariantError(str(exc)) from exc
 
@@ -493,12 +538,11 @@ def sampling_to_payload(record: ShotRecord, comparison: EmpiricalComparison) -> 
 
 
 def run_report_payload(sc: Scenario, analysis: dict, sampling: dict | None, version: str) -> dict:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "label": sc.label,
-        "inputs": scenario_to_payload(sc),
-        "analysis": analysis,
-    }
+    return _report(sc.label, scenario_to_payload(sc), analysis, sampling, version)
+
+
+def _report(label: str, inputs: dict, analysis: dict, sampling: dict | None, version: str) -> dict:
+    payload = {"schema_version": SCHEMA_VERSION, "label": label, "inputs": inputs, "analysis": analysis}
     if sampling is not None:
         payload["sampling"] = sampling
     payload["metadata"] = {"tool": "eprkit", "version": version}
@@ -509,10 +553,11 @@ def run_report(sc: Scenario, sampling: dict | None, version: str) -> dict:
     """The run report of ``sc`` as ``epr analyze`` and ``epr sample`` write it with ``emit_json``.
 
     It is ``run_report_payload`` of ``analysis_to_payload(sc.analysis)``,
-    except that the branches and chains stay the report's columns, which
-    ``emit_json`` writes row by row without a dict per row.
+    except that the inputs' matrices and state stay arrays and the branches
+    and chains the report's columns, which ``emit_json`` writes from
+    templates without building their lists or a dict per row.
     """
-    return run_report_payload(sc, _analysis_records(sc.analysis), sampling, version)
+    return _report(sc.label, _scenario_records(sc), _analysis_records(sc.analysis), sampling, version)
 
 
 def run_report_from_json(text: str) -> dict:

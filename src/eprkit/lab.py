@@ -38,7 +38,7 @@ import numpy as np
 from . import _kernels
 from .composite import from_eigenbasis, line_totals, project_slot
 from .conditional import POINT_MASS_TOL, BranchTable, PredictionSummary, SumConstraintReport, _branch_table, _require_pinned
-from .errors import DimensionMismatchError, ScenarioInvariantError
+from .errors import DimensionMismatchError, NonHermitianError, ScenarioInvariantError
 from .linalg import MAX_DIM, Observable, default_grouping_tol, extract_c, match_value
 from .states import (
     PROBABILITY_SUM_TOL,
@@ -109,7 +109,7 @@ class Scenario:
 
     @cached_property
     def commutation_residual(self) -> float:
-        derived = extract_c(self.obs_a.matrix, self.obs_b.matrix, self.alpha)
+        derived = extract_c(self.obs_a, self.obs_b, self.alpha)
         return float(np.abs(derived - self.obs_c.matrix).max())
 
     @cached_property
@@ -139,6 +139,14 @@ def _check_envelope(**observables: Observable) -> None:
             )
 
 
+def _observable(matrix, field: str) -> Observable:
+    """``matrix`` as an Observable, or itself if it is one; NonHermitianError names ``field`` if it is not Hermitian."""
+    try:
+        return matrix if isinstance(matrix, Observable) else Observable(matrix)
+    except NonHermitianError:
+        raise NonHermitianError(f"{field} is not Hermitian within tolerance") from None
+
+
 def build_scenario(label, matrix_a, matrix_b, state, alpha: float = 1.0, matrix_c=None) -> Scenario:
     """Assemble a scenario, deriving C from the commutator when not supplied.
 
@@ -151,16 +159,16 @@ def build_scenario(label, matrix_a, matrix_b, state, alpha: float = 1.0, matrix_
         alpha = alpha.item()  # a Python number, which the float range below bounds without a cast
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < abs(alpha) <= sys.float_info.max:
         raise ValueError(f"alpha must be a finite nonzero real number, got {alpha!r}")
-    a = matrix_a if isinstance(matrix_a, Observable) else Observable(matrix_a)
-    b = matrix_b if isinstance(matrix_b, Observable) else Observable(matrix_b)
+    a = _observable(matrix_a, "matrix_a")
+    b = _observable(matrix_b, "matrix_b")
     if matrix_c is None:
         # checked before the commutator, which would overflow beyond the envelope
         _check_envelope(matrix_a=a, matrix_b=b)
-        c = Observable(extract_c(a.matrix, b.matrix, alpha))
+        c = Observable(extract_c(a, b, alpha))
         # named as derived: the caller gave no matrix_c
         _check_envelope(**{"C = [A, B]/(i*alpha)": c})
     else:
-        c = matrix_c if isinstance(matrix_c, Observable) else Observable(matrix_c)
+        c = _observable(matrix_c, "matrix_c")
     psi = state if isinstance(state, PureState) else PureState(state, factor_dims=(a.dim, a.dim))
     return Scenario(
         label=str(label),
@@ -328,10 +336,16 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     B's lines, and the bound's right-hand side is |C'_mm| / 2. No object
     is built per branch or chain: the report holds its branches in one
     ``SumBranchReport`` and its chains in one ``ChainReport``, each leaf the
-    list these arrays give.
+    list these arrays give. The six (observable, slot) tables of the
+    branches, A(1) and A(2) N wide and B's and C's as wide as their line
+    counts, are checked and measured with one stacked normalisation check
+    and one ``spectral_moments`` call per distinct width
+    (``_stacked_moments``), and so are the chains' A(2) and B(2) tables;
+    every row keeps the bits it has alone.
     A measurement that does not sum to 1 (for B and C, a branch state off
     the unit norm) or a chain that misses its point mass raises
-    ScenarioInvariantError.
+    ScenarioInvariantError, the first failing table named in the order
+    S, A(1), A(2), B(1), B(2), C(1), C(2), then the chains' A(2) and B(2).
     """
     a, b, c = sc.obs_a, sc.obs_b, sc.obs_c
     a.require_nondegenerate()
@@ -356,11 +370,10 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
         for slot in (1, 2):
             probabilities[name, slot] = project_slot(psi_s, obs, slot)[0]
     factors = {"a": a, "b": b, "c": c}
-    summaries, moments = {}, {}
-    for (name, slot), probs in probabilities.items():
-        _require_normalized(probs, f"{name.upper()}({slot})")
-        moments[name, slot] = spectral_moments(factors[name].eigenvalues, probs)
-        summaries[name, slot] = PredictionSummary(*(x.tolist() for x in moments[name, slot]))
+    moments = dict(zip(probabilities, _stacked_moments([
+        (f"{name.upper()}({slot})", factors[name].eigenvalues, probs) for (name, slot), probs in probabilities.items()
+    ])))
+    summaries = {key: PredictionSummary(mean.tolist(), stdev.tolist()) for key, (mean, stdev) in moments.items()}
     (mean1, stdev1), (mean2, stdev2) = moments["a", 1], moments["a", 2]
     sums = np.asarray(index.sums)
     c_diagonal = np.vecdot(v, c.matrix @ v, axis=0)
@@ -387,15 +400,17 @@ def run_epr_analysis(sc: Scenario) -> EprReport:
     chain_branch, ns, ms = table.pairs[:, table.chains]
     amplitudes = table.coefficients[ns, ms]
     a2_probs = _chain_a2_probabilities(amplitudes / np.abs(amplitudes), ms, n_dim)
-    _require_normalized(a2_probs, "A(2) after the chain")
+    overlaps = np.abs(b.eigenvectors.conj().T @ v) ** 2
+    b2_probs = line_totals(overlaps.T, b)[ms]
+    # A(2)'s one nonzero entry per row is its total, so a row within the sum tolerance holds its point mass
+    a2_moments, b2_moments = _stacked_moments(
+        [("A(2) after the chain", a_values, a2_probs), ("B(2) after the chain", b.eigenvalues, b2_probs)]
+    )
     point_mass = a2_probs[np.arange(len(ms)), ms]
     if not np.all(point_mass >= 1.0 - POINT_MASS_TOL):
         raise ScenarioInvariantError("a state left by the measurement chain misses its A(2) point mass")
-    a2_predicted, a2_stdev = (x.tolist() for x in spectral_moments(a_values, a2_probs))
-    overlaps = np.abs(b.eigenvectors.conj().T @ v) ** 2
-    b2_probs = line_totals(overlaps.T, b)[ms]
-    _require_normalized(b2_probs, "B(2) after the chain")
-    b2_stdev = spectral_moments(b.eigenvalues, b2_probs)[1].tolist()
+    a2_predicted, a2_stdev = (x.tolist() for x in a2_moments)
+    b2_stdev = b2_moments[1].tolist()
     chains = ChainReport(
         sums[kept[chain_branch]].tolist(),
         a_values[ns].tolist(),
@@ -432,6 +447,31 @@ def _require_normalized(probabilities: np.ndarray, measured: str) -> None:
     failed = ~(np.abs(totals - 1.0) <= PROBABILITY_SUM_TOL)
     if failed.any():
         raise ScenarioInvariantError(f"{measured} probabilities sum to {float(totals[failed][0])!r}, not 1")
+
+
+def _stacked_moments(tables: list) -> list:
+    """``spectral_moments`` of each (measured, eigenvalues, probabilities) table, after ``_require_normalized`` of each.
+
+    The tables have one row count. Those of one width are stacked, and each
+    stack takes one normalisation check and one ``spectral_moments`` call;
+    ``cumsum`` and ``vecdot`` work along the last axis, row by row, so every
+    row keeps the bits it has alone. If a stack fails its check, every
+    table is checked on its own in list order, so the first that fails is
+    named as ``_require_normalized`` names it; no moment raises.
+    """
+    widths: dict = {}
+    for position, (_, _, probs) in enumerate(tables):
+        widths.setdefault(probs.shape[-1], []).append(position)
+    moments = [None] * len(tables)
+    for members in widths.values():
+        probs = np.stack([tables[i][2] for i in members])
+        if not np.all(np.abs(np.cumsum(probs, axis=-1)[..., -1] - 1.0) <= PROBABILITY_SUM_TOL):
+            for measured, _, table in tables:
+                _require_normalized(table, measured)
+        means, stdevs = spectral_moments(np.stack([tables[i][1] for i in members])[:, None], probs)
+        for i, mean, stdev in zip(members, means, stdevs):
+            moments[i] = mean, stdev
+    return moments
 
 
 def _half_modulus(expectations: np.ndarray) -> list[float]:

@@ -86,14 +86,16 @@ def commutator(a, b) -> np.ndarray:
 def extract_c(a, b, alpha: float) -> np.ndarray:
     """Solve ``[A, B] = i*alpha*C`` for C given Hermitian A, B.
 
-    The commutator of Hermitian matrices is anti-Hermitian, so the result is
-    Hermitian up to rounding. A quotient that overflows (a subnormal alpha)
-    raises ValueError.
+    A and B are matrices, checked here, or Observables, whose matrices were
+    checked when they were built and are not checked again. The commutator
+    of Hermitian matrices is anti-Hermitian, so the result is Hermitian up
+    to rounding. A quotient that overflows (a subnormal alpha) raises
+    ValueError.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    a = require_hermitian(a, name="a")
-    b = require_hermitian(b, name="b")
+    a = a.matrix if isinstance(a, Observable) else require_hermitian(a, name="a")
+    b = b.matrix if isinstance(b, Observable) else require_hermitian(b, name="b")
     with np.errstate(over="ignore", invalid="ignore"):
         c = commutator(a, b) / (1j * alpha)
     if not np.isfinite(c).all():
@@ -121,18 +123,20 @@ def group_close_values(sorted_values: np.ndarray, tol: float) -> list[list[int]]
 def group_means(values: np.ndarray, bounds: list[int]) -> list[float]:
     """The mean of each group ``values[lo:hi]`` between consecutive ``bounds``, with ``np.mean``'s bits.
 
-    ``np.mean`` adds a slice from +0.0 and divides by its size once, so a
-    group of one is ``0.0 + x`` (the mean of -0.0 is 0.0) and a group of two
-    ``((0.0 + x0) + x1) / 2``; both are read without a numpy call. A larger
-    group takes ``np.mean`` of its slice.
+    ``np.mean`` adds a slice from +0.0 and divides by its size once. Below
+    8 members its pairwise sum is one left-to-right loop, so a group of 1
+    to 7 is read as that sum from 0.0 (the mean of -0.0 is 0.0) divided by
+    its size, with no numpy call. From 8 members the pairwise sum splits
+    into partial sums, and a group takes ``np.mean`` of its slice.
     """
     items = values.tolist()
     means = []
     for lo, hi in zip(bounds, bounds[1:]):
-        if hi - lo == 1:
-            means.append(0.0 + items[lo])
-        elif hi - lo == 2:
-            means.append(((0.0 + items[lo]) + items[lo + 1]) / 2)
+        if hi - lo < 8:
+            total = 0.0
+            for x in items[lo:hi]:
+                total += x
+            means.append(total / (hi - lo))
         else:
             means.append(float(np.mean(values[lo:hi])))
     return means
@@ -185,15 +189,22 @@ def phase_fix(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first component of magnitude > ``PHASE_PIVOT_THRESHOLD`` is real positive.
 
     Projectors are phase-invariant, but reported eigenvectors should be
-    deterministic across runs and platforms.
+    deterministic across runs and platforms. One ``argmax`` over the
+    (rows, columns) mask finds every column's pivot, and one broadcast
+    multiply rotates every column that has one by ``conj(pivot) / |pivot|``,
+    the product that rotating each column on its own gives; a column with
+    no such component is left as it is.
     """
     out = np.array(vectors, dtype=np.complex128, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        pivots = np.nonzero(np.abs(col) > PHASE_PIVOT_THRESHOLD)[0]
-        if pivots.size:
-            pivot = col[pivots[0]]
-            col *= np.conj(pivot) / abs(pivot)
+    above = np.abs(out) > PHASE_PIVOT_THRESHOLD
+    columns = np.flatnonzero(above.any(axis=0))
+    pivots = out[above.argmax(axis=0)[columns], columns]
+    # hypot is the scalar abs(pivot) of the rotation written per column; np.abs of a complex array can differ
+    rotations = np.conj(pivots) / np.hypot(pivots.real, pivots.imag)
+    if len(columns) == out.shape[1]:
+        out *= rotations
+    else:
+        out[:, columns] *= rotations
     return out
 
 

@@ -404,7 +404,7 @@ def verify_theorem1(a: Observable, b: Observable, alpha: float = 1.0) -> Diagona
     """
     if a.dim != b.dim:
         raise DimensionMismatchError("observables act on different spaces")
-    c = extract_c(a.matrix, b.matrix, alpha)
+    c = extract_c(a, b, alpha)
     diag = np.einsum("ij,jk,ki->i", a.eigenvectors.conj().T, c, a.eigenvectors)
     return DiagonalVanishingReport(
         trace_residual=abs(complex(np.trace(c))),

@@ -173,6 +173,38 @@ def per_matrix_from_eigenbasis(v: np.ndarray, coefficients: np.ndarray) -> np.nd
     return np.array([v @ k @ v.T for k in coefficients]).reshape(coefficients.shape)
 
 
+def per_column_phase_fix(vectors: np.ndarray) -> np.ndarray:
+    """``linalg.phase_fix`` as the per-column loop it replaced: each column rotated on its own by ``conj(pivot) / abs(pivot)``."""
+    from eprkit.linalg import PHASE_PIVOT_THRESHOLD
+
+    out = np.array(vectors, dtype=np.complex128, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        pivots = np.nonzero(np.abs(col) > PHASE_PIVOT_THRESHOLD)[0]
+        if pivots.size:
+            pivot = col[pivots[0]]
+            col *= np.conj(pivot) / abs(pivot)
+    return out
+
+
+def per_table_moments(tables) -> list:
+    """``lab._stacked_moments`` as one ``_require_normalized`` and one ``spectral_moments`` call per table, in list order."""
+    from eprkit.lab import _require_normalized
+    from eprkit.states import spectral_moments
+
+    moments = []
+    for measured, values, probs in tables:
+        _require_normalized(probs, measured)
+        moments.append(spectral_moments(values, probs))
+    return moments
+
+
+def reference_may_exceed_float_range(text: str) -> bool:
+    """``io._may_exceed_float_range`` as the str scan it replaced: ``str.translate``, then a substring search per shape."""
+    shape = text.translate(str.maketrans("123456789E", "000000000e"))
+    return any(pattern in shape for pattern in ("e000", "e+000", "0" * 200))
+
+
 def reference_anti_diagonals(spectrum):
     """``composite.anti_diagonals`` as the per-pair loop with one ``np.mean`` per line that the array version replaced.
 
@@ -485,18 +517,28 @@ def reference_emit_json(payload) -> str:
     return json.dumps(_quantize(payload), indent=2, allow_nan=False) + "\n"
 
 
-def expanded_records(value):
-    """``value`` with each ``io._KeyedRecord`` in it written out as plain dicts, for ``reference_emit_json``.
+def complex_pairs(values):
+    """A complex number as its [re, im] pair, and a list of them, nested to any depth, as a list of pairs."""
+    if isinstance(values, list):
+        return [complex_pairs(v) for v in values]
+    return [values.real, values.imag]
 
-    A record's rows are its one-row records (``lab._rows``) as ``dataclasses.asdict`` gives them,
-    less the fields that key them, zipped into a dict with its keys.
+
+def expanded_records(value):
+    """``value`` with each ``io._KeyedRecord`` and ``io._ArrayRecord`` in it written out as plain lists and dicts, for ``reference_emit_json``.
+
+    A keyed record's rows are its one-row records (``lab._rows``) as ``dataclasses.asdict`` gives them,
+    less the fields that key them, zipped into a dict with its keys. An array record's entries are the
+    [re, im] pairs of its complex array's ``tolist()``.
     """
-    from eprkit.io import _KeyedRecord
+    from eprkit.io import _ArrayRecord, _KeyedRecord
     from eprkit.lab import _rows
 
     if type(value) is _KeyedRecord:
         rows = [dict(list(dataclasses.asdict(row).items())[value.skip :]) for row in _rows(value.record)]
         return dict(zip(value.keys, rows))
+    if type(value) is _ArrayRecord:
+        return complex_pairs(value.array.tolist())
     if isinstance(value, dict):
         return {key: expanded_records(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

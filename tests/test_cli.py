@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eprkit
@@ -21,7 +21,7 @@ from eprkit import io as eprio
 from eprkit import _kernels, cli, composite, conditional, lab, linalg, states
 from eprkit.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from eprkit.lab import MAX_ENTRY_MAGNITUDE, build_scenario
-from helpers import random_hermitian, random_state_vector
+from helpers import random_hermitian, random_state_vector, reference_may_exceed_float_range
 
 BUNDLED = ["pauli_epr.json", "pauli_uniform.json", "spin_one.json"]
 _ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
@@ -1032,3 +1032,106 @@ def test_exit_code_contract_under_fuzzed_scenarios(text):
                 code = main(argv)
             assert code in (0, 2, 3, 4), (argv[0], code, err.getvalue())
             assert "Traceback" not in err.getvalue()
+
+
+SCAN_PIECES = st.one_of(
+    st.text(alphabet="0123456789eE+-.,[]{}\" ", max_size=12),
+    st.text(max_size=6),  # any code point but a surrogate: non-ASCII text and control characters
+    st.sampled_from(["e000", "E+000", "e+00", "e00", "e-000", "1e400", "2E-400", "\\u00e9", "\\ud800", "é", "中", "\ud800", "\udcff"]),
+    st.integers(190, 260).map(lambda k: "9" * k),
+    st.integers(190, 260).map(lambda k: "1" + "0" * k + "e5"),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(SCAN_PIECES, max_size=12).map("".join))
+@example("é" * 100 + "1e+400")
+@example("\ud8001" + "9" * 199 + "é")
+@example("label \\u00e9: 2E" + "0" * 3)
+def test_byte_scan_gives_every_text_the_hooks_of_the_str_scan(text):
+    # the UTF-8 bytes, raw surrogates passed through, hold a shape exactly when the str does
+    assert eprio._may_exceed_float_range(text) == reference_may_exceed_float_range(text)
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "sample"])
+def test_raw_lone_surrogate_label_is_one_line_parse_error(command, tmp_path, capsys):
+    # a raw surrogate, not an escape: scenario_from_json refuses the label, and a file holding its
+    # surrogatepass bytes is no UTF-8 text; neither path ends in a traceback
+    payload = json.loads(scenario_text("pauli_epr.json"))
+    payload["label"] = "\ud800"
+    text = json.dumps(payload, ensure_ascii=False)
+    assert "\ud800" in text
+    with pytest.raises(eprio.ScenarioFormatError, match="^label is not valid Unicode text"):
+        eprio.scenario_from_json(text)
+    bad = tmp_path / "raw-surrogate.json"
+    bad.write_bytes(text.encode("utf-8", "surrogatepass"))
+    argv = [command, str(bad)] + (["--shots", "10"] if command == "sample" else [])
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("epr: parse error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("keep_c", [True, False], ids=["matrix_c", "derived-c"])
+@pytest.mark.parametrize("command", [None, "verify", "analyze"])
+def test_each_input_matrix_is_checked_hermitian_once(keep_c, command, tmp_path, monkeypatch, capsys):
+    # A, B and C (given or derived) are checked when their observables are built, and never again:
+    # not by the parser, not by the commutator of the residual and not by verify's theorem check
+    payload = json.loads(scenario_text("spin_one.json"))
+    if not keep_c:
+        del payload["matrix_c"]
+    path = tmp_path / "spin.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    checked = []
+    original = linalg._within_hermiticity
+    monkeypatch.setattr(linalg, "_within_hermiticity", lambda a: checked.append(a.shape) or original(a))
+    if command is None:
+        eprio.scenario_from_json(path.read_text(encoding="utf-8")).commutation_residual
+    else:
+        assert main([command, str(path)]) == EXIT_OK
+    assert checked == [(3, 3)] * 3
+
+
+@pytest.mark.parametrize(
+    "faults, named",
+    [
+        (["matrix_a", "matrix_b"], "matrix_a"),
+        (["matrix_b", "matrix_c"], "matrix_b"),
+        (["matrix_c", "state"], "matrix_c"),
+        (["matrix_c", "inconsistent"], "matrix_c"),
+        (["matrix_b", "no_c"], "matrix_b"),
+    ],
+)
+def test_first_non_hermitian_field_is_named_before_later_faults(faults, named, tmp_path, capsys):
+    # the field order of the parser's checks: A, then B, then C, before the state and the commutator
+    payload = json.loads(scenario_text("pauli_epr.json"))
+    for fault in faults:
+        if fault.startswith("matrix_"):
+            payload[fault][0][1] = [0.5, 0.25]
+        elif fault == "state":
+            payload["state"] = [[1e-10, 0.0]] + [[0.0, 0.0]] * 3
+        elif fault == "inconsistent":
+            payload["matrix_c"][1][1] = [1e-3, 0.0]
+        else:
+            del payload["matrix_c"]
+    bad = tmp_path / "faults.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["verify", str(bad)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == f"epr: invariant violation: {named} is not Hermitian within tolerance\n"
+
+
+@pytest.mark.parametrize("fault", ["matrix_b", "matrix_c", None])
+def test_file_beyond_max_dim_names_its_non_hermitian_field_first(fault, tmp_path, capsys):
+    # A is checked Hermitian before its dimension, and B and C are named before A's dimension too
+    n = linalg.MAX_DIM + 1
+    diagonal = [[[float(i == j), 0.0] for j in range(n)] for i in range(n)]
+    payload = {"schema_version": 1, "label": "big", "factor_dim": n, "matrix_a": diagonal, "matrix_b": diagonal,
+               "matrix_c": json.loads(json.dumps(diagonal)), "alpha": 1.0, "state": [[1.0, 0.0]] + [[0.0, 0.0]] * (n * n - 1)}
+    if fault is not None:
+        payload[fault] = json.loads(json.dumps(diagonal))
+        payload[fault][0][1] = [1.0, 0.0]
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["verify", str(bad)]) == EXIT_INVARIANT
+    named = f"{fault} is not Hermitian within tolerance" if fault else f"dimension {n} exceeds the supported envelope of {linalg.MAX_DIM}"
+    assert capsys.readouterr().err == f"epr: invariant violation: {named}\n"

@@ -380,3 +380,48 @@ def keyed_payloads(draw):
 @given(keyed_payloads())
 def test_fuzzed_keyed_records_match_the_reference(payload):
     assert outcome(eprio.emit_json, payload) == outcome(reference_emit_json, expanded_records(payload))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_array_records_match_the_reference_of_the_list_payload(n):
+    # the inputs' matrices and state, written from shape templates, against json.dumps of their [re, im] lists,
+    # at the top (scenario_to_json), inside a run report, and nested deeper beside plain lists of pairs
+    rng = np.random.default_rng([50, n])
+    a = random_hermitian(rng, n)
+    a[0, 0] = -0.0  # a signed zero on the diagonal, and a real matrix with -0.0 imaginary parts
+    scenarios = [
+        build_scenario(f"arrays-{n}", a, random_hermitian(rng, n), random_state_vector(rng, n * n)),
+        build_scenario(f"real-{n}", np.diag(np.arange(n) * 1e-9), -np.eye(n).astype(complex) * (1 - 0j), np.eye(n * n)[0] + (-0.0j)),
+    ]
+    for sc in scenarios:
+        records = eprio._scenario_records(sc)
+        payload = eprio.scenario_to_payload(sc)
+        assert repr(payload) == repr(expanded_records(records))
+        assert eprio.scenario_to_json(sc) == eprio.emit_json(records) == reference_emit_json(payload)
+        report = eprio.run_report(sc, None, "test")
+        assert eprio.emit_json(report) == reference_emit_json(eprio.run_report_payload(sc, eprio.analysis_to_payload(sc.analysis), None, "test"))
+        nested = {"deeper": [records["state"], {"m": records["matrix_b"], "pairs": payload["matrix_b"]}], "again": records["state"]}
+        assert eprio.emit_json(nested) == reference_emit_json(expanded_records(nested))
+
+
+COMPLEX_ARRAYS = st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.data()).map(
+    lambda drawn: np.array(
+        drawn[1].draw(st.lists(st.tuples(FLOATS, FLOATS), min_size=math.prod(drawn[0]), max_size=math.prod(drawn[0]))),
+        dtype=np.float64,
+    ).reshape(*drawn[0], 2).view(np.complex128)[..., 0]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(COMPLEX_ARRAYS, st.integers(0, 3))
+@example(np.full((2, 2), -0.0 + 1e15j), 1)
+@example(np.zeros((0, 3), dtype=complex), 0)
+@example(np.array([3 + 0.1j, 0.1 + 3j, 0.1 - 0.0j]), 2)
+def test_fuzzed_array_records_match_the_reference(array, depth):
+    # any shape of 1 to 3 axes, empty ones included, at any indent, and a non-finite entry raising as the reference does
+    value = eprio._ArrayRecord(array)
+    for _ in range(depth):
+        value = {"inner": [1.0, value]}
+    assert outcome(eprio.emit_json, value) == outcome(reference_emit_json, expanded_records(value))
+    bad = eprio._ArrayRecord(np.append(array.ravel(), complex(math.nan, 0.0)))
+    assert outcome(eprio.emit_json, {"x": bad}) is ValueError

@@ -297,6 +297,19 @@ def test_split_counts_count_the_thresholds_deeper_than_each_resolution():
         assert _kernels._split_counts(table, most) == expected, case
 
 
+def test_split_counts_of_a_pair_of_tables_are_each_tables_own():
+    # sample_counts counts the sum and conditional tables in one pass; each keeps its own list and cap
+    rng = np.random.default_rng(54)
+    for case in range(60):
+        d, width = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+        sum_cdf = _depth_cdf(rng, d, int(rng.integers(0, 54)))
+        cond_cdf = np.array([_depth_cdf(rng, width, int(rng.integers(0, 54))) for _ in range(d)])
+        t_sum, t_cond = _kernels._thresholds(sum_cdf), _kernels._thresholds(cond_cdf)
+        most = (int(rng.integers(0, d + 1)), int(rng.integers(0, d * width + 2)))
+        pair = _kernels._split_counts((t_sum, t_cond), most)
+        assert pair == [_kernels._split_counts(t_sum, most[0]), _kernels._split_counts(t_cond, most[1])], case
+
+
 def _draws_of_shot(seed, shot):
     """The 53-bit integers m of shot ``shot``'s sum and first-factor draws."""
     return (int(m) for m in _kernels._draw_bits(seed, np.array([2 * shot + 1, 2 * shot + 2], dtype=np.uint64)))

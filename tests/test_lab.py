@@ -11,7 +11,7 @@ from eprkit import _kernels, cli, composite, conditional, lab, linalg, states
 from eprkit import io as eprio
 from eprkit.composite import anti_diagonal_index, collapse, lift, sum_observable
 from eprkit.conditional import oracle_conditional
-from eprkit.errors import DegenerateSpectrumError, DimensionMismatchError, SpectrumCoverageError
+from eprkit.errors import DegenerateSpectrumError, DimensionMismatchError, ScenarioInvariantError, SpectrumCoverageError
 from eprkit.lab import (
     build_pauli_scenario,
     build_scenario,
@@ -24,10 +24,13 @@ from eprkit.lab import ShotRecord
 from eprkit.linalg import Observable, extract_c
 from eprkit.states import PureState, SpectrumFunction, project_outcomes
 from helpers import (
+    MULTIPLICITY_PATTERNS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     brute_sum_distribution,
+    observable_with_multiplicities,
+    per_table_moments,
     random_hermitian,
     random_state_vector,
     reference_sample_counts,
@@ -411,6 +414,67 @@ class TestRunEprAnalysis:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+def random_tables(rng, rows: int, widths) -> list:
+    """One (measured, eigenvalues, probabilities) table per width: sorted random values and rows of random weights summing to 1."""
+    tables = []
+    for i, width in enumerate(widths):
+        weights = rng.random((rows, width)) * (rng.random((rows, width)) < 0.7) + 1e-3
+        tables.append((f"T{i}", np.sort(rng.standard_normal(width)) * 10.0 ** rng.uniform(-9, 9), weights / weights.sum(axis=1)[:, None]))
+    return tables
+
+
+def outcome_of(moments_of, tables):
+    """The moments' bytes, or the message of the ScenarioInvariantError they raise."""
+    try:
+        return [(mean.tobytes(), stdev.tobytes()) for mean, stdev in moments_of(tables)]
+    except ScenarioInvariantError as exc:
+        return str(exc)
+
+
+class TestStackedMoments:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stacked_moments_have_the_bits_of_each_table_alone(self, n):
+        # the six branch tables, A's N wide and B's and C's as wide as their lines, stacked by width
+        rng = np.random.default_rng([47, n])
+        for _ in range(20):
+            widths = [n, n, *[int(rng.integers(1, n + 1))] * 2, *[int(rng.integers(1, n + 1))] * 2]
+            tables = random_tables(rng, int(rng.integers(1, 12)), widths)
+            assert outcome_of(lab._stacked_moments, tables) == outcome_of(per_table_moments, tables)
+
+    def test_a_failing_table_is_named_as_the_check_of_each_table_names_it(self):
+        # the first table in list order that misses 1 is named, with its first off total, whatever the widths' order
+        rng = np.random.default_rng(48)
+        cases = 0
+        for _ in range(200):
+            tables = random_tables(rng, 5, [int(w) for w in rng.integers(1, 5, 6)])
+            for _ in range(int(rng.integers(1, 4))):
+                i, row = int(rng.integers(0, 6)), int(rng.integers(0, 5))
+                probs = tables[i][2].copy()
+                probs[row] *= rng.choice([2.0, 1.0 + 1e-9, 1.0 - 1e-9, np.nan])
+                tables[i] = (tables[i][0], tables[i][1], probs)
+            expected = outcome_of(per_table_moments, tables)
+            assert outcome_of(lab._stacked_moments, tables) == expected
+            cases += isinstance(expected, str)
+        assert cases > 150
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_reports_have_the_bits_of_per_table_moments(self, n, monkeypatch):
+        # B degenerate and commuting with A (C = 0, one line), B degenerate in a random basis, and a generic B
+        rng = np.random.default_rng([49, n])
+        a = np.diag(np.sort(rng.standard_normal(n)))
+        patterns = [pattern for pattern in MULTIPLICITY_PATTERNS if sum(pattern) == n]
+        bs = [np.diag(np.repeat(np.arange(len(pattern), dtype=float), pattern)) for pattern in patterns]
+        bs += [observable_with_multiplicities(rng, pattern).matrix for pattern in patterns] + [random_hermitian(rng, n)]
+        for b in bs:
+            sc = build_scenario(f"stacked-{n}", a, b, random_state_vector(rng, n * n))
+            stacked = run_epr_analysis(sc)
+            monkeypatch.setattr(lab, "_stacked_moments", per_table_moments)
+            alone = run_epr_analysis(sc)
+            monkeypatch.undo()
+            assert repr(stacked.branch_columns) == repr(alone.branch_columns)
+            assert repr(stacked.chain_columns) == repr(alone.chain_columns)
 
 
 class TestSampleChain:

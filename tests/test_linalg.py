@@ -30,6 +30,7 @@ from helpers import (
     PAULI_Y,
     PAULI_Z,
     observable_with_multiplicities,
+    per_column_phase_fix,
     per_line_projectors,
     random_hermitian,
 )
@@ -306,11 +307,23 @@ SIGNED_FLOATS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(SIGNED_FLOATS, min_size=1, max_size=9), max_size=6))
+# groups of similar values at one scale, where a sum's rounding depends on its order
+SCALED_GROUPS = st.sampled_from([1e-9, 1.0, 1e150]).flatmap(
+    lambda scale: st.lists(
+        st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False).map(lambda x: x * scale), min_size=1, max_size=16),
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.lists(st.lists(SIGNED_FLOATS, min_size=1, max_size=16), max_size=6), SCALED_GROUPS))
 @example([[-0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0, -0.0]])
 @example([[5e-324], [5e-324, 5e-324], [-5e-324, 5e-324], [1e300, 1e300]])
+@example([[0.1] * n for n in range(1, 17)])
+@example([[x * 1e150 for x in [1.0, 1e-3, -1.0, 7.0, 1e-16, 3.0, -2.5]], [3e150] * 8])
 def test_group_means_have_the_bits_of_np_mean(groups):
+    # up to 7 members a group is read as a left-to-right sum from 0.0; from 8 it takes np.mean
     values = np.array([x for group in groups for x in group], dtype=float)
     bounds = np.cumsum([0] + [len(group) for group in groups]).tolist()
     assert bits(group_means(values, bounds)) == bits(mean_per_group(values, bounds))
@@ -354,3 +367,31 @@ def test_line_projectors_group_any_order_of_multiplicities():
         multiplicities = tuple(multiplicities)
         expected = per_line_projectors(vectors, multiplicities)
         assert line_projectors(vectors, multiplicities).tobytes() == expected.tobytes(), multiplicities
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e150])
+def test_phase_fix_has_the_bits_of_the_per_column_loop(n, scale):
+    # one pivot search and one broadcast multiply give each column the bytes of its own rotation:
+    # eigenbases of scaled matrices, the same columns shrunk until some have no pivot, and sparse columns
+    rng = np.random.default_rng([46, n, int(np.log10(scale)) + 9])
+    for _ in range(40):
+        vectors = np.linalg.eigh(random_hermitian(rng, n) * scale)[1]
+        tiny = vectors * 10.0 ** rng.uniform(-12, 0, n)
+        sparse = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 10.0 ** rng.uniform(-12, 3, (n, n))
+        sparse[rng.random((n, n)) < 0.3] = 0.0
+        edge = np.where(rng.random((n, n)) < 0.5, 1e-8, vectors)  # components on the threshold itself
+        for v in (vectors, tiny, sparse, edge, np.zeros((n, n))):
+            assert phase_fix(v).tobytes() == per_column_phase_fix(v).tobytes()
+
+
+def test_group_means_take_np_mean_only_from_8_members(monkeypatch):
+    # an equally spaced A at N = 8 has 11 sum lines of 3 to 8 pairs; only the one of 8 takes np.mean
+    from eprkit.composite import anti_diagonals
+
+    calls = []
+    mean = np.mean
+    monkeypatch.setattr(np, "mean", lambda values, *args, **kwargs: calls.append(len(values)) or mean(values, *args, **kwargs))
+    index = anti_diagonals(np.arange(8, dtype=float))
+    assert sorted(len(pairs) for pairs in index.sets if len(pairs) >= 3) == [3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8]
+    assert calls == [8]
